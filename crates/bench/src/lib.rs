@@ -68,17 +68,9 @@ pub fn try_workers_from_env() -> Result<Option<usize>, String> {
 /// falling back to the `NOC_BENCH_TELEMETRY` environment variable; `None`
 /// disables telemetry output entirely.
 pub fn telemetry_dir_from_env() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--telemetry" {
-            if let Some(dir) = args.next() {
-                return Some(PathBuf::from(dir));
-            }
-        } else if let Some(dir) = a.strip_prefix("--telemetry=") {
-            return Some(PathBuf::from(dir));
-        }
-    }
-    std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from)
+    flag_value(std::env::args().skip(1), "--telemetry")
+        .map(PathBuf::from)
+        .or_else(|| std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from))
 }
 
 /// `noc-serve` socket path for the figure binaries: the `--service <path>`
@@ -86,17 +78,24 @@ pub fn telemetry_dir_from_env() -> Option<PathBuf> {
 /// `NOC_SERVE_SOCKET` environment variable; `None` means run everything
 /// in-process as usual. See `SERVICE.md` for the daemon side.
 pub fn service_socket_from_env() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
+    flag_value(std::env::args().skip(1), "--service")
+        .map(PathBuf::from)
+        .or_else(|| std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from))
+}
+
+/// The value of the first `flag <v>` or `flag=<v>` among `args`.
+fn flag_value(args: impl IntoIterator<Item = String>, flag: &str) -> Option<String> {
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--service" {
-            if let Some(path) = args.next() {
-                return Some(PathBuf::from(path));
+        if a == flag {
+            if let Some(v) = args.next() {
+                return Some(v);
             }
-        } else if let Some(path) = a.strip_prefix("--service=") {
-            return Some(PathBuf::from(path));
+        } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_string());
         }
     }
-    std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from)
+    None
 }
 
 /// Whether the figure binaries should print live progress lines to stderr:
@@ -481,6 +480,16 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flag_value_reads_both_forms() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let flag = "--telemetry";
+        assert_eq!(flag_value(args(&["--telemetry", "d"]), flag).as_deref(), Some("d"));
+        assert_eq!(flag_value(args(&["--quick", "--telemetry=d"]), flag).as_deref(), Some("d"));
+        assert_eq!(flag_value(args(&["--telemetryx=d", "--telemetry"]), flag), None);
+        assert_eq!(flag_value(args(&["--service", "s"]), flag), None);
+    }
 
     #[test]
     fn table_renders_rows() {

@@ -37,6 +37,9 @@
 //! - [`metrics`] — live observability: lock-free-where-hot metrics
 //!   registry, versioned `stats` snapshots, slow-point detection and
 //!   Prometheus text exposition,
+//! - [`wire`] — the declarative JSONL codec: every service, cache and
+//!   manifest message declared once, encoder, decoder and SERVICE.md
+//!   schema rows generated from that declaration,
 //! - [`fleet`] — the sharded sweep fabric: hash routing, per-shard prefix
 //!   merge and summary merging behind the `noc-fleet` coordinator,
 //! - [`config`] — the Table 1 system configuration.
@@ -82,6 +85,7 @@ pub mod runtime;
 pub mod service;
 pub mod sprint_topology;
 pub mod telemetry;
+pub mod wire;
 
 pub use bypass::BypassModel;
 pub use cdor::{is_deadlock_free, CdorRouting};

@@ -12,7 +12,7 @@
 //! build without metrics (pinned by `stats_wire` tests), extending the
 //! non-perturbation contract of the offline telemetry layer.
 //!
-//! Wire encoding follows `point` events (see [`crate::telemetry`]): u64
+//! Wire encoding (declared in [`crate::wire`]) follows `point` events: u64
 //! counts and histogram buckets are `"0x…"` hex strings, gauge f64s are
 //! hex-encoded **bit patterns** so snapshots merge and compare exactly,
 //! and only human-facing wall-clock fields (`uptime_ms`, slow-point
@@ -28,7 +28,7 @@ use std::time::Instant;
 use noc_sim::network::StageCycles;
 use noc_sim::stats::StreamingHistogram;
 
-use crate::telemetry::JsonValue;
+pub use crate::wire::{HistogramSnapshot, MetricsSnapshot, ShardHealth, SlowPoint, StatsSnapshot};
 
 // ---------------------------------------------------------------------------
 // Primitives: Counter, Gauge, HistogramHandle
@@ -200,23 +200,6 @@ impl MetricsRegistry {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// An immutable copy of a [`StreamingHistogram`]: exact count/sum/min/max
-/// plus the non-empty log buckets as `(lower_bound, count)` pairs. Merging
-/// two snapshots sums buckets by lower bound — exact, never resampled.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Exact sum of observations.
-    pub sum: u128,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Non-empty buckets as `(lower_bound, count)`, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
 impl HistogramSnapshot {
     /// Copies the live histogram's state.
     pub fn from_histogram(h: &StreamingHistogram) -> HistogramSnapshot {
@@ -274,77 +257,6 @@ impl HistogramSnapshot {
         }
         self.buckets = merged.into_iter().collect();
     }
-
-    /// Wire encoding: all u64s as hex strings, the u128 sum split into
-    /// `sum_hi`/`sum_lo`, buckets as `[lower, count]` hex pairs.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("count".into(), JsonValue::hex(self.count)),
-            ("sum_hi".into(), JsonValue::hex((self.sum >> 64) as u64)),
-            ("sum_lo".into(), JsonValue::hex(self.sum as u64)),
-            ("min".into(), JsonValue::hex(self.min)),
-            ("max".into(), JsonValue::hex(self.max)),
-            (
-                "buckets".into(),
-                JsonValue::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(lower, n)| {
-                            JsonValue::Arr(vec![JsonValue::hex(lower), JsonValue::hex(n)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<HistogramSnapshot, String> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("histogram: bad or missing {k:?}"))
-        };
-        let mut buckets = Vec::new();
-        for (i, b) in v
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or("histogram: bad or missing \"buckets\"")?
-            .iter()
-            .enumerate()
-        {
-            let pair = b.as_array().ok_or(format!("histogram: bucket {i} not a pair"))?;
-            let [lower, n] = pair else {
-                return Err(format!("histogram: bucket {i} not a pair"));
-            };
-            buckets.push((
-                lower.as_u64().ok_or(format!("histogram: bucket {i} bad bound"))?,
-                n.as_u64().ok_or(format!("histogram: bucket {i} bad count"))?,
-            ));
-        }
-        Ok(HistogramSnapshot {
-            count: field("count")?,
-            sum: (u128::from(field("sum_hi")?) << 64) | u128::from(field("sum_lo")?),
-            min: field("min")?,
-            max: field("max")?,
-            buckets,
-        })
-    }
-}
-
-/// Every metric in a registry at one point in time, sorted by name.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` counters.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` gauges.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, snapshot)` histograms.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
@@ -402,127 +314,11 @@ impl MetricsSnapshot {
         }
         self.histograms = histograms.into_iter().collect();
     }
-
-    /// Wire encoding: counters as hex strings, gauges as hex **bit
-    /// patterns** (so merging and comparison stay exact), histograms per
-    /// [`HistogramSnapshot::to_json`].
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            (
-                "counters".into(),
-                JsonValue::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::hex(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".into(),
-                JsonValue::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::hex(v.to_bits())))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms".into(),
-                JsonValue::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<MetricsSnapshot, String> {
-        let section = |k: &str| match v.get(k) {
-            Some(JsonValue::Obj(pairs)) => Ok(pairs),
-            _ => Err(format!("metrics: bad or missing {k:?}")),
-        };
-        let mut out = MetricsSnapshot::default();
-        for (name, val) in section("counters")? {
-            let v = val.as_u64().ok_or_else(|| format!("counter {name:?}: bad value"))?;
-            out.counters.push((name.clone(), v));
-        }
-        for (name, val) in section("gauges")? {
-            let bits = val.as_u64().ok_or_else(|| format!("gauge {name:?}: bad value"))?;
-            out.gauges.push((name.clone(), f64::from_bits(bits)));
-        }
-        for (name, val) in section("histograms")? {
-            let h = HistogramSnapshot::from_json(val).map_err(|e| format!("{name:?}: {e}"))?;
-            out.histograms.push((name.clone(), h));
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Slow points
 // ---------------------------------------------------------------------------
-
-/// A point whose uncached runtime exceeded `slow_factor ×` the running mean
-/// of uncached points at the time it finished.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowPoint {
-    /// Config hash identifying the operating point.
-    pub config_hash: u64,
-    /// Per-point seed.
-    pub seed: u64,
-    /// Observed wall time (milliseconds).
-    pub duration_ms: f64,
-    /// Running mean of uncached point wall times when this point finished.
-    pub mean_ms: f64,
-    /// `duration_ms / mean_ms`.
-    pub factor: f64,
-}
-
-impl SlowPoint {
-    /// Wire encoding: identities as hex, durations human-readable.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("config_hash".into(), JsonValue::hex(self.config_hash)),
-            ("seed".into(), JsonValue::hex(self.seed)),
-            ("duration_ms".into(), JsonValue::Num(self.duration_ms)),
-            ("mean_ms".into(), JsonValue::Num(self.mean_ms)),
-            ("factor".into(), JsonValue::Num(self.factor)),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<SlowPoint, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("slow point: bad or missing {k:?}"))
-        };
-        Ok(SlowPoint {
-            config_hash: v
-                .get("config_hash")
-                .and_then(JsonValue::as_u64)
-                .ok_or("slow point: bad or missing \"config_hash\"")?,
-            seed: v
-                .get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or("slow point: bad or missing \"seed\"")?,
-            duration_ms: num("duration_ms")?,
-            mean_ms: num("mean_ms")?,
-            factor: num("factor")?,
-        })
-    }
-}
 
 /// A bounded, most-recent-first log of slow points.
 #[derive(Debug)]
@@ -559,169 +355,9 @@ impl SlowPointLog {
 // Shard health & the versioned stats snapshot
 // ---------------------------------------------------------------------------
 
-/// Liveness and version info for one shard, as observed by the fleet
-/// coordinator at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHealth {
-    /// Shard index.
-    pub shard: usize,
-    /// The shard's socket path.
-    pub socket: String,
-    /// Whether the shard answered the `stats` poll.
-    pub alive: bool,
-    /// The shard's engine name (empty when unreachable).
-    pub engine: String,
-    /// The shard's code version (empty when unreachable).
-    pub code_version: String,
-    /// The shard's uptime in milliseconds (0 when unreachable).
-    pub uptime_ms: f64,
-}
-
-impl ShardHealth {
-    /// Wire encoding.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("shard".into(), JsonValue::Num(self.shard as f64)),
-            ("socket".into(), JsonValue::Str(self.socket.clone())),
-            ("alive".into(), JsonValue::Bool(self.alive)),
-            ("engine".into(), JsonValue::Str(self.engine.clone())),
-            ("code_version".into(), JsonValue::Str(self.code_version.clone())),
-            ("uptime_ms".into(), JsonValue::Num(self.uptime_ms)),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<ShardHealth, String> {
-        Ok(ShardHealth {
-            shard: v
-                .get("shard")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard health: bad or missing \"shard\"")? as usize,
-            socket: v
-                .get("socket")
-                .and_then(JsonValue::as_str)
-                .ok_or("shard health: bad or missing \"socket\"")?
-                .to_string(),
-            alive: v
-                .get("alive")
-                .and_then(JsonValue::as_bool)
-                .ok_or("shard health: bad or missing \"alive\"")?,
-            engine: v
-                .get("engine")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            code_version: v
-                .get("code_version")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            uptime_ms: v.get("uptime_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
-        })
-    }
-}
-
 /// Schema version emitted in every [`StatsSnapshot`]; parsers reject
 /// versions they don't know.
 pub const STATS_SCHEMA_VERSION: u64 = 1;
-
-/// A versioned, self-describing snapshot of one engine's metrics — the
-/// payload of the `stats` wire verb. Fleet coordinators aggregate shard
-/// snapshots by merging `metrics` and concatenating `slow_points`, and
-/// describe each shard in `shards`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Snapshot schema version ([`STATS_SCHEMA_VERSION`]).
-    pub schema: u64,
-    /// Engine name: `"noc-serve"` for a single daemon, `"noc-fleet"` for a
-    /// fleet coordinator.
-    pub engine: String,
-    /// The engine's code version (cache stamp + experiment tag).
-    pub code_version: String,
-    /// Milliseconds since the engine started.
-    pub uptime_ms: f64,
-    /// Every registered metric.
-    pub metrics: MetricsSnapshot,
-    /// Recent slow points, oldest first.
-    pub slow_points: Vec<SlowPoint>,
-    /// Per-shard health (empty for a single daemon).
-    pub shards: Vec<ShardHealth>,
-}
-
-impl StatsSnapshot {
-    /// Wire encoding.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("schema".into(), JsonValue::Num(self.schema as f64)),
-            ("engine".into(), JsonValue::Str(self.engine.clone())),
-            ("code_version".into(), JsonValue::Str(self.code_version.clone())),
-            ("uptime_ms".into(), JsonValue::Num(self.uptime_ms)),
-            ("metrics".into(), self.metrics.to_json()),
-            (
-                "slow_points".into(),
-                JsonValue::Arr(self.slow_points.iter().map(SlowPoint::to_json).collect()),
-            ),
-            (
-                "shards".into(),
-                JsonValue::Arr(self.shards.iter().map(ShardHealth::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes [`Self::to_json`] output. Unknown extra fields are ignored
-    /// (tools may inject e.g. a `"target"` tag when dumping snapshots).
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown schema versions and malformed fields.
-    pub fn from_json(v: &JsonValue) -> Result<StatsSnapshot, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_u64)
-            .ok_or("stats: bad or missing \"schema\"")?;
-        if schema != STATS_SCHEMA_VERSION {
-            return Err(format!(
-                "stats: unknown schema version {schema} (expected {STATS_SCHEMA_VERSION})"
-            ));
-        }
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("stats: bad or missing {k:?}"))
-        };
-        let mut slow_points = Vec::new();
-        for p in v
-            .get("slow_points")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&[])
-        {
-            slow_points.push(SlowPoint::from_json(p)?);
-        }
-        let mut shards = Vec::new();
-        for sh in v.get("shards").and_then(JsonValue::as_array).unwrap_or(&[]) {
-            shards.push(ShardHealth::from_json(sh)?);
-        }
-        Ok(StatsSnapshot {
-            schema,
-            engine: s("engine")?,
-            code_version: s("code_version")?,
-            uptime_ms: v
-                .get("uptime_ms")
-                .and_then(JsonValue::as_f64)
-                .ok_or("stats: bad or missing \"uptime_ms\"")?,
-            metrics: MetricsSnapshot::from_json(
-                v.get("metrics").ok_or("stats: missing \"metrics\"")?,
-            )?,
-            slow_points,
-            shards,
-        })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Per-pipeline-stage busy-cycle totals
@@ -1230,6 +866,7 @@ fn parse_sample_name(line: &str) -> Result<(String, &str), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::JsonValue;
 
     #[test]
     fn counters_and_gauges_are_atomic_and_monotone() {

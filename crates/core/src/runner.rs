@@ -250,7 +250,7 @@ impl ExperimentRunner {
             seed,
             error: error.to_string(),
         };
-        eprintln!("{}", event.to_json());
+        eprintln!("{}", event.to_json_line());
     }
 
     /// The configured worker count.

@@ -14,9 +14,11 @@
 //! ```
 //!
 //! The full wire contract — field tables, lifecycle, cache-key definition
-//! and invalidation rules — lives in `SERVICE.md` at the repository root;
-//! [`schema_reference`] generates the schema tables embedded there, and a
-//! test in this module fails if the document drifts from the code.
+//! and invalidation rules — lives in `SERVICE.md` at the repository root.
+//! Every message is declared once in [`crate::wire`], which generates its
+//! encoder, its decoder and the schema tables embedded in SERVICE.md
+//! ([`schema_reference`]); a test in this module fails if the document
+//! drifts from the code.
 //!
 //! Three properties the contract pins:
 //!
@@ -31,11 +33,10 @@
 //!   crash-safe (write-tmp-then-rename) compaction. A cache hit is
 //!   bit-identical to a fresh run — `f64`s are stored by bit pattern.
 //!
-//! Everything is `std`-only (threads + channels); the wire format reuses
-//! [`crate::telemetry`]'s [`JsonValue`] and [`ManifestPoint`].
+//! Everything is `std`-only (threads + channels); a `point` event is a
+//! [`ManifestPoint`] with the request id spliced in.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -44,13 +45,13 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use noc_sim::topology::TopologySpec;
-use noc_sim::traffic::TrafficPattern;
-
 use crate::experiment::{Experiment, NetworkMetrics};
 use crate::metrics::{ServiceMetrics, StatsSnapshot};
-use crate::runner::{lock_recover, ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
-use crate::telemetry::{JsonValue, ManifestPoint, RunManifest};
+use crate::runner::{lock_recover, ExperimentRunner, ResultCache, SyntheticJob};
+use crate::telemetry::{ManifestPoint, RunManifest};
+pub use crate::wire::{
+    schema_reference, BatchSummary, CacheRecord, ServiceRequest, ServiceResponse, SubmitRequest,
+};
 
 // ---------------------------------------------------------------------------
 // Version stamp
@@ -76,7 +77,7 @@ pub fn code_version(experiment_tag: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics codecs
+// Metric pairs
 // ---------------------------------------------------------------------------
 
 /// The named scalar metrics every `point` event and manifest point carries,
@@ -89,19 +90,38 @@ pub const METRIC_FIELDS: [&str; 5] = [
     "saturated",
 ];
 
+/// `m`'s scalars in [`METRIC_FIELDS`] order, `saturated` as `0.0`/`1.0`:
+/// the one list of [`NetworkMetrics`] fields that [`metric_pairs`],
+/// [`metrics_from_pairs`] and the bit-exact cache codec read.
+pub(crate) fn metric_values(m: &NetworkMetrics) -> [f64; 5] {
+    [
+        m.avg_packet_latency,
+        m.avg_network_latency,
+        m.network_power,
+        m.accepted_throughput,
+        f64::from(u8::from(m.saturated)),
+    ]
+}
+
+/// Inverse of [`metric_values`].
+pub(crate) fn metrics_from_values(v: [f64; 5]) -> NetworkMetrics {
+    NetworkMetrics {
+        avg_packet_latency: v[0],
+        avg_network_latency: v[1],
+        network_power: v[2],
+        accepted_throughput: v[3],
+        saturated: v[4] != 0.0,
+    }
+}
+
 /// Flattens [`NetworkMetrics`] into the named `(metric, value)` pairs used
 /// by manifests and `point` stream events (see [`METRIC_FIELDS`]).
 pub fn metric_pairs(m: &NetworkMetrics) -> Vec<(String, f64)> {
-    vec![
-        ("avg_packet_latency".to_string(), m.avg_packet_latency),
-        ("avg_network_latency".to_string(), m.avg_network_latency),
-        ("network_power".to_string(), m.network_power),
-        (
-            "accepted_throughput".to_string(),
-            m.accepted_throughput,
-        ),
-        ("saturated".to_string(), f64::from(u8::from(m.saturated))),
-    ]
+    METRIC_FIELDS
+        .iter()
+        .zip(metric_values(m))
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
 }
 
 /// Rebuilds [`NetworkMetrics`] from the pairs produced by
@@ -112,775 +132,20 @@ pub fn metric_pairs(m: &NetworkMetrics) -> Vec<(String, f64)> {
 ///
 /// Names the first missing metric.
 pub fn metrics_from_pairs(pairs: &[(String, f64)]) -> Result<NetworkMetrics, String> {
-    let get = |k: &str| {
-        pairs
+    let mut values = [0.0; 5];
+    for (slot, k) in values.iter_mut().zip(METRIC_FIELDS) {
+        *slot = pairs
             .iter()
             .find(|(n, _)| n == k)
             .map(|&(_, v)| v)
-            .ok_or_else(|| format!("missing metric {k:?}"))
-    };
-    Ok(NetworkMetrics {
-        avg_packet_latency: get("avg_packet_latency")?,
-        avg_network_latency: get("avg_network_latency")?,
-        network_power: get("network_power")?,
-        accepted_throughput: get("accepted_throughput")?,
-        saturated: get("saturated")? != 0.0,
-    })
-}
-
-/// Bit-exact JSON encoding of [`NetworkMetrics`] for cache records: every
-/// `f64` is stored as the hex string of its bit pattern, so NaN, ±∞ and
-/// every last mantissa bit survive the round trip — a cache hit returns
-/// *exactly* what the simulation produced.
-fn metrics_to_cache_json(m: &NetworkMetrics) -> JsonValue {
-    JsonValue::Obj(vec![
-        (
-            "avg_packet_latency".to_string(),
-            JsonValue::hex(m.avg_packet_latency.to_bits()),
-        ),
-        (
-            "avg_network_latency".to_string(),
-            JsonValue::hex(m.avg_network_latency.to_bits()),
-        ),
-        (
-            "network_power".to_string(),
-            JsonValue::hex(m.network_power.to_bits()),
-        ),
-        (
-            "accepted_throughput".to_string(),
-            JsonValue::hex(m.accepted_throughput.to_bits()),
-        ),
-        ("saturated".to_string(), JsonValue::Bool(m.saturated)),
-    ])
-}
-
-fn metrics_from_cache_json(v: &JsonValue) -> Result<NetworkMetrics, String> {
-    let bits = |k: &str| {
-        v.get(k)
-            .and_then(JsonValue::as_u64)
-            .map(f64::from_bits)
-            .ok_or_else(|| format!("cache value missing {k:?}"))
-    };
-    Ok(NetworkMetrics {
-        avg_packet_latency: bits("avg_packet_latency")?,
-        avg_network_latency: bits("avg_network_latency")?,
-        network_power: bits("network_power")?,
-        accepted_throughput: bits("accepted_throughput")?,
-        saturated: v
-            .get("saturated")
-            .and_then(JsonValue::as_bool)
-            .ok_or("cache value missing \"saturated\"")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Job codec
-// ---------------------------------------------------------------------------
-
-/// Wire name of a [`TrafficPattern`] (the `pattern` field of a job).
-pub fn pattern_name(p: TrafficPattern) -> &'static str {
-    match p {
-        TrafficPattern::UniformRandom => "uniform",
-        TrafficPattern::Transpose => "transpose",
-        TrafficPattern::BitComplement => "bitcomp",
-        TrafficPattern::Tornado => "tornado",
-        TrafficPattern::Shuffle => "shuffle",
-        TrafficPattern::NearestNeighbor => "neighbor",
-        TrafficPattern::Hotspot { .. } => "hotspot",
+            .ok_or_else(|| format!("missing metric {k:?}"))?;
     }
-}
-
-/// Decodes a [`TrafficPattern`] from its wire name; `hotspot` additionally
-/// requires `hot_fraction` in `[0, 1]`.
-///
-/// # Errors
-///
-/// Unknown name, or a missing/out-of-range `hot_fraction`.
-pub fn pattern_from_name(
-    name: &str,
-    hot_fraction: Option<f64>,
-) -> Result<TrafficPattern, String> {
-    match name {
-        "uniform" => Ok(TrafficPattern::UniformRandom),
-        "transpose" => Ok(TrafficPattern::Transpose),
-        "bitcomp" => Ok(TrafficPattern::BitComplement),
-        "tornado" => Ok(TrafficPattern::Tornado),
-        "shuffle" => Ok(TrafficPattern::Shuffle),
-        "neighbor" => Ok(TrafficPattern::NearestNeighbor),
-        "hotspot" => {
-            let hot_fraction =
-                hot_fraction.ok_or("pattern \"hotspot\" requires hot_fraction")?;
-            if !(0.0..=1.0).contains(&hot_fraction) {
-                return Err(format!("hot_fraction {hot_fraction} outside [0, 1]"));
-            }
-            Ok(TrafficPattern::Hotspot { hot_fraction })
-        }
-        other => Err(format!("unknown pattern {other:?}")),
-    }
-}
-
-/// Wire name of a [`SyntheticBaseline`] (the `baseline` field of a job).
-pub fn baseline_name(b: SyntheticBaseline) -> &'static str {
-    match b {
-        SyntheticBaseline::NocSprinting => "noc_sprinting",
-        SyntheticBaseline::RandomEndpoints => "random_endpoints",
-        SyntheticBaseline::SpreadAggregate => "spread_aggregate",
-    }
-}
-
-/// Decodes a [`SyntheticBaseline`] from its wire name.
-///
-/// # Errors
-///
-/// Unknown name.
-pub fn baseline_from_name(name: &str) -> Result<SyntheticBaseline, String> {
-    match name {
-        "noc_sprinting" => Ok(SyntheticBaseline::NocSprinting),
-        "random_endpoints" => Ok(SyntheticBaseline::RandomEndpoints),
-        "spread_aggregate" => Ok(SyntheticBaseline::SpreadAggregate),
-        other => Err(format!("unknown baseline {other:?}")),
-    }
-}
-
-/// Encodes a [`SyntheticJob`] as the wire job object.
-pub fn job_to_json(job: &SyntheticJob) -> JsonValue {
-    let mut pairs = vec![
-        (
-            "topology".to_string(),
-            JsonValue::Str(job.topology.wire_name()),
-        ),
-        ("level".to_string(), JsonValue::Num(job.level as f64)),
-        (
-            "pattern".to_string(),
-            JsonValue::Str(pattern_name(job.pattern).to_string()),
-        ),
-    ];
-    if let TrafficPattern::Hotspot { hot_fraction } = job.pattern {
-        pairs.push(("hot_fraction".to_string(), JsonValue::Num(hot_fraction)));
-    }
-    pairs.push(("rate".to_string(), JsonValue::Num(job.rate)));
-    pairs.push(("seed".to_string(), JsonValue::hex(job.seed)));
-    pairs.push((
-        "baseline".to_string(),
-        JsonValue::Str(baseline_name(job.baseline).to_string()),
-    ));
-    JsonValue::Obj(pairs)
-}
-
-/// Decodes and validates a wire job object back into a [`SyntheticJob`].
-///
-/// # Errors
-///
-/// Missing/malformed fields, `level == 0`, `rate` outside `(0, 1]`, or an
-/// unparseable `topology` name. An absent `topology` means the default
-/// mesh4x4 — pre-topology clients stay compatible.
-pub fn job_from_json(v: &JsonValue) -> Result<SyntheticJob, String> {
-    let topology = match v.get("topology") {
-        None => TopologySpec::default(),
-        Some(t) => {
-            let name = t.as_str().ok_or("job topology must be a string")?;
-            TopologySpec::from_wire_name(name).map_err(|e| e.to_string())?
-        }
-    };
-    let level = v
-        .get("level")
-        .and_then(JsonValue::as_u64)
-        .ok_or("job missing level")? as usize;
-    if level == 0 {
-        return Err("job level must be at least 1".into());
-    }
-    let rate = v
-        .get("rate")
-        .and_then(JsonValue::as_f64)
-        .ok_or("job missing rate")?;
-    if !(rate > 0.0 && rate <= 1.0) {
-        return Err(format!("job rate {rate} outside (0, 1]"));
-    }
-    let pattern = pattern_from_name(
-        v.get("pattern")
-            .and_then(JsonValue::as_str)
-            .ok_or("job missing pattern")?,
-        v.get("hot_fraction").and_then(JsonValue::as_f64),
-    )?;
-    Ok(SyntheticJob {
-        topology,
-        level,
-        pattern,
-        rate,
-        seed: v
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("job missing seed")?,
-        baseline: baseline_from_name(
-            v.get("baseline")
-                .and_then(JsonValue::as_str)
-                .ok_or("job missing baseline")?,
-        )?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
-
-/// One batch of operating points submitted to the service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitRequest {
-    /// Client-chosen request identifier, echoed on every response event.
-    pub id: String,
-    /// Human-readable batch label (e.g. the figure name); defaults to
-    /// `"service"` when absent on the wire.
-    pub label: String,
-    /// Admission priority against the daemon's queue limit (wire default 0):
-    /// positive batches bypass the limit, zero batches get the full limit,
-    /// negative batches only half of it. Irrelevant without a limit.
-    pub priority: i64,
-    /// The operating points to evaluate, in result order.
-    pub jobs: Vec<SyntheticJob>,
-}
-
-/// A parsed client request (one JSON object per line).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceRequest {
-    /// Evaluate a batch of operating points.
-    Submit(SubmitRequest),
-    /// Cancel an in-flight batch by request id. Unknown ids *arm* the
-    /// cancellation, so a cancel racing ahead of its submit still lands.
-    Cancel {
-        /// The target request id.
-        id: String,
-    },
-    /// Liveness probe; answered with `pong`.
-    Ping,
-    /// Snapshot the engine's live metrics; answered with `stats`.
-    Stats,
-    /// Ask the daemon to exit cleanly.
-    Shutdown,
-}
-
-impl ServiceRequest {
-    /// Encodes the request as a single JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        match self {
-            ServiceRequest::Submit(req) => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("submit".to_string())),
-                ("id".to_string(), JsonValue::Str(req.id.clone())),
-                ("label".to_string(), JsonValue::Str(req.label.clone())),
-                ("priority".to_string(), JsonValue::Num(req.priority as f64)),
-                (
-                    "jobs".to_string(),
-                    JsonValue::Arr(req.jobs.iter().map(job_to_json).collect()),
-                ),
-            ])
-            .to_json(),
-            ServiceRequest::Cancel { id } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("cancel".to_string())),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-            ])
-            .to_json(),
-            ServiceRequest::Ping => {
-                JsonValue::Obj(vec![("type".to_string(), JsonValue::Str("ping".to_string()))])
-                    .to_json()
-            }
-            ServiceRequest::Stats => JsonValue::Obj(vec![(
-                "type".to_string(),
-                JsonValue::Str("stats".to_string()),
-            )])
-            .to_json(),
-            ServiceRequest::Shutdown => JsonValue::Obj(vec![(
-                "type".to_string(),
-                JsonValue::Str("shutdown".to_string()),
-            )])
-            .to_json(),
-        }
-    }
-
-    /// Parses one request line.
-    ///
-    /// # Errors
-    ///
-    /// A description of the syntax error or invalid field.
-    pub fn from_json_line(line: &str) -> Result<ServiceRequest, String> {
-        let v = JsonValue::parse(line)?;
-        match v.get("type").and_then(JsonValue::as_str) {
-            Some("submit") => {
-                let id = v
-                    .get("id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("submit missing id")?
-                    .to_string();
-                let label = v
-                    .get("label")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("service")
-                    .to_string();
-                let priority = match v.get("priority") {
-                    None => 0,
-                    Some(p) => p
-                        .as_f64()
-                        .filter(|p| p.fract() == 0.0)
-                        .map(|p| p as i64)
-                        .ok_or("submit priority must be an integer")?,
-                };
-                let jobs = v
-                    .get("jobs")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("submit missing jobs array")?
-                    .iter()
-                    .map(job_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ServiceRequest::Submit(SubmitRequest {
-                    id,
-                    label,
-                    priority,
-                    jobs,
-                }))
-            }
-            Some("cancel") => Ok(ServiceRequest::Cancel {
-                id: v
-                    .get("id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("cancel missing id")?
-                    .to_string(),
-            }),
-            Some("ping") => Ok(ServiceRequest::Ping),
-            Some("stats") => Ok(ServiceRequest::Stats),
-            Some("shutdown") => Ok(ServiceRequest::Shutdown),
-            other => Err(format!("unknown request type {other:?}")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
-
-/// End-of-batch accounting carried by the `done` event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSummary {
-    /// Jobs in the batch.
-    pub points: usize,
-    /// Points that produced metrics.
-    pub ok: usize,
-    /// Points that failed (one `point_failed` event each).
-    pub failed: usize,
-    /// Points skipped because the batch was cancelled (surfaced as
-    /// `point_failed` events with error `"cancelled"`).
-    pub cancelled: usize,
-    /// Points served from the result cache.
-    pub cache_hits: u64,
-    /// Points that were freshly simulated.
-    pub cache_misses: u64,
-    /// Order-sensitive combined hash over every job's cache key
-    /// ([`RunManifest::combine_hashes`]).
-    pub config_hash: u64,
-    /// Batch wall time, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// One streamed response event (one JSON object per line).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceResponse {
-    /// The request was parsed and queued; `points` results will follow.
-    Accepted {
-        /// Echo of the request id.
-        id: String,
-        /// Number of jobs accepted.
-        points: usize,
-    },
-    /// A point finished somewhere in the batch (completion order, may be
-    /// ahead of the strictly-ordered `point` stream).
-    Progress {
-        /// Echo of the request id.
-        id: String,
-        /// Points completed so far.
-        completed: usize,
-        /// Points in the batch.
-        total: usize,
-        /// Estimated milliseconds to batch completion, when the runner has
-        /// seen at least one uncached point. Derived from the mean
-        /// **uncached** point time and this batch's observed hit rate, so
-        /// a mostly-cached batch doesn't extrapolate near-zero hit times
-        /// (or drown them in a pessimistic all-points mean).
-        eta_ms: Option<f64>,
-    },
-    /// One evaluated operating point, streamed in strict job-index order.
-    Point {
-        /// Echo of the request id.
-        id: String,
-        /// The point's identity, execution detail and metrics.
-        point: ManifestPoint,
-    },
-    /// One failed operating point (same ordering guarantee as `point`).
-    PointFailed {
-        /// Echo of the request id.
-        id: String,
-        /// Failing job's index.
-        index: usize,
-        /// Failing job's cache key.
-        config_hash: u64,
-        /// Failing job's RNG seed.
-        seed: u64,
-        /// The simulator error's display form.
-        error: String,
-    },
-    /// The batch finished; always the last event of a request.
-    Done {
-        /// Echo of the request id.
-        id: String,
-        /// End-of-batch accounting.
-        summary: BatchSummary,
-    },
-    /// The batch was rejected by backpressure: admitting it would push the
-    /// daemon's pending-point count past the request's effective queue
-    /// limit. No `accepted`/`done` follows — resubmit later (or with a
-    /// higher priority).
-    Busy {
-        /// Echo of the request id.
-        id: String,
-        /// Points already pending when the batch was rejected.
-        pending: usize,
-        /// The effective limit the batch was admitted against.
-        limit: usize,
-    },
-    /// Answer to `cancel`.
-    Cancelled {
-        /// Echo of the cancel target id.
-        id: String,
-        /// Whether a batch with that id was in flight (`false` means the
-        /// cancellation was merely armed for a future submit).
-        active: bool,
-    },
-    /// Answer to `ping`.
-    Pong {
-        /// Milliseconds the engine has been up.
-        uptime_ms: f64,
-        /// The engine's code version (cache stamp + experiment tag), so
-        /// clients can detect version skew across a fleet.
-        code_version: String,
-        /// Engine name: `"noc-serve"` or `"noc-fleet"`.
-        engine: String,
-    },
-    /// Answer to `stats`: a versioned live-metrics snapshot.
-    Stats {
-        /// The snapshot (see `SERVICE.md` § Observability).
-        snapshot: StatsSnapshot,
-    },
-    /// The request could not be parsed or served.
-    Error {
-        /// Echo of the request id, when one could be recovered.
-        id: Option<String>,
-        /// What went wrong.
-        message: String,
-    },
-}
-
-impl ServiceResponse {
-    /// Encodes the event as a single JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        match self {
-            ServiceResponse::Accepted { id, points } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("accepted".to_string())),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-                ("points".to_string(), JsonValue::Num(*points as f64)),
-            ])
-            .to_json(),
-            ServiceResponse::Progress {
-                id,
-                completed,
-                total,
-                eta_ms,
-            } => {
-                let mut pairs = vec![
-                    ("type".to_string(), JsonValue::Str("progress".to_string())),
-                    ("id".to_string(), JsonValue::Str(id.clone())),
-                    ("completed".to_string(), JsonValue::Num(*completed as f64)),
-                    ("total".to_string(), JsonValue::Num(*total as f64)),
-                ];
-                if let Some(eta) = eta_ms {
-                    pairs.push(("eta_ms".to_string(), JsonValue::Num(*eta)));
-                }
-                JsonValue::Obj(pairs).to_json()
-            }
-            ServiceResponse::Point { id, point } => {
-                // The manifest-point object with the request id spliced in
-                // after "type", so point lines are grep-compatible with
-                // manifest files.
-                let JsonValue::Obj(mut pairs) = point.to_json() else {
-                    unreachable!("ManifestPoint::to_json returns an object")
-                };
-                pairs.insert(1, ("id".to_string(), JsonValue::Str(id.clone())));
-                JsonValue::Obj(pairs).to_json()
-            }
-            ServiceResponse::PointFailed {
-                id,
-                index,
-                config_hash,
-                seed,
-                error,
-            } => JsonValue::Obj(vec![
-                (
-                    "type".to_string(),
-                    JsonValue::Str("point_failed".to_string()),
-                ),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-                ("index".to_string(), JsonValue::Num(*index as f64)),
-                ("config_hash".to_string(), JsonValue::hex(*config_hash)),
-                ("seed".to_string(), JsonValue::hex(*seed)),
-                ("error".to_string(), JsonValue::Str(error.clone())),
-            ])
-            .to_json(),
-            ServiceResponse::Done { id, summary } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("done".to_string())),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-                ("points".to_string(), JsonValue::Num(summary.points as f64)),
-                ("ok".to_string(), JsonValue::Num(summary.ok as f64)),
-                ("failed".to_string(), JsonValue::Num(summary.failed as f64)),
-                (
-                    "cancelled".to_string(),
-                    JsonValue::Num(summary.cancelled as f64),
-                ),
-                (
-                    "cache_hits".to_string(),
-                    JsonValue::Num(summary.cache_hits as f64),
-                ),
-                (
-                    "cache_misses".to_string(),
-                    JsonValue::Num(summary.cache_misses as f64),
-                ),
-                (
-                    "config_hash".to_string(),
-                    JsonValue::hex(summary.config_hash),
-                ),
-                ("wall_ms".to_string(), JsonValue::Num(summary.wall_ms)),
-            ])
-            .to_json(),
-            ServiceResponse::Busy { id, pending, limit } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("busy".to_string())),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-                ("pending".to_string(), JsonValue::Num(*pending as f64)),
-                ("limit".to_string(), JsonValue::Num(*limit as f64)),
-            ])
-            .to_json(),
-            ServiceResponse::Cancelled { id, active } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("cancelled".to_string())),
-                ("id".to_string(), JsonValue::Str(id.clone())),
-                ("active".to_string(), JsonValue::Bool(*active)),
-            ])
-            .to_json(),
-            ServiceResponse::Pong {
-                uptime_ms,
-                code_version,
-                engine,
-            } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("pong".to_string())),
-                ("uptime_ms".to_string(), JsonValue::Num(*uptime_ms)),
-                (
-                    "code_version".to_string(),
-                    JsonValue::Str(code_version.clone()),
-                ),
-                ("engine".to_string(), JsonValue::Str(engine.clone())),
-            ])
-            .to_json(),
-            ServiceResponse::Stats { snapshot } => JsonValue::Obj(vec![
-                ("type".to_string(), JsonValue::Str("stats".to_string())),
-                ("snapshot".to_string(), snapshot.to_json()),
-            ])
-            .to_json(),
-            ServiceResponse::Error { id, message } => {
-                let mut pairs = vec![(
-                    "type".to_string(),
-                    JsonValue::Str("error".to_string()),
-                )];
-                if let Some(id) = id {
-                    pairs.push(("id".to_string(), JsonValue::Str(id.clone())));
-                }
-                pairs.push(("message".to_string(), JsonValue::Str(message.clone())));
-                JsonValue::Obj(pairs).to_json()
-            }
-        }
-    }
-
-    /// Parses one response line.
-    ///
-    /// # Errors
-    ///
-    /// A description of the syntax error or missing field.
-    pub fn from_json_line(line: &str) -> Result<ServiceResponse, String> {
-        let v = JsonValue::parse(line)?;
-        let id = || -> Result<String, String> {
-            Ok(v.get("id")
-                .and_then(JsonValue::as_str)
-                .ok_or("event missing id")?
-                .to_string())
-        };
-        let num = |k: &str| -> Result<usize, String> {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("event missing {k:?}"))
-        };
-        match v.get("type").and_then(JsonValue::as_str) {
-            Some("accepted") => Ok(ServiceResponse::Accepted {
-                id: id()?,
-                points: num("points")?,
-            }),
-            Some("progress") => Ok(ServiceResponse::Progress {
-                id: id()?,
-                completed: num("completed")?,
-                total: num("total")?,
-                eta_ms: v.get("eta_ms").and_then(JsonValue::as_f64),
-            }),
-            Some("point") => Ok(ServiceResponse::Point {
-                id: id()?,
-                point: ManifestPoint::from_json(&v)?,
-            }),
-            Some("point_failed") => Ok(ServiceResponse::PointFailed {
-                id: id()?,
-                index: num("index")?,
-                config_hash: v
-                    .get("config_hash")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("point_failed missing config_hash")?,
-                seed: v
-                    .get("seed")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("point_failed missing seed")?,
-                error: v
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("point_failed missing error")?
-                    .to_string(),
-            }),
-            Some("done") => Ok(ServiceResponse::Done {
-                id: id()?,
-                summary: BatchSummary {
-                    points: num("points")?,
-                    ok: num("ok")?,
-                    failed: num("failed")?,
-                    cancelled: num("cancelled")?,
-                    cache_hits: num("cache_hits")? as u64,
-                    cache_misses: num("cache_misses")? as u64,
-                    config_hash: v
-                        .get("config_hash")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("done missing config_hash")?,
-                    wall_ms: v
-                        .get("wall_ms")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or("done missing wall_ms")?,
-                },
-            }),
-            Some("busy") => Ok(ServiceResponse::Busy {
-                id: id()?,
-                pending: num("pending")?,
-                limit: num("limit")?,
-            }),
-            Some("cancelled") => Ok(ServiceResponse::Cancelled {
-                id: id()?,
-                active: v
-                    .get("active")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("cancelled missing active")?,
-            }),
-            // Pre-observability daemons answered a bare {"type":"pong"};
-            // parse leniently so mixed-version fleets stay probeable.
-            Some("pong") => Ok(ServiceResponse::Pong {
-                uptime_ms: v.get("uptime_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                code_version: v
-                    .get("code_version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                engine: v
-                    .get("engine")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            }),
-            Some("stats") => Ok(ServiceResponse::Stats {
-                snapshot: StatsSnapshot::from_json(
-                    v.get("snapshot").ok_or("stats missing snapshot")?,
-                )?,
-            }),
-            Some("error") => Ok(ServiceResponse::Error {
-                id: v.get("id").and_then(JsonValue::as_str).map(String::from),
-                message: v
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("error missing message")?
-                    .to_string(),
-            }),
-            other => Err(format!("unknown response type {other:?}")),
-        }
-    }
+    Ok(metrics_from_values(values))
 }
 
 // ---------------------------------------------------------------------------
 // Persistent cache
 // ---------------------------------------------------------------------------
-
-/// One persisted result: the line format of cache segment files.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheRecord {
-    /// The job's cache key ([`SyntheticJob::cache_key`]).
-    pub key: u64,
-    /// The job's RNG seed (already folded into `key`; stored explicitly so
-    /// segments are self-describing and auditable).
-    pub seed: u64,
-    /// The writing daemon's [`code_version`] stamp.
-    pub version: String,
-    /// The simulated metrics, `f64`s by bit pattern.
-    pub value: NetworkMetrics,
-}
-
-impl CacheRecord {
-    /// Encodes the record as a single JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        JsonValue::Obj(vec![
-            ("type".to_string(), JsonValue::Str("cache".to_string())),
-            ("key".to_string(), JsonValue::hex(self.key)),
-            ("seed".to_string(), JsonValue::hex(self.seed)),
-            ("version".to_string(), JsonValue::Str(self.version.clone())),
-            ("value".to_string(), metrics_to_cache_json(&self.value)),
-        ])
-        .to_json()
-    }
-
-    /// Parses one segment line.
-    ///
-    /// # Errors
-    ///
-    /// A description of the syntax error or missing field.
-    pub fn from_json_line(line: &str) -> Result<CacheRecord, String> {
-        let v = JsonValue::parse(line)?;
-        if v.get("type").and_then(JsonValue::as_str) != Some("cache") {
-            return Err("not a cache record".into());
-        }
-        let version = v
-            .get("version")
-            .and_then(JsonValue::as_str)
-            .ok_or("cache record missing version")?
-            .to_string();
-        if version.is_empty() {
-            return Err("cache record has an empty version stamp".into());
-        }
-        Ok(CacheRecord {
-            key: v
-                .get("key")
-                .and_then(JsonValue::as_u64)
-                .ok_or("cache record missing key")?,
-            seed: v
-                .get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or("cache record missing seed")?,
-            version,
-            value: metrics_from_cache_json(
-                v.get("value").ok_or("cache record missing value")?,
-            )?,
-        })
-    }
-}
 
 /// What [`DiskResultCache::open`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1652,159 +917,13 @@ impl SweepService {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Schema reference (docs-drift guard)
-// ---------------------------------------------------------------------------
-
-/// `(field, type, meaning)` rows of one wire object.
-type FieldTable = &'static [(&'static str, &'static str, &'static str)];
-
-const REQUEST_FIELDS: FieldTable = &[
-    ("submit", "id, label?, priority?, jobs", "evaluate a batch of operating points (fields below)"),
-    ("cancel", "id", "cancel the in-flight batch with that id; an unknown id arms the cancel for a later submit"),
-    ("ping", "—", "liveness probe; answered with `pong`"),
-    ("stats", "—", "snapshot the engine's live metrics; answered with `stats`"),
-    ("shutdown", "—", "ask the daemon to exit cleanly"),
-];
-
-const SUBMIT_FIELDS: FieldTable = &[
-    ("type", "string", "`\"submit\"`"),
-    ("id", "string", "client-chosen request identifier, echoed on every response event"),
-    ("label", "string", "optional batch label (defaults to `\"service\"`)"),
-    ("priority", "number", "optional integer admission priority (default 0): > 0 bypasses the queue limit, 0 admits against the full limit, < 0 against half of it"),
-    ("jobs", "array", "operating points to evaluate, in result order (job objects below)"),
-];
-
-const JOB_FIELDS: FieldTable = &[
-    ("topology", "string", "optional topology wire name (default `mesh4x4`): `mesh<W>x<H>` or `circ<N>s<S>` for the ring-circulant C(N; 1, S) — see TOPOLOGY.md"),
-    ("level", "number", "sprint level (active cores), ≥ 1"),
-    ("pattern", "string", "one of `uniform`, `transpose`, `bitcomp`, `tornado`, `shuffle`, `neighbor`, `hotspot`"),
-    ("hot_fraction", "number", "hotspot probability in [0, 1]; required iff `pattern` is `hotspot`"),
-    ("rate", "number", "offered load in (0, 1] flits/cycle per active sprint node"),
-    ("seed", "hex string", "RNG seed (`\"0x…\"`, full 64-bit)"),
-    ("baseline", "string", "one of `noc_sprinting`, `random_endpoints`, `spread_aggregate`"),
-];
-
-const POINT_FIELDS: FieldTable = &[
-    ("type", "string", "`\"point\"`"),
-    ("id", "string", "echo of the request id"),
-    ("index", "number", "job index within the batch (streamed in strictly increasing order)"),
-    ("seed", "hex string", "the job's RNG seed"),
-    ("config_hash", "hex string", "the job's cache key"),
-    ("cache_hit", "bool", "whether the result came from the cache"),
-    ("duration_ms", "number", "worker wall time for the point (≈ 0 for hits)"),
-    ("metrics", "object", "named scalars: `avg_packet_latency`, `avg_network_latency`, `network_power`, `accepted_throughput`, `saturated` (0/1)"),
-];
-
-const DONE_FIELDS: FieldTable = &[
-    ("type", "string", "`\"done\"`"),
-    ("id", "string", "echo of the request id"),
-    ("points", "number", "jobs in the batch"),
-    ("ok", "number", "points that produced metrics"),
-    ("failed", "number", "points that failed (one `point_failed` event each)"),
-    ("cancelled", "number", "points skipped by cancellation (surfaced as `point_failed` with error `cancelled`)"),
-    ("cache_hits", "number", "points served from the result cache"),
-    ("cache_misses", "number", "points freshly simulated"),
-    ("config_hash", "hex string", "order-sensitive combined hash over every job's cache key"),
-    ("wall_ms", "number", "batch wall time, milliseconds"),
-];
-
-const EVENT_FIELDS: FieldTable = &[
-    ("accepted", "id, points", "request parsed; `points` results will follow"),
-    ("progress", "id, completed, total, eta_ms?", "a point finished somewhere in the batch (completion order); `eta_ms` estimates time to batch completion from the mean uncached point time and the batch's hit rate, omitted until an uncached point has completed"),
-    ("point", "see point table", "one evaluated operating point (strict index order)"),
-    ("point_failed", "id, index, config_hash, seed, error", "one failed operating point (same ordering)"),
-    ("done", "see done table", "batch finished; always the request's last event"),
-    ("busy", "id, pending, limit", "batch rejected by backpressure; no `accepted`/`done` follows"),
-    ("cancelled", "id, active", "answer to `cancel`; `active` is whether the batch was in flight"),
-    ("pong", "uptime_ms, code_version, engine", "answer to `ping`; carries the engine's identity so clients detect version skew across a fleet"),
-    ("stats", "snapshot", "answer to `stats`: a versioned live-metrics snapshot (fields below)"),
-    ("error", "id?, message", "request could not be parsed or served"),
-];
-
-const STATS_FIELDS: FieldTable = &[
-    ("schema", "number", "snapshot schema version (currently 1); clients must reject unknown versions"),
-    ("engine", "string", "`\"noc-serve\"` for a single daemon, `\"noc-fleet\"` for a fleet coordinator"),
-    ("code_version", "string", "the engine's code-version stamp (same format as cache records)"),
-    ("uptime_ms", "number", "milliseconds since the engine started"),
-    ("metrics", "object", "`counters` (name → hex count), `gauges` (name → hex f64 bit pattern), `histograms` (name → {count, sum_hi, sum_lo, min, max, buckets: [[lower, count]…]}, all hex)"),
-    ("slow_points", "array", "recent slow points, oldest first: `config_hash`/`seed` (hex), `duration_ms`, `mean_ms`, `factor`"),
-    ("shards", "array", "per-shard health (fleet only): `shard`, `socket`, `alive`, `engine`, `code_version`, `uptime_ms`"),
-];
-
-const CACHE_RECORD_FIELDS: FieldTable = &[
-    ("type", "string", "`\"cache\"`"),
-    ("key", "hex string", "the job's cache key (`SyntheticJob::cache_key`)"),
-    ("seed", "hex string", "the job's RNG seed (also folded into `key`)"),
-    ("version", "string", "the writing daemon's code-version stamp"),
-    ("value", "object", "bit-exact metrics: each `f64` as the hex string of its bit pattern, plus `saturated` (bool)"),
-];
-
-fn render_table(title: &str, columns: [&str; 3], rows: FieldTable, out: &mut String) {
-    let _ = writeln!(out, "#### {title}\n");
-    let _ = writeln!(out, "| {} | {} | {} |", columns[0], columns[1], columns[2]);
-    let _ = writeln!(out, "|---|---|---|");
-    for (field, ty, meaning) in rows {
-        let _ = writeln!(out, "| `{field}` | {ty} | {meaning} |");
-    }
-    out.push('\n');
-}
-
-/// Renders the wire-schema tables embedded in SERVICE.md between the
-/// `schema:generated` markers. A unit test compares the document against
-/// this function's output, so SERVICE.md cannot drift from the Rust
-/// request/response types without failing CI.
-pub fn schema_reference() -> String {
-    let mut out = String::new();
-    render_table(
-        "Requests",
-        ["Request", "Fields", "Meaning"],
-        REQUEST_FIELDS,
-        &mut out,
-    );
-    render_table(
-        "`submit` request",
-        ["Field", "Type", "Meaning"],
-        SUBMIT_FIELDS,
-        &mut out,
-    );
-    render_table("Job object", ["Field", "Type", "Meaning"], JOB_FIELDS, &mut out);
-    render_table(
-        "Response events",
-        ["Event", "Fields", "Meaning"],
-        EVENT_FIELDS,
-        &mut out,
-    );
-    render_table(
-        "`point` event",
-        ["Field", "Type", "Meaning"],
-        POINT_FIELDS,
-        &mut out,
-    );
-    render_table(
-        "`done` event",
-        ["Field", "Type", "Meaning"],
-        DONE_FIELDS,
-        &mut out,
-    );
-    render_table(
-        "`stats` snapshot",
-        ["Field", "Type", "Meaning"],
-        STATS_FIELDS,
-        &mut out,
-    );
-    render_table(
-        "Cache record (segment line)",
-        ["Field", "Type", "Meaning"],
-        CACHE_RECORD_FIELDS,
-        &mut out,
-    );
-    out.trim_end().to_string()
-}
-
 #[cfg(test)]
 mod tests {
+    use noc_sim::topology::TopologySpec;
+    use noc_sim::traffic::TrafficPattern;
+
     use super::*;
+    use crate::runner::SyntheticBaseline;
 
     fn sample_jobs() -> Vec<SyntheticJob> {
         vec![
@@ -2362,7 +1481,7 @@ mod tests {
         let generated = schema_reference();
         assert!(
             embedded == generated,
-            "SERVICE.md schema tables have drifted from crates/core/src/service.rs; \
+            "SERVICE.md schema tables have drifted from crates/core/src/wire.rs; \
              regenerate with `noc_serve --print-schema` and paste between the markers.\n\
              --- expected ---\n{generated}\n--- found ---\n{embedded}"
         );

@@ -23,6 +23,8 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+pub use crate::wire::{FaultRecord, ManifestPoint, RunnerEvent};
+
 // ---------------------------------------------------------------------------
 // JSON value, writer, parser
 // ---------------------------------------------------------------------------
@@ -96,6 +98,10 @@ impl JsonValue {
         match self {
             JsonValue::Str(s) => {
                 let hex = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X"))?;
+                // `from_str_radix` alone would also accept a sign: "0x+ff".
+                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return None;
+                }
                 u64::from_str_radix(hex, 16).ok()
             }
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
@@ -148,15 +154,19 @@ impl JsonValue {
         }
     }
 
-    /// Parses a JSON document (must consume the full input).
+    /// Parses a JSON document (must consume the full input). Arrays and
+    /// objects may nest at most [`MAX_JSON_DEPTH`] deep, so a hostile line
+    /// cannot exhaust the stack.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first syntax error.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            src: input,
             s: input.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -184,9 +194,16 @@ fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts; the
+/// deepest document the service emits (a stats snapshot) nests 6 deep.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    src: &'a str,
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,11 +246,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.i)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -264,10 +294,14 @@ impl Parser<'_> {
                             if self.i + 4 > self.s.len() {
                                 return Err("truncated \\u escape".into());
                             }
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4])
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                            let hex = &self.s[self.i..self.i + 4];
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also accept a sign ("\\u+041").
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
                             self.i += 4;
                             // Surrogate pairs are not produced by our writer;
                             // map lone surrogates to the replacement char.
@@ -277,16 +311,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode UTF-8 from the byte stream.
+                    // Copy the run up to the next quote or escape at once:
+                    // the input is a `str` and both delimiters are ASCII, so
+                    // the run is whole UTF-8.
                     let start = self.i - 1;
-                    let len = utf8_len(c);
-                    self.i = start + len;
-                    if self.i > self.s.len() {
-                        return Err("truncated utf-8".into());
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
                     }
-                    let chunk = std::str::from_utf8(&self.s[start..self.i])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    out.push_str(chunk);
+                    out.push_str(&self.src[start..self.i]);
                 }
             }
         }
@@ -370,15 +402,6 @@ impl Parser<'_> {
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
             }
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -561,141 +584,10 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 // Run manifests (JSONL)
 // ---------------------------------------------------------------------------
 
-/// Metrics and identity of one operating point in a [`RunManifest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManifestPoint {
-    /// Point index within the run.
-    pub index: usize,
-    /// The point's RNG seed.
-    pub seed: u64,
-    /// The point's configuration hash.
-    pub config_hash: u64,
-    /// Whether the point came from the result cache.
-    pub cache_hit: bool,
-    /// Wall time spent producing the point, milliseconds.
-    pub duration_ms: f64,
-    /// Named scalar metrics (latency, throughput, …), insertion-ordered.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl ManifestPoint {
-    /// Encodes the point as the JSON object used both in manifest files and
-    /// as the payload of service `"point"` stream events
-    /// ([`crate::service::ServiceResponse::Point`]).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("type".to_string(), JsonValue::Str("point".to_string())),
-            ("index".to_string(), JsonValue::Num(self.index as f64)),
-            ("seed".to_string(), JsonValue::hex(self.seed)),
-            ("config_hash".to_string(), JsonValue::hex(self.config_hash)),
-            ("cache_hit".to_string(), JsonValue::Bool(self.cache_hit)),
-            ("duration_ms".to_string(), JsonValue::Num(self.duration_ms)),
-            (
-                "metrics".to_string(),
-                JsonValue::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes a point from the object produced by
-    /// [`ManifestPoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first missing or malformed field.
-    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let metrics = match v.get("metrics") {
-            Some(JsonValue::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, n)| {
-                    n.as_f64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("metric {k:?} is not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("point missing metrics object".into()),
-        };
-        Ok(ManifestPoint {
-            index: req_u64(v, "index")? as usize,
-            seed: req_u64(v, "seed")?,
-            config_hash: req_u64(v, "config_hash")?,
-            cache_hit: v
-                .get("cache_hit")
-                .and_then(JsonValue::as_bool)
-                .ok_or("point missing cache_hit")?,
-            duration_ms: v
-                .get("duration_ms")
-                .and_then(JsonValue::as_f64)
-                .ok_or("point missing duration_ms")?,
-            metrics,
-        })
-    }
-}
-
-/// One fault event observed during a run, attributed to an operating point.
-///
-/// Fault records ride in the same JSONL manifest as the points they belong
-/// to (`"type":"fault"` lines after the `"point"` lines), so a single file
-/// carries both the metrics and the fault timeline that produced them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRecord {
-    /// Index of the operating point the fault occurred in.
-    pub point: usize,
-    /// Simulation cycle at which the fault event fired.
-    pub cycle: u64,
-    /// Event kind (e.g. `"link_down"`, `"packet_dropped"`).
-    pub kind: String,
-    /// Primary node involved (router, or link source).
-    pub node: usize,
-    /// Secondary node for link events (link destination), if any.
-    pub peer: Option<usize>,
-}
-
-impl FaultRecord {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("type".to_string(), JsonValue::Str("fault".to_string())),
-            ("point".to_string(), JsonValue::Num(self.point as f64)),
-            ("cycle".to_string(), JsonValue::Num(self.cycle as f64)),
-            ("kind".to_string(), JsonValue::Str(self.kind.clone())),
-            ("node".to_string(), JsonValue::Num(self.node as f64)),
-            (
-                "peer".to_string(),
-                match self.peer {
-                    Some(p) => JsonValue::Num(p as f64),
-                    None => JsonValue::Null,
-                },
-            ),
-        ])
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        Ok(FaultRecord {
-            point: req_u64(v, "point")? as usize,
-            cycle: req_u64(v, "cycle")?,
-            kind: v
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or("fault missing kind")?
-                .to_string(),
-            node: req_u64(v, "node")? as usize,
-            peer: match v.get("peer") {
-                Some(JsonValue::Null) | None => None,
-                Some(p) => Some(p.as_u64().ok_or("fault peer is not a number")? as usize),
-            },
-        })
-    }
-}
-
 /// A self-describing record of one figure/bench run: identity (figure name,
 /// combined config hash, seed schedule, worker count), cost (wall time,
 /// cache hits/misses) and every point's metrics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunManifest {
     /// Figure / binary identifier (e.g. `"fig11"`).
     pub figure: String,
@@ -735,36 +627,13 @@ impl RunManifest {
     }
 
     /// Serializes as JSONL: one `"run"` header line, then one `"point"`
-    /// line per point.
+    /// line per point and one `"fault"` line per fault.
     pub fn to_jsonl(&self) -> String {
-        let header = JsonValue::Obj(vec![
-            ("type".to_string(), JsonValue::Str("run".to_string())),
-            ("figure".to_string(), JsonValue::Str(self.figure.clone())),
-            ("config_hash".to_string(), JsonValue::hex(self.config_hash)),
-            ("workers".to_string(), JsonValue::Num(self.workers as f64)),
-            ("base_seed".to_string(), JsonValue::hex(self.base_seed)),
-            (
-                "seed_schedule".to_string(),
-                JsonValue::Arr(self.seed_schedule.iter().map(|&s| JsonValue::hex(s)).collect()),
-            ),
-            ("wall_ms".to_string(), JsonValue::Num(self.wall_ms)),
-            (
-                "cache_hits".to_string(),
-                JsonValue::Num(self.cache_hits as f64),
-            ),
-            (
-                "cache_misses".to_string(),
-                JsonValue::Num(self.cache_misses as f64),
-            ),
-        ]);
-        let mut out = header.to_json();
-        out.push('\n');
-        for p in &self.points {
-            out.push_str(&p.to_json().to_json());
-            out.push('\n');
-        }
-        for f in &self.faults {
-            out.push_str(&f.to_json().to_json());
+        let points = self.points.iter().map(ManifestPoint::to_json_line);
+        let faults = self.faults.iter().map(FaultRecord::to_json_line);
+        let mut out = String::new();
+        for line in std::iter::once(self.to_json_line()).chain(points).chain(faults) {
+            out.push_str(&line);
             out.push('\n');
         }
         out
@@ -777,111 +646,24 @@ impl RunManifest {
     /// A description of the first malformed line or missing field.
     pub fn from_jsonl(text: &str) -> Result<RunManifest, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header_line = lines.next().ok_or("empty manifest")?;
-        let header = JsonValue::parse(header_line).map_err(|e| format!("header: {e}"))?;
-        if header.get("type").and_then(JsonValue::as_str) != Some("run") {
-            return Err("first line is not a run header".into());
-        }
-        let seed_schedule = header
-            .get("seed_schedule")
-            .and_then(JsonValue::as_array)
-            .ok_or("header missing seed_schedule")?
-            .iter()
-            .map(|v| v.as_u64().ok_or("bad seed in schedule".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut points = Vec::new();
-        let mut faults = Vec::new();
+        let header = lines.next().ok_or("empty manifest")?;
+        let mut manifest =
+            RunManifest::from_json_line(header).map_err(|e| format!("header: {e}"))?;
         for (i, line) in lines.enumerate() {
             let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
             match v.get("type").and_then(JsonValue::as_str) {
-                Some("point") => points.push(ManifestPoint::from_json(&v)?),
-                Some("fault") => faults.push(FaultRecord::from_json(&v)?),
+                Some("point") => manifest.points.push(ManifestPoint::from_json(&v)?),
+                Some("fault") => manifest.faults.push(FaultRecord::from_json(&v)?),
                 other => return Err(format!("line {}: unexpected type {other:?}", i + 2)),
             }
         }
-        Ok(RunManifest {
-            figure: header
-                .get("figure")
-                .and_then(JsonValue::as_str)
-                .ok_or("header missing figure")?
-                .to_string(),
-            config_hash: req_u64(&header, "config_hash")?,
-            workers: req_u64(&header, "workers")? as usize,
-            base_seed: req_u64(&header, "base_seed")?,
-            seed_schedule,
-            wall_ms: header
-                .get("wall_ms")
-                .and_then(JsonValue::as_f64)
-                .ok_or("header missing wall_ms")?,
-            cache_hits: req_u64(&header, "cache_hits")?,
-            cache_misses: req_u64(&header, "cache_misses")?,
-            points,
-            faults,
-        })
+        Ok(manifest)
     }
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing or malformed field {key:?}"))
 }
 
 // ---------------------------------------------------------------------------
 // Runner events and progress lines
 // ---------------------------------------------------------------------------
-
-/// A structured event emitted by the parallel runner (one JSON object per
-/// line on stderr), replacing free-text error prints so failures stay
-/// machine-attributable to a point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunnerEvent {
-    /// An operating point failed; carries everything needed to re-run it.
-    PointFailed {
-        /// Batch label.
-        label: String,
-        /// Failing point's index.
-        index: usize,
-        /// Failing point's configuration hash, when known.
-        config_hash: Option<u64>,
-        /// Failing point's RNG seed, when known.
-        seed: Option<u64>,
-        /// The error's display form.
-        error: String,
-    },
-}
-
-impl RunnerEvent {
-    /// Single-line JSON encoding.
-    pub fn to_json(&self) -> String {
-        match self {
-            RunnerEvent::PointFailed {
-                label,
-                index,
-                config_hash,
-                seed,
-                error,
-            } => {
-                let mut pairs = vec![
-                    (
-                        "type".to_string(),
-                        JsonValue::Str("point_failed".to_string()),
-                    ),
-                    ("label".to_string(), JsonValue::Str(label.clone())),
-                    ("index".to_string(), JsonValue::Num(*index as f64)),
-                ];
-                if let Some(h) = config_hash {
-                    pairs.push(("config_hash".to_string(), JsonValue::hex(*h)));
-                }
-                if let Some(s) = seed {
-                    pairs.push(("seed".to_string(), JsonValue::hex(*s)));
-                }
-                pairs.push(("error".to_string(), JsonValue::Str(error.clone())));
-                JsonValue::Obj(pairs).to_json()
-            }
-        }
-    }
-}
 
 impl fmt::Display for RunnerEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -972,6 +754,27 @@ mod tests {
         // \u escapes decode.
         let v = JsonValue::parse(r#""aA\n""#).unwrap();
         assert_eq!(v.as_str(), Some("aA\n"));
+    }
+
+    #[test]
+    fn json_parser_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH + 1)).is_err());
+        // Deep enough to overflow the stack without the cap.
+        assert!(JsonValue::parse(&nested(100_000)).is_err());
+        let deep = MAX_JSON_DEPTH + 1;
+        let objects = "{\"a\":".repeat(deep) + "1" + &"}".repeat(deep);
+        assert!(JsonValue::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn signed_hex_digits_are_rejected() {
+        assert!(JsonValue::parse(r#""\u+041""#).is_err());
+        assert_eq!(JsonValue::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(JsonValue::Str("0x+ff".to_string()).as_u64(), None);
+        assert_eq!(JsonValue::Str("0x-1".to_string()).as_u64(), None);
+        assert_eq!(JsonValue::Str("0xff".to_string()).as_u64(), Some(255));
     }
 
     #[test]
@@ -1104,7 +907,7 @@ mod tests {
             seed: Some(0xabc),
             error: "deadlock at cycle 12".to_string(),
         };
-        let v = JsonValue::parse(&e.to_json()).unwrap();
+        let v = JsonValue::parse(&e.to_json_line()).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("point_failed"));
         assert_eq!(v.get("index").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("config_hash").unwrap().as_u64(), Some(u64::MAX));
