@@ -297,3 +297,51 @@ fn shard_backpressure_makes_the_fleet_busy() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `noc_fleet` binary end to end: two `noc_serve --socket` shards
+/// behind `noc_fleet --shard A --shard=B --socket S`. A batch through the
+/// coordinator's socket must match, bit for bit, the same batch through
+/// the in-process `FleetClient`, and one `shutdown` sent to the
+/// coordinator must end all three processes cleanly.
+#[test]
+fn fleet_binary_matches_in_process_fleet_and_shuts_down_shards() {
+    let dir = scratch_dir("binary");
+    let jobs = jobs(10);
+    let shard_sockets = [dir.join("s0.sock"), dir.join("s1.sock")];
+    let mut shards: Vec<Child> = shard_sockets
+        .iter()
+        .map(|sock| spawn_shard(sock, None, &[]))
+        .collect();
+    let fleet_sock = dir.join("fleet.sock");
+    let mut coordinator = Command::new(env!("CARGO_BIN_EXE_noc_fleet"))
+        .arg("--shard")
+        .arg(&shard_sockets[0])
+        .arg(format!("--shard={}", shard_sockets[1].display()))
+        .arg("--socket")
+        .arg(&fleet_sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn noc_fleet");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !fleet_sock.exists() {
+        assert!(Instant::now() < deadline, "coordinator never bound {fleet_sock:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut client = noc_bench::client::connect_unix(&fleet_sock).expect("connect");
+    let via_binary = client.submit("binary", &jobs).expect("batch via noc_fleet");
+    let mut fleet = FleetClient::new(shard_sockets.to_vec());
+    let in_process = fleet.submit("binary", &jobs).expect("in-process fleet batch");
+    assert_eq!(bits_of(&via_binary.points), bits_of(&in_process.points));
+    assert_eq!(via_binary.summary.config_hash, in_process.summary.config_hash);
+    assert_eq!(via_binary.summary.ok, jobs.len());
+
+    client.shutdown().expect("shutdown via the coordinator");
+    assert!(coordinator.wait().expect("coordinator exits").success());
+    for child in &mut shards {
+        assert!(child.wait().expect("shard exits").success());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
