@@ -32,6 +32,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use noc_bench::flags::{exit_usage, Flags};
 use noc_sim::geometry::NodeId;
 use noc_sim::network::Network;
 use noc_sim::probe::TimeSeriesObserver;
@@ -69,112 +70,60 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        width: 4,
-        height: 4,
-        master: 0,
-        level: 4,
-        rate: 0.1,
-        pattern: TrafficPattern::UniformRandom,
-        full: false,
-        seed: 1,
-        loads: None,
-        workers: None,
-        telemetry: None,
-        service: None,
+    let mut flags = Flags::from_env();
+    let (width, height) = flags.value("--mesh", parse_mesh)?.unwrap_or((4, 4));
+    let args = Args {
+        width,
+        height,
+        master: flags.value("--master", str::parse)?.unwrap_or(0),
+        level: flags.value("--level", str::parse)?.unwrap_or(4),
+        rate: flags.value("--rate", str::parse)?.unwrap_or(0.1),
+        pattern: flags
+            .value("--pattern", parse_pattern)?
+            .unwrap_or(TrafficPattern::UniformRandom),
+        seed: flags.value("--seed", str::parse)?.unwrap_or(1),
+        loads: flags.list("--loads", str::parse)?,
+        workers: flags.value("--workers", str::parse)?,
+        telemetry: noc_bench::telemetry_dir_from_env(&mut flags)?,
+        service: noc_bench::service_socket_from_env(&mut flags)?,
+        full: flags.switch("--full"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--mesh" => {
-                let v = take(&mut i)?;
-                let (w, h) = v
-                    .split_once(['x', 'X'])
-                    .ok_or_else(|| format!("bad mesh {v}, expected WxH"))?;
-                args.width = w.parse().map_err(|e| format!("bad width: {e}"))?;
-                args.height = h.parse().map_err(|e| format!("bad height: {e}"))?;
-            }
-            "--master" => args.master = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--level" => args.level = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--rate" => args.rate = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--workers" => {
-                let w: usize = take(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                args.workers = Some(w);
-            }
-            "--loads" => {
-                let loads = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().map_err(|e| format!("bad load: {e}")))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                if loads.is_empty() || loads.iter().any(|&l| !(l > 0.0 && l <= 1.0)) {
-                    return Err("loads must be in (0, 1]".into());
-                }
-                args.loads = Some(loads);
-            }
-            "--telemetry" => args.telemetry = Some(PathBuf::from(take(&mut i)?)),
-            "--service" => args.service = Some(PathBuf::from(take(&mut i)?)),
-            "--full" => args.full = true,
-            "--pattern" => {
-                args.pattern = match take(&mut i)?.as_str() {
-                    "uniform" => TrafficPattern::UniformRandom,
-                    "transpose" => TrafficPattern::Transpose,
-                    "bitcomp" => TrafficPattern::BitComplement,
-                    "tornado" => TrafficPattern::Tornado,
-                    "shuffle" => TrafficPattern::Shuffle,
-                    "hotspot" => TrafficPattern::Hotspot { hot_fraction: 0.3 },
-                    "neighbor" => TrafficPattern::NearestNeighbor,
-                    other => return Err(format!("unknown pattern {other}")),
-                };
-            }
-            "--help" | "-h" => {
-                return Err("usage: explore [--mesh WxH] [--master N] [--level K] \
-                            [--rate R] [--pattern P] [--full] [--seed S] \
-                            [--loads R1,R2,...] [--workers W] [--telemetry DIR] \
-                            [--service SOCKET]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
-        }
-        i += 1;
+    flags.finish()?;
+    if args.workers == Some(0) {
+        return Err("--workers must be at least 1, got 0".into());
     }
-    if args.telemetry.is_none() {
-        args.telemetry = std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from);
-    }
-    if args.service.is_none() {
-        args.service = std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from);
+    if let Some(bad) = args.loads.iter().flatten().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+        return Err(format!("--loads: load {bad} is not in (0, 1]"));
     }
     Ok(args)
 }
 
+fn parse_mesh(v: &str) -> Result<(u16, u16), String> {
+    let (w, h) = v.split_once(['x', 'X']).ok_or("expected WxH")?;
+    let width = w.parse().map_err(|e| format!("bad width: {e}"))?;
+    let height = h.parse().map_err(|e| format!("bad height: {e}"))?;
+    Ok((width, height))
+}
+
+fn parse_pattern(v: &str) -> Result<TrafficPattern, &'static str> {
+    Ok(match v {
+        "uniform" => TrafficPattern::UniformRandom,
+        "transpose" => TrafficPattern::Transpose,
+        "bitcomp" => TrafficPattern::BitComplement,
+        "tornado" => TrafficPattern::Tornado,
+        "shuffle" => TrafficPattern::Shuffle,
+        "hotspot" => TrafficPattern::Hotspot { hot_fraction: 0.3 },
+        "neighbor" => TrafficPattern::NearestNeighbor,
+        _ => return Err("unknown pattern"),
+    })
+}
+
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let mesh = match Mesh2D::new(args.width, args.height) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| exit_usage("explore", e));
+    let mesh = Mesh2D::new(args.width, args.height).unwrap_or_else(|e| exit_usage("explore", e));
     if args.master >= mesh.len() || args.level == 0 || args.level > mesh.len() {
-        eprintln!("master/level out of range for {}x{}", args.width, args.height);
-        std::process::exit(2);
+        let (w, h) = (args.width, args.height);
+        exit_usage("explore", format!("master/level out of range for {w}x{h}"));
     }
     let sys = SystemConfig::paper();
     let set = SprintSet::new(mesh, NodeId(args.master), args.level);
@@ -214,14 +163,8 @@ fn main() {
             Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement"),
         )
     };
-    let traffic = match TrafficGen::new(args.pattern, placement, args.rate, sys.packet_len, args.seed)
-    {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("traffic setup failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let traffic = TrafficGen::new(args.pattern, placement, args.rate, sys.packet_len, args.seed)
+        .unwrap_or_else(|e| exit_usage("explore", format!("traffic setup failed: {e}")));
     match Simulation::new(net, traffic, SimConfig::sweep()).run() {
         Ok(out) => {
             println!(

@@ -31,11 +31,11 @@
 //! shard; `ping` answers `pong` only if every shard does; `stats`
 //! answers the aggregated snapshot with per-shard health attached.
 
-use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use noc_bench::client::FleetClient;
+use noc_bench::flags::{exit_usage, Flags};
 use noc_sprinting::service::{ServiceControl, ServiceRequest, ServiceResponse};
 
 struct Args {
@@ -45,38 +45,13 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        shards: Vec::new(),
-        socket: None,
-        metrics: None,
+    let mut flags = Flags::from_env();
+    let args = Args {
+        shards: flags.values("--shard")?.into_iter().map(PathBuf::from).collect(),
+        socket: flags.value("--socket", str::parse)?,
+        metrics: flags.value("--metrics", str::parse)?,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let path_value = |name: &str, it: &mut dyn Iterator<Item = String>| {
-            it.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--shard" => args.shards.push(path_value("--shard", &mut it)?),
-            "--socket" => args.socket = Some(path_value("--socket", &mut it)?),
-            "--metrics" => {
-                args.metrics =
-                    Some(it.next().ok_or("--metrics requires an address or path")?);
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--shard=") {
-                    args.shards.push(PathBuf::from(v));
-                } else if let Some(v) = other.strip_prefix("--socket=") {
-                    args.socket = Some(PathBuf::from(v));
-                } else if let Some(v) = other.strip_prefix("--metrics=") {
-                    args.metrics = Some(v.to_string());
-                } else {
-                    return Err(format!("unknown argument {other:?} (see SERVICE.md)"));
-                }
-            }
-        }
-    }
+    flags.finish()?;
     if args.shards.is_empty() {
         return Err("at least one --shard socket is required".to_string());
     }
@@ -84,13 +59,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("noc_fleet: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| exit_usage("noc_fleet", e));
     let fleet = FleetClient::new(args.shards);
     if let Err(e) = fleet.ping() {
         eprintln!("noc_fleet: shard ping failed: {e}");
@@ -101,28 +70,14 @@ fn main() -> ExitCode {
         // Clones share the coordinator's metrics registry, so the scrape
         // thread sees the serving loop's counters.
         let scrape_fleet = fleet.clone();
-        let bound = noc_bench::obs::serve_metrics(target, move || {
-            noc_sprinting::metrics::render_prometheus(&scrape_fleet.stats())
-        });
-        match bound {
-            Ok(addr) => eprintln!("noc_fleet: metrics on {addr}"),
-            Err(e) => {
-                eprintln!("noc_fleet: cannot serve metrics on {target}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let render = move || noc_sprinting::metrics::render_prometheus(&scrape_fleet.stats());
+        if !noc_bench::obs::start_metrics("noc_fleet", target, render) {
+            return ExitCode::FAILURE;
         }
     }
-    let outcome = match &args.socket {
-        Some(path) => serve_socket(&fleet, path),
-        None => serve_stdio(&fleet),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("noc_fleet: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    noc_bench::session::serve("noc_fleet", args.socket.as_deref(), &|line, emit| {
+        handle_fleet_line(&fleet, line, emit)
+    })
 }
 
 /// Dispatches one request line against the fleet, mirroring
@@ -177,113 +132,4 @@ fn handle_fleet_line(
         }
     }
     ServiceControl::Continue
-}
-
-/// One session on stdin/stdout: requests in, events out, until EOF or a
-/// `shutdown` request.
-fn serve_stdio(fleet: &FleetClient) -> std::io::Result<()> {
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut io_err = None;
-        let control = handle_fleet_line(fleet, &line, &mut |ev: ServiceResponse| {
-            if io_err.is_none() {
-                io_err = write_event(&mut out, &ev).err();
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        if control == ServiceControl::Shutdown {
-            break;
-        }
-    }
-    Ok(())
-}
-
-fn write_event(out: &mut impl Write, ev: &ServiceResponse) -> std::io::Result<()> {
-    out.write_all(ev.to_json_line().as_bytes())?;
-    out.write_all(b"\n")?;
-    // Flush per event: clients block on the stream mid-batch.
-    out.flush()
-}
-
-/// Unix-socket mode: accept loop, one thread per connection; a `shutdown`
-/// request from any connection stops the accept loop after forwarding to
-/// the shards.
-#[cfg(unix)]
-fn serve_socket(fleet: &FleetClient, path: &std::path::Path) -> std::io::Result<()> {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    // A leftover socket file from a dead coordinator would fail the bind.
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let listener = UnixListener::bind(path)?;
-    eprintln!("noc_fleet: listening on {}", path.display());
-    let stop = AtomicBool::new(false);
-
-    fn serve_conn(
-        fleet: &FleetClient,
-        stream: UnixStream,
-        stop: &AtomicBool,
-    ) -> std::io::Result<()> {
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        let mut writer = std::io::BufWriter::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut io_err = None;
-            let control = handle_fleet_line(fleet, &line, &mut |ev: ServiceResponse| {
-                if io_err.is_none() {
-                    io_err = write_event(&mut writer, &ev).err();
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            if control == ServiceControl::Shutdown {
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    std::thread::scope(|s| {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = stream?;
-            s.spawn(|| {
-                if let Err(e) = serve_conn(fleet, stream, &stop) {
-                    eprintln!("noc_fleet: connection error: {e}");
-                }
-                // Unblock the accept loop so a shutdown takes effect
-                // promptly: a self-connection makes `incoming` yield.
-                if stop.load(Ordering::SeqCst) {
-                    let _ = UnixStream::connect(path);
-                }
-            });
-        }
-        Ok(())
-    })
-}
-
-/// Unix-socket mode is unavailable on this platform.
-#[cfg(not(unix))]
-fn serve_socket(_fleet: &FleetClient, _path: &std::path::Path) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "--socket requires a Unix platform; use stdin/stdout mode",
-    ))
 }

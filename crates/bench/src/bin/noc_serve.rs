@@ -37,15 +37,13 @@
 //! - `--print-schema` — print the generated wire-schema tables embedded in
 //!   SERVICE.md and exit (used to regenerate the doc after type changes).
 
-use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use noc_bench::flags::{exit_usage, Flags};
 use noc_sprinting::runner::ExperimentRunner;
-use noc_sprinting::service::{
-    code_version, schema_reference, DiskResultCache, ServiceControl, ServiceResponse,
-    SweepService,
-};
+use noc_sprinting::service::{code_version, schema_reference, DiskResultCache, SweepService};
 use noc_sprinting::Experiment;
 
 struct Args {
@@ -60,93 +58,33 @@ struct Args {
     print_schema: bool,
 }
 
-/// Parses a flag value as a positive integer, naming the flag *and the
-/// offending value* in the error — a silent fallback here once masked
-/// typos like `--workers 8x` as "use the default".
-fn positive(name: &str, value: Option<String>) -> Result<usize, String> {
-    let value = value.ok_or_else(|| format!("{name} requires a positive integer"))?;
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&w| w > 0)
-        .ok_or_else(|| format!("{name} requires a positive integer, got {value:?}"))
-}
-
-/// Parses a flag value as a positive float (the slow-point factor).
-fn positive_f64(name: &str, value: Option<String>) -> Result<f64, String> {
-    let value = value.ok_or_else(|| format!("{name} requires a positive number"))?;
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|&f| f.is_finite() && f > 0.0)
-        .ok_or_else(|| format!("{name} requires a positive number, got {value:?}"))
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        cache: None,
-        socket: None,
-        workers: None,
-        queue_limit: None,
-        metrics: None,
-        slow_factor: None,
-        quick: false,
-        compact: false,
-        print_schema: false,
+    let mut flags = Flags::from_env();
+    let args = Args {
+        cache: flags.value("--cache", str::parse)?,
+        socket: flags.value("--socket", str::parse)?,
+        workers: flags.value("--workers", str::parse)?,
+        queue_limit: flags.value("--queue-limit", str::parse)?,
+        metrics: flags.value("--metrics", str::parse)?,
+        slow_factor: flags.value("--slow-factor", str::parse)?,
+        quick: flags.switch("--quick"),
+        compact: flags.switch("--compact"),
+        print_schema: flags.switch("--print-schema"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let path_value = |name: &str, it: &mut dyn Iterator<Item = String>| {
-            it.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--cache" => args.cache = Some(path_value("--cache", &mut it)?),
-            "--socket" => args.socket = Some(path_value("--socket", &mut it)?),
-            "--workers" => args.workers = Some(positive("--workers", it.next())?),
-            "--queue-limit" => args.queue_limit = Some(positive("--queue-limit", it.next())?),
-            "--metrics" => {
-                args.metrics =
-                    Some(it.next().ok_or("--metrics requires an address or path")?);
-            }
-            "--slow-factor" => {
-                args.slow_factor = Some(positive_f64("--slow-factor", it.next())?);
-            }
-            "--quick" => args.quick = true,
-            "--compact" => args.compact = true,
-            "--print-schema" => args.print_schema = true,
-            other => {
-                if let Some(v) = other.strip_prefix("--cache=") {
-                    args.cache = Some(PathBuf::from(v));
-                } else if let Some(v) = other.strip_prefix("--socket=") {
-                    args.socket = Some(PathBuf::from(v));
-                } else if let Some(v) = other.strip_prefix("--workers=") {
-                    args.workers = Some(positive("--workers", Some(v.to_string()))?);
-                } else if let Some(v) = other.strip_prefix("--queue-limit=") {
-                    args.queue_limit = Some(positive("--queue-limit", Some(v.to_string()))?);
-                } else if let Some(v) = other.strip_prefix("--metrics=") {
-                    args.metrics = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--slow-factor=") {
-                    args.slow_factor =
-                        Some(positive_f64("--slow-factor", Some(v.to_string()))?);
-                } else {
-                    return Err(format!("unknown argument {other:?} (see SERVICE.md)"));
-                }
-            }
+    flags.finish()?;
+    for (name, value) in [("--workers", args.workers), ("--queue-limit", args.queue_limit)] {
+        if value == Some(0) {
+            return Err(format!("{name} requires a positive integer, got \"0\""));
         }
+    }
+    if let Some(f) = args.slow_factor.filter(|f| !(f.is_finite() && *f > 0.0)) {
+        return Err(format!("--slow-factor requires a positive number, got {f}"));
     }
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("noc_serve: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| exit_usage("noc_serve", e));
     if args.print_schema {
         println!("{}", schema_reference());
         return ExitCode::SUCCESS;
@@ -205,24 +143,17 @@ fn main() -> ExitCode {
     }
     // The metrics listener outlives this scope's borrows (detached
     // thread), so the service lives behind an Arc.
-    let service = std::sync::Arc::new(service);
+    let service = Arc::new(service);
     if let Some(target) = &args.metrics {
-        let svc = std::sync::Arc::clone(&service);
-        let bound = noc_bench::obs::serve_metrics(target, move || {
-            noc_sprinting::metrics::render_prometheus(&svc.stats_snapshot())
-        });
-        match bound {
-            Ok(addr) => eprintln!("noc_serve: metrics on {addr}"),
-            Err(e) => {
-                eprintln!("noc_serve: cannot serve metrics on {target}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let svc = Arc::clone(&service);
+        let render = move || noc_sprinting::metrics::render_prometheus(&svc.stats_snapshot());
+        if !noc_bench::obs::start_metrics("noc_serve", target, render) {
+            return ExitCode::FAILURE;
         }
     }
-    let outcome = match &args.socket {
-        Some(path) => serve_socket(&service, path),
-        None => serve_stdio(&service),
-    };
+    let status = noc_bench::session::serve("noc_serve", args.socket.as_deref(), &|line, emit| {
+        service.handle_line(line, emit)
+    });
     // Leave the directory tidy for the next daemon: fold this lifetime's
     // append segment into the compacted set.
     if args.cache.is_some() {
@@ -230,120 +161,5 @@ fn main() -> ExitCode {
             eprintln!("noc_serve: final compaction failed: {e}");
         }
     }
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("noc_serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// One session on stdin/stdout: requests in, events out, until EOF or a
-/// `shutdown` request.
-fn serve_stdio(service: &SweepService) -> std::io::Result<()> {
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut io_err = None;
-        let control = service.handle_line(&line, &mut |ev: ServiceResponse| {
-            if io_err.is_none() {
-                io_err = write_event(&mut out, &ev).err();
-            }
-        });
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        if control == ServiceControl::Shutdown {
-            break;
-        }
-    }
-    Ok(())
-}
-
-fn write_event(out: &mut impl Write, ev: &ServiceResponse) -> std::io::Result<()> {
-    out.write_all(ev.to_json_line().as_bytes())?;
-    out.write_all(b"\n")?;
-    // Flush per event: clients block on the stream mid-batch.
-    out.flush()
-}
-
-/// Unix-socket mode: accept loop, one thread per connection; a `shutdown`
-/// request from any connection stops the accept loop after that
-/// connection drains.
-#[cfg(unix)]
-fn serve_socket(service: &SweepService, path: &std::path::Path) -> std::io::Result<()> {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    // A leftover socket file from a dead daemon would fail the bind.
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let listener = UnixListener::bind(path)?;
-    eprintln!("noc_serve: listening on {}", path.display());
-    let stop = AtomicBool::new(false);
-
-    fn serve_conn(
-        service: &SweepService,
-        stream: UnixStream,
-        stop: &AtomicBool,
-    ) -> std::io::Result<()> {
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        let mut writer = std::io::BufWriter::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut io_err = None;
-            let control = service.handle_line(&line, &mut |ev: ServiceResponse| {
-                if io_err.is_none() {
-                    io_err = write_event(&mut writer, &ev).err();
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            if control == ServiceControl::Shutdown {
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    std::thread::scope(|s| {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = stream?;
-            s.spawn(|| {
-                if let Err(e) = serve_conn(service, stream, &stop) {
-                    eprintln!("noc_serve: connection error: {e}");
-                }
-                // Unblock the accept loop so a shutdown takes effect
-                // promptly: a self-connection makes `incoming` yield.
-                if stop.load(Ordering::SeqCst) {
-                    let _ = UnixStream::connect(path);
-                }
-            });
-        }
-        Ok(())
-    })
-}
-
-/// Unix-socket mode is unavailable on this platform.
-#[cfg(not(unix))]
-fn serve_socket(_service: &SweepService, _path: &std::path::Path) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "--socket requires a Unix platform; use stdin/stdout mode",
-    ))
+    status
 }

@@ -47,6 +47,7 @@ mod imp {
     use std::time::{Duration, Instant};
 
     use noc_bench::client::connect_unix;
+    use noc_bench::flags::{exit_usage, Flags};
     use noc_sprinting::metrics::StatsSnapshot;
     use noc_sprinting::telemetry::JsonValue;
 
@@ -58,35 +59,19 @@ mod imp {
     }
 
     fn parse_args() -> Result<Args, String> {
-        let mut args = Args {
-            targets: Vec::new(),
-            interval: Duration::from_secs(2),
-            once: false,
-            json: false,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval" => {
-                    let v = it.next().ok_or("--interval requires seconds")?;
-                    let secs = v
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|&s| s.is_finite() && s > 0.0)
-                        .ok_or_else(|| format!("--interval requires positive seconds, got {v:?}"))?;
-                    args.interval = Duration::from_secs_f64(secs);
-                }
-                "--once" => args.once = true,
-                "--json" => args.json = true,
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown argument {other:?}"));
-                }
-                target => args.targets.push(PathBuf::from(target)),
-            }
+        let mut flags = Flags::from_env();
+        let interval: f64 = flags.value("--interval", str::parse)?.unwrap_or(2.0);
+        if !(interval.is_finite() && interval > 0.0) {
+            return Err(format!("--interval requires positive seconds, got {interval}"));
         }
+        let args = Args {
+            interval: Duration::from_secs_f64(interval),
+            once: flags.switch("--once"),
+            json: flags.switch("--json"),
+            targets: flags.positionals()?.into_iter().map(PathBuf::from).collect(),
+        };
         if args.targets.is_empty() {
-            return Err("usage: noc_top SOCKET [SOCKET ...] [--interval SECS] [--once] [--json]"
-                .to_string());
+            return Err("at least one SOCKET is required".to_string());
         }
         if args.json && !args.once {
             return Err("--json requires --once (one snapshot set per invocation)".to_string());
@@ -108,13 +93,7 @@ mod imp {
     }
 
     pub fn run() -> ExitCode {
-        let args = match parse_args() {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("noc_top: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let args = parse_args().unwrap_or_else(|e| exit_usage("noc_top", e));
         if args.json {
             return run_json(&args);
         }

@@ -38,6 +38,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use noc_bench::flags::{exit_usage, Flags};
 use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
@@ -56,78 +57,35 @@ struct Args {
     quick: bool,
 }
 
-fn parse_list<T, E: std::fmt::Display>(
-    v: &str,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Vec<T>, String> {
-    let items: Vec<T> = v
-        .split(',')
-        .map(|s| parse(s.trim()).map_err(|e| format!("bad value {s:?}: {e}")))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err("empty list".into());
-    }
-    Ok(items)
-}
-
 fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
     let mut args = Args {
-        topologies: vec![
-            TopologySpec::default(),
-            TopologySpec::Circulant { n: 16, skip: 3 },
-            TopologySpec::Circulant { n: 16, skip: 5 },
-        ],
-        levels: vec![4, 8, 12, 16],
-        loads: vec![0.05, 0.10, 0.15, 0.20, 0.25],
-        seed: 1,
-        out: PathBuf::from("pareto_out"),
-        service: None,
-        quick: false,
+        topologies: flags.list("--topologies", TopologySpec::from_wire_name)?.unwrap_or_default(),
+        levels: flags.list("--levels", str::parse)?.unwrap_or_default(),
+        loads: flags.list("--loads", str::parse)?.unwrap_or_default(),
+        seed: flags.value("--seed", str::parse)?.unwrap_or(1),
+        out: flags.value("--out", str::parse)?.unwrap_or_else(|| PathBuf::from("pareto_out")),
+        service: noc_bench::service_socket_from_env(&mut flags)?,
+        quick: flags.switch("--quick"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
+    flags.finish()?;
+    if let Some(bad) = args.loads.iter().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+        return Err(format!("--loads: load {bad} is not in (0, 1]"));
+    }
+    // A given list is never empty, so `--quick` fills in only the others.
+    if args.topologies.is_empty() {
+        let circ = |skip| TopologySpec::Circulant { n: 16, skip };
+        args.topologies = if args.quick {
+            vec![TopologySpec::default(), circ(5)]
+        } else {
+            vec![TopologySpec::default(), circ(3), circ(5)]
         };
-        match argv[i].as_str() {
-            "--topologies" => {
-                args.topologies = parse_list(&take(&mut i)?, TopologySpec::from_wire_name)?;
-            }
-            "--levels" => args.levels = parse_list(&take(&mut i)?, str::parse::<usize>)?,
-            "--loads" => {
-                args.loads = parse_list(&take(&mut i)?, str::parse::<f64>)?;
-                if args.loads.iter().any(|&l| !(l > 0.0 && l <= 1.0)) {
-                    return Err("loads must be in (0, 1]".into());
-                }
-            }
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = PathBuf::from(take(&mut i)?),
-            "--service" => args.service = Some(PathBuf::from(take(&mut i)?)),
-            "--quick" => args.quick = true,
-            "--help" | "-h" => {
-                return Err("usage: pareto_explore [--service SOCKET] \
-                            [--topologies T1,T2,...] [--levels K1,K2,...] \
-                            [--loads R1,R2,...] [--seed S] [--out DIR] [--quick]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
-        }
-        i += 1;
     }
-    if args.quick {
-        args.topologies = vec![
-            TopologySpec::default(),
-            TopologySpec::Circulant { n: 16, skip: 5 },
-        ];
-        args.levels = vec![4, 16];
-        args.loads = vec![0.05, 0.15];
+    if args.levels.is_empty() {
+        args.levels = if args.quick { vec![4, 16] } else { vec![4, 8, 12, 16] };
     }
-    if args.service.is_none() {
-        args.service = std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from);
+    if args.loads.is_empty() {
+        args.loads = if args.quick { vec![0.05, 0.15] } else { vec![0.05, 0.10, 0.15, 0.20, 0.25] };
     }
     Ok(args)
 }
@@ -251,17 +209,10 @@ fn evaluate_local(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| exit_usage("pareto_explore", e));
     let jobs = build_jobs(&args);
     if jobs.is_empty() {
-        eprintln!("grid is empty: no level fits any requested topology");
-        std::process::exit(2);
+        exit_usage("pareto_explore", "grid is empty: no level fits any requested topology");
     }
     eprintln!(
         "[{} candidates: {} topologies x {} levels x {} loads]",

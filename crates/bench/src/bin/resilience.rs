@@ -35,6 +35,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use noc_bench::flags::{exit_usage, Flags};
 use noc_bench::markdown_table;
 use noc_sim::error::SimError;
 use noc_sim::fault::{FaultEvent, FaultLog, FaultPlan, RandomFaultConfig};
@@ -63,68 +64,29 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut flags = Flags::from_env();
     let mut args = Args {
-        levels: vec![],
-        scales: vec![],
-        rate: 0.08,
-        seed: 1,
-        workers: None,
-        telemetry: None,
-        quick: false,
+        levels: flags.list("--levels", str::parse)?.unwrap_or_default(),
+        scales: flags.list("--scales", str::parse)?.unwrap_or_default(),
+        rate: flags.value("--rate", str::parse)?.unwrap_or(0.08),
+        seed: flags.value("--seed", str::parse)?.unwrap_or(1),
+        workers: flags.value("--workers", str::parse)?,
+        telemetry: noc_bench::telemetry_dir_from_env(&mut flags)?,
+        quick: flags.switch("--quick"),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--levels" => {
-                args.levels = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| format!("bad level: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--scales" => {
-                args.scales = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().map_err(|e| format!("bad scale: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if args.scales.iter().any(|&s| s < 0.0 || !s.is_finite()) {
-                    return Err("scales must be finite and >= 0".into());
-                }
-            }
-            "--rate" => args.rate = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--workers" => {
-                let w: usize = take(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                args.workers = Some(w);
-            }
-            "--telemetry" => args.telemetry = Some(PathBuf::from(take(&mut i)?)),
-            "--quick" => args.quick = true,
-            "--help" | "-h" => {
-                return Err("usage: resilience [--levels K1,K2,...] [--scales F1,F2,...] \
-                            [--rate R] [--seed S] [--workers W] [--telemetry DIR] [--quick]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
-        }
-        i += 1;
+    flags.finish()?;
+    if args.workers == Some(0) {
+        return Err("--workers must be at least 1, got 0".into());
     }
+    if let Some(bad) = args.scales.iter().find(|&&s| s < 0.0 || !s.is_finite()) {
+        return Err(format!("--scales: scale {bad} is not finite and >= 0"));
+    }
+    // A given list is never empty, so `--quick` fills in only the others.
     if args.levels.is_empty() {
         args.levels = if args.quick { vec![4, 8] } else { vec![4, 8, 12, 16] };
     }
     if args.scales.is_empty() {
         args.scales = if args.quick { vec![0.0, 1.0] } else { vec![0.0, 0.5, 1.0, 2.0] };
-    }
-    if args.telemetry.is_none() {
-        args.telemetry = std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from);
     }
     Ok(args)
 }
@@ -247,17 +209,10 @@ fn event_record(point: usize, cycle: u64, event: &FaultEvent) -> FaultRecord {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| exit_usage("resilience", e));
     let mesh = Mesh2D::paper_4x4();
     if args.levels.iter().any(|&l| l == 0 || l > mesh.len()) {
-        eprintln!("levels must be in 1..={}", mesh.len());
-        std::process::exit(2);
+        exit_usage("resilience", format!("--levels must be in 1..={}", mesh.len()));
     }
     let sim_cfg = if args.quick { SimConfig::quick() } else { SimConfig::sweep() };
 

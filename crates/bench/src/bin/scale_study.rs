@@ -21,6 +21,7 @@
 //! struct-of-arrays mirrors against ground truth every N cycles of every
 //! run, aborting on divergence.
 
+use noc_bench::flags::{exit_usage, Flags};
 use noc_bench::{banner, markdown_table, pct, reduction, watts, FigureHarness};
 use noc_sim::geometry::NodeId;
 use noc_sim::sim::SimConfig;
@@ -47,46 +48,25 @@ fn experiment(mesh: u16, quick: bool, validate_every: Option<u64>) -> Experiment
     e
 }
 
-fn main() {
-    let mut mesh = 8u16;
-    let mut quick = false;
-    let mut validate_every: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--mesh" => {
-                let raw = args.next();
-                mesh = match raw.as_deref().map(str::parse) {
-                    Some(Ok(m @ (8 | 16 | 32 | 64))) => m,
-                    _ => {
-                        eprintln!(
-                            "--mesh must be 8, 16, 32 or 64, got {}",
-                            raw.as_deref().map_or("nothing".to_string(), |v| format!("{v:?}"))
-                        );
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--quick" => quick = true,
-            "--validate-sets" => {
-                let raw = args.next();
-                validate_every = match raw.as_deref().map(str::parse) {
-                    Some(Ok(n)) if n > 0 => Some(n),
-                    _ => {
-                        eprintln!("--validate-sets requires a positive cycle count");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: \
-                     scale_study [--mesh 8|16|32|64] [--quick] [--validate-sets N]"
-                );
-                std::process::exit(2);
-            }
-        }
+/// `(mesh side, quick, validate-sets interval)` from the command line.
+fn parse_args() -> Result<(u16, bool, Option<u64>), String> {
+    let mut flags = Flags::from_env();
+    let mesh = flags.value("--mesh", str::parse)?.unwrap_or(8);
+    let validate_every = flags.value("--validate-sets", str::parse)?;
+    let quick = flags.switch("--quick");
+    flags.finish()?;
+    if ![8, 16, 32, 64].contains(&mesh) {
+        return Err(format!("--mesh must be 8, 16, 32 or 64, got {mesh}"));
     }
+    if validate_every == Some(0) {
+        return Err("--validate-sets requires a positive cycle count, got 0".to_string());
+    }
+    Ok((mesh, quick, validate_every))
+}
+
+fn main() {
+    let (mesh, quick, validate_every) =
+        parse_args().unwrap_or_else(|e| exit_usage("scale_study", e));
     let cores = usize::from(mesh) * usize::from(mesh);
     print!(
         "{}",
@@ -118,7 +98,7 @@ fn main() {
                 SyntheticBaseline::SpreadAggregate,
             ]
             .map(|baseline| SyntheticJob {
-                topology: TopologySpec::default(),
+                topology: TopologySpec::Mesh { width: mesh, height: mesh },
                 level,
                 pattern: TrafficPattern::UniformRandom,
                 rate,

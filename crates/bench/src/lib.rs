@@ -10,7 +10,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod flags;
 pub mod obs;
+pub mod session;
 
 use std::fmt::Write as _;
 use std::io::IsTerminal as _;
@@ -18,6 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use flags::{exit_usage, Flags};
 use noc_sim::error::SimError;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticJob};
@@ -63,39 +66,24 @@ pub fn try_workers_from_env() -> Result<Option<usize>, String> {
         })
 }
 
-/// Telemetry output directory for the figure binaries: the
-/// `--telemetry <dir>` (or `--telemetry=<dir>`) command-line flag wins,
-/// falling back to the `NOC_BENCH_TELEMETRY` environment variable; `None`
-/// disables telemetry output entirely.
-pub fn telemetry_dir_from_env() -> Option<PathBuf> {
-    flag_value(std::env::args().skip(1), "--telemetry")
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from))
+/// Telemetry output directory: the `--telemetry <dir>` flag in `flags`
+/// (an error without a value), else the `NOC_BENCH_TELEMETRY` environment
+/// variable; `None` disables telemetry output entirely.
+pub fn telemetry_dir_from_env(flags: &mut Flags) -> Result<Option<PathBuf>, String> {
+    flag_or_env(flags, "--telemetry", "NOC_BENCH_TELEMETRY")
 }
 
-/// `noc-serve` socket path for the figure binaries: the `--service <path>`
-/// (or `--service=<path>`) command-line flag wins, falling back to the
-/// `NOC_SERVE_SOCKET` environment variable; `None` means run everything
-/// in-process as usual. See `SERVICE.md` for the daemon side.
-pub fn service_socket_from_env() -> Option<PathBuf> {
-    flag_value(std::env::args().skip(1), "--service")
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os("NOC_SERVE_SOCKET").map(PathBuf::from))
+/// `noc-serve` socket path: the `--service <path>` flag in `flags` (an
+/// error without a value), else the `NOC_SERVE_SOCKET` environment
+/// variable; `None` means run everything in-process. See `SERVICE.md` for
+/// the daemon side.
+pub fn service_socket_from_env(flags: &mut Flags) -> Result<Option<PathBuf>, String> {
+    flag_or_env(flags, "--service", "NOC_SERVE_SOCKET")
 }
 
-/// The value of the first `flag <v>` or `flag=<v>` among `args`.
-fn flag_value(args: impl IntoIterator<Item = String>, flag: &str) -> Option<String> {
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(v) = args.next() {
-                return Some(v);
-            }
-        } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Some(v.to_string());
-        }
-    }
-    None
+fn flag_or_env(flags: &mut Flags, flag: &str, var: &str) -> Result<Option<PathBuf>, String> {
+    let value = flags.value(flag, str::parse)?;
+    Ok(value.or_else(|| std::env::var_os(var).map(PathBuf::from)))
 }
 
 /// Whether the figure binaries should print live progress lines to stderr:
@@ -179,7 +167,11 @@ impl FigureHarness {
     /// silent fall-back to local execution would defeat the cache the user
     /// asked for.
     pub fn new() -> Self {
-        let mut harness = Self::with_telemetry_dir(telemetry_dir_from_env());
+        // The binary owns argv: read only this harness's flags from it.
+        let mut flags = Flags::from_env();
+        let usage = |e| -> Option<PathBuf> { exit_usage("error", e) };
+        let telemetry = telemetry_dir_from_env(&mut flags).unwrap_or_else(usage);
+        let mut harness = Self::with_telemetry_dir(telemetry);
         if progress_from_env() {
             // Label progress lines with the binary name (e.g. "fig11").
             let label = std::env::args()
@@ -189,7 +181,7 @@ impl FigureHarness {
                 .unwrap_or_else(|| "progress".to_string());
             harness.runner = harness.runner.with_echo(label);
         }
-        if let Some(socket) = service_socket_from_env() {
+        if let Some(socket) = service_socket_from_env(&mut flags).unwrap_or_else(usage) {
             harness = harness.connect_service(&socket).unwrap_or_else(|e| {
                 eprintln!(
                     "error: cannot reach noc-serve at {}: {e}",
@@ -483,12 +475,15 @@ mod tests {
 
     #[test]
     fn flag_value_reads_both_forms() {
-        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let flag = "--telemetry";
-        assert_eq!(flag_value(args(&["--telemetry", "d"]), flag).as_deref(), Some("d"));
-        assert_eq!(flag_value(args(&["--quick", "--telemetry=d"]), flag).as_deref(), Some("d"));
-        assert_eq!(flag_value(args(&["--telemetryx=d", "--telemetry"]), flag), None);
-        assert_eq!(flag_value(args(&["--service", "s"]), flag), None);
+        let flags = |xs: &[&str]| Flags::new(xs.iter().map(|x| x.to_string()));
+        let dir = |xs: &[&str]| telemetry_dir_from_env(&mut flags(xs)).unwrap();
+        let socket = |xs: &[&str]| service_socket_from_env(&mut flags(xs)).unwrap();
+        assert_eq!(dir(&["--telemetry", "d"]), Some(PathBuf::from("d")));
+        assert_eq!(dir(&["--quick", "--telemetry=d"]), Some(PathBuf::from("d")));
+        let fallback = std::env::var_os("NOC_BENCH_TELEMETRY").map(PathBuf::from);
+        assert_eq!(dir(&["--telemetryx=d", "--service", "s"]), fallback);
+        assert_eq!(socket(&["--service", "s"]), Some(PathBuf::from("s")));
+        assert!(telemetry_dir_from_env(&mut flags(&["--telemetry"])).is_err());
     }
 
     #[test]

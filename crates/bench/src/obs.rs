@@ -52,6 +52,23 @@ where
     serve_metrics_unix(target, render)
 }
 
+/// [`serve_metrics`] for a daemon's `--metrics` flag: reports the bound
+/// address, or the failure, on stderr after the daemon's `name`, and
+/// returns whether the endpoint is up.
+pub fn start_metrics<F>(name: &str, target: &str, render: F) -> bool
+where
+    F: Fn() -> String + Send + 'static,
+{
+    match serve_metrics(target, render) {
+        Ok(addr) => eprintln!("{name}: metrics on {addr}"),
+        Err(e) => {
+            eprintln!("{name}: cannot serve metrics on {target}: {e}");
+            return false;
+        }
+    }
+    true
+}
+
 #[cfg(unix)]
 fn serve_metrics_unix<F>(target: &str, render: F) -> std::io::Result<String>
 where

@@ -183,3 +183,66 @@ fn malformed_and_failing_requests_keep_the_daemon_alive() {
     assert_eq!(done.failed, 1);
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+/// Requests with a line that is not UTF-8 in the middle: the line gets an
+/// `error` event without an id and the session serves the next request.
+const NON_UTF8_SESSION: &[u8] = b"{\"type\":\"ping\"}\n\xff\xfe\n{\"type\":\"ping\"}\n{\"type\":\"shutdown\"}\n";
+
+/// The event types of a session's output, in order.
+fn event_types(out: &[u8]) -> Vec<&'static str> {
+    String::from_utf8_lossy(out)
+        .lines()
+        .map(|l| match ServiceResponse::from_json_line(l).expect("well-formed event") {
+            ServiceResponse::Pong { .. } => "pong",
+            ServiceResponse::Error { id: None, .. } => "error",
+            other => panic!("unexpected event: {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn a_non_utf8_line_gets_an_error_on_stdio() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc_serve"))
+        .arg("--quick")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn noc_serve");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(NON_UTF8_SESSION).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    assert_eq!(event_types(&out.stdout), ["pong", "error", "pong"]);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_line_gets_an_error_on_a_socket() {
+    use std::io::Read;
+    let dir = scratch_dir("utf8");
+    let sock = dir.join("d.sock");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc_serve"))
+        .arg("--quick")
+        .arg("--socket")
+        .arg(&sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn noc_serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !sock.exists() {
+        assert!(std::time::Instant::now() < deadline, "daemon never bound {sock:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    stream.write_all(NON_UTF8_SESSION).unwrap();
+    // The shutdown closes the connection after its last event.
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).unwrap();
+    assert_eq!(event_types(&out), ["pong", "error", "pong"]);
+    assert!(child.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
