@@ -1,11 +1,11 @@
-//! Criterion microbenchmarks of the statistics path the telemetry work
-//! rebuilt: repeated quantile queries against the naive clone-and-sort
-//! baseline, the cached-sort [`LatencySample`], and the log-bucketed
-//! [`StreamingHistogram`].
+//! Criterion microbenchmarks of the statistics path: repeated quantile
+//! queries against the naive clone-and-sort baseline, the exact
+//! [`LatencySample`], and the log-bucketed [`StreamingHistogram`].
 //!
-//! The old `LatencySample::quantile` cloned and re-sorted the raw sample
-//! vector on *every* call — O(n log n) per query. The cached-sort version
-//! pays that once and answers subsequent queries from the cache; the
+//! The naive baseline clones and re-sorts the raw observations on *every*
+//! query — O(n log n) per call. [`LatencySample`] keeps one count per
+//! distinct value in sorted order, so a query walks the distinct values
+//! (O(d)) and memory grows with `d`, not with the observations; the
 //! streaming histogram never stores raw samples at all (O(1) record,
 //! O(buckets) quantile).
 
@@ -58,7 +58,7 @@ fn bench_quantile_queries(c: &mut Criterion) {
         for &v in &raw {
             sample.record(v);
         }
-        group.bench_with_input(BenchmarkId::new("cached_sort", n), &sample, |b, sample| {
+        group.bench_with_input(BenchmarkId::new("exact_counts", n), &sample, |b, sample| {
             b.iter(|| {
                 QUERIES
                     .iter()

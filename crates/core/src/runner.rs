@@ -5,9 +5,9 @@
 //! generator and routing function, and its RNG seed is a pure function of
 //! `(base_seed, point_index)` ([`noc_sim::sweep::point_seed`]). The
 //! [`ExperimentRunner`] exploits that: it fans points out across a
-//! `std::thread::scope` worker pool and reassembles results **in input
-//! order**, so parallel output is bit-identical to the serial path at any
-//! worker count.
+//! `std::thread::scope` worker pool — the calling thread is one of the
+//! workers — and reassembles results **in input order**, so parallel output
+//! is bit-identical to the serial path at any worker count.
 //!
 //! Three layers:
 //!
@@ -168,7 +168,8 @@ impl ExperimentRunner {
         Self::with_workers(workers)
     }
 
-    /// A runner with exactly `workers` worker threads (1 = serial).
+    /// A runner with exactly `workers` worker threads, the calling thread
+    /// included (1 = serial: nothing is spawned).
     ///
     /// # Panics
     ///
@@ -305,31 +306,36 @@ impl ExperimentRunner {
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let batch_start = Instant::now();
-        let workers = self.workers.min(n);
+        let pull = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let start = Instant::now();
+            let out = f(i, &items[i]);
+            self.progress.record(start.elapsed());
+            if let Some(label) = &self.echo {
+                let snap = self.progress.snapshot();
+                eprintln!(
+                    "{}",
+                    progress_line(label, snap.completed, snap.scheduled, batch_start.elapsed())
+                );
+            }
+            *results[i].lock().expect("result cell poisoned") = Some(out);
+        };
+        // The caller is one of the workers: it spawns `workers - 1` helpers
+        // and runs the same pull loop itself, so one worker spawns nothing
+        // and a run never has more than `workers` threads allocating.
+        // Helpers are joined, not left to the scope's end: a join waits
+        // until the thread has exited and handed its malloc arena back, so
+        // the next run's threads reuse the arenas instead of adding one.
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let start = Instant::now();
-                    let out = f(i, &items[i]);
-                    self.progress.record(start.elapsed());
-                    if let Some(label) = &self.echo {
-                        let snap = self.progress.snapshot();
-                        eprintln!(
-                            "{}",
-                            progress_line(
-                                label,
-                                snap.completed,
-                                snap.scheduled,
-                                batch_start.elapsed()
-                            )
-                        );
-                    }
-                    *results[i].lock().expect("result cell poisoned") = Some(out);
-                });
+            let helpers: Vec<_> = (1..self.workers.min(n)).map(|_| s.spawn(pull)).collect();
+            pull();
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         let mut out = Vec::with_capacity(n);
@@ -692,6 +698,27 @@ mod tests {
             x * 2
         });
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn caller_is_one_of_the_workers() {
+        let items: Vec<usize> = (0..24).collect();
+        let threads_used = |workers: usize| {
+            let seen = Mutex::new(std::collections::HashSet::new());
+            let runner = ExperimentRunner::with_workers(workers);
+            runner.run(&items, |_, _| {
+                std::thread::sleep(Duration::from_micros(200));
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+            seen.into_inner().unwrap()
+        };
+        let serial = threads_used(1);
+        assert_eq!(serial.len(), 1);
+        assert!(serial.contains(&std::thread::current().id()), "1 worker spawns nothing");
+        for workers in [2, 3, 8] {
+            let used = threads_used(workers);
+            assert!(used.len() <= workers, "{} threads for {workers} workers", used.len());
+        }
     }
 
     #[test]

@@ -275,9 +275,20 @@ impl DiskResultCache {
             report.segments += 1;
             next_segment = next_segment
                 .max(parse_segment_index(name).expect("filtered above") + 1);
-            let text = fs::read_to_string(dir.join(name))?;
-            segment_bytes += text.len() as u64;
-            for (lineno, line) in text.lines().enumerate() {
+            let bytes = fs::read(dir.join(name))?;
+            segment_bytes += bytes.len() as u64;
+            // Lines are decoded one at a time, so a torn or garbled line
+            // costs that line alone, whatever its bytes.
+            for (lineno, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+                let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+                let Ok(line) = std::str::from_utf8(raw) else {
+                    report.corrupt += 1;
+                    report.warnings.push(format!(
+                        "{name}:{}: corrupt cache line skipped (not UTF-8)",
+                        lineno + 1
+                    ));
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -783,7 +794,7 @@ impl SweepService {
         std::thread::scope(|s| {
             let jobs = &req.jobs;
             let cancel = &cancel;
-            s.spawn(move || {
+            let driver = s.spawn(move || {
                 // `Sender` is not `Sync`, so the worker closure reaches it
                 // through a mutex; dropping it here (when the runner is
                 // done) ends the collector loop below.
@@ -889,6 +900,11 @@ impl SweepService {
                     }
                     next += 1;
                 }
+            }
+            // Joined so the thread has exited, and its malloc arena is free
+            // for the next batch's threads, before `done` is sent.
+            if let Err(panic) = driver.join() {
+                std::panic::resume_unwind(panic);
             }
         });
         lock_recover(&self.cancels).remove(&req.id);

@@ -46,7 +46,7 @@ use std::collections::{BTreeSet, VecDeque};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, FaultStats};
 use crate::geometry::{NodeId, Port};
-use crate::packet::{Flit, Packet};
+use crate::packet::{Flit, Packet, PacketId};
 use crate::probe::Probe;
 use crate::router::{Router, RouterActivity, RouterParams, SleepState};
 use crate::routing::{RouteDecision, RoutingFunction};
@@ -145,12 +145,55 @@ pub struct Ejection {
     pub at: u64,
 }
 
+/// Marks a measured packet in [`Queued::len_measured`].
+const MEASURED: u32 = 1 << 31;
+
+/// A packet waiting in a source queue, without the fields its queue
+/// implies: `src` is the queue's node and `vnet` its index. 24 bytes
+/// against [`Packet`]'s 40, which matters at saturated points where
+/// thousands of packets wait per node.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: u64,
+    created: u64,
+    dst: u32,
+    /// Flit count in the low 31 bits, [`MEASURED`] in the top bit.
+    len_measured: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Queued>() == 24);
+
+impl Queued {
+    /// Packs `p`; `enqueue_packet` has checked that `dst` and `len` fit.
+    fn pack(p: &Packet) -> Self {
+        Queued {
+            id: p.id.0,
+            created: p.created,
+            dst: p.dst.0 as u32,
+            len_measured: p.len | if p.measured { MEASURED } else { 0 },
+        }
+    }
+
+    /// Rebuilds the packet queued at `node` on virtual network `vnet`.
+    fn unpack(self, node: usize, vnet: usize) -> Packet {
+        Packet {
+            id: PacketId(self.id),
+            src: NodeId(node),
+            dst: NodeId(self.dst as usize),
+            len: self.len_measured & !MEASURED,
+            created: self.created,
+            measured: self.len_measured & MEASURED != 0,
+            vnet: vnet as u8,
+        }
+    }
+}
+
 /// Network interface: per-vnet source queues plus injection state.
 #[derive(Debug, Clone)]
 struct Ni {
     /// Packets waiting to enter the network, one FIFO per virtual network
     /// (message classes must not block each other at the source either).
-    source: Vec<VecDeque<Packet>>,
+    source: Vec<VecDeque<Queued>>,
     /// Packet currently being injected, with the next flit index and the
     /// cycle its head flit was written (shared `injected` stamp).
     injecting: Option<(Packet, u32, u64)>,
@@ -777,10 +820,20 @@ impl Network {
             p.vnet,
             self.params.vnets
         );
+        assert!(
+            u32::try_from(p.dst.0).is_ok(),
+            "packet destination {} does not fit 32 bits",
+            p.dst
+        );
+        assert!(
+            p.len < MEASURED,
+            "packet length {} does not fit 31 bits",
+            p.len
+        );
         let vnet = usize::from(p.vnet);
         let node = p.src.0;
         let was_idle = self.nis[node].is_idle();
-        self.nis[node].source[vnet].push_back(p);
+        self.nis[node].source[vnet].push_back(Queued::pack(&p));
         self.active.queued_packets += 1;
         if was_idle {
             self.active.busy_nis += 1;
@@ -1848,7 +1901,7 @@ impl Network {
             let vnets = ni.source.len();
             'pick: for k in 0..vnets {
                 let vq = (ni.vnet_rr + k) % vnets;
-                let Some(pkt) = ni.source[vq].front().copied() else {
+                let Some(pkt) = ni.source[vq].front().map(|q| q.unpack(node, vq)) else {
                     continue;
                 };
                 let range = self.params.vnet_vcs(pkt.vnet);
@@ -2499,6 +2552,25 @@ mod tests {
         }
         assert!(net.is_drained(), "network failed to drain");
         ejections
+    }
+
+    #[test]
+    fn queued_entry_rebuilds_the_packet() {
+        for (measured, len, vnet) in [(true, 5, 0), (false, 1, 1), (true, (1 << 31) - 1, 3)] {
+            let p = Packet {
+                measured,
+                len,
+                vnet,
+                ..packet(u64::MAX, 6, 15, 1, u64::MAX - 1)
+            };
+            assert_eq!(Queued::pack(&p).unpack(6, usize::from(vnet)), p);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 31 bits")]
+    fn oversized_packet_length_is_rejected() {
+        net().enqueue_packet(packet(1, 0, 15, 1 << 31, 0));
     }
 
     #[test]

@@ -2,39 +2,31 @@
 //!
 //! Two complementary accumulators:
 //!
-//! - [`LatencySample`] stores every observation exactly and answers exact
-//!   nearest-rank quantiles. The sorted order is computed lazily and
-//!   **cached** (invalidated on the next [`LatencySample::record`]), so a
-//!   burst of quantile queries after a run costs one sort total instead of
-//!   one clone-and-sort per call.
+//! - [`LatencySample`] keeps the population exactly, as one count per
+//!   distinct value, and answers exact nearest-rank quantiles. Latencies in
+//!   cycles repeat heavily (tens of thousands of packets share a few dozen
+//!   values), so memory scales with the distinct values, not with the
+//!   observations, and the counts are already in sorted order.
 //! - [`StreamingHistogram`] is a log-bucketed (HDR-style) sketch: O(1)
 //!   record, O(buckets) quantile, fixed memory, mergeable — the right shape
-//!   for always-on telemetry where storing every observation is too much.
+//!   for always-on telemetry where the exact answer is not needed.
 
-use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 
 /// Online accumulator for a latency population.
 ///
-/// Values are stored exactly; the sort needed by [`LatencySample::quantile`]
-/// runs at most once per batch of records (interior-mutability cache).
-#[derive(Debug, Clone, Default)]
+/// Stores one count per distinct value, ascending, plus the observation
+/// count and the `u64` sum, so every answer is exact and the same as over
+/// the full list of observations.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySample {
-    /// Observations. Order is not part of the public contract: the quantile
-    /// cache sorts this vector in place behind a `RefCell`.
-    values: RefCell<Vec<u64>>,
-    /// Whether `values` is currently sorted ascending.
-    sorted: Cell<bool>,
-}
-
-/// Samples are equal when they hold the same population, regardless of
-/// insertion order or cache state (both sides are sorted first, which the
-/// quantile path would do anyway).
-impl PartialEq for LatencySample {
-    fn eq(&self, other: &Self) -> bool {
-        self.ensure_sorted();
-        other.ensure_sorted();
-        *self.values.borrow() == *other.values.borrow()
-    }
+    /// Observations per distinct value. Two samples are equal when they hold
+    /// the same population, whatever the insertion order.
+    counts: BTreeMap<u64, u64>,
+    /// Number of observations (the sum of `counts`).
+    total: u64,
+    /// Sum of the observations.
+    sum: u64,
 }
 
 impl LatencySample {
@@ -45,60 +37,50 @@ impl LatencySample {
 
     /// Records one latency observation (cycles).
     pub fn record(&mut self, cycles: u64) {
-        // `get_mut` borrows statically through `&mut self`: recording is as
-        // cheap as a plain `Vec::push`, no runtime borrow bookkeeping.
-        self.values.get_mut().push(cycles);
-        self.sorted.set(false);
+        *self.counts.entry(cycles).or_insert(0) += 1;
+        self.total += 1;
+        self.sum += cycles;
     }
 
     /// Number of observations.
     pub fn count(&self) -> usize {
-        self.values.borrow().len()
+        self.total as usize
     }
 
     /// Arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        let values = self.values.borrow();
-        if values.is_empty() {
-            return None;
-        }
-        Some(values.iter().sum::<u64>() as f64 / values.len() as f64)
+        (self.total > 0).then(|| self.sum as f64 / self.total as f64)
     }
 
     /// Maximum observation.
     pub fn max(&self) -> Option<u64> {
-        self.values.borrow().iter().copied().max()
+        self.counts.last_key_value().map(|(&v, _)| v)
     }
 
     /// Minimum observation.
     pub fn min(&self) -> Option<u64> {
-        self.values.borrow().iter().copied().min()
+        self.counts.first_key_value().map(|(&v, _)| v)
     }
 
-    /// Sorts the backing store once; subsequent quantile calls are O(1)
-    /// until the next `record`.
-    fn ensure_sorted(&self) {
-        if !self.sorted.get() {
-            self.values.borrow_mut().sort_unstable();
-            self.sorted.set(true);
-        }
-    }
-
-    /// `q`-quantile (0.0..=1.0) by nearest-rank on the (cached) sorted
-    /// order.
+    /// `q`-quantile (0.0..=1.0) by nearest-rank over the sorted population.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        self.ensure_sorted();
-        let values = self.values.borrow();
-        if values.is_empty() {
+        if self.total == 0 {
             return None;
         }
-        let rank = ((q * (values.len() as f64 - 1.0)).round() as usize).min(values.len() - 1);
-        Some(values[rank])
+        let rank = ((q * (self.total as f64 - 1.0)).round() as u64).min(self.total - 1);
+        let mut seen = 0u64;
+        for (&v, &c) in &self.counts {
+            seen += c;
+            if seen > rank {
+                return Some(v);
+            }
+        }
+        unreachable!("rank {rank} below the total {}", self.total)
     }
 
     /// Histogram with the given bucket width; returns `(bucket_start, count)`
@@ -109,19 +91,23 @@ impl LatencySample {
     /// Panics if `bucket` is zero.
     pub fn histogram(&self, bucket: u64) -> Vec<(u64, usize)> {
         assert!(bucket > 0, "bucket width must be positive");
-        let mut map = std::collections::BTreeMap::new();
-        for &v in self.values.borrow().iter() {
-            *map.entry(v / bucket * bucket).or_insert(0) += 1;
+        let mut out: Vec<(u64, usize)> = Vec::new();
+        for (&v, &c) in &self.counts {
+            let start = v / bucket * bucket;
+            match out.last_mut() {
+                Some((s, n)) if *s == start => *n += c as usize,
+                _ => out.push((start, c as usize)),
+            }
         }
-        map.into_iter().collect()
+        out
     }
 
     /// Copies every observation into a [`StreamingHistogram`] (telemetry
     /// export).
     pub fn to_streaming(&self) -> StreamingHistogram {
         let mut h = StreamingHistogram::new();
-        for &v in self.values.borrow().iter() {
-            h.record(v);
+        for (&v, &c) in &self.counts {
+            h.record_n(v, c);
         }
         h
     }
@@ -391,14 +377,14 @@ mod tests {
     }
 
     #[test]
-    fn quantile_cache_survives_interleaved_records() {
+    fn quantiles_see_records_made_after_a_query() {
         let mut s = LatencySample::new();
         for v in [5u64, 1, 9] {
             s.record(v);
         }
         assert_eq!(s.quantile(0.0), Some(1));
         assert_eq!(s.quantile(1.0), Some(9));
-        // Invalidate the cache and query again: the new value must be seen.
+        // Record after querying: the new value must be seen.
         s.record(0);
         assert_eq!(s.quantile(0.0), Some(0));
         assert_eq!(s.quantile(1.0), Some(9));

@@ -158,6 +158,101 @@ fn corrupted_segment_line_is_skipped_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Writes `count` quick-experiment records into a fresh cache directory
+/// and returns the request and the one segment file holding them.
+fn persisted_segment(label: &str, count: usize) -> (PathBuf, SubmitRequest, PathBuf) {
+    let dir = scratch_dir(label);
+    let req = SubmitRequest {
+        id: label.to_string(),
+        label: label.to_string(),
+        priority: 0,
+        jobs: jobs(count),
+    };
+    {
+        let (cache, _) = DiskResultCache::open(&dir, code_version("quick")).unwrap();
+        let service = quick_service(cache);
+        collect_points(&service, &req);
+    }
+    let segs: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .collect();
+    assert_eq!(segs.len(), 1, "one segment written");
+    let seg = segs[0].clone();
+    (dir, req, seg)
+}
+
+/// A line that is not UTF-8 is one corrupt line, like a line that is not
+/// JSON: the daemon still starts with every other record.
+#[test]
+fn non_utf8_segment_line_is_skipped_not_fatal() {
+    let (dir, req, seg) = persisted_segment("utf8", 3);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes.extend_from_slice(b"\xff\xfe garbage\n");
+    std::fs::write(&seg, &bytes).unwrap();
+    let (cache, report) = DiskResultCache::open(&dir, code_version("quick")).unwrap();
+    assert_eq!(report.loaded, req.jobs.len(), "every record survives");
+    assert_eq!(report.corrupt, 1);
+    assert_eq!(report.warnings.len(), 1);
+    assert!(
+        report.warnings[0].contains("corrupt"),
+        "{}",
+        report.warnings[0]
+    );
+    let service = quick_service(cache);
+    let points = collect_points(&service, &req);
+    assert!(points.iter().all(|p| p.cache_hit));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash can cut the last record at any byte. At every cut the cache
+/// reopens with every other record, reports at most the one torn line, and
+/// serves the torn point as a miss; only the cut that leaves the whole
+/// record (just its newline lost) keeps it.
+#[test]
+fn truncating_the_last_record_at_every_offset_loses_only_that_record() {
+    let (dir, req, seg) = persisted_segment("offsets", 3);
+    let whole = std::fs::read(&seg).unwrap();
+    let body = &whole[..whole.len() - 1];
+    let last_start = body.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    let (last, kept) = req.jobs.split_last().unwrap();
+    let version = code_version("quick");
+    for cut in last_start..whole.len() {
+        std::fs::write(&seg, &whole[..cut]).unwrap();
+        let (cache, report) = DiskResultCache::open(&dir, &version).unwrap();
+        assert!(
+            report.corrupt <= 1,
+            "cut {cut}: {} corrupt lines",
+            report.corrupt
+        );
+        for job in kept {
+            assert!(
+                cache.memory().get(job.cache_key()).is_some(),
+                "cut {cut}: record lost"
+            );
+        }
+        let whole_record = cut == whole.len() - 1;
+        assert_eq!(
+            report.loaded,
+            kept.len() + usize::from(whole_record),
+            "cut {cut}"
+        );
+        assert_eq!(
+            cache.memory().get(last.cache_key()).is_some(),
+            whole_record,
+            "cut {cut}"
+        );
+    }
+    // Served end to end (this persists the recomputed point, so it runs once).
+    std::fs::write(&seg, &whole[..(last_start + whole.len()) / 2]).unwrap();
+    let (cache, _) = DiskResultCache::open(&dir, &version).unwrap();
+    let points = collect_points(&quick_service(cache), &req);
+    let hits: Vec<bool> = points.iter().map(|p| p.cache_hit).collect();
+    assert_eq!(hits, [true, true, false], "the torn point is a miss");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Records written by a different code version are invalidated (ignored
 /// on load, recomputed, and re-persisted under the current stamp).
 #[test]
