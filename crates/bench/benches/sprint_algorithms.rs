@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_sim::geometry::NodeId;
+use noc_sim::route_check::check_routes;
 use noc_sim::routing::RoutingFunction;
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
+use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::floorplan::Floorplan;
 use noc_sprinting::sprint_topology::{sprint_order, SprintSet};
 
@@ -53,7 +54,7 @@ fn bench_deadlock_check(c: &mut Criterion) {
     let mesh = *set.mesh();
     let cdor = CdorRouting::new(&set);
     c.bench_function("cdor_cdg_deadlock_check_8core", |b| {
-        b.iter(|| is_deadlock_free(&mesh, &cdor, set.mask()))
+        b.iter(|| check_routes(&mesh, &cdor, set.mask()))
     });
 }
 

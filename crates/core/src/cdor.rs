@@ -16,11 +16,12 @@
 //! XY turn model, but are deadlock-free here: an NE turn at a node implies
 //! the east port of its *southern neighbor* is not connected, so the WN turn
 //! that would close a dependency cycle through that neighbor cannot occur
-//! (paper §3.2, Fig. 5a). [`is_deadlock_free`] verifies this by building the
-//! channel-dependency graph and checking it for cycles.
+//! (paper §3.2, Fig. 5a). [`check_routes`](noc_sim::route_check::check_routes)
+//! verifies this on every region by building the channel-dependency graph
+//! and checking it for cycles.
 
 use noc_sim::geometry::{Direction, NodeId, Port};
-use noc_sim::routing::{RouteDecision, RoutingFunction};
+use noc_sim::routing::{minimal_fallback, RouteDecision, RoutingFunction};
 use noc_sim::topology::{Mesh2D, Topology};
 
 use crate::convex::is_convex;
@@ -152,7 +153,8 @@ impl RoutingFunction for CdorRouting {
     /// - **no dark-router entry** — fallbacks never leave the active region,
     ///   so the sprinting gating contract still holds under faults.
     ///
-    /// The static deadlock-freedom proof (see [`is_deadlock_free`]) covers
+    /// The static deadlock-freedom proof
+    /// ([`check_routes`](noc_sim::route_check::check_routes)) covers
     /// the fault-free turn set; fallback turns can in principle create
     /// dependency cycles, which is why the simulator keeps its watchdog
     /// armed under fault injection (see `FAULT_MODEL.md`).
@@ -163,111 +165,22 @@ impl RoutingFunction for CdorRouting {
         dst: NodeId,
         usable: &dyn Fn(NodeId, NodeId) -> bool,
     ) -> RouteDecision {
-        let mesh = topo.as_mesh().expect("CDOR requires a mesh topology");
-        let primary = self.route(mesh, current, dst);
-        let Some(pd) = primary.direction() else {
-            return RouteDecision::Forward(Port::Local);
-        };
-        let next = mesh
-            .neighbor(current, pd)
-            .expect("CDOR routed off the mesh");
-        if usable(current, next) {
-            return RouteDecision::Forward(primary);
-        }
-        let here = mesh.hops(current, dst);
-        for d in Direction::ALL {
-            if d == pd {
-                continue;
-            }
-            let Some(next) = mesh.neighbor(current, d) else {
-                continue;
-            };
-            if self.active[next.0] && mesh.hops(next, dst) < here && usable(current, next) {
-                return RouteDecision::Forward(Port::Dir(d));
-            }
-        }
-        RouteDecision::Drop
+        let primary = self.route(topo, current, dst);
+        minimal_fallback(topo, current, dst, primary, usable, &|n| self.active[n.0])
     }
-}
-
-/// A directed channel `(router, output direction)` used in dependency
-/// analysis.
-pub type Channel = (NodeId, Direction);
-
-/// Builds the channel-dependency graph of a routing function restricted to
-/// an active set: an edge `(a → b)` means some route uses channel `a` and
-/// then immediately channel `b`.
-pub fn channel_dependency_graph(
-    mesh: &Mesh2D,
-    routing: &dyn RoutingFunction,
-    active: &[bool],
-) -> Vec<(Channel, Channel)> {
-    let mut deps = std::collections::BTreeSet::new();
-    let nodes: Vec<NodeId> = mesh.nodes().filter(|n| active[n.0]).collect();
-    for &src in &nodes {
-        for &dst in &nodes {
-            if src == dst {
-                continue;
-            }
-            let path = routing.path(mesh, src, dst);
-            for w in path.windows(3) {
-                let d1 = direction_between(mesh, w[0], w[1]);
-                let d2 = direction_between(mesh, w[1], w[2]);
-                deps.insert(((w[0], d1), (w[1], d2)));
-            }
-        }
-    }
-    deps.into_iter().collect()
-}
-
-fn direction_between(mesh: &Mesh2D, a: NodeId, b: NodeId) -> Direction {
-    Direction::ALL
-        .into_iter()
-        .find(|&d| mesh.neighbor(a, d) == Some(b))
-        .expect("consecutive path nodes must be neighbors")
-}
-
-/// Whether the routing function is deadlock-free over the active set: its
-/// channel-dependency graph is acyclic (Dally & Seitz criterion for
-/// deterministic routing).
-pub fn is_deadlock_free(mesh: &Mesh2D, routing: &dyn RoutingFunction, active: &[bool]) -> bool {
-    let deps = channel_dependency_graph(mesh, routing, active);
-    // Kahn's algorithm over the channel nodes.
-    let mut nodes: std::collections::BTreeSet<Channel> = std::collections::BTreeSet::new();
-    for &(a, b) in &deps {
-        nodes.insert(a);
-        nodes.insert(b);
-    }
-    let mut indeg: std::collections::BTreeMap<Channel, usize> =
-        nodes.iter().map(|&c| (c, 0)).collect();
-    for &(_, b) in &deps {
-        *indeg.get_mut(&b).expect("inserted above") += 1;
-    }
-    let mut queue: Vec<Channel> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&c, _)| c)
-        .collect();
-    let mut removed = 0;
-    while let Some(c) = queue.pop() {
-        removed += 1;
-        for &(a, b) in &deps {
-            if a == c {
-                let e = indeg.get_mut(&b).expect("inserted above");
-                *e -= 1;
-                if *e == 0 {
-                    queue.push(b);
-                }
-            }
-        }
-    }
-    removed == nodes.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_sim::route_check::{check_routes, RouteReport};
     use noc_sim::routing::XyRouting;
+
+    /// [`check_routes`] of CDOR over a sprint set, which must pass.
+    fn check(set: &SprintSet) -> RouteReport {
+        check_routes(set.mesh(), &CdorRouting::new(set), set.mask())
+            .unwrap_or_else(|v| panic!("{set:?}: {v:?}"))
+    }
 
     #[test]
     fn cdor_equals_xy_on_full_mesh() {
@@ -287,19 +200,7 @@ mod tests {
         let mesh = Mesh2D::paper_4x4();
         for master in 0..16 {
             for level in 1..=16 {
-                let set = SprintSet::new(mesh, NodeId(master), level);
-                let cdor = CdorRouting::new(&set);
-                for &s in set.active_nodes() {
-                    for &d in set.active_nodes() {
-                        let path = cdor.path(&mesh, s, d);
-                        for n in &path {
-                            assert!(
-                                set.is_active(*n),
-                                "path {path:?} leaves region (master {master}, level {level})"
-                            );
-                        }
-                    }
-                }
+                check(&SprintSet::new(mesh, NodeId(master), level));
             }
         }
     }
@@ -308,19 +209,9 @@ mod tests {
     fn cdor_paths_are_minimal_in_sprint_regions() {
         // Within a convex region the detours CDOR takes are still on a
         // shortest Manhattan path.
-        let mesh = Mesh2D::paper_4x4();
         for level in 1..=16 {
-            let set = SprintSet::paper(level);
-            let cdor = CdorRouting::new(&set);
-            for &s in set.active_nodes() {
-                for &d in set.active_nodes() {
-                    assert_eq!(
-                        cdor.path_hops(&mesh, s, d),
-                        mesh.hops(s, d),
-                        "non-minimal route {s}->{d} at level {level}"
-                    );
-                }
-            }
+            let report = check(&SprintSet::paper(level));
+            assert_eq!(report.non_minimal_pairs, 0, "level {level}");
         }
     }
 
@@ -353,12 +244,7 @@ mod tests {
         let mesh = Mesh2D::paper_4x4();
         for master in [0usize, 5, 10, 15] {
             for level in 1..=16 {
-                let set = SprintSet::new(mesh, NodeId(master), level);
-                let cdor = CdorRouting::new(&set);
-                assert!(
-                    is_deadlock_free(&mesh, &cdor, set.mask()),
-                    "CDG cycle at master {master}, level {level}"
-                );
+                check(&SprintSet::new(mesh, NodeId(master), level));
             }
         }
     }
@@ -366,42 +252,7 @@ mod tests {
     #[test]
     fn xy_is_deadlock_free_baseline() {
         let mesh = Mesh2D::paper_4x4();
-        let active = vec![true; 16];
-        assert!(is_deadlock_free(&mesh, &XyRouting, &active));
-    }
-
-    #[test]
-    fn adaptive_west_first_violation_detected() {
-        // Sanity-check the CDG machinery itself: a routing function allowing
-        // all turns (YX for some pairs, XY for others) creates a cycle on a
-        // 2x2 mesh.
-        #[derive(Debug)]
-        struct AllTurns;
-        impl RoutingFunction for AllTurns {
-            fn route(&self, topo: &dyn Topology, cur: NodeId, dst: NodeId) -> Port {
-                // Route clockwise around the 2x2 ring unless adjacent.
-                let mesh = topo.as_mesh().unwrap();
-                let c = mesh.coord(cur);
-                let d = mesh.coord(dst);
-                if cur == dst {
-                    return Port::Local;
-                }
-                // Clockwise next hop: (0,0)->(1,0)->(1,1)->(0,1)->(0,0).
-                let next = match (c.x, c.y) {
-                    (0, 0) => Direction::East,
-                    (1, 0) => Direction::South,
-                    (1, 1) => Direction::West,
-                    _ => Direction::North,
-                };
-                // If destination is the immediate clockwise neighbor this is
-                // minimal; otherwise it still works but uses all four turns.
-                let _ = d;
-                Port::Dir(next)
-            }
-        }
-        let mesh = Mesh2D::new(2, 2).unwrap();
-        let active = vec![true; 4];
-        assert!(!is_deadlock_free(&mesh, &AllTurns, &active));
+        assert!(check_routes(&mesh, &XyRouting, &[true; 16]).is_ok());
     }
 
     #[test]
@@ -409,15 +260,7 @@ mod tests {
         for (w, h) in [(8u16, 2u16), (2, 8), (5, 3)] {
             let mesh = Mesh2D::new(w, h).unwrap();
             for level in 1..=mesh.len() {
-                let set = SprintSet::new(mesh, NodeId(0), level);
-                let cdor = CdorRouting::new(&set);
-                for &s in set.active_nodes() {
-                    for &d in set.active_nodes() {
-                        let path = cdor.path(&mesh, s, d);
-                        assert!(path.iter().all(|n| set.is_active(*n)));
-                    }
-                }
-                assert!(is_deadlock_free(&mesh, &cdor, set.mask()));
+                check(&SprintSet::new(mesh, NodeId(0), level));
             }
         }
     }

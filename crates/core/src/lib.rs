@@ -88,7 +88,7 @@ pub mod telemetry;
 pub mod wire;
 
 pub use bypass::BypassModel;
-pub use cdor::{is_deadlock_free, CdorRouting};
+pub use cdor::CdorRouting;
 pub use dim::{DimModel, DimOperation};
 pub use config::SystemConfig;
 pub use controller::{

@@ -8,6 +8,8 @@
 //!   with credit-based flow control ([`router`], [`network`]),
 //! - pluggable routing functions ([`routing::RoutingFunction`]; X-Y DOR is
 //!   built in and the paper's CDOR plugs in from the `noc-sprinting` crate),
+//!   each machine-checked deadlock-free and region-bound by
+//!   [`route_check::check_routes`],
 //! - router power gating with *checked* isolation: a flit reaching a dark
 //!   router is a simulation error, which is how the sprinting tests prove
 //!   their routing never touches gated resources,
@@ -54,6 +56,7 @@ pub mod geometry;
 pub mod network;
 pub mod packet;
 pub mod probe;
+pub mod route_check;
 pub mod router;
 pub mod routing;
 pub mod sim;
@@ -75,6 +78,7 @@ pub use network::{GatingMode, Network, StageCycles};
 pub use probe::{
     EpochSample, EventCounts, LatencyObserver, Probe, SimPhase, TimeSeriesObserver,
 };
+pub use route_check::{check_routes, RouteReport, RouteViolation};
 pub use router::{RouterActivity, RouterParams};
 pub use routing::{
     NegativeFirstRouting, RouteDecision, RoutingFunction, XyRouting, YxRouting,

@@ -2589,21 +2589,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_load_latency_matches_pipeline_model() {
-        // Head flit: inject at cycle 0 (BW), per-hop = sa_delay + link_delay,
-        // plus ejection link. For 6 hops src->dst and 1 ejection hop:
-        // head latency = (hops + 1) * (sa_delay + link_delay).
-        let mut net = net();
-        net.enqueue_packet(packet(1, 0, 15, 1, 0));
-        let ej = run_until_drained(&mut net, 500);
-        assert_eq!(ej.len(), 1);
-        let hops = 6;
-        let per_hop = 3 + 2; // sa_delay + link_delay
-        let expected = (hops + 1) * per_hop;
-        assert_eq!(ej[0].at, expected as u64);
-    }
-
-    #[test]
     fn self_addressed_packet_is_delivered_locally() {
         let mut net = net();
         net.enqueue_packet(packet(1, 5, 5, 5, 0));

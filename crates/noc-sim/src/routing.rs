@@ -5,9 +5,11 @@
 //! dimension-order routing with connectivity bits) lives in the
 //! `noc-sprinting` crate and implements this same trait.
 
+use std::convert::Infallible;
 use std::fmt::Debug;
 
 use crate::geometry::{Direction, NodeId, Port};
+use crate::route_check::walk;
 use crate::topology::{Circulant, Topology};
 
 /// Outcome of a fault-aware route computation
@@ -38,22 +40,7 @@ pub trait RoutingFunction: Debug + Send + Sync {
     /// `topo.len()` hops and panics if the route does not converge (which
     /// would indicate a livelock in the routing function).
     fn path_hops(&self, topo: &dyn Topology, src: NodeId, dst: NodeId) -> u32 {
-        let mut cur = src;
-        let mut hops = 0;
-        while cur != dst {
-            let port = self.route(topo, cur, dst);
-            let dir = port
-                .direction()
-                .unwrap_or_else(|| panic!("route({cur}, {dst}) returned Local before arrival"));
-            cur = topo
-                .neighbor(cur, dir)
-                .unwrap_or_else(|| panic!("route({cur}, {dst}) walked off the topology going {dir}"));
-            hops += 1;
-            assert!(
-                hops <= topo.len() as u32,
-                "routing function failed to converge from {src} to {dst}"
-            );
-        }
+        let Ok(hops) = walk(self, topo, src, dst, |_, _, _| Ok::<(), Infallible>(()));
         hops
     }
 
@@ -94,25 +81,7 @@ pub trait RoutingFunction: Debug + Send + Sync {
             return RouteDecision::Forward(Port::Local);
         }
         let primary = self.route(topo, current, dst);
-        if let Some(d) = primary.direction() {
-            if let Some(next) = topo.neighbor(current, d) {
-                if usable(current, next) {
-                    return RouteDecision::Forward(primary);
-                }
-            }
-        }
-        let here = topo.hops(current, dst);
-        for d in Direction::ALL {
-            if Port::Dir(d) == primary {
-                continue;
-            }
-            if let Some(next) = topo.neighbor(current, d) {
-                if topo.hops(next, dst) < here && usable(current, next) {
-                    return RouteDecision::Forward(Port::Dir(d));
-                }
-            }
-        }
-        RouteDecision::Drop
+        minimal_fallback(topo, current, dst, primary, usable, &|_| true)
     }
 
     /// Number of VC *classes* this routing function partitions each vnet's
@@ -138,24 +107,48 @@ pub trait RoutingFunction: Debug + Send + Sync {
     }
 
     /// Full path from `src` to `dst` including both endpoints.
+    ///
+    /// Walks the route like [`path_hops`](Self::path_hops) and panics in
+    /// the same cases.
     fn path(&self, topo: &dyn Topology, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let mut cur = src;
-        let mut path = vec![cur];
-        while cur != dst {
-            let port = self.route(topo, cur, dst);
-            let dir = port
-                .direction()
-                .unwrap_or_else(|| panic!("route({cur}, {dst}) returned Local before arrival"));
-            cur = topo
-                .neighbor(cur, dir)
-                .unwrap_or_else(|| panic!("route({cur}, {dst}) walked off the topology going {dir}"));
-            path.push(cur);
-            assert!(
-                path.len() <= topo.len() + 1,
-                "routing function failed to converge from {src} to {dst}"
-            );
-        }
+        let mut path = vec![src];
+        let Ok(_) = walk(self, topo, src, dst, |_, _, next| {
+            path.push(next);
+            Ok::<(), Infallible>(())
+        });
         path
+    }
+}
+
+/// The fault-aware step every built-in routing function takes: `primary`
+/// while its link is usable, else the first other direction (in
+/// [`Direction::ALL`] order) whose usable link leads to an `allowed` node
+/// strictly closer to `dst`, else [`RouteDecision::Drop`]. Strictly closer
+/// hops keep fallback paths minimal, and so livelock-free.
+pub fn minimal_fallback(
+    topo: &dyn Topology,
+    current: NodeId,
+    dst: NodeId,
+    primary: Port,
+    usable: &dyn Fn(NodeId, NodeId) -> bool,
+    allowed: &dyn Fn(NodeId) -> bool,
+) -> RouteDecision {
+    let Some(pd) = primary.direction() else {
+        return RouteDecision::Forward(Port::Local);
+    };
+    let next = topo.neighbor(current, pd);
+    if next.is_some_and(|next| usable(current, next)) {
+        return RouteDecision::Forward(primary);
+    }
+    let here = topo.hops(current, dst);
+    let closer = |d: Direction| {
+        topo.neighbor(current, d).is_some_and(|next| {
+            allowed(next) && topo.hops(next, dst) < here && usable(current, next)
+        })
+    };
+    match Direction::ALL.into_iter().find(|&d| d != pd && closer(d)) {
+        Some(d) => RouteDecision::Forward(Port::Dir(d)),
+        None => RouteDecision::Drop,
     }
 }
 
@@ -313,8 +306,8 @@ impl RoutingFunction for YxRouting {
 /// crosses the index wrap-around, and 1 after. Within a class, node indices
 /// along same-port chains are strictly monotone, so the extended channel
 /// dependency graph is acyclic; the chord→ring dimension order rules out
-/// inter-dimension cycles. `circulant_cdg_is_acyclic` pins this per
-/// instance by exhaustive path enumeration.
+/// inter-dimension cycles. [`check_routes`](crate::route_check::check_routes)
+/// machine-checks this, for the full topology and for every sprint arc.
 ///
 /// ```
 /// use noc_sim::geometry::NodeId;
@@ -466,125 +459,36 @@ impl RoutingFunction for CirculantRouting {
             return RouteDecision::Forward(Port::Local);
         }
         let primary = self.route(topo, current, dst);
-        let d = primary.direction().expect("non-local route has a direction");
-        let next = topo
-            .neighbor(current, d)
-            .expect("circulant nodes have all four neighbors");
-        if usable(current, next) {
-            return RouteDecision::Forward(primary);
-        }
-        match &self.active {
-            // Full topology: any other minimal hop keeps the walk
-            // livelock-free, exactly like the trait default.
-            None => {
-                let here = topo.hops(current, dst);
-                for alt in Direction::ALL {
-                    if Port::Dir(alt) == primary {
-                        continue;
-                    }
-                    let m = topo.neighbor(current, alt).expect("degree-4 node");
-                    if topo.hops(m, dst) < here && usable(current, m) {
-                        return RouteDecision::Forward(Port::Dir(alt));
-                    }
-                }
-                RouteDecision::Drop
-            }
-            // The in-arc path is unique; with its next hop unusable the
-            // packet is cleanly dropped.
-            Some(_) => RouteDecision::Drop,
-        }
+        // Full topology: any other minimal hop, exactly like the trait
+        // default. The in-arc path is unique; with its next hop unusable
+        // the packet is cleanly dropped.
+        let full = self.active.is_none();
+        minimal_fallback(topo, current, dst, primary, usable, &|_| full)
     }
-}
-
-/// Whether the extended channel dependency graph of
-/// [`CirculantRouting::full`] on C(n; 1, s) is acyclic.
-///
-/// Channels are `(node, direction, vc class)`. Every source→destination
-/// path is walked, recording the dependency from each acquired channel to
-/// the next; a topological sort (Kahn) then decides acyclicity. This is the
-/// machine-checked form of the dateline argument in TOPOLOGY.md, and the
-/// deadlock-freedom proptests sweep it across instances.
-///
-/// # Panics
-///
-/// Panics if `n`/`skip` do not form a valid circulant.
-pub fn circulant_cdg_is_acyclic(n: usize, skip: usize) -> bool {
-    let c = Circulant::new(n, skip).expect("valid circulant");
-    let routing = CirculantRouting::full();
-    let classes = routing.vc_classes();
-    // Dense channel ids: (node, dir, class).
-    let chan = |node: usize, dir: Direction, class: usize| {
-        (node * 4 + dir as usize) * classes + class
-    };
-    let num_chans = n * 4 * classes;
-    let mut edges: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let (src, dst) = (NodeId(src), NodeId(dst));
-            let mut cur = src;
-            let mut prev: Option<usize> = None;
-            while cur != dst {
-                let port = routing.route(&c, cur, dst);
-                let dir = port.direction().expect("non-local");
-                let class = routing.vc_class(&c, cur, port, dst);
-                let id = chan(cur.0, dir, class);
-                if let Some(p) = prev {
-                    edges.insert((p, id));
-                }
-                prev = Some(id);
-                cur = c.neighbor(cur, dir).expect("degree-4 node");
-            }
-        }
-    }
-    // Kahn's algorithm.
-    let mut indeg = vec![0usize; num_chans];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); num_chans];
-    for &(a, b) in &edges {
-        out[a].push(b);
-        indeg[b] += 1;
-    }
-    let mut queue: Vec<usize> = (0..num_chans).filter(|&i| indeg[i] == 0).collect();
-    let mut seen = 0;
-    while let Some(a) = queue.pop() {
-        seen += 1;
-        for &b in &out[a] {
-            indeg[b] -= 1;
-            if indeg[b] == 0 {
-                queue.push(b);
-            }
-        }
-    }
-    seen == num_chans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route_check::{check_routes, RouteReport};
     use crate::topology::Mesh2D;
+
+    /// [`check_routes`] over every node of `topo`, which must pass.
+    fn check_all(topo: &dyn Topology, routing: &dyn RoutingFunction) -> RouteReport {
+        check_routes(topo, routing, &vec![true; topo.len()])
+            .unwrap_or_else(|v| panic!("{} with {routing:?}: {v:?}", topo.label()))
+    }
 
     #[test]
     fn xy_routes_minimally_between_all_pairs() {
-        let mesh = Mesh2D::paper_4x4();
-        let xy = XyRouting;
-        for s in mesh.nodes() {
-            for d in mesh.nodes() {
-                assert_eq!(xy.path_hops(&mesh, s, d), mesh.hops(s, d));
-            }
-        }
+        let report = check_all(&Mesh2D::paper_4x4(), &XyRouting);
+        assert_eq!(report.non_minimal_pairs, 0);
     }
 
     #[test]
     fn yx_routes_minimally_between_all_pairs() {
-        let mesh = Mesh2D::new(5, 3).unwrap();
-        let yx = YxRouting;
-        for s in mesh.nodes() {
-            for d in mesh.nodes() {
-                assert_eq!(yx.path_hops(&mesh, s, d), mesh.hops(s, d));
-            }
-        }
+        let report = check_all(&Mesh2D::new(5, 3).unwrap(), &YxRouting);
+        assert_eq!(report.non_minimal_pairs, 0);
     }
 
     #[test]
@@ -614,12 +518,7 @@ mod tests {
     #[test]
     fn negative_first_is_minimal_everywhere() {
         let mesh = Mesh2D::new(5, 6).unwrap();
-        let nf = NegativeFirstRouting;
-        for s in mesh.nodes() {
-            for d in mesh.nodes() {
-                assert_eq!(nf.path_hops(&mesh, s, d), mesh.hops(s, d));
-            }
-        }
+        assert_eq!(check_all(&mesh, &NegativeFirstRouting).non_minimal_pairs, 0);
     }
 
     #[test]
@@ -736,17 +635,8 @@ mod tests {
     fn circulant_full_routing_is_minimal_between_all_pairs() {
         for (n, skip) in circulant_instances() {
             let topo = Circulant::new(n, skip).unwrap();
-            let routing = CirculantRouting::full();
-            for s in 0..n {
-                for d in 0..n {
-                    let (s, d) = (NodeId(s), NodeId(d));
-                    assert_eq!(
-                        routing.path_hops(&topo, s, d),
-                        topo.hops(s, d),
-                        "non-minimal route {s} -> {d} on C({n}; 1, {skip})"
-                    );
-                }
-            }
+            let report = check_all(&topo, &CirculantRouting::full());
+            assert_eq!(report.non_minimal_pairs, 0, "C({n}; 1, {skip})");
         }
     }
 
@@ -754,25 +644,17 @@ mod tests {
     fn circulant_full_routing_stays_within_diameter() {
         for (n, skip) in circulant_instances() {
             let topo = Circulant::new(n, skip).unwrap();
-            let routing = CirculantRouting::full();
-            for s in 0..n {
-                for d in 0..n {
-                    let hops = routing.path_hops(&topo, NodeId(s), NodeId(d));
-                    assert!(hops <= topo.diameter(), "C({n}; 1, {skip}): {hops} hops");
-                }
-            }
+            let hops = check_all(&topo, &CirculantRouting::full()).max_hops;
+            assert!(hops <= topo.diameter(), "C({n}; 1, {skip}): {hops} hops");
         }
     }
 
     #[test]
     fn circulant_cdg_acyclic_across_instances() {
-        // The dateline VC-class argument, machine-checked: the extended
-        // channel dependency graph is acyclic for every reference instance.
+        // The dateline VC-class argument, machine-checked: `check_all`
+        // fails on any cycle in the extended channel dependency graph.
         for (n, skip) in circulant_instances() {
-            assert!(
-                circulant_cdg_is_acyclic(n, skip),
-                "CDG of C({n}; 1, {skip}) has a cycle"
-            );
+            check_all(&Circulant::new(n, skip).unwrap(), &CirculantRouting::full());
         }
     }
 
@@ -821,16 +703,8 @@ mod tests {
                         active[(start + k) % n] = true;
                     }
                     let routing = CirculantRouting::on_arc(active.clone());
-                    let lit: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
-                    for &s in &lit {
-                        for &d in &lit {
-                            let path = routing.path(&topo, NodeId(s), NodeId(d));
-                            assert_eq!(path.last(), Some(&NodeId(d)));
-                            assert!(path.len() <= n, "overlong arc path {path:?}");
-                            for hop in &path {
-                                assert!(active[hop.0], "dark router {hop} on {s}->{d}");
-                            }
-                        }
+                    if let Err(v) = check_routes(&topo, &routing, &active) {
+                        panic!("C({n}; 1, {skip}) arc {start}+{len}: {v:?}");
                     }
                 }
             }

@@ -305,7 +305,7 @@ impl Topology for Mesh2D {
     }
 
     fn deadlock_freedom(&self) -> &'static str {
-        "CDOR turn restriction is cycle-free on every convex region (Dally–Seitz CDG acyclicity, pinned by `is_deadlock_free`)"
+        "CDOR turn restriction is cycle-free on every convex region (Dally–Seitz CDG acyclicity, pinned by `check_routes`)"
     }
 
     fn routing_name(&self) -> &'static str {
@@ -483,7 +483,7 @@ impl Topology for Circulant {
     }
 
     fn deadlock_freedom(&self) -> &'static str {
-        "chord-first dimension order + 2 dateline VC classes per dimension; extended CDG acyclicity pinned by `circulant_cdg_is_acyclic`"
+        "chord-first dimension order + 2 dateline VC classes per dimension; extended CDG acyclicity pinned by `check_routes`, arcs included"
     }
 
     fn routing_name(&self) -> &'static str {

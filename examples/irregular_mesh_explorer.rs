@@ -11,9 +11,9 @@
 //! ```
 
 use noc_sim::geometry::NodeId;
-use noc_sim::routing::RoutingFunction;
+use noc_sim::route_check::check_routes;
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
+use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::convex::sprint_set_is_convex;
 use noc_sprinting::sprint_topology::SprintSet;
 use noc_sprinting_examples::section;
@@ -63,22 +63,18 @@ fn main() {
     let mut checked_pairs = 0u64;
     for level in 1..=mesh.len() {
         let set = SprintSet::new(mesh, master, level);
-        let cdor = CdorRouting::new(&set);
-        for &s in set.active_nodes() {
-            for &d in set.active_nodes() {
-                let hops = cdor.path_hops(&mesh, s, d);
-                assert_eq!(hops, mesh.hops(s, d), "CDOR must stay minimal");
-                checked_pairs += 1;
-            }
-        }
+        let report = check_routes(&mesh, &CdorRouting::new(&set), set.mask())
+            .expect("CDOR must stay inside the region and deadlock-free");
+        assert_eq!(report.non_minimal_pairs, 0, "CDOR must stay minimal");
+        // `pairs` excludes src == dst; the printed count includes them.
+        checked_pairs += (report.pairs + set.active_nodes().len()) as u64;
     }
     println!("checked {checked_pairs} source/destination pairs: all minimal, none dark");
 
     section("channel-dependency (deadlock) checks on sampled levels");
     for level in [5usize, 13, 29, 47, 64] {
         let set = SprintSet::new(mesh, master, level);
-        let cdor = CdorRouting::new(&set);
-        let free = is_deadlock_free(&mesh, &cdor, set.mask());
+        let free = check_routes(&mesh, &CdorRouting::new(&set), set.mask()).is_ok();
         println!("level {level:>2}: CDG acyclic = {free}");
         assert!(free);
     }

@@ -221,12 +221,12 @@ fn vnets_work_inside_sprint_regions() {
 /// confirm it with the same channel-dependency machinery used for CDOR.
 #[test]
 fn negative_first_routing_cdg_is_acyclic() {
+    use noc_sim::route_check::check_routes;
     use noc_sim::routing::NegativeFirstRouting;
-    use noc_sprinting::cdor::is_deadlock_free;
     for (w, h) in [(4u16, 4u16), (5, 3), (6, 6)] {
         let mesh = Mesh2D::new(w, h).unwrap();
         let active = vec![true; mesh.len()];
-        assert!(is_deadlock_free(&mesh, &NegativeFirstRouting, &active));
+        assert!(check_routes(&mesh, &NegativeFirstRouting, &active).is_ok());
     }
 }
 

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 
 use noc_sim::geometry::NodeId;
+use noc_sim::route_check::check_routes;
 use noc_sim::routing::{RoutingFunction, XyRouting};
 use noc_sim::topology::Mesh2D;
-use noc_sprinting::cdor::{is_deadlock_free, CdorRouting};
+use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::convex::sprint_set_is_convex;
 use noc_sprinting::floorplan::Floorplan;
 use noc_sprinting::sprint_topology::{sprint_order, SprintSet};
@@ -49,16 +50,8 @@ proptest! {
         (mesh, master, level) in mesh_master_level()
     ) {
         let set = SprintSet::new(mesh, master, level);
-        let cdor = CdorRouting::new(&set);
-        for &s in set.active_nodes() {
-            for &d in set.active_nodes() {
-                let path = cdor.path(&mesh, s, d);
-                prop_assert_eq!(path.len() as u32 - 1, mesh.hops(s, d));
-                for n in path {
-                    prop_assert!(set.is_active(n));
-                }
-            }
-        }
+        let report = check_routes(&mesh, &CdorRouting::new(&set), set.mask());
+        prop_assert_eq!(report.map(|r| r.non_minimal_pairs), Ok(0));
     }
 
     #[test]
@@ -66,8 +59,7 @@ proptest! {
         (mesh, master, level) in mesh_master_level()
     ) {
         let set = SprintSet::new(mesh, master, level);
-        let cdor = CdorRouting::new(&set);
-        prop_assert!(is_deadlock_free(&mesh, &cdor, set.mask()));
+        prop_assert!(check_routes(&mesh, &CdorRouting::new(&set), set.mask()).is_ok());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use noc_sim::geometry::NodeId;
 use noc_sim::network::{Network, StepEngine};
+use noc_sim::route_check::check_routes;
 use noc_sim::router::RouterParams;
 use noc_sim::routing::{CirculantRouting, RoutingFunction, XyRouting};
 use noc_sim::sim::{SimConfig, Simulation};
@@ -28,15 +29,33 @@ use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 // Mesh bit-identity pin
 // ---------------------------------------------------------------------------
 
-/// `(level, rate, seed, baseline)` → pinned
+/// A pinned point: `(topology, level, pattern, rate, seed, baseline)`.
+type PinnedJob = (
+    TopologySpec,
+    usize,
+    TrafficPattern,
+    f64,
+    u64,
+    SyntheticBaseline,
+);
+
+/// [`PinnedJob`] → pinned
 /// `(avg_packet_latency, avg_network_latency, network_power,
 /// accepted_throughput, saturated)` with the `f64`s as raw bit patterns.
+///
+/// The first six rows were captured from the pre-trait code. The rest —
+/// circulant sprinting and baseline points, a saturated mesh point, and
+/// every traffic pattern at level 16 — were captured from the code before
+/// the route-check refactor, to pin the engine before it is optimised.
 #[allow(clippy::type_complexity)]
-fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64, u64, bool))> {
+fn pinned_points() -> Vec<(PinnedJob, (u64, u64, u64, u64, bool))> {
     use SyntheticBaseline::{NocSprinting, RandomEndpoints, SpreadAggregate};
+    use TrafficPattern::*;
+    let mesh = TopologySpec::default();
+    let circ = TopologySpec::from_wire_name("circ16s5").unwrap();
     vec![
         (
-            (4, 0.05, 1, NocSprinting),
+            (mesh, 4, UniformRandom, 0.05, 1, NocSprinting),
             (
                 0x4032aec02944ff5b,
                 0x403284d615eca7a8,
@@ -46,7 +65,7 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
             ),
         ),
         (
-            (4, 0.25, 2, NocSprinting),
+            (mesh, 4, UniformRandom, 0.25, 2, NocSprinting),
             (
                 0x403451867da9cd1d,
                 0x403342776e9abe0e,
@@ -56,7 +75,7 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
             ),
         ),
         (
-            (8, 0.12, 3, NocSprinting),
+            (mesh, 8, UniformRandom, 0.12, 3, NocSprinting),
             (
                 0x403649ee7e5111a4,
                 0x4035d8688033b634,
@@ -66,7 +85,7 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
             ),
         ),
         (
-            (16, 0.08, 4, NocSprinting),
+            (mesh, 16, UniformRandom, 0.08, 4, NocSprinting),
             (
                 0x40399b489f0954cb,
                 0x403953c7338649d7,
@@ -76,7 +95,7 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
             ),
         ),
         (
-            (8, 0.12, 3, SpreadAggregate),
+            (mesh, 8, UniformRandom, 0.12, 3, SpreadAggregate),
             (
                 0x4039d96f0b4dcc23,
                 0x4039a45f37fcceee,
@@ -86,12 +105,119 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
             ),
         ),
         (
-            (4, 0.12, 5, RandomEndpoints),
+            (mesh, 4, UniformRandom, 0.12, 5, RandomEndpoints),
             (
                 0x403dfd0d229481be,
                 0x403d98427ac5d493,
                 0x3fc9042608050fbc,
                 0x3fbe978d4fdf3b64,
+                false,
+            ),
+        ),
+        (
+            (circ, 8, UniformRandom, 0.10, 6, NocSprinting),
+            (
+                0x403b8eac040c246d,
+                0x403b39d833447813,
+                0x3fc345376259f6c8,
+                0x3fb84c2f837b4a23,
+                false,
+            ),
+        ),
+        (
+            (circ, 8, UniformRandom, 0.10, 7, RandomEndpoints),
+            (
+                0x4037bf295cc93903,
+                0x40375d95a3b16d65,
+                0x3fca614353f729ea,
+                0x3fb9bc01a36e2eb2,
+                false,
+            ),
+        ),
+        (
+            (circ, 16, UniformRandom, 0.10, 8, NocSprinting),
+            (
+                0x40375857dae7d700,
+                0x403701f3cc435b07,
+                0x3fd137538dcd86d1,
+                0x3fb925aee631f8a1,
+                false,
+            ),
+        ),
+        (
+            (mesh, 8, UniformRandom, 0.95, 9, NocSprinting),
+            (
+                0x40a4b529267e4b09,
+                0x404345175bbc20c2,
+                0x3fe05a86940357a2,
+                0x3fe693f7ced91687,
+                true,
+            ),
+        ),
+        (
+            (mesh, 16, Transpose, 0.10, 10, NocSprinting),
+            (
+                0x4034055109815e92,
+                0x4033adc12b040717,
+                0x3fcf657fa72346b6,
+                0x3fb97525460aa64c,
+                false,
+            ),
+        ),
+        (
+            (mesh, 16, BitComplement, 0.10, 10, NocSprinting),
+            (
+                0x403a83f2778ab6b2,
+                0x403a2be6de019c6f,
+                0x3fd33ea9cb1f6089,
+                0x3fb97e28240b7803,
+                false,
+            ),
+        ),
+        (
+            (mesh, 16, Tornado, 0.10, 10, NocSprinting),
+            (
+                0x403a19c6f7c89438,
+                0x4039c26057a47daa,
+                0x3fd3200110f1f6c5,
+                0x3fb97d566cf41f21,
+                false,
+            ),
+        ),
+        (
+            (mesh, 16, Shuffle, 0.10, 10, NocSprinting),
+            (
+                0x40360633e06c43aa,
+                0x4035aeb8a11b8ca6,
+                0x3fd0c5fbe7e15dfb,
+                0x3fb979a6b50b0f28,
+                false,
+            ),
+        ),
+        (
+            (mesh, 16, NearestNeighbor, 0.10, 10, NocSprinting),
+            (
+                0x403af0efba66c962,
+                0x403a98f8c00a4f96,
+                0x3fd37fa2e5822c3d,
+                0x3fb979a6b50b0f28,
+                false,
+            ),
+        ),
+        (
+            (
+                mesh,
+                16,
+                Hotspot { hot_fraction: 0.2 },
+                0.10,
+                10,
+                NocSprinting,
+            ),
+            (
+                0x403add8f67b905f8,
+                0x403a7303b5cc0ed7,
+                0x3fd3342eedbf90c2,
+                0x3fb95f06f6944674,
                 false,
             ),
         ),
@@ -101,11 +227,11 @@ fn pinned_points() -> Vec<((usize, f64, u64, SyntheticBaseline), (u64, u64, u64,
 #[test]
 fn mesh_runs_are_bit_identical_to_pre_trait_refactor() {
     let exp = Experiment::paper();
-    for ((level, rate, seed, baseline), pin) in pinned_points() {
+    for ((topology, level, pattern, rate, seed, baseline), pin) in pinned_points() {
         let job = SyntheticJob {
-            topology: TopologySpec::default(),
+            topology,
             level,
-            pattern: TrafficPattern::UniformRandom,
+            pattern,
             rate,
             seed,
             baseline,
@@ -119,8 +245,10 @@ fn mesh_runs_are_bit_identical_to_pre_trait_refactor() {
             m.saturated,
         );
         assert_eq!(
-            got, pin,
-            "mesh drift at level {level} rate {rate} seed {seed} {baseline:?}"
+            got,
+            pin,
+            "drift on {} at level {level} {pattern:?} rate {rate} seed {seed} {baseline:?}",
+            topology.wire_name()
         );
     }
 }
@@ -211,8 +339,8 @@ fn circulant_simulation_delivers_on_both_engines() {
 }
 
 /// Every reference topology's canonical routing function reaches every
-/// destination from every source within `diameter()` hops, takes exactly
-/// `hops()` of them (minimality), and never visits a node twice.
+/// destination from every source within `diameter()` hops and takes
+/// exactly `hops()` of them (minimality).
 #[test]
 fn reference_topologies_route_minimally_within_diameter() {
     for spec in reference_specs() {
@@ -222,25 +350,14 @@ fn reference_topologies_route_minimally_within_diameter() {
         } else {
             Box::new(CirculantRouting::full())
         };
-        for src in 0..topo.len() {
-            for dst in 0..topo.len() {
-                let expect = topo.hops(NodeId(src), NodeId(dst));
-                assert!(expect <= topo.diameter(), "{spec:?}: hops exceed diameter");
-                let mut at = NodeId(src);
-                let mut visited = vec![false; topo.len()];
-                let mut steps = 0u32;
-                while at != NodeId(dst) {
-                    assert!(!visited[at.0], "{spec:?} {src}->{dst}: revisited {at}");
-                    visited[at.0] = true;
-                    let port = routing.route(topo.as_dyn(), at, NodeId(dst));
-                    let dir = port.direction().expect("non-local hop has a direction");
-                    at = topo.neighbor(at, dir).expect("routed into a missing link");
-                    steps += 1;
-                    assert!(steps <= topo.diameter(), "{spec:?} {src}->{dst}: overran");
-                }
-                assert_eq!(steps, expect, "{spec:?} {src}->{dst}: non-minimal path");
-            }
-        }
+        let report = check_routes(topo.as_dyn(), routing.as_ref(), &vec![true; topo.len()])
+            .unwrap_or_else(|v| panic!("{spec:?}: {v:?}"));
+        assert_eq!(report.non_minimal_pairs, 0, "{spec:?}: non-minimal paths");
+        let hops = report.max_hops;
+        assert!(
+            hops <= topo.diameter(),
+            "{spec:?}: {hops} hops exceed diameter"
+        );
     }
 }
 
