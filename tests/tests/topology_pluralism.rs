@@ -7,23 +7,27 @@
 //!    The pins below are `f64` bit patterns captured from the pre-trait
 //!    code on the paper experiment; any behavioural drift — routing,
 //!    allocator, power model — fails these, not just "roughly equal".
+//!    Reactive-gating and fault-schedule runs are pinned the same way.
 //! 2. **Circulant correctness on both cycle engines**: the ring-circulant
 //!    C(16; 1, 5) runs in lockstep on the active-set engine and the
 //!    exhaustive-sweep oracle, delivers traffic, and never enters a dark
 //!    router when sprinting on a partial ring arc.
 
+use noc_sim::fault::{FaultPlan, RandomFaultConfig};
 use noc_sim::geometry::NodeId;
-use noc_sim::network::{Network, StepEngine};
+use noc_sim::network::{GatingMode, Network, StepEngine};
 use noc_sim::route_check::check_routes;
 use noc_sim::router::RouterParams;
 use noc_sim::routing::{CirculantRouting, RoutingFunction, XyRouting};
-use noc_sim::sim::{SimConfig, Simulation};
+use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
 use noc_sim::topology::{
-    reference_specs, topology_reference, Circulant, Topo, TopologySpec,
+    reference_specs, topology_reference, Circulant, Mesh2D, Topo, TopologySpec,
 };
-use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
+use noc_sim::traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};
+use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
+use noc_sprinting::sprint_topology::SprintSet;
 
 // ---------------------------------------------------------------------------
 // Mesh bit-identity pin
@@ -253,6 +257,237 @@ fn mesh_runs_are_bit_identical_to_pre_trait_refactor() {
     }
 }
 
+/// A pinned reactive-gating point:
+/// `(level, pattern, rate, idle_threshold, wakeup_latency, bursts, seed)`.
+type ReactiveJob = (
+    usize,
+    TrafficPattern,
+    f64,
+    u64,
+    u64,
+    Option<BurstSchedule>,
+    u64,
+);
+
+/// [`ReactiveJob`] → pinned `(avg_packet_latency, avg_network_latency,
+/// network_power, accepted_throughput, saturated)` as raw bit patterns,
+/// captured from the code before the exhaustive oracle became a filled
+/// work-list. Reactive power prices every router's sleep cycles, so the
+/// power bits pin the sleep schedule too.
+#[allow(clippy::type_complexity)]
+fn reactive_pinned_points() -> Vec<(ReactiveJob, (u64, u64, u64, u64, bool))> {
+    use TrafficPattern::*;
+    let bursts = BurstSchedule {
+        on_cycles: 200,
+        off_cycles: 600,
+    };
+    vec![
+        (
+            (16, UniformRandom, 0.10, 10, 8, None, 3),
+            (
+                0x4040fac18ca215ee,
+                0x403f3a00515c5344,
+                0x3ff19976916dda5b,
+                0x3fb9bfb15b573eab,
+                false,
+            ),
+        ),
+        (
+            (16, UniformRandom, 0.10, 64, 8, None, 3),
+            (
+                0x403a49bbab76117b,
+                0x4039d0b99a9df43e,
+                0x3fd50830372abba1,
+                0x3fb9c2f837b4a234,
+                false,
+            ),
+        ),
+        (
+            (8, Tornado, 0.20, 64, 10, Some(bursts), 5),
+            (
+                0x403957fd57fd57fd,
+                0x4036d42bd42bd42c,
+                0x3fb6be1a23e503f2,
+                0x3fa8ac083126e979,
+                true,
+            ),
+        ),
+        (
+            (8, UniformRandom, 0.95, 10, 8, None, 7),
+            (
+                0x409eb111c2b9952a,
+                0x40422d22ff574847,
+                0x3fe275d9083603c3,
+                0x3fe7bc6a7ef9db23,
+                true,
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn reactive_gating_runs_are_bit_identical_to_pre_oracle_refactor() {
+    let exp = Experiment::paper();
+    for ((level, pattern, rate, idle, wake, bursts, seed), pin) in reactive_pinned_points() {
+        let m = exp
+            .run_network_reactive(level, pattern, rate, idle, wake, bursts, seed)
+            .unwrap();
+        let got = (
+            m.avg_packet_latency.to_bits(),
+            m.avg_network_latency.to_bits(),
+            m.network_power.to_bits(),
+            m.accepted_throughput.to_bits(),
+            m.saturated,
+        );
+        assert_eq!(
+            got, pin,
+            "drift at level {level} {pattern:?} rate {rate} idle {idle} wake {wake} {bursts:?}"
+        );
+    }
+}
+
+/// Pinned outcome of one faulted run: `(avg_packet_latency,
+/// avg_network_latency, accepted_throughput)` bits, measured packets
+/// delivered, the `FaultStats` fields in declaration order, and the
+/// summed `(sleep_cycles, wakeups)` over every router.
+type FaultPin = (u64, u64, u64, u64, [u64; 9], (u64, u64));
+
+fn fault_pin(out: &SimOutcome) -> FaultPin {
+    let f = out.faults;
+    let sleep = out
+        .sleep_stats
+        .iter()
+        .fold((0, 0), |(s, w), &(ds, dw)| (s + ds, w + dw));
+    (
+        out.stats.avg_packet_latency().to_bits(),
+        out.stats.avg_network_latency().to_bits(),
+        out.stats.accepted_throughput().to_bits(),
+        out.stats.packets_delivered,
+        [
+            f.packets_dropped,
+            f.measured_packets_dropped,
+            f.flits_dropped,
+            f.reroutes,
+            f.wakeup_delays,
+            f.link_down_events,
+            f.link_up_events,
+            f.freeze_events,
+            f.thaw_events,
+        ],
+        sleep,
+    )
+}
+
+/// Runs uniform traffic at `rate` on the fully lit 4x4 mesh under CDOR
+/// (so dead links force reroutes and drops) with `plan` installed.
+fn faulted_run(plan: &FaultPlan, reactive: bool, rate: f64, seed: u64) -> SimOutcome {
+    let mesh = Mesh2D::paper_4x4();
+    let set = SprintSet::new(mesh, NodeId(0), mesh.len());
+    let mut net = Network::new(
+        mesh,
+        RouterParams::paper(),
+        Box::new(CdorRouting::new(&set)),
+    )
+    .unwrap();
+    if reactive {
+        net.set_gating_mode(GatingMode::Reactive {
+            idle_threshold: 20,
+            wakeup_latency: 6,
+        });
+    }
+    net.set_fault_plan(plan).unwrap();
+    let traffic = TrafficGen::new(
+        TrafficPattern::UniformRandom,
+        Placement::full(&mesh),
+        rate,
+        5,
+        seed,
+    )
+    .unwrap();
+    Simulation::new(net, traffic, SimConfig::quick())
+        .run()
+        .unwrap()
+}
+
+/// Four random plans with permanent kills (two under reactive gating) and
+/// one explicit drop/freeze/kill/delayed-wake plan, pinned like
+/// [`reactive_pinned_points`] and captured from the same code.
+#[test]
+fn fault_schedule_runs_are_bit_identical_to_pre_oracle_refactor() {
+    let mesh = Mesh2D::paper_4x4();
+    let random = |seed| {
+        FaultPlan::random(
+            &mesh,
+            &vec![true; mesh.len()],
+            &RandomFaultConfig {
+                permanent_kills: 2,
+                freeze_prob: 0.1,
+                wakeup_delay_prob: 0.2,
+                ..RandomFaultConfig::light(2_500)
+            },
+            seed,
+        )
+    };
+    let explicit = FaultPlan::new()
+        .link_drop(NodeId(1), NodeId(2), 300, 700)
+        .router_freeze(NodeId(9), 900, 1_100)
+        .link_kill(NodeId(5), NodeId(6), 1_200)
+        .wakeup_delay(NodeId(10), 0, 40);
+    let runs = [
+        (random(1), false, 0.10, 11),
+        (random(2), false, 0.20, 12),
+        (random(3), true, 0.05, 13),
+        (random(4), true, 0.15, 14),
+        (explicit, true, 0.10, 15),
+    ];
+    let pins: [FaultPin; 5] = [
+        (
+            0x403963ca1af286bd,
+            0x403905e50d79435e,
+            0x3fb84fdf3b645a1d,
+            608,
+            [24, 24, 120, 0, 0, 5, 3, 0, 0],
+            (0, 0),
+        ),
+        (
+            0x403d77658f87226a,
+            0x403b8d383c6ecb1f,
+            0x3fc879db22d0e560,
+            1220,
+            [60, 57, 299, 1, 0, 3, 1, 4, 4],
+            (0, 0),
+        ),
+        (
+            0x40421e6666666666,
+            0x40406a6666666666,
+            0x3fa9b645a1cac083,
+            320,
+            [15, 13, 75, 0, 4, 11, 9, 3, 3],
+            (9549, 345),
+        ),
+        (
+            0x403d2938f9f605c7,
+            0x403bc63c63c63c64,
+            0x3fc37be76c8b4396,
+            975,
+            [45, 43, 221, 0, 2, 3, 1, 3, 3],
+            (1464, 112),
+        ),
+        (
+            0x403f683b4fcf27b0,
+            0x403d288f0bc66ec6,
+            0x3fb77ef9db22d0e5,
+            587,
+            [7, 7, 35, 0, 1, 2, 1, 1, 1],
+            (4093, 244),
+        ),
+    ];
+    for (i, ((plan, reactive, rate, seed), pin)) in runs.iter().zip(pins).enumerate() {
+        let got = fault_pin(&faulted_run(plan, *reactive, *rate, *seed));
+        assert_eq!(got, pin, "drift on faulted run {i}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Circulant on both cycle engines
 // ---------------------------------------------------------------------------
@@ -327,7 +562,9 @@ fn circulant_simulation_delivers_on_both_engines() {
             3,
         )
         .unwrap();
-        let out = Simulation::new(net, traffic, SimConfig::sweep()).run().unwrap();
+        let out = Simulation::new(net, traffic, SimConfig::sweep())
+            .run()
+            .unwrap();
         assert!(out.stats.packet_latency.count() > 0, "nothing delivered");
         assert!(out.stats.packet_latency.mean().unwrap().is_finite());
         outcomes.push((
@@ -335,7 +572,10 @@ fn circulant_simulation_delivers_on_both_engines() {
             out.stats.packet_latency.mean().unwrap().to_bits(),
         ));
     }
-    assert_eq!(outcomes[0], outcomes[1], "engines disagree on the circulant");
+    assert_eq!(
+        outcomes[0], outcomes[1],
+        "engines disagree on the circulant"
+    );
 }
 
 /// Every reference topology's canonical routing function reaches every
@@ -397,12 +637,7 @@ fn circulant_arc_region_never_enters_dark_routers() {
         // matches the circulant's sprint_weight order.
         let topo = Topo::from(Circulant::new(n, 5).unwrap());
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| {
-            (
-                topo.sprint_weight(NodeId(0), NodeId(i)),
-                i,
-            )
-        });
+        order.sort_by_key(|&i| (topo.sprint_weight(NodeId(0), NodeId(i)), i));
         let mut active = vec![false; n];
         for &i in order.iter().take(level) {
             active[i] = true;
@@ -426,8 +661,13 @@ fn circulant_arc_region_never_enters_dark_routers() {
             )
             .unwrap();
             // Any dark-router entry fails the run with DarkRouterEntered.
-            let out = Simulation::new(net, traffic, SimConfig::sweep()).run().unwrap();
-            assert!(out.stats.packet_latency.count() > 0, "level {level}: no traffic");
+            let out = Simulation::new(net, traffic, SimConfig::sweep())
+                .run()
+                .unwrap();
+            assert!(
+                out.stats.packet_latency.count() > 0,
+                "level {level}: no traffic"
+            );
         }
     }
 }
