@@ -1,4 +1,8 @@
-//! Benchmarks the active-set cycle engine against the exhaustive sweep.
+//! Benchmarks the active-set cycle engine against the exhaustive
+//! reference. Both run the same stage driver; the reference fills every
+//! work-list with every node at each step start and runs the
+//! allocation-heavy VA and SA bodies, so its ns/cycle is the cost of
+//! visiting every node with the reference allocators.
 //!
 //! The scenarios bracket the design space:
 //!
@@ -6,7 +10,7 @@
 //!   uniform traffic — no idleness to exploit, so these measure the
 //!   struct-of-arrays hot path (flat per-stage arrays, per-port phase
 //!   masks, allocation-free allocator bodies) against the
-//!   allocation-heavy oracle sweep. Rates sit at ~50-60% of the
+//!   allocation-heavy reference. Rates sit at ~50-60% of the
 //!   uniform-random saturation knee (`2*B/N` flits/node/cycle for `B`
 //!   bisection links, i.e. 0.1 / 0.025 / 0.0125 flits for 4x4 / 16x16 /
 //!   32x32 at 5 flits per packet): the operating region a sweep actually

@@ -13,33 +13,31 @@
 //!
 //! # Cycle engines
 //!
-//! Two interchangeable engines drive the stages (see [`StepEngine`]):
+//! One driver runs the stages: each stage visits only its work-list —
+//! routers with buffered flits, nodes with in-flight link flits or credits,
+//! busy NIs, and due sleep checks — in ascending node order. Work scales
+//! with *activity*, not mesh capacity, which is the whole point of
+//! simulating dark silicon: a mostly-dark 16×16 mesh costs little more than
+//! the sprinting region it actually exercises. The allocator bodies are
+//! allocation-free struct-of-arrays scans over the [`crate::soa::VcStore`]
+//! masks, so even a *fully-lit* mesh streams linearly through memory.
 //!
-//! * **Active-set** (default): every stage visits only its work-list —
-//!   routers with buffered flits, nodes with in-flight link flits or
-//!   credits, busy NIs, and scheduled sleep checks — in ascending node
-//!   order. Work scales with *activity*, not mesh capacity, which is the
-//!   whole point of simulating dark silicon: a mostly-dark 16×16 mesh costs
-//!   little more than the sprinting region it actually exercises. Its
-//!   allocator bodies are allocation-free struct-of-arrays scans over the
-//!   [`crate::soa::VcStore`] masks, so even a *fully-lit* mesh streams
-//!   linearly through memory.
-//! * **Exhaustive sweep**: the original iterate-everything driver with the
-//!   original allocation-heavy per-node allocator bodies, kept as a
-//!   differential oracle.
+//! The differential reference ([`StepEngine::ExhaustiveSweep`]) runs the
+//! same driver but fills every work-list with every node at step start —
+//! a superset the work-list invariants allow — so it never trusts the
+//! lists it checks. It uses the original allocation-heavy VA and SA bodies
+//! and never fast-forwards idle cycles. The two allocator formulations are
+//! provably the same arbitration (rotating priority is a cyclic scan; the
+//! proofs live on the fast bodies), so the engines are bit-identical at
+//! every cycle (pinned by the equivalence suite).
 //!
-//! The two allocator formulations are provably the same arbitration
-//! (rotating priority is a cyclic scan; the proofs live on the fast bodies),
-//! so the engines are bit-identical at every cycle (pinned by the
-//! equivalence suite), and the active-set bookkeeping is maintained under
-//! either engine, so switching mid-run is safe. Link traversals and credit
-//! returns are batched per cycle: stage bodies append to pending buffers and
-//! one end-of-step flush lands them in the per-node queues — observation-
-//! equivalent because arrivals are strictly in the future and the flush
-//! preserves per-queue append order. When the network is quiescent,
-//! [`Network::quiescence`] and [`Network::skip_idle_cycles`] let callers
-//! fast-forward `now` to the next scheduled event without stepping through
-//! empty cycles.
+//! Link traversals and credit returns are batched per cycle: stage bodies
+//! append to pending buffers and one end-of-step flush lands them in the
+//! per-node queues — observation-equivalent because arrivals are strictly
+//! in the future and the flush preserves per-queue append order. When the
+//! network is quiescent, [`Network::quiescence`] and
+//! [`Network::skip_idle_cycles`] let callers fast-forward `now` to the next
+//! scheduled event without stepping through empty cycles.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -241,14 +239,15 @@ pub struct StepReport {
     pub ejections: usize,
 }
 
-/// Which driver advances the pipeline stages each cycle.
+/// How the stage driver advances the pipeline each cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepEngine {
-    /// Visit only the work-lists (default). Cost scales with activity.
+    /// Visit only the work-lists, with the fast allocator bodies (default).
     #[default]
     ActiveSet,
-    /// Visit every node in every stage — the original driver, kept as a
-    /// differential oracle for the active-set engine.
+    /// The differential reference: every work-list is filled with every
+    /// node at step start, VA and SA use the allocation-heavy reference
+    /// bodies, and [`Network::skip_idle_cycles`] never skips.
     ExhaustiveSweep,
 }
 
@@ -287,6 +286,16 @@ impl NodeSet {
         }
     }
 
+    /// Makes every node in `0..len` a member, and nothing beyond it.
+    fn fill(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len / 64, u64::MAX);
+        let tail = len % 64;
+        if tail != 0 {
+            self.words.push((1 << tail) - 1);
+        }
+    }
+
     #[inline]
     fn insert(&mut self, node: usize) {
         self.words[node >> 6] |= 1u64 << (node & 63);
@@ -310,9 +319,8 @@ impl NodeSet {
     }
 
     /// Visits members in ascending node order; `f` returns whether the node
-    /// stays in the set. Each word is snapshotted before its visits and
-    /// drops clear single bits, so insertions `f` makes elsewhere in the
-    /// set survive untouched.
+    /// stays in the set. The driver `mem::take`s a work-list before visiting
+    /// it, so `f` cannot insert into the set being visited.
     fn retain_visit(&mut self, mut f: impl FnMut(usize) -> bool) {
         for w in 0..self.words.len() {
             let mut bits = self.words[w];
@@ -348,6 +356,8 @@ struct ActiveState {
     credit: NodeSet,
     ni: NodeSet,
     router: NodeSet,
+    /// Due sleep checks; filled and drained within the sleep stage.
+    sleep_due: NodeSet,
     /// Flits waiting in `link_in` per node, all ports.
     link_pending: Vec<u32>,
     /// In-flight credits per node (router `credit_in` + NI credit queue).
@@ -378,6 +388,7 @@ impl ActiveState {
             credit: NodeSet::new(len),
             ni: NodeSet::new(len),
             router: NodeSet::new(len),
+            sleep_due: NodeSet::new(len),
             link_pending: vec![0; len],
             credit_pending: vec![0; len],
             buffered: vec![0; len],
@@ -424,13 +435,10 @@ pub struct Network {
     faults: Option<FaultState>,
     /// Fault consequence counters (drops, reroutes, delayed wake-ups).
     fault_stats: FaultStats,
-    /// Work-lists and occupancy counters for the active-set engine;
-    /// maintained under either engine so switching mid-run is safe.
+    /// Work-lists and occupancy counters driving every stage.
     active: ActiveState,
-    /// Which driver runs the pipeline stages.
+    /// Whether the stages run as the differential reference.
     engine: StepEngine,
-    /// Whether [`Network::skip_idle_cycles`] may fast-forward `now`.
-    fast_forward: bool,
     /// Per-stage busy-cycle counters (see [`StageCycles`]).
     stage_cycles: StageCycles,
     /// Credits produced this cycle, flushed at end of step.
@@ -536,7 +544,6 @@ impl Network {
             fault_stats: FaultStats::default(),
             active: ActiveState::new(len),
             engine: StepEngine::ActiveSet,
-            fast_forward: true,
             stage_cycles: StageCycles::default(),
             pending_credits: Vec::new(),
             pending_links: Vec::new(),
@@ -863,31 +870,18 @@ impl Network {
         self.in_flight() == 0 && self.active.busy_nis == 0
     }
 
-    /// Selects the cycle-engine driver (default: [`StepEngine::ActiveSet`]).
+    /// Selects the cycle engine (default: [`StepEngine::ActiveSet`]).
     ///
-    /// Both engines are bit-identical at every cycle, and the active-set
-    /// bookkeeping is maintained under either driver, so switching mid-run
-    /// is safe. The exhaustive sweep exists as a differential oracle for
-    /// tests and should not be used on hot paths.
+    /// The engines are bit-identical at every cycle and a reference step
+    /// leaves the work-lists exact, so switching mid-run is safe. The
+    /// reference is for tests and the engine bench, not hot paths.
     pub fn set_step_engine(&mut self, engine: StepEngine) {
         self.engine = engine;
     }
 
-    /// The cycle-engine driver in use.
+    /// The cycle engine in use.
     pub fn step_engine(&self) -> StepEngine {
         self.engine
-    }
-
-    /// Enables or disables idle fast-forward (default: enabled). This only
-    /// gates [`Network::skip_idle_cycles`]; [`Network::step`] itself never
-    /// skips cycles.
-    pub fn set_idle_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Whether idle fast-forward is enabled.
-    pub fn idle_fast_forward(&self) -> bool {
-        self.fast_forward
     }
 
     /// How long the network is guaranteed to produce no events.
@@ -919,10 +913,11 @@ impl Network {
     /// flits, credits, or busy NIs, every stage is a no-op and the
     /// [`StepReport`] would be all-zero, and the jump never passes a
     /// scheduled fault or sleep event (those fire when stepping resumes at
-    /// the target cycle). Returns 0 when fast-forward is disabled, the
-    /// network is active, or `bound <= now`.
+    /// the target cycle). Returns 0 under [`StepEngine::ExhaustiveSweep`],
+    /// which steps every cycle as the reference, when the network is
+    /// active, or when `bound <= now`.
     pub fn skip_idle_cycles(&mut self, bound: u64) -> u64 {
-        if !self.fast_forward || bound <= self.now {
+        if self.engine == StepEngine::ExhaustiveSweep || bound <= self.now {
             return 0;
         }
         let target = match self.quiescence() {
@@ -1081,6 +1076,15 @@ impl Network {
         let now = self.now;
         let mut events = 0usize;
 
+        // The reference trusts no work-list: every stage visits every node.
+        if self.engine == StepEngine::ExhaustiveSweep {
+            let len = self.routers.len();
+            let a = &mut self.active;
+            for set in [&mut a.link, &mut a.credit, &mut a.ni, &mut a.router, &mut a.sleep_due] {
+                set.fill(len);
+            }
+        }
+
         // Stage -2: report scheduled fault transitions (observation only;
         // not pipeline progress, so not counted in `events`).
         self.emit_fault_events(now, probe.as_deref_mut());
@@ -1194,43 +1198,34 @@ impl Network {
 
     /// Reactive-gating bookkeeping: complete wakeups and put idle routers to
     /// sleep. Asleep cycles are accounted lazily via `sleep_accum_from`
-    /// (materialized on wake, counting changes, and stats reads), so neither
-    /// engine pays a per-cycle scan for settled sleepers.
+    /// (materialized on wake, counting changes, and stats reads), so no
+    /// step pays a per-cycle scan for settled sleepers.
     fn update_sleep_states(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) {
         let GatingMode::Reactive { idle_threshold, .. } = self.gating else {
             return;
         };
-        match self.engine {
-            StepEngine::ActiveSet => {
-                // Pop every due check, then process in ascending node order
-                // so probe events match the exhaustive sweep exactly (the
-                // queue orders by cycle first, which may interleave nodes).
-                let mut due: Vec<usize> = Vec::new();
-                while let Some(&(c, node)) = self.active.sleep_events.first() {
-                    if c > now {
-                        break;
-                    }
-                    self.active.sleep_events.pop_first();
-                    self.active.sleep_event_at[node] = None;
-                    due.push(node);
-                }
-                due.sort_unstable();
-                for node in due {
-                    self.check_sleep_state(node, now, idle_threshold, probe.as_deref_mut());
-                }
+        // Move due checks into `sleep_due` to visit them in node order (the
+        // queue orders by cycle first, which may interleave nodes).
+        while let Some(&(c, node)) = self.active.sleep_events.first() {
+            if c > now {
+                break;
             }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    self.check_sleep_state(node, now, idle_threshold, probe.as_deref_mut());
-                }
-            }
+            self.active.sleep_events.pop_first();
+            self.active.sleep_event_at[node] = None;
+            self.active.sleep_due.insert(node);
         }
+        let mut due = std::mem::take(&mut self.active.sleep_due);
+        due.retain_visit(|node| {
+            self.check_sleep_state(node, now, idle_threshold, probe.as_deref_mut());
+            false
+        });
+        self.active.sleep_due = due;
     }
 
-    /// Re-evaluates one router's sleep state (shared by both engines).
-    /// Under the active-set engine the caller has just disarmed the node's
-    /// scheduled check, so every branch that leaves the router awake must
-    /// re-arm one to preserve the coverage invariant.
+    /// Re-evaluates one router's sleep state. A due check has just been
+    /// disarmed, so every branch that leaves the router awake re-arms one.
+    /// On a router that is not due (the reference visits every node) this
+    /// is a no-op: its armed check is no later than any re-arm.
     fn check_sleep_state(
         &mut self,
         node: usize,
@@ -1399,21 +1394,12 @@ impl Network {
 
     fn deliver_credits(&mut self, now: u64) -> usize {
         let mut events = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                let mut set = std::mem::take(&mut self.active.credit);
-                set.retain_visit(|node| {
-                    events += self.deliver_credits_at(node, now);
-                    self.active.credit_pending[node] > 0
-                });
-                self.active.credit = set;
-            }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    events += self.deliver_credits_at(node, now);
-                }
-            }
-        }
+        let mut set = std::mem::take(&mut self.active.credit);
+        set.retain_visit(|node| {
+            events += self.deliver_credits_at(node, now);
+            self.active.credit_pending[node] > 0
+        });
+        self.active.credit = set;
         events
     }
 
@@ -1459,32 +1445,22 @@ impl Network {
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<usize, SimError> {
         let mut events = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                // The error (a dark-router contract violation) aborts the
-                // sweep exactly where the exhaustive driver would: nodes
-                // after the offender are retained untouched.
-                let mut err = None;
-                let mut set = std::mem::take(&mut self.active.link);
-                set.retain_visit(|node| {
-                    if err.is_none() {
-                        match self.deliver_flits_at(node, now, probe.as_deref_mut()) {
-                            Ok(n) => events += n,
-                            Err(e) => err = Some(e),
-                        }
-                    }
-                    self.active.link_pending[node] > 0
-                });
-                self.active.link = set;
-                if let Some(e) = err {
-                    return Err(e);
+        // The error (a dark-router contract violation) aborts the stage at
+        // the offender: nodes after it are retained untouched.
+        let mut err = None;
+        let mut set = std::mem::take(&mut self.active.link);
+        set.retain_visit(|node| {
+            if err.is_none() {
+                match self.deliver_flits_at(node, now, probe.as_deref_mut()) {
+                    Ok(n) => events += n,
+                    Err(e) => err = Some(e),
                 }
             }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    events += self.deliver_flits_at(node, now, probe.as_deref_mut())?;
-                }
-            }
+            self.active.link_pending[node] > 0
+        });
+        self.active.link = set;
+        if let Some(e) = err {
+            return Err(e);
         }
         Ok(events)
     }
@@ -1722,23 +1698,14 @@ impl Network {
             return 0;
         }
         let mut actions = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                // Parked packets have buffered head flits, so the router
-                // work-list covers every candidate. Read-only iteration:
-                // the body never inserts into the router set.
-                let set = std::mem::take(&mut self.active.router);
-                set.for_each(|node| {
-                    actions += self.fault_reroute_at(node, now, probe.as_deref_mut());
-                });
-                self.active.router = set;
-            }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    actions += self.fault_reroute_at(node, now, probe.as_deref_mut());
-                }
-            }
-        }
+        // Parked packets have buffered head flits, so the router work-list
+        // covers every candidate. Read-only iteration: the body never
+        // inserts into the router set.
+        let set = std::mem::take(&mut self.active.router);
+        set.for_each(|node| {
+            actions += self.fault_reroute_at(node, now, probe.as_deref_mut());
+        });
+        self.active.router = set;
         actions
     }
 
@@ -1858,21 +1825,12 @@ impl Network {
 
     fn inject(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> usize {
         let mut events = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                let mut set = std::mem::take(&mut self.active.ni);
-                set.retain_visit(|node| {
-                    events += self.inject_at(node, now, probe.as_deref_mut());
-                    !self.nis[node].is_idle()
-                });
-                self.active.ni = set;
-            }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    events += self.inject_at(node, now, probe.as_deref_mut());
-                }
-            }
-        }
+        let mut set = std::mem::take(&mut self.active.ni);
+        set.retain_visit(|node| {
+            events += self.inject_at(node, now, probe.as_deref_mut());
+            !self.nis[node].is_idle()
+        });
+        self.active.ni = set;
         events
     }
 
@@ -1979,23 +1937,19 @@ impl Network {
 
     fn vc_allocate(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> usize {
         let mut grants = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                // VA requests need a buffered head flit, so the router
-                // work-list covers every requester. Read-only iteration:
-                // granting touches VC/alloc state, never buffer occupancy.
-                let set = std::mem::take(&mut self.active.router);
-                set.for_each(|node| {
-                    grants += self.vc_allocate_at_fast(node, now, probe.as_deref_mut());
-                });
-                self.active.router = set;
-            }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    grants += self.vc_allocate_at(node, now, probe.as_deref_mut());
-                }
-            }
-        }
+        let reference = self.engine == StepEngine::ExhaustiveSweep;
+        // VA requests need a buffered head flit, so the router work-list
+        // covers every requester. Read-only iteration: granting touches
+        // VC/alloc state, never buffer occupancy.
+        let set = std::mem::take(&mut self.active.router);
+        set.for_each(|node| {
+            grants += if reference {
+                self.vc_allocate_at(node, now, probe.as_deref_mut())
+            } else {
+                self.vc_allocate_at_fast(node, now, probe.as_deref_mut())
+            };
+        });
+        self.active.router = set;
         grants
     }
 
@@ -2168,29 +2122,23 @@ impl Network {
     fn switch_allocate(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> (usize, usize) {
         let mut grants = 0;
         let mut ejections = 0;
-        match self.engine {
-            StepEngine::ActiveSet => {
-                // The last stage of the cycle drains the router work-list:
-                // a node stays only while flits remain buffered. Traversal
-                // inserts into the *link* and *credit* sets (other
-                // work-lists), never back into this one.
-                let mut set = std::mem::take(&mut self.active.router);
-                set.retain_visit(|node| {
-                    let (g, e) = self.switch_allocate_at_fast(node, now, probe.as_deref_mut());
-                    grants += g;
-                    ejections += e;
-                    self.active.buffered[node] > 0
-                });
-                self.active.router = set;
-            }
-            StepEngine::ExhaustiveSweep => {
-                for node in 0..self.routers.len() {
-                    let (g, e) = self.switch_allocate_at(node, now, probe.as_deref_mut());
-                    grants += g;
-                    ejections += e;
-                }
-            }
-        }
+        let reference = self.engine == StepEngine::ExhaustiveSweep;
+        // The last stage of the cycle drains the router work-list: a node
+        // stays only while flits remain buffered. Traversal stages link
+        // flits and credits for the end-of-step flush, never touching a
+        // work-list.
+        let mut set = std::mem::take(&mut self.active.router);
+        set.retain_visit(|node| {
+            let (g, e) = if reference {
+                self.switch_allocate_at(node, now, probe.as_deref_mut())
+            } else {
+                self.switch_allocate_at_fast(node, now, probe.as_deref_mut())
+            };
+            grants += g;
+            ejections += e;
+            self.active.buffered[node] > 0
+        });
+        self.active.router = set;
         (grants, ejections)
     }
 
@@ -3018,6 +2966,68 @@ mod tests {
         assert!(active.is_drained() && oracle.is_drained());
     }
 
+    fn members(set: &NodeSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        set.for_each(|n| out.push(n));
+        out
+    }
+
+    /// `NodeSet` against a `BTreeSet` reference at and around word
+    /// boundaries: `fill` sets exactly `0..len` (the tail word masked),
+    /// `for_each` visits in ascending order, and `retain_visit` visits every
+    /// member once and drops exactly the rejected ones.
+    #[test]
+    fn node_set_matches_btreeset_reference() {
+        for len in [1, 63, 64, 65, 130] {
+            let mut set = NodeSet::new(len);
+            set.insert(len - 1);
+            set.fill(len);
+            assert_eq!(members(&set), (0..len).collect::<Vec<_>>(), "fill({len})");
+            assert_eq!(set.words.len(), len.div_ceil(64), "fill({len}) word count");
+
+            let mut set = NodeSet::new(len);
+            let mut reference = BTreeSet::new();
+            for k in (0..len).filter(|k| k % 3 != 0) {
+                let n = (k * 37 + 11) % len;
+                set.insert(n);
+                reference.insert(n);
+            }
+            let expected: Vec<usize> = reference.iter().copied().collect();
+            assert_eq!(members(&set), expected, "for_each order at {len}");
+            let mut visited = Vec::new();
+            set.retain_visit(|n| {
+                visited.push(n);
+                n % 5 != 2
+            });
+            assert_eq!(visited, expected, "retain_visit order at {len}");
+            reference.retain(|n| n % 5 != 2);
+            assert_eq!(members(&set), reference.iter().copied().collect::<Vec<_>>());
+            for n in 0..len {
+                assert_eq!(set.contains(n), reference.contains(&n), "node {n} of {len}");
+            }
+        }
+    }
+
+    /// The reference engine checks the work-lists instead of trusting them:
+    /// with a queued packet's NI dropped from its list, the reference still
+    /// injects while the active-set engine, which visits only the list,
+    /// does not.
+    #[test]
+    fn reference_engine_ignores_the_work_lists() {
+        for (engine, injects) in [
+            (StepEngine::ExhaustiveSweep, true),
+            (StepEngine::ActiveSet, false),
+        ] {
+            let mut net = net();
+            net.set_step_engine(engine);
+            net.enqueue_packet(packet(1, 0, 15, 5, 0));
+            net.active.ni = NodeSet::new(net.routers.len());
+            let report = net.step().unwrap();
+            assert_eq!(report.events > 0, injects, "{engine:?}");
+            assert_eq!(net.stage_cycles().inject, u64::from(injects), "{engine:?}");
+        }
+    }
+
     #[test]
     fn engine_switch_mid_run_is_safe() {
         let mut net = net();
@@ -3067,9 +3077,9 @@ mod tests {
         assert_eq!(net.skip_idle_cycles(1_000), 1_000, "indefinitely quiet");
         assert_eq!(net.now(), 1_000);
         assert_eq!(net.skip_idle_cycles(500), 0, "bound in the past");
-        net.set_idle_fast_forward(false);
-        assert_eq!(net.skip_idle_cycles(2_000), 0, "fast-forward disabled");
-        net.set_idle_fast_forward(true);
+        net.set_step_engine(StepEngine::ExhaustiveSweep);
+        assert_eq!(net.skip_idle_cycles(2_000), 0, "the reference never skips");
+        net.set_step_engine(StepEngine::ActiveSet);
         net.enqueue_packet(packet(1, 0, 3, 1, 1_000));
         assert_eq!(net.skip_idle_cycles(2_000), 0, "active network never skips");
     }

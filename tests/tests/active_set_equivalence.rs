@@ -593,7 +593,7 @@ proptest! {
 /// A fault event scheduled deep inside an idle window must fire at its
 /// exact cycle when the driver fast-forwards across the window: the full
 /// probe timeline (fault events, sleep transitions) matches a reference
-/// run that steps every cycle with fast-forward disabled.
+/// run that steps every cycle (the exhaustive engine never fast-forwards).
 #[test]
 fn fast_forward_never_skips_fault_or_wake_events() {
     let mesh = Mesh2D::paper_4x4();
@@ -608,11 +608,10 @@ fn fast_forward_never_skips_fault_or_wake_events() {
     let horizon = 600u64;
 
     // Reference: step every cycle.
-    let mut slow = build_net(mesh, StepEngine::ActiveSet, gating, &plan);
-    slow.set_idle_fast_forward(false);
+    let mut slow = build_net(mesh, StepEngine::ExhaustiveSweep, gating, &plan);
     let mut trace_slow = Trace::default();
     while slow.now() < horizon {
-        assert_eq!(slow.skip_idle_cycles(horizon), 0, "disabled skip must no-op");
+        assert_eq!(slow.skip_idle_cycles(horizon), 0, "the reference never skips");
         slow.step_observed(Some(&mut trace_slow)).unwrap();
     }
 
@@ -648,19 +647,20 @@ fn fast_forward_never_skips_fault_or_wake_events() {
 
 /// End-to-end: a full `Simulation` with bursty traffic, a fault plan and
 /// reactive gating produces a bit-identical `SimOutcome` *and* probe
-/// timeline whether or not idle fast-forward is enabled.
+/// timeline whether it fast-forwards idle windows (active-set engine) or
+/// steps every cycle (the exhaustive reference).
 #[test]
 fn sim_fast_forward_preserves_outcome_and_timeline() {
     let mesh = Mesh2D::paper_4x4();
-    let run = |fast_forward: bool| {
+    let run = |engine| {
         let mut net =
             Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
+        net.set_step_engine(engine);
         net.set_gating_mode(GatingMode::Reactive {
             idle_threshold: 15,
             wakeup_latency: 6,
         });
         net.set_fault_plan(&transient_plan()).unwrap();
-        net.set_idle_fast_forward(fast_forward);
         let traffic = TrafficGen::new(
             TrafficPattern::UniformRandom,
             Placement::full(&mesh),
@@ -679,8 +679,8 @@ fn sim_fast_forward_preserves_outcome_and_timeline() {
             .unwrap();
         (out, trace)
     };
-    let (out_ff, trace_ff) = run(true);
-    let (out_ref, trace_ref) = run(false);
+    let (out_ff, trace_ff) = run(StepEngine::ActiveSet);
+    let (out_ref, trace_ref) = run(StepEngine::ExhaustiveSweep);
     assert_eq!(out_ff, out_ref);
     assert_eq!(trace_ff, trace_ref, "{}", trace_ff.diff_head(&trace_ref));
 }
