@@ -5,7 +5,8 @@
 //!   field; a missing required field is an error; absent optional fields
 //!   take their defaults (the golden-line tests pin those).
 //! - Hostile input: arbitrary, truncated and byte-mutated lines fed to every
-//!   outside-facing parser return `Err` or a value and never panic.
+//!   outside-facing parser — the Prometheus exposition validator included —
+//!   return `Err` or a value and never panic.
 //! - Round trips: `decode(encode(x)) == x` for generated values of every
 //!   message, with every `f64` compared by bit pattern (the decoded value
 //!   must re-encode to the same line).
@@ -16,7 +17,7 @@ use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::NetworkMetrics;
 use noc_sprinting::metrics::{
-    HistogramSnapshot, MetricsSnapshot, ShardHealth, SlowPoint, StatsSnapshot,
+    validate_prometheus, HistogramSnapshot, MetricsSnapshot, ShardHealth, SlowPoint, StatsSnapshot,
 };
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{
@@ -138,6 +139,52 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
 /// Bytes mutations draw from: JSON structure, escapes, digits, signs,
 /// letters and bytes that are not UTF-8 on their own.
 const MUTATIONS: &[u8] = b"{}[]\":,\\/0123456789+-.eExXuntrfalsy \t\n\x00\x7f\xc3\xa9\xff";
+
+/// Applies `(position, alphabet index, op)` edits to `bytes`: op 0
+/// overwrites a byte, 1 inserts one, 2 deletes one.
+fn mutate(bytes: &mut Vec<u8>, edits: Vec<(usize, usize, u8)>, alphabet: &[u8]) {
+    for (at, m, op) in edits {
+        let at = at % (bytes.len() + 1);
+        let b = alphabet[m % alphabet.len()];
+        match op {
+            0 if at < bytes.len() => bytes[at] = b,
+            1 => bytes.insert(at, b),
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A valid Prometheus exposition using every construct the validator
+/// parses: HELP, TYPE and free comments, escaped label values, a
+/// timestamp, a special float value and histogram suffixes.
+const EXPOSITION: &str = concat!(
+    "# HELP noc_points_total Points served.\n",
+    "# TYPE noc_points_total counter\n",
+    "noc_points_total{shard=\"0\",path=\"a\\\\b \\\"q\\\"\\n\"} 42 1700000000000\n",
+    "# a free comment\n",
+    "# TYPE noc_latency_seconds histogram\n",
+    "noc_latency_seconds_bucket{le=\"0.5\"} 3\n",
+    "noc_latency_seconds_bucket{le=\"+Inf\"} 4\n",
+    "noc_latency_seconds_sum 1.25e0\n",
+    "noc_latency_seconds_count 4\n",
+    "# TYPE noc_up gauge\n",
+    "noc_up NaN\n",
+);
+
+/// Bytes exposition mutations draw from: line and label syntax, escapes,
+/// name and number characters, comment keywords and non-UTF-8 bytes.
+const PROM_MUTATIONS: &[u8] = b"# \n{}=\",\\_:aeTYPEHELP019.+-NInf\t\xc3\xa9\xff";
+
+#[test]
+fn exposition_validates_and_every_truncation_is_survived() {
+    assert_eq!(validate_prometheus(EXPOSITION), Ok(6));
+    for cut in 0..EXPOSITION.len() {
+        let _ = validate_prometheus(&EXPOSITION[..cut]);
+    }
+}
 
 fn text() -> impl Strategy<Value = String> {
     prop::collection::vec(0u32..0x300, 0..12)
@@ -343,18 +390,22 @@ proptest! {
         edits in prop::collection::vec((0usize..4096, 0usize..MUTATIONS.len(), 0u8..3), 1..6),
     ) {
         let mut bytes = seeds().swap_remove(which).into_bytes();
-        for (at, m, op) in edits {
-            let at = at % (bytes.len() + 1);
-            match op {
-                0 if at < bytes.len() => bytes[at] = MUTATIONS[m],
-                1 => bytes.insert(at, MUTATIONS[m]),
-                _ if at < bytes.len() => {
-                    bytes.remove(at);
-                }
-                _ => {}
-            }
-        }
+        mutate(&mut bytes, edits, MUTATIONS);
         parse_everywhere(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn prometheus_validator_never_panics(
+        bytes in prop::collection::vec(0u8..=255, 0..96),
+        drawn in prop::collection::vec(0usize..PROM_MUTATIONS.len(), 0..96),
+        edits in prop::collection::vec((0usize..4096, 0usize..PROM_MUTATIONS.len(), 0u8..3), 1..6),
+    ) {
+        let _ = validate_prometheus(&String::from_utf8_lossy(&bytes));
+        let drawn: Vec<u8> = drawn.into_iter().map(|i| PROM_MUTATIONS[i]).collect();
+        let _ = validate_prometheus(&String::from_utf8_lossy(&drawn));
+        let mut mutated = EXPOSITION.as_bytes().to_vec();
+        mutate(&mut mutated, edits, PROM_MUTATIONS);
+        let _ = validate_prometheus(&String::from_utf8_lossy(&mutated));
     }
 
     #[test]
