@@ -356,7 +356,7 @@ struct ActiveState {
     credit: NodeSet,
     ni: NodeSet,
     router: NodeSet,
-    /// Due sleep checks; filled and drained within the sleep stage.
+    /// Due sleep checks, drained by the sleep stage under reactive gating.
     sleep_due: NodeSet,
     /// Flits waiting in `link_in` per node, all ports.
     link_pending: Vec<u32>,

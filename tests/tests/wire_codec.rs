@@ -145,10 +145,9 @@ const MUTATIONS: &[u8] = b"{}[]\":,\\/0123456789+-.eExXuntrfalsy \t\n\x00\x7f\xc
 fn mutate(bytes: &mut Vec<u8>, edits: Vec<(usize, usize, u8)>, alphabet: &[u8]) {
     for (at, m, op) in edits {
         let at = at % (bytes.len() + 1);
-        let b = alphabet[m % alphabet.len()];
         match op {
-            0 if at < bytes.len() => bytes[at] = b,
-            1 => bytes.insert(at, b),
+            0 if at < bytes.len() => bytes[at] = alphabet[m],
+            1 => bytes.insert(at, alphabet[m]),
             _ if at < bytes.len() => {
                 bytes.remove(at);
             }
