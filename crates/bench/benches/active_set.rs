@@ -112,14 +112,8 @@ fn build(case: &Case, engine: StepEngine) -> (Network, TrafficGen) {
         }
     };
     net.set_step_engine(engine);
-    let traffic = TrafficGen::new(
-        TrafficPattern::UniformRandom,
-        placement,
-        case.rate,
-        5,
-        7,
-    )
-    .unwrap();
+    let traffic =
+        TrafficGen::new(TrafficPattern::UniformRandom, placement, case.rate, 5, 7).unwrap();
     (net, traffic)
 }
 
@@ -224,7 +218,13 @@ fn main() {
     );
     let mut rows = Vec::new();
     for case in CASES {
-        let ex = sample(case, StepEngine::ExhaustiveSweep, samples, cycles, validate_every);
+        let ex = sample(
+            case,
+            StepEngine::ExhaustiveSweep,
+            samples,
+            cycles,
+            validate_every,
+        );
         let ac = sample(case, StepEngine::ActiveSet, samples, cycles, validate_every);
         let row = Row {
             name: case.name,

@@ -19,8 +19,7 @@ fn bench_reactive_gating_step(c: &mut Criterion) {
     c.bench_function("reactive_gating_1k_cycles", |b| {
         b.iter(|| {
             let mesh = Mesh2D::paper_4x4();
-            let mut net =
-                Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
+            let mut net = Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
             net.set_gating_mode(GatingMode::Reactive {
                 idle_threshold: 100,
                 wakeup_latency: 10,
@@ -49,19 +48,9 @@ fn bench_llc_closed_loop(c: &mut Criterion) {
     c.bench_function("llc_closed_loop_2k_cycles", |b| {
         b.iter(|| {
             let mesh = Mesh2D::paper_4x4();
-            let net = Network::new(
-                mesh,
-                RouterParams::paper_two_vnets(),
-                Box::new(XyRouting),
-            )
-            .unwrap();
-            let agent = LlcAgent::new(
-                mesh.nodes().collect(),
-                mesh.nodes().collect(),
-                0.02,
-                6,
-                5,
-            );
+            let net =
+                Network::new(mesh, RouterParams::paper_two_vnets(), Box::new(XyRouting)).unwrap();
+            let agent = LlcAgent::new(mesh.nodes().collect(), mesh.nodes().collect(), 0.02, 6, 5);
             let mut sim = ClosedLoopSim::new(net, agent);
             sim.run(2_000, 20_000).unwrap()
         })

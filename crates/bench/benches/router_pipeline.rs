@@ -58,7 +58,9 @@ fn bench_full_simulation(c: &mut Criterion) {
                 7,
             )
             .unwrap();
-            Simulation::new(net, traffic, SimConfig::quick()).run().unwrap()
+            Simulation::new(net, traffic, SimConfig::quick())
+                .run()
+                .unwrap()
         })
     });
 }

@@ -49,7 +49,12 @@ fn main() {
             k.to_string(),
             format!("{fine:.2}x"),
             dim_str,
-            if fine > dim_val { "fine-grained" } else { "dim" }.to_string(),
+            if fine > dim_val {
+                "fine-grained"
+            } else {
+                "dim"
+            }
+            .to_string(),
         ]);
     }
     println!(

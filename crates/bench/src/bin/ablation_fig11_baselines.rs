@@ -16,15 +16,18 @@
 //! random-endpoints baseline). Latency/power benefits appear under both.
 
 use noc_bench::{banner, markdown_table, mean, FigureHarness};
-use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 const SAMPLES: u64 = 6;
 
 fn rates() -> Vec<f64> {
-    (10..=90).step_by(16).map(|p| f64::from(p) / 100.0).collect()
+    (10..=90)
+        .step_by(16)
+        .map(|p| f64::from(p) / 100.0)
+        .collect()
 }
 
 fn main() {
@@ -102,5 +105,7 @@ fn main() {
             )
         );
     }
-    harness.finish("ablation_fig11_baselines").expect("telemetry write failed");
+    harness
+        .finish("ablation_fig11_baselines")
+        .expect("telemetry write failed");
 }

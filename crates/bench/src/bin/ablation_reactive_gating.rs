@@ -86,10 +86,7 @@ fn main() {
             label.to_string(),
             format!("{:.1}", m.avg_packet_latency),
             format!("{:.1}", m.network_power * 1e3),
-            format!(
-                "{:+.1} cyc",
-                m.avg_packet_latency - base.avg_packet_latency
-            ),
+            format!("{:+.1} cyc", m.avg_packet_latency - base.avg_packet_latency),
         ]);
     }
 
@@ -104,13 +101,11 @@ fn main() {
         .expect("NoC-sprinting on-phase");
     let nominal_net = {
         // One powered router + its (zero) region links.
-        let p = e
-            .router_power
-            .power_from_activity(
-                &e.op,
-                &noc_sim::router::RouterActivity::default(),
-                1_000,
-            );
+        let p = e.router_power.power_from_activity(
+            &e.op,
+            &noc_sim::router::RouterActivity::default(),
+            1_000,
+        );
         p.leakage.total() + p.dynamic.clock
     };
     let duty = bursts.duty_cycle();
@@ -128,7 +123,12 @@ fn main() {
     println!(
         "{}",
         markdown_table(
-            &["scheme", "packet latency (cyc)", "network power (mW)", "latency vs no gating"],
+            &[
+                "scheme",
+                "packet latency (cyc)",
+                "network power (mW)",
+                "latency vs no gating"
+            ],
             &rows
         )
     );

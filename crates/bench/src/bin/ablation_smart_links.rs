@@ -39,7 +39,9 @@ fn run(level: usize, smart: bool, rate: f64) -> f64 {
         77,
     )
     .unwrap();
-    let out = Simulation::new(net, traffic, SimConfig::sweep()).run().unwrap();
+    let out = Simulation::new(net, traffic, SimConfig::sweep())
+        .run()
+        .unwrap();
     out.stats.avg_network_latency()
 }
 

@@ -31,8 +31,16 @@ fn main() {
     let mut rows = Vec::new();
     for (label, variant, planned) in [
         ("full-sprinting", ThermalVariant::FullSprinting, false),
-        ("fine-grained (identity plan)", ThermalVariant::FineGrained, false),
-        ("fine-grained + floorplan", ThermalVariant::FineGrainedFloorplanned, true),
+        (
+            "fine-grained (identity plan)",
+            ThermalVariant::FineGrained,
+            false,
+        ),
+        (
+            "fine-grained + floorplan",
+            ThermalVariant::FineGrainedFloorplanned,
+            true,
+        ),
     ] {
         let mut power = e.tile_powers(variant, level);
         for p in &mut power {
@@ -49,8 +57,7 @@ fn main() {
             format!("{:.1}", power.iter().sum::<f64>()),
             out.shutdown_at
                 .map_or("> 120 (sustained)".to_string(), |t| format!("{t:.2}")),
-            out.hotspot_block
-                .map_or("-".to_string(), |b| b.to_string()),
+            out.hotspot_block.map_or("-".to_string(), |b| b.to_string()),
             format!("{:.1}", out.peak_temp),
             format!("{:.0}%", out.final_melt_fraction * 100.0),
         ]);

@@ -8,8 +8,8 @@
 //! uniform-random artifacts.
 
 use noc_bench::{banner, markdown_table, FigureHarness};
-use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
@@ -34,7 +34,10 @@ fn main() {
             ("bit-complement", TrafficPattern::BitComplement),
             ("tornado", TrafficPattern::Tornado),
             ("shuffle", TrafficPattern::Shuffle),
-            ("hotspot->master", TrafficPattern::Hotspot { hot_fraction: 0.4 }),
+            (
+                "hotspot->master",
+                TrafficPattern::Hotspot { hot_fraction: 0.4 },
+            ),
             ("nearest-neighbor", TrafficPattern::NearestNeighbor),
         ];
         // Two jobs (NoC-sprinting, spread full-sprinting) per valid pattern.
@@ -106,5 +109,7 @@ fn main() {
             )
         );
     }
-    harness.finish("ablation_traffic_patterns").expect("telemetry write failed");
+    harness
+        .finish("ablation_traffic_patterns")
+        .expect("telemetry write failed");
 }

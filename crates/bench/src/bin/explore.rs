@@ -40,8 +40,8 @@ use noc_sim::routing::{RoutingFunction, XyRouting};
 use noc_sim::sim::{SimConfig, Simulation};
 use noc_sim::sweep::{point_seed, LoadSweep, SweepReport};
 use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
 use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::config::SystemConfig;
 use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
@@ -92,7 +92,12 @@ fn parse_args() -> Result<Args, String> {
     if args.workers == Some(0) {
         return Err("--workers must be at least 1, got 0".into());
     }
-    if let Some(bad) = args.loads.iter().flatten().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+    if let Some(bad) = args
+        .loads
+        .iter()
+        .flatten()
+        .find(|&&l| !(l > 0.0 && l <= 1.0))
+    {
         return Err(format!("--loads: load {bad} is not in (0, 1]"));
     }
     Ok(args)
@@ -134,7 +139,11 @@ fn main() {
         args.master,
         args.level,
         mesh.len() - args.level,
-        if args.full { "full mesh + XY" } else { "NoC-sprinting (CDOR + gating)" },
+        if args.full {
+            "full mesh + XY"
+        } else {
+            "NoC-sprinting (CDOR + gating)"
+        },
         args.rate,
         format_args!("pattern {:?}", args.pattern),
     );
@@ -163,8 +172,14 @@ fn main() {
             Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement"),
         )
     };
-    let traffic = TrafficGen::new(args.pattern, placement, args.rate, sys.packet_len, args.seed)
-        .unwrap_or_else(|e| exit_usage("explore", format!("traffic setup failed: {e}")));
+    let traffic = TrafficGen::new(
+        args.pattern,
+        placement,
+        args.rate,
+        sys.packet_len,
+        args.seed,
+    )
+    .unwrap_or_else(|e| exit_usage("explore", format!("traffic setup failed: {e}")));
     match Simulation::new(net, traffic, SimConfig::sweep()).run() {
         Ok(out) => {
             println!(
@@ -281,7 +296,10 @@ fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
         Some(w) => ExperimentRunner::with_workers(w),
         None => ExperimentRunner::new(),
     };
-    let spans = args.telemetry.as_ref().map(|_| Arc::new(SpanRecorder::new()));
+    let spans = args
+        .telemetry
+        .as_ref()
+        .map(|_| Arc::new(SpanRecorder::new()));
     if let Some(s) = &spans {
         runner = runner.with_span_recorder(Arc::clone(s));
     }
@@ -442,7 +460,10 @@ fn write_telemetry(
     std::fs::write(&manifest_path, manifest.to_jsonl())?;
     std::fs::write(&trace_path, spans.chrome_trace())?;
     for (i, obs) in observers.iter().enumerate() {
-        std::fs::write(dir.join(format!("explore.point{i}.timeseries.csv")), obs.to_csv())?;
+        std::fs::write(
+            dir.join(format!("explore.point{i}.timeseries.csv")),
+            obs.to_csv(),
+        )?;
     }
     eprintln!(
         "[telemetry: {}, {} and {} per-point time-series written to {}]",

@@ -48,7 +48,10 @@ fn main() {
                 SprintPhase::PostMelt => "3:post-melt",
                 SprintPhase::Cooldown => "cooldown",
             };
-            println!("{:8.4} {:7.2} {:5.2} {}", p.time, p.temp, p.melt_fraction, tag);
+            println!(
+                "{:8.4} {:7.2} {:5.2} {}",
+                p.time, p.temp, p.melt_fraction, tag
+            );
         }
     }
 }

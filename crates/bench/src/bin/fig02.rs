@@ -33,7 +33,13 @@ fn main() {
     println!(
         "{}",
         markdown_table(
-            &["operating point", "dynamic", "leakage", "total", "leakage share"],
+            &[
+                "operating point",
+                "dynamic",
+                "leakage",
+                "total",
+                "leakage share"
+            ],
             &rows
         )
     );

@@ -36,7 +36,14 @@ fn main() {
     println!(
         "{}",
         markdown_table(
-            &["router", "buffers µm²", "crossbar µm²", "allocators µm²", "routing µm²", "total µm²"],
+            &[
+                "router",
+                "buffers µm²",
+                "crossbar µm²",
+                "allocators µm²",
+                "routing µm²",
+                "total µm²"
+            ],
             &rows
         )
     );

@@ -19,8 +19,8 @@
 //! irrelevant at PARSEC's < 0.3 flits/cycle loads.
 
 use noc_bench::{banner, markdown_table, mean, pct, reduction, FigureHarness};
-use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 

@@ -20,7 +20,11 @@ fn main() {
     let level = 4; // dedup's optimal sprint level (§4.4)
     let cases = [
         (ThermalVariant::FullSprinting, "(a) full-sprinting", 358.3),
-        (ThermalVariant::FineGrained, "(b) fine-grained sprinting", 347.79),
+        (
+            ThermalVariant::FineGrained,
+            "(b) fine-grained sprinting",
+            347.79,
+        ),
         (
             ThermalVariant::FineGrainedFloorplanned,
             "(c) + thermal-aware floorplanning",

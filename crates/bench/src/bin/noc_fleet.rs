@@ -47,7 +47,11 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let args = Args {
-        shards: flags.values("--shard")?.into_iter().map(PathBuf::from).collect(),
+        shards: flags
+            .values("--shard")?
+            .into_iter()
+            .map(PathBuf::from)
+            .collect(),
         socket: flags.value("--socket", str::parse)?,
         metrics: flags.value("--metrics", str::parse)?,
     };

@@ -72,7 +72,10 @@ fn parse_args() -> Result<Args, String> {
         print_schema: flags.switch("--print-schema"),
     };
     flags.finish()?;
-    for (name, value) in [("--workers", args.workers), ("--queue-limit", args.queue_limit)] {
+    for (name, value) in [
+        ("--workers", args.workers),
+        ("--queue-limit", args.queue_limit),
+    ] {
         if value == Some(0) {
             return Err(format!("{name} requires a positive integer, got \"0\""));
         }

@@ -62,13 +62,19 @@ mod imp {
         let mut flags = Flags::from_env();
         let interval: f64 = flags.value("--interval", str::parse)?.unwrap_or(2.0);
         if !(interval.is_finite() && interval > 0.0) {
-            return Err(format!("--interval requires positive seconds, got {interval}"));
+            return Err(format!(
+                "--interval requires positive seconds, got {interval}"
+            ));
         }
         let args = Args {
             interval: Duration::from_secs_f64(interval),
             once: flags.switch("--once"),
             json: flags.switch("--json"),
-            targets: flags.positionals()?.into_iter().map(PathBuf::from).collect(),
+            targets: flags
+                .positionals()?
+                .into_iter()
+                .map(PathBuf::from)
+                .collect(),
         };
         if args.targets.is_empty() {
             return Err("at least one SOCKET is required".to_string());
@@ -192,15 +198,26 @@ mod imp {
         let mut any_down = false;
         println!(
             "{:<28} {:>9} {:>8} {:>8} {:>8} {:>6} {:>8} {:>8} {:>6} {:>8} {:>5} {:>6}",
-            "TARGET", "ENGINE", "UPTIME", "PTS", "PTS/S", "HIT%", "P50", "P99", "QUEUE", "INFLIGHT",
-            "SLOW", "STAGE"
+            "TARGET",
+            "ENGINE",
+            "UPTIME",
+            "PTS",
+            "PTS/S",
+            "HIT%",
+            "P50",
+            "P99",
+            "QUEUE",
+            "INFLIGHT",
+            "SLOW",
+            "STAGE"
         );
         let mut versions: Vec<String> = Vec::new();
         let mut slow_lines: Vec<String> = Vec::new();
         for (i, (target, polled)) in targets.iter().zip(polled).enumerate() {
-            let name = target
-                .file_name()
-                .map_or_else(|| target.display().to_string(), |n| n.to_string_lossy().into());
+            let name = target.file_name().map_or_else(
+                || target.display().to_string(),
+                |n| n.to_string_lossy().into(),
+            );
             let s = match polled {
                 Ok(s) => s,
                 Err(e) => {
@@ -287,7 +304,10 @@ mod imp {
         versions.sort();
         versions.dedup();
         if versions.len() > 1 {
-            println!("\nwarning: version skew across engines: {}", versions.join(", "));
+            println!(
+                "\nwarning: version skew across engines: {}",
+                versions.join(", ")
+            );
         }
         if !slow_lines.is_empty() {
             println!("\nslow points (most recent last):");

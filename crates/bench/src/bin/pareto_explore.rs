@@ -60,11 +60,15 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let mut args = Args {
-        topologies: flags.list("--topologies", TopologySpec::from_wire_name)?.unwrap_or_default(),
+        topologies: flags
+            .list("--topologies", TopologySpec::from_wire_name)?
+            .unwrap_or_default(),
         levels: flags.list("--levels", str::parse)?.unwrap_or_default(),
         loads: flags.list("--loads", str::parse)?.unwrap_or_default(),
         seed: flags.value("--seed", str::parse)?.unwrap_or(1),
-        out: flags.value("--out", str::parse)?.unwrap_or_else(|| PathBuf::from("pareto_out")),
+        out: flags
+            .value("--out", str::parse)?
+            .unwrap_or_else(|| PathBuf::from("pareto_out")),
         service: noc_bench::service_socket_from_env(&mut flags)?,
         quick: flags.switch("--quick"),
     };
@@ -82,10 +86,18 @@ fn parse_args() -> Result<Args, String> {
         };
     }
     if args.levels.is_empty() {
-        args.levels = if args.quick { vec![4, 16] } else { vec![4, 8, 12, 16] };
+        args.levels = if args.quick {
+            vec![4, 16]
+        } else {
+            vec![4, 8, 12, 16]
+        };
     }
     if args.loads.is_empty() {
-        args.loads = if args.quick { vec![0.05, 0.15] } else { vec![0.05, 0.10, 0.15, 0.20, 0.25] };
+        args.loads = if args.quick {
+            vec![0.05, 0.15]
+        } else {
+            vec![0.05, 0.10, 0.15, 0.20, 0.25]
+        };
     }
     Ok(args)
 }
@@ -191,10 +203,7 @@ fn evaluate_service(
     Ok((results, batch.summary.cache_hits, batch.summary.wall_ms))
 }
 
-fn evaluate_local(
-    experiment: &Experiment,
-    jobs: &[SyntheticJob],
-) -> Result<EvalOutcome, String> {
+fn evaluate_local(experiment: &Experiment, jobs: &[SyntheticJob]) -> Result<EvalOutcome, String> {
     let start = Instant::now();
     let runner = ExperimentRunner::new().with_echo("pareto_explore");
     let detailed = runner
@@ -212,7 +221,10 @@ fn main() {
     let args = parse_args().unwrap_or_else(|e| exit_usage("pareto_explore", e));
     let jobs = build_jobs(&args);
     if jobs.is_empty() {
-        exit_usage("pareto_explore", "grid is empty: no level fits any requested topology");
+        exit_usage(
+            "pareto_explore",
+            "grid is empty: no level fits any requested topology",
+        );
     }
     eprintln!(
         "[{} candidates: {} topologies x {} levels x {} loads]",
@@ -225,7 +237,11 @@ fn main() {
     let outcome = match &args.service {
         Some(socket) => evaluate_service(socket, &jobs),
         None => {
-            let experiment = if args.quick { Experiment::quick() } else { Experiment::paper() };
+            let experiment = if args.quick {
+                Experiment::quick()
+            } else {
+                Experiment::paper()
+            };
             evaluate_local(&experiment, &jobs)
         }
     };
@@ -346,10 +362,7 @@ fn write_outputs(
                 ("avg_packet_latency".into(), c.metrics.avg_packet_latency),
                 ("avg_network_latency".into(), c.metrics.avg_network_latency),
                 ("network_power".into(), c.metrics.network_power),
-                (
-                    "accepted_throughput".into(),
-                    c.metrics.accepted_throughput,
-                ),
+                ("accepted_throughput".into(), c.metrics.accepted_throughput),
                 ("aggregate_throughput".into(), c.aggregate_throughput()),
                 ("energy_per_flit".into(), c.energy_per_flit()),
                 ("saturated".into(), f64::from(u8::from(c.metrics.saturated))),

@@ -83,10 +83,18 @@ fn parse_args() -> Result<Args, String> {
     }
     // A given list is never empty, so `--quick` fills in only the others.
     if args.levels.is_empty() {
-        args.levels = if args.quick { vec![4, 8] } else { vec![4, 8, 12, 16] };
+        args.levels = if args.quick {
+            vec![4, 8]
+        } else {
+            vec![4, 8, 12, 16]
+        };
     }
     if args.scales.is_empty() {
-        args.scales = if args.quick { vec![0.0, 1.0] } else { vec![0.0, 0.5, 1.0, 2.0] };
+        args.scales = if args.quick {
+            vec![0.0, 1.0]
+        } else {
+            vec![0.0, 0.5, 1.0, 2.0]
+        };
     }
     Ok(args)
 }
@@ -205,16 +213,29 @@ fn event_record(point: usize, cycle: u64, event: &FaultEvent) -> FaultRecord {
         FaultEvent::PacketDropped { node, .. } => ("packet_dropped", node.0, None),
         FaultEvent::PacketRerouted { node, .. } => ("packet_rerouted", node.0, None),
     };
-    FaultRecord { point, cycle, kind: kind.to_string(), node, peer }
+    FaultRecord {
+        point,
+        cycle,
+        kind: kind.to_string(),
+        node,
+        peer,
+    }
 }
 
 fn main() {
     let args = parse_args().unwrap_or_else(|e| exit_usage("resilience", e));
     let mesh = Mesh2D::paper_4x4();
     if args.levels.iter().any(|&l| l == 0 || l > mesh.len()) {
-        exit_usage("resilience", format!("--levels must be in 1..={}", mesh.len()));
+        exit_usage(
+            "resilience",
+            format!("--levels must be in 1..={}", mesh.len()),
+        );
     }
-    let sim_cfg = if args.quick { SimConfig::quick() } else { SimConfig::sweep() };
+    let sim_cfg = if args.quick {
+        SimConfig::quick()
+    } else {
+        SimConfig::sweep()
+    };
 
     let specs: Vec<PointSpec> = args
         .levels
@@ -243,7 +264,10 @@ fn main() {
         Some(w) => ExperimentRunner::with_workers(w),
         None => ExperimentRunner::new(),
     };
-    let spans = args.telemetry.as_ref().map(|_| Arc::new(SpanRecorder::new()));
+    let spans = args
+        .telemetry
+        .as_ref()
+        .map(|_| Arc::new(SpanRecorder::new()));
     if noc_bench::progress_from_env() {
         runner = runner.with_echo("resilience");
     }
@@ -254,7 +278,15 @@ fn main() {
         let t0 = Instant::now();
         let out = run_point(spec, sim_cfg, args.rate, with_events);
         if let Some(s) = &spans {
-            s.record("resilience", i, t0, Instant::now(), false, Some(spec.fault_seed), None);
+            s.record(
+                "resilience",
+                i,
+                t0,
+                Instant::now(),
+                false,
+                Some(spec.fault_seed),
+                None,
+            );
         }
         out
     }) {
@@ -298,8 +330,16 @@ fn main() {
         "{}",
         markdown_table(
             &[
-                "level", "scale", "faults", "delivered", "dropped", "outst", "unreach",
-                "reroutes", "latency", "infl"
+                "level",
+                "scale",
+                "faults",
+                "delivered",
+                "dropped",
+                "outst",
+                "unreach",
+                "reroutes",
+                "latency",
+                "infl"
             ],
             &rows,
         )
@@ -381,7 +421,11 @@ fn write_telemetry(
     let faults: Vec<FaultRecord> = results
         .iter()
         .enumerate()
-        .flat_map(|(i, r)| r.events.iter().map(move |(cycle, e)| event_record(i, *cycle, e)))
+        .flat_map(|(i, r)| {
+            r.events
+                .iter()
+                .map(move |(cycle, e)| event_record(i, *cycle, e))
+        })
         .collect();
     let manifest = RunManifest {
         figure: "resilience".to_string(),

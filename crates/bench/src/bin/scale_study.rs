@@ -25,8 +25,8 @@ use noc_bench::flags::{exit_usage, Flags};
 use noc_bench::{banner, markdown_table, pct, reduction, watts, FigureHarness};
 use noc_sim::geometry::NodeId;
 use noc_sim::sim::SimConfig;
-use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::config::SystemConfig;
 use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::Experiment;
@@ -98,7 +98,10 @@ fn main() {
                 SyntheticBaseline::SpreadAggregate,
             ]
             .map(|baseline| SyntheticJob {
-                topology: TopologySpec::Mesh { width: mesh, height: mesh },
+                topology: TopologySpec::Mesh {
+                    width: mesh,
+                    height: mesh,
+                },
                 level,
                 pattern: TrafficPattern::UniformRandom,
                 rate,
@@ -139,5 +142,7 @@ fn main() {
     println!("on the bigger chip the dark fraction at a given level is larger, so the");
     println!("power savings exceed the 4x4 numbers at matched levels, while latency");
     println!("benefits follow the same level-inverse trend as Fig. 11.");
-    harness.finish("scale_study").expect("telemetry write failed");
+    harness
+        .finish("scale_study")
+        .expect("telemetry write failed");
 }

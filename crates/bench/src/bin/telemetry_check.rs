@@ -124,8 +124,8 @@ fn check_cache_segment(
         if line.trim().is_empty() {
             continue;
         }
-        let rec = CacheRecord::from_json_line(line)
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let rec =
+            CacheRecord::from_json_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         records += 1;
         let canonical = rec.to_json_line();
         match seen.insert(rec.key, canonical.clone()) {
@@ -208,13 +208,15 @@ fn check_fleet(dir: &str) -> i32 {
         }
         for seg in segs {
             segments += 1;
-            let name = seg.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
+            let name = seg
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or("")
+                .to_string();
             let outcome = std::fs::read_to_string(&seg)
                 .map_err(|e| e.to_string())
                 .and_then(|text| check_cache_segment(&text, &mut seen))
-                .and_then(|counts| {
-                    check_shard_ownership(&seen, *shard, shards).map(|()| counts)
-                });
+                .and_then(|counts| check_shard_ownership(&seen, *shard, shards).map(|()| counts));
             match outcome {
                 Ok((recs, dups)) => {
                     records += recs;
@@ -273,7 +275,9 @@ fn check_snapshot(s: &StatsSnapshot) -> Result<(), String> {
         let cancelled = s.metrics.counter("noc_points_cancelled_total").unwrap_or(0);
         let in_flight = s.metrics.gauge("noc_points_in_flight").unwrap_or(0.0);
         if in_flight < 0.0 || in_flight.fract() != 0.0 {
-            return Err(format!("noc_points_in_flight is not a whole count: {in_flight}"));
+            return Err(format!(
+                "noc_points_in_flight is not a whole count: {in_flight}"
+            ));
         }
         let accounted = completed + failed + cancelled + in_flight as u64;
         if submitted != accounted {
@@ -354,7 +358,11 @@ fn check_stats(file: &str) -> i32 {
         match outcome {
             Ok((target, s)) => {
                 snapshots += 1;
-                let label = if target.is_empty() { s.engine.clone() } else { target };
+                let label = if target.is_empty() {
+                    s.engine.clone()
+                } else {
+                    target
+                };
                 println!(
                     "ok line {}: {label} ({}, up {:.0} ms, {} counters, {} histograms)",
                     lineno + 1,
@@ -426,10 +434,7 @@ fn main() {
     };
     let (mut manifests, mut traces, mut segments, mut failures) = (0usize, 0usize, 0usize, 0usize);
     let mut cache_seen: HashMap<u64, String> = HashMap::new();
-    let mut paths: Vec<_> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
+    let mut paths: Vec<_> = entries.filter_map(Result::ok).map(|e| e.path()).collect();
     paths.sort();
     for path in paths {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
@@ -472,9 +477,9 @@ fn main() {
                 .map_err(|e| e.to_string())
                 .and_then(|text| check_cache_segment(&text, &mut cache_seen));
             match outcome {
-                Ok((records, duplicates)) => println!(
-                    "ok {name}: {records} cache record(s), {duplicates} duplicate(s)"
-                ),
+                Ok((records, duplicates)) => {
+                    println!("ok {name}: {records} cache record(s), {duplicates} duplicate(s)")
+                }
                 Err(e) => {
                     eprintln!("FAIL {name}: {e}");
                     failures += 1;
@@ -483,9 +488,7 @@ fn main() {
         }
     }
     if manifests == 0 && traces == 0 && segments == 0 {
-        eprintln!(
-            "FAIL: no *.manifest.jsonl, *.trace.json or *.cache.jsonl files in {dir}"
-        );
+        eprintln!("FAIL: no *.manifest.jsonl, *.trace.json or *.cache.jsonl files in {dir}");
         std::process::exit(1);
     }
     println!(

@@ -361,8 +361,10 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
 
 /// A client over a Unix domain socket (the daemon's `--socket` mode).
 #[cfg(unix)]
-pub type UnixServiceClient =
-    ServiceClient<std::io::BufReader<std::os::unix::net::UnixStream>, std::os::unix::net::UnixStream>;
+pub type UnixServiceClient = ServiceClient<
+    std::io::BufReader<std::os::unix::net::UnixStream>,
+    std::os::unix::net::UnixStream,
+>;
 
 /// Connects to a daemon listening on the Unix socket at `path`.
 ///
@@ -641,7 +643,9 @@ mod fleet_client {
             for &shard in &active {
                 self.metrics
                     .registry
-                    .counter(&format!("noc_fleet_points_routed_total{{shard=\"{shard}\"}}"))
+                    .counter(&format!(
+                        "noc_fleet_points_routed_total{{shard=\"{shard}\"}}"
+                    ))
                     .add(plan.indices(shard).len() as u64);
             }
             let (tx, rx) = mpsc::channel::<ShardMsg>();
@@ -810,12 +814,12 @@ mod fleet_client {
                     points: total,
                 });
             }
-            debug_assert!(reorder.is_complete(), "every index delivered or synthesized");
-            let summary = merge_summaries(
-                &summaries,
-                &req.jobs,
-                started.elapsed().as_secs_f64() * 1e3,
+            debug_assert!(
+                reorder.is_complete(),
+                "every index delivered or synthesized"
             );
+            let summary =
+                merge_summaries(&summaries, &req.jobs, started.elapsed().as_secs_f64() * 1e3);
             emit(ServiceResponse::Done {
                 id: req.id.clone(),
                 summary: summary.clone(),
@@ -944,11 +948,7 @@ mod fleet_client {
                 ServiceResponse::Accepted { id, .. } if id == sub_id => {
                     ShardMsg::Accepted { shard }
                 }
-                ServiceResponse::Busy {
-                    id,
-                    pending,
-                    limit,
-                } if id == sub_id => {
+                ServiceResponse::Busy { id, pending, limit } if id == sub_id => {
                     let _ = tx.send(ShardMsg::Busy {
                         shard,
                         pending,

@@ -61,9 +61,7 @@ pub fn try_workers_from_env() -> Result<Option<usize>, String> {
         .ok()
         .filter(|&w| w > 0)
         .map(Some)
-        .ok_or_else(|| {
-            format!("NOC_BENCH_WORKERS must be a positive integer, got {text:?}")
-        })
+        .ok_or_else(|| format!("NOC_BENCH_WORKERS must be a positive integer, got {text:?}"))
 }
 
 /// Telemetry output directory: the `--telemetry <dir>` flag in `flags`
@@ -183,10 +181,7 @@ impl FigureHarness {
         }
         if let Some(socket) = service_socket_from_env(&mut flags).unwrap_or_else(usage) {
             harness = harness.connect_service(&socket).unwrap_or_else(|e| {
-                eprintln!(
-                    "error: cannot reach noc-serve at {}: {e}",
-                    socket.display()
-                );
+                eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
                 std::process::exit(2);
             });
         }
@@ -303,9 +298,7 @@ impl FigureHarness {
                 .lock()
                 .expect("service client poisoned")
                 .submit("bench", jobs)
-                .unwrap_or_else(|e| {
-                    panic!("noc-serve at {}: {e}", remote.socket.display())
-                });
+                .unwrap_or_else(|e| panic!("noc-serve at {}: {e}", remote.socket.display()));
             {
                 let mut stats = remote.stats.lock().expect("remote stats poisoned");
                 stats.0 += batch.points.len() as u64;
@@ -322,9 +315,9 @@ impl FigureHarness {
             }
             return Ok(batch.metrics);
         }
-        let detailed = self
-            .runner
-            .run_synthetic_jobs_detailed(experiment, jobs, Some(&self.cache))?;
+        let detailed =
+            self.runner
+                .run_synthetic_jobs_detailed(experiment, jobs, Some(&self.cache))?;
         if let Some(t) = &self.telemetry {
             let mut pts = t.points.lock().expect("telemetry points poisoned");
             for (job, (m, d)) in jobs.iter().zip(&detailed) {
@@ -454,9 +447,7 @@ pub fn watts(w: f64) -> String {
 
 /// Standard banner for figure binaries.
 pub fn banner(id: &str, title: &str, paper_claim: &str) -> String {
-    format!(
-        "== {id}: {title} ==\npaper: {paper_claim}\n"
-    )
+    format!("== {id}: {title} ==\npaper: {paper_claim}\n")
 }
 
 /// Arithmetic mean.

@@ -147,7 +147,11 @@ fn scale_study_runs_on_the_requested_mesh() {
     let scale = env!("CARGO_BIN_EXE_scale_study");
     let out = run_in(&dir, scale, &["--mesh=8", "--quick"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(stdout.contains("| 64/64 cores |"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

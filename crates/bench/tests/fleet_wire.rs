@@ -17,17 +17,14 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use noc_bench::client::{FleetClient, ServiceClientError};
+use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::fleet::shard_of;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::ServiceResponse;
-use noc_sim::traffic::TrafficPattern;
-use noc_sim::topology::TopologySpec;
 
 fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "noc-fleet-wire-{label}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("noc-fleet-wire-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -245,7 +242,10 @@ fn shard_death_mid_batch_fails_only_its_points() {
     let shard1: Vec<usize> = (0..jobs.len())
         .filter(|&i| shard_of(jobs[i].cache_key(), 2) == 1)
         .collect();
-    assert!(!shard1.is_empty(), "test batch must route points to shard 1");
+    assert!(
+        !shard1.is_empty(),
+        "test batch must route points to shard 1"
+    );
     assert_eq!(lost.iter().map(|&(i, _)| i).collect::<Vec<_>>(), shard1);
     assert!(
         lost.iter().all(|(_, e)| e.starts_with("shard 1 lost:")),
@@ -326,16 +326,24 @@ fn fleet_binary_matches_in_process_fleet_and_shuts_down_shards() {
         .expect("spawn noc_fleet");
     let deadline = Instant::now() + Duration::from_secs(30);
     while !fleet_sock.exists() {
-        assert!(Instant::now() < deadline, "coordinator never bound {fleet_sock:?}");
+        assert!(
+            Instant::now() < deadline,
+            "coordinator never bound {fleet_sock:?}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 
     let mut client = noc_bench::client::connect_unix(&fleet_sock).expect("connect");
     let via_binary = client.submit("binary", &jobs).expect("batch via noc_fleet");
     let mut fleet = FleetClient::new(shard_sockets.to_vec());
-    let in_process = fleet.submit("binary", &jobs).expect("in-process fleet batch");
+    let in_process = fleet
+        .submit("binary", &jobs)
+        .expect("in-process fleet batch");
     assert_eq!(bits_of(&via_binary.points), bits_of(&in_process.points));
-    assert_eq!(via_binary.summary.config_hash, in_process.summary.config_hash);
+    assert_eq!(
+        via_binary.summary.config_hash,
+        in_process.summary.config_hash
+    );
     assert_eq!(via_binary.summary.ok, jobs.len());
 
     client.shutdown().expect("shutdown via the coordinator");

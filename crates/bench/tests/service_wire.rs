@@ -13,10 +13,7 @@ use noc_sprinting::service::{BatchSummary, ServiceResponse};
 use noc_sprinting::telemetry::ManifestPoint;
 
 fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "noc-serve-wire-{label}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("noc-serve-wire-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -157,7 +154,9 @@ fn malformed_and_failing_requests_keep_the_daemon_alive() {
                 assert_eq!(id, None, "parse errors have no request id");
                 saw_error = true;
             }
-            ServiceResponse::PointFailed { id, index, error, .. } => {
+            ServiceResponse::PointFailed {
+                id, index, error, ..
+            } => {
                 assert_eq!(id, "half");
                 assert_eq!(index, 1);
                 assert!(!error.is_empty());
@@ -186,17 +185,20 @@ fn malformed_and_failing_requests_keep_the_daemon_alive() {
 
 /// Requests with a line that is not UTF-8 in the middle: the line gets an
 /// `error` event without an id and the session serves the next request.
-const NON_UTF8_SESSION: &[u8] = b"{\"type\":\"ping\"}\n\xff\xfe\n{\"type\":\"ping\"}\n{\"type\":\"shutdown\"}\n";
+const NON_UTF8_SESSION: &[u8] =
+    b"{\"type\":\"ping\"}\n\xff\xfe\n{\"type\":\"ping\"}\n{\"type\":\"shutdown\"}\n";
 
 /// The event types of a session's output, in order.
 fn event_types(out: &[u8]) -> Vec<&'static str> {
     String::from_utf8_lossy(out)
         .lines()
-        .map(|l| match ServiceResponse::from_json_line(l).expect("well-formed event") {
-            ServiceResponse::Pong { .. } => "pong",
-            ServiceResponse::Error { id: None, .. } => "error",
-            other => panic!("unexpected event: {other:?}"),
-        })
+        .map(
+            |l| match ServiceResponse::from_json_line(l).expect("well-formed event") {
+                ServiceResponse::Pong { .. } => "pong",
+                ServiceResponse::Error { id: None, .. } => "error",
+                other => panic!("unexpected event: {other:?}"),
+            },
+        )
         .collect()
 }
 
@@ -234,7 +236,10 @@ fn a_non_utf8_line_gets_an_error_on_a_socket() {
         .expect("spawn noc_serve");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while !sock.exists() {
-        assert!(std::time::Instant::now() < deadline, "daemon never bound {sock:?}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "daemon never bound {sock:?}"
+        );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");

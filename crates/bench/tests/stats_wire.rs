@@ -15,17 +15,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use noc_bench::client::{connect_unix, FleetClient};
+use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::metrics::{validate_prometheus, StatsSnapshot};
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::JsonValue;
-use noc_sim::traffic::TrafficPattern;
-use noc_sim::topology::TopologySpec;
 
 fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "noc-stats-wire-{label}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("noc-stats-wire-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -187,7 +184,13 @@ fn stats_polling_does_not_perturb_a_daemon_batch() {
             .map(|h| h.count),
         Some(jobs.len() as u64)
     );
-    assert!(settled.metrics.counter(r#"noc_requests_total{verb="stats"}"#).unwrap_or(0) > 0);
+    assert!(
+        settled
+            .metrics
+            .counter(r#"noc_requests_total{verb="stats"}"#)
+            .unwrap_or(0)
+            > 0
+    );
     client.shutdown().expect("shutdown");
     assert!(daemon.wait().expect("exit").success());
     let _ = std::fs::remove_dir_all(&dir);
@@ -246,7 +249,12 @@ fn fleet_stats_aggregate_and_do_not_perturb() {
     let aggregated = fleet.stats();
     let shard_snaps: Vec<StatsSnapshot> = sockets
         .iter()
-        .map(|s| connect_unix(s).expect("connect").stats().expect("shard stats"))
+        .map(|s| {
+            connect_unix(s)
+                .expect("connect")
+                .stats()
+                .expect("shard stats")
+        })
         .collect();
     for &name in &[
         "noc_points_submitted_total",
@@ -291,10 +299,19 @@ fn fleet_stats_aggregate_and_do_not_perturb() {
         })
         .sum();
     assert_eq!(routed, jobs.len() as u64, "every point routed to a shard");
-    assert_eq!(aggregated.metrics.counter("noc_fleet_shard_loss_total"), None);
+    assert_eq!(
+        aggregated.metrics.counter("noc_fleet_shard_loss_total"),
+        None
+    );
     assert_eq!(aggregated.metrics.gauge("noc_fleet_shards"), Some(2.0));
-    assert_eq!(aggregated.metrics.gauge("noc_fleet_shards_alive"), Some(2.0));
-    assert!(aggregated.shards.iter().all(|sh| sh.alive && sh.engine == "noc-serve"));
+    assert_eq!(
+        aggregated.metrics.gauge("noc_fleet_shards_alive"),
+        Some(2.0)
+    );
+    assert!(aggregated
+        .shards
+        .iter()
+        .all(|sh| sh.alive && sh.engine == "noc-serve"));
 
     fleet.shutdown().expect("shards shut down");
     for child in &mut shards {
@@ -313,7 +330,12 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
     let metrics_sock = dir.join("metrics.sock");
     let mut daemon = spawn_daemon(
         &sock,
-        &["--metrics", metrics_sock.to_str().unwrap(), "--slow-factor", "100"],
+        &[
+            "--metrics",
+            metrics_sock.to_str().unwrap(),
+            "--slow-factor",
+            "100",
+        ],
     );
     let deadline = Instant::now() + Duration::from_secs(30);
     while !metrics_sock.exists() {
@@ -325,16 +347,30 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
     client.submit("prom", &jobs).expect("batch");
 
     let mut stream = std::os::unix::net::UnixStream::connect(&metrics_sock).expect("scrape");
-    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("request");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("response");
     let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
     assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
-    assert!(head.contains("version=0.0.4"), "exposition content type: {head}");
+    assert!(
+        head.contains("version=0.0.4"),
+        "exposition content type: {head}"
+    );
     let samples = validate_prometheus(body).expect("exposition validates");
-    assert!(samples > 10, "a populated daemon exposes many samples, got {samples}");
-    assert!(body.contains("noc_points_completed_total 6"), "completed counter exposed");
-    assert!(body.contains(r#"noc_info{"#), "identity info metric exposed");
+    assert!(
+        samples > 10,
+        "a populated daemon exposes many samples, got {samples}"
+    );
+    assert!(
+        body.contains("noc_points_completed_total 6"),
+        "completed counter exposed"
+    );
+    assert!(
+        body.contains(r#"noc_info{"#),
+        "identity info metric exposed"
+    );
 
     // The scraped body also passes the shipped checker binary.
     let prom_file = dir.join("scrape.prom");
@@ -344,7 +380,10 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
         .arg(&prom_file)
         .status()
         .expect("run telemetry_check --prom");
-    assert!(status.success(), "telemetry_check --prom accepts the scrape");
+    assert!(
+        status.success(),
+        "telemetry_check --prom accepts the scrape"
+    );
 
     client.shutdown().expect("shutdown");
     assert!(daemon.wait().expect("exit").success());

@@ -78,8 +78,17 @@ impl BypassModel {
     /// # Panics
     ///
     /// Panics if `src` is not active.
-    pub fn access_latency(&self, set: &SprintSet, params: &RouterParams, src: NodeId, bank: NodeId) -> u64 {
-        assert!(set.is_active(src), "bank access must originate in the region");
+    pub fn access_latency(
+        &self,
+        set: &SprintSet,
+        params: &RouterParams,
+        src: NodeId,
+        bank: NodeId,
+    ) -> u64 {
+        assert!(
+            set.is_active(src),
+            "bank access must originate in the region"
+        );
         let mesh = set.mesh();
         if set.is_active(bank) {
             // Plain network access: hops + ejection, then the bank.
@@ -93,7 +102,13 @@ impl BypassModel {
     }
 
     /// Round-trip latency (request + response) to a bank.
-    pub fn round_trip(&self, set: &SprintSet, params: &RouterParams, src: NodeId, bank: NodeId) -> u64 {
+    pub fn round_trip(
+        &self,
+        set: &SprintSet,
+        params: &RouterParams,
+        src: NodeId,
+        bank: NodeId,
+    ) -> u64 {
         2 * self.access_latency(set, params, src, bank)
     }
 

@@ -92,7 +92,11 @@ impl fmt::Display for SystemConfig {
             self.mesh_width, self.mesh_height
         )?;
         writeln!(f, "router pipeline    classic five-stage")?;
-        writeln!(f, "VC count           {} VCs per port", self.router.vcs_per_port)?;
+        writeln!(
+            f,
+            "VC count           {} VCs per port",
+            self.router.vcs_per_port
+        )?;
         writeln!(
             f,
             "buffer depth       {} buffers per VC",

@@ -51,7 +51,10 @@ impl SprintPolicy {
 
     /// Whether inactive cores are power-gated under this policy.
     pub fn gates_inactive_resources(self) -> bool {
-        matches!(self, SprintPolicy::NonSprinting | SprintPolicy::NocSprinting)
+        matches!(
+            self,
+            SprintPolicy::NonSprinting | SprintPolicy::NocSprinting
+        )
     }
 }
 
@@ -166,7 +169,8 @@ impl BackoffPolicy {
     /// Backoff delay after failed attempt `attempt` (0-based):
     /// `base_cycles << attempt`, saturating.
     pub fn delay(&self, attempt: u32) -> u64 {
-        self.base_cycles.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
+        self.base_cycles
+            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
     }
 }
 
@@ -404,7 +408,10 @@ mod tests {
         let c = ctl();
         let vips = by_name("vips").unwrap();
         let set = c.sprint_set(SprintPolicy::NocSprinting, &vips);
-        assert_eq!(set.level() as u32, c.sprint_level(SprintPolicy::NocSprinting, &vips));
+        assert_eq!(
+            set.level() as u32,
+            c.sprint_level(SprintPolicy::NocSprinting, &vips)
+        );
         assert_eq!(set.master(), NodeId(0));
     }
 

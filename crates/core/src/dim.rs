@@ -141,7 +141,10 @@ mod tests {
                     + (16 - k) as f64 * m.chip.core_power(CoreState::Gated);
                 assert!(total <= budget * 1.001, "k={k}: {total} > {budget}");
                 // And it uses most of the budget (binary search tight).
-                assert!(total >= budget * 0.95, "k={k} wastes budget: {total} vs {budget}");
+                assert!(
+                    total >= budget * 0.95,
+                    "k={k} wastes budget: {total} vs {budget}"
+                );
             }
         }
     }
@@ -188,9 +191,7 @@ mod tests {
         let m = DimModel::paper();
         let swaptions = by_name("swaptions").unwrap();
         let model = ExecutionModel::new(swaptions);
-        let k = model
-            .optimal_cores(16, OPTIMAL_TOLERANCE)
-            .max(4) as usize;
+        let k = model.optimal_cores(16, OPTIMAL_TOLERANCE).max(4) as usize;
         let fine = model.speedup(k as u32);
         let dim = m.dim_speedup(&swaptions, k).expect("feasible");
         assert!(fine > dim);

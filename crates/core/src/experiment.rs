@@ -315,7 +315,15 @@ impl Experiment {
             let set = SprintSet::on(topo.clone(), self.controller.master(), level);
             let routing = CirculantRouting::on_arc(set.mask().to_vec());
             let placement = Placement::new(set.active_nodes().to_vec(), topo.as_dyn())?;
-            self.run_placed_on(topo, Box::new(routing), placement, Some(&set), pattern, rate, seed)
+            self.run_placed_on(
+                topo,
+                Box::new(routing),
+                placement,
+                Some(&set),
+                pattern,
+                rate,
+                seed,
+            )
         } else {
             use rand::SeedableRng;
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -457,8 +465,7 @@ impl Experiment {
             idle_threshold,
             wakeup_latency,
         });
-        let mut traffic =
-            TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
+        let mut traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
         if let Some(b) = bursts {
             traffic = traffic.with_bursts(b);
         }
@@ -552,12 +559,11 @@ impl Experiment {
         // `power_from_activity` includes clock + leakage for ONE router;
         // scale the static parts by the powered count.
         let router_dynamic = p.dynamic.total() - p.dynamic.clock;
-        let router_static =
-            (p.leakage.total() + p.dynamic.clock) * powered_routers as f64;
+        let router_static = (p.leakage.total() + p.dynamic.clock) * powered_routers as f64;
         let window_s = cycles as f64 * self.op.cycle_seconds();
-        let link_dynamic =
-            outcome.activity.link_flits as f64 * self.link_power.energy_per_flit(&self.op)
-                / window_s;
+        let link_dynamic = outcome.activity.link_flits as f64
+            * self.link_power.energy_per_flit(&self.op)
+            / window_s;
         let link_static = self.link_power.leakage(&self.op) * powered_links as f64;
         router_dynamic + router_static + link_dynamic + link_static
     }
@@ -630,7 +636,11 @@ impl Experiment {
                     ThermalVariant::FullSprinting => true,
                     _ => set.is_active(node),
                 };
-                let state = if on { CoreState::Active } else { CoreState::Gated };
+                let state = if on {
+                    CoreState::Active
+                } else {
+                    CoreState::Gated
+                };
                 self.chip_power.tile_power(state, on)
             })
             .collect()
@@ -647,8 +657,7 @@ impl Experiment {
         let logical = self.tile_powers(variant, level);
         let power = match variant {
             ThermalVariant::FineGrainedFloorplanned => {
-                let set =
-                    SprintSet::new(self.system.mesh(), self.controller.master(), level);
+                let set = SprintSet::new(self.system.mesh(), self.controller.master(), level);
                 Floorplan::thermal_aware(&set).physical_power(&logical)
             }
             _ => logical,
@@ -737,7 +746,9 @@ mod tests {
         let full = e
             .run_network(SprintPolicy::FullSprinting, &dedup, 7)
             .unwrap();
-        let ns = e.run_network(SprintPolicy::NocSprinting, &dedup, 7).unwrap();
+        let ns = e
+            .run_network(SprintPolicy::NocSprinting, &dedup, 7)
+            .unwrap();
         assert!(
             ns.avg_network_latency < full.avg_network_latency,
             "NoC-sprinting {} vs full {}",
@@ -823,7 +834,10 @@ mod tests {
         let e = exp();
         let full = e.heatmap(ThermalVariant::FullSprinting, 4).peak().1;
         let fg = e.heatmap(ThermalVariant::FineGrained, 4).peak().1;
-        let fp = e.heatmap(ThermalVariant::FineGrainedFloorplanned, 4).peak().1;
+        let fp = e
+            .heatmap(ThermalVariant::FineGrainedFloorplanned, 4)
+            .peak()
+            .1;
         assert!(full > fg, "full {full} vs fine-grained {fg}");
         assert!(fg > fp, "fine-grained {fg} vs floorplanned {fp}");
     }

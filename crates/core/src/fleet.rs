@@ -128,7 +128,11 @@ impl<T> FleetReorder<T> {
     /// Panics on an index out of range or already delivered — both are
     /// wire-contract violations by a shard, not recoverable states.
     pub fn push(&mut self, index: usize, item: T) -> Vec<(usize, T)> {
-        assert!(index < self.total, "index {index} out of range {}", self.total);
+        assert!(
+            index < self.total,
+            "index {index} out of range {}",
+            self.total
+        );
         assert!(index >= self.next, "index {index} already released");
         let clobbered = self.pending.insert(index, item);
         assert!(clobbered.is_none(), "index {index} delivered twice");
@@ -169,7 +173,11 @@ impl<T> FleetReorder<T> {
 /// died mid-batch — are counted as `failed`, matching the `point_failed`
 /// events the coordinator synthesizes for them. `wall_ms` is the
 /// coordinator's, since shards run concurrently.
-pub fn merge_summaries(parts: &[BatchSummary], jobs: &[SyntheticJob], wall_ms: f64) -> BatchSummary {
+pub fn merge_summaries(
+    parts: &[BatchSummary],
+    jobs: &[SyntheticJob],
+    wall_ms: f64,
+) -> BatchSummary {
     let accounted: usize = parts.iter().map(|p| p.points).sum();
     BatchSummary {
         points: jobs.len(),

@@ -160,7 +160,11 @@ impl Floorplan {
     ///
     /// Panics if `logical_power.len()` mismatches the mesh.
     pub fn physical_power(&self, logical_power: &[f64]) -> Vec<f64> {
-        assert_eq!(logical_power.len(), self.mesh.len(), "power length mismatch");
+        assert_eq!(
+            logical_power.len(),
+            self.mesh.len(),
+            "power length mismatch"
+        );
         let mut phys = vec![0.0; self.mesh.len()];
         for (logical, &slot) in self.pos.iter().enumerate() {
             phys[slot] = logical_power[logical];

@@ -6,8 +6,8 @@
 //! idle periods equal to the sprint duration, far beyond any break-even
 //! time, with no reactive wakeups.
 
-use noc_sim::geometry::NodeId;
 use noc_power::gating::GatingParams;
+use noc_sim::geometry::NodeId;
 
 use crate::sprint_topology::SprintSet;
 
@@ -153,8 +153,6 @@ mod tests {
     fn boundary_links_are_gated() {
         // Link 1 -> 2 exits the 4-core region (node 2 dark): must be gated.
         let p = GatingPlan::from_sprint_set(&SprintSet::paper(4));
-        assert!(!p
-            .links_on()
-            .contains(&(NodeId(1), NodeId(2))));
+        assert!(!p.links_on().contains(&(NodeId(1), NodeId(2))));
     }
 }

@@ -70,10 +70,10 @@
 
 pub mod bypass;
 pub mod cdor;
-pub mod dim;
 pub mod config;
 pub mod controller;
 pub mod convex;
+pub mod dim;
 pub mod experiment;
 pub mod fleet;
 pub mod floorplan;
@@ -89,13 +89,13 @@ pub mod wire;
 
 pub use bypass::BypassModel;
 pub use cdor::CdorRouting;
-pub use dim::{DimModel, DimOperation};
 pub use config::SystemConfig;
 pub use controller::{
     BackoffPolicy, DegradedSprint, SprintController, SprintPolicy, WakeupError, WakeupFault,
     WakeupFaults,
 };
 pub use convex::is_convex;
+pub use dim::{DimModel, DimOperation};
 pub use experiment::{Experiment, NetworkMetrics, ThermalVariant};
 pub use fleet::{merge_summaries, shard_of, sub_batch_id, FleetReorder, ShardPlan};
 pub use floorplan::Floorplan;

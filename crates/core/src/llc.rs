@@ -160,8 +160,7 @@ mod tests {
         let params = RouterParams::paper_two_vnets();
         let net = match gated {
             Some(set) => {
-                let mut n =
-                    Network::new(mesh, params, Box::new(CdorRouting::new(set))).unwrap();
+                let mut n = Network::new(mesh, params, Box::new(CdorRouting::new(set))).unwrap();
                 n.set_power_mask(set.mask());
                 n
             }
@@ -179,7 +178,11 @@ mod tests {
         let mesh = Mesh2D::paper_4x4();
         let all: Vec<NodeId> = mesh.nodes().collect();
         let rtts = run_llc(all.clone(), all, None);
-        assert!(rtts.count() > 50, "transactions completed: {}", rtts.count());
+        assert!(
+            rtts.count() > 50,
+            "transactions completed: {}",
+            rtts.count()
+        );
         let mean = rtts.mean().unwrap();
         // ~2.67 hops out + service 6 + return with 5-flit serialization.
         assert!((30.0..90.0).contains(&mean), "mean RTT {mean}");
@@ -214,13 +217,10 @@ mod tests {
 
     #[test]
     fn rates_and_inputs_validated() {
-        let r = std::panic::catch_unwind(|| {
-            LlcAgent::new(vec![], vec![NodeId(0)], 0.1, 6, 0)
-        });
+        let r = std::panic::catch_unwind(|| LlcAgent::new(vec![], vec![NodeId(0)], 0.1, 6, 0));
         assert!(r.is_err());
-        let r = std::panic::catch_unwind(|| {
-            LlcAgent::new(vec![NodeId(0)], vec![NodeId(0)], 0.0, 6, 0)
-        });
+        let r =
+            std::panic::catch_unwind(|| LlcAgent::new(vec![NodeId(0)], vec![NodeId(0)], 0.0, 6, 0));
         assert!(r.is_err());
     }
 }

@@ -89,7 +89,10 @@ impl Gauge {
     /// values, so `fetch_max` on bits is a lock-free running maximum —
     /// exactly what a high-water mark needs).
     pub fn set_max(&self, v: f64) {
-        debug_assert!(v >= 0.0, "Gauge::set_max is only valid for non-negative values");
+        debug_assert!(
+            v >= 0.0,
+            "Gauge::set_max is only valid for non-negative values"
+        );
         self.0.fetch_max(v.to_bits(), Ordering::Relaxed);
     }
 
@@ -161,7 +164,11 @@ impl MetricsRegistry {
 
     /// The gauge registered under `name`, created at `0.0` if new.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(lock_recover(&self.gauges).entry(name.to_string()).or_default())
+        Arc::clone(
+            lock_recover(&self.gauges)
+                .entry(name.to_string())
+                .or_default(),
+        )
     }
 
     /// The histogram registered under `name`, created empty if new.
@@ -262,7 +269,10 @@ impl HistogramSnapshot {
 impl MetricsSnapshot {
     /// Looks up a counter by exact name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
 
     /// Looks up a gauge by exact name.
@@ -272,12 +282,18 @@ impl MetricsSnapshot {
 
     /// Looks up a histogram by exact name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
     }
 
     /// Sets (replacing or inserting, keeping name order) a counter.
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+        match self
+            .counters
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+        {
             Ok(i) => self.counters[i].1 = v,
             Err(i) => self.counters.insert(i, (name.to_string(), v)),
         }
@@ -676,7 +692,9 @@ fn base_name(name: &str) -> &str {
 }
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn fmt_value(v: f64) -> String {
@@ -744,7 +762,9 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             }
         }
         let mut fields = rest.split_whitespace();
-        let value = fields.next().ok_or(format!("line {n}: missing sample value"))?;
+        let value = fields
+            .next()
+            .ok_or(format!("line {n}: missing sample value"))?;
         if !["NaN", "+Inf", "-Inf"].contains(&value) && value.parse::<f64>().is_err() {
             return Err(format!("line {n}: bad sample value {value:?}"));
         }
@@ -1016,10 +1036,19 @@ mod tests {
         assert_eq!(parsed.slow_points[0].config_hash, 0xdead);
         // in_flight derived: 6 submitted later... 5 admitted + 1 extra
         // completion observed → submitted floor rises to cover outcomes.
-        let submitted = parsed.metrics.counter("noc_points_submitted_total").unwrap();
-        let done = parsed.metrics.counter("noc_points_completed_total").unwrap()
+        let submitted = parsed
+            .metrics
+            .counter("noc_points_submitted_total")
+            .unwrap();
+        let done = parsed
+            .metrics
+            .counter("noc_points_completed_total")
+            .unwrap()
             + parsed.metrics.counter("noc_points_failed_total").unwrap()
-            + parsed.metrics.counter("noc_points_cancelled_total").unwrap();
+            + parsed
+                .metrics
+                .counter("noc_points_cancelled_total")
+                .unwrap();
         let in_flight = parsed.metrics.gauge("noc_points_in_flight").unwrap();
         assert_eq!(submitted, done + in_flight as u64);
 
@@ -1086,7 +1115,10 @@ mod tests {
         });
         let text = render_prometheus(&snap);
         let samples = validate_prometheus(&text).expect("render must satisfy the validator");
-        assert!(samples >= 10, "expected a rich exposition, got {samples} samples");
+        assert!(
+            samples >= 10,
+            "expected a rich exposition, got {samples} samples"
+        );
         assert!(text.contains("# TYPE noc_point_latency_us summary"));
         assert!(text.contains("noc_requests_total{verb=\"submit\"} 1"));
         assert!(text.contains("noc_shard_up{shard=\"1\"} 0"));
@@ -1097,10 +1129,19 @@ mod tests {
         let cases = [
             ("noc_a 1\n", "no preceding # TYPE"),
             ("# TYPE noc_a counter\nnoc_a one\n", "bad sample value"),
-            ("# TYPE noc_a counter\n# TYPE noc_a gauge\nnoc_a 1\n", "typed twice"),
+            (
+                "# TYPE noc_a counter\n# TYPE noc_a gauge\nnoc_a 1\n",
+                "typed twice",
+            ),
             ("# TYPE 9bad counter\n", "bad metric name"),
-            ("# TYPE noc_a counter\nnoc_a{x=\"unterminated} 1\n", "unterminated"),
-            ("# TYPE noc_a counter\nnoc_a{9x=\"v\"} 1\n", "bad label name"),
+            (
+                "# TYPE noc_a counter\nnoc_a{x=\"unterminated} 1\n",
+                "unterminated",
+            ),
+            (
+                "# TYPE noc_a counter\nnoc_a{9x=\"v\"} 1\n",
+                "bad label name",
+            ),
             ("# TYPE noc_a counter\n\nnoc_a 1\n", "empty line"),
             ("# TYPE noc_a counter\n", "no samples"),
             ("# TYPE noc_a counter\nnoc_a 1 2 3\n", "trailing garbage"),

@@ -302,8 +302,7 @@ impl ExperimentRunner {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let results: Vec<Mutex<Option<Result<O, E>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<Result<O, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let batch_start = Instant::now();
         let pull = || loop {
@@ -626,7 +625,8 @@ impl<V: Clone> ResultCache<V> {
         key: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        self.get_or_try_insert_with_stats(key, compute).map(|(v, _)| v)
+        self.get_or_try_insert_with_stats(key, compute)
+            .map(|(v, _)| v)
     }
 
     /// [`ResultCache::get_or_try_insert_with`], additionally reporting
@@ -714,10 +714,17 @@ mod tests {
         };
         let serial = threads_used(1);
         assert_eq!(serial.len(), 1);
-        assert!(serial.contains(&std::thread::current().id()), "1 worker spawns nothing");
+        assert!(
+            serial.contains(&std::thread::current().id()),
+            "1 worker spawns nothing"
+        );
         for workers in [2, 3, 8] {
             let used = threads_used(workers);
-            assert!(used.len() <= workers, "{} threads for {workers} workers", used.len());
+            assert!(
+                used.len() <= workers,
+                "{} threads for {workers} workers",
+                used.len()
+            );
         }
     }
 
@@ -725,13 +732,8 @@ mod tests {
     fn try_run_reports_lowest_index_error() {
         let runner = ExperimentRunner::with_workers(4);
         let items: Vec<usize> = (0..32).collect();
-        let res: Result<Vec<usize>, usize> = runner.try_run(&items, |i, &x| {
-            if i % 7 == 3 {
-                Err(i)
-            } else {
-                Ok(x)
-            }
-        });
+        let res: Result<Vec<usize>, usize> =
+            runner.try_run(&items, |i, &x| if i % 7 == 3 { Err(i) } else { Ok(x) });
         assert_eq!(res.unwrap_err(), 3);
     }
 
@@ -845,7 +847,9 @@ mod tests {
         assert_eq!(report.points.len(), 2);
         assert_eq!(rec.len(), 2, "one span per operating point");
         let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.seed == Some(point_seed(sweep.seed, 0))));
+        assert!(spans
+            .iter()
+            .any(|s| s.seed == Some(point_seed(sweep.seed, 0))));
         assert!(spans.iter().all(|s| !s.cache_hit));
         assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);
     }

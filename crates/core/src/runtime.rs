@@ -8,9 +8,9 @@
 //! arrival spacing, policy, and sprint level together decide how much of
 //! each job runs at sprint speed versus single-core crawl.
 
+use noc_thermal::sprint::LumpedState;
 use noc_workload::profile::BenchmarkProfile;
 use noc_workload::speedup::ExecutionModel;
-use noc_thermal::sprint::LumpedState;
 
 use crate::controller::SprintPolicy;
 use crate::experiment::Experiment;
@@ -145,12 +145,11 @@ impl SprintRuntime {
         }
         let start = self.clock;
         let model = ExecutionModel::new(job.profile);
-        let level = self
-            .exp
-            .controller
-            .sprint_level(self.policy, &job.profile);
+        let level = self.exp.controller.sprint_level(self.policy, &job.profile);
         let sprint_power = self.exp.chip_sprint_power(self.policy, &job.profile);
-        let nominal_power = self.exp.chip_sprint_power(SprintPolicy::NonSprinting, &job.profile);
+        let nominal_power = self
+            .exp
+            .chip_sprint_power(SprintPolicy::NonSprinting, &job.profile);
         let t_max = self.exp.sprint_thermal.t_max;
 
         // Work remaining, in seconds of *sprint-mode* execution.

@@ -273,8 +273,7 @@ impl DiskResultCache {
         let mut segment_bytes = 0u64;
         for name in &names {
             report.segments += 1;
-            next_segment = next_segment
-                .max(parse_segment_index(name).expect("filtered above") + 1);
+            next_segment = next_segment.max(parse_segment_index(name).expect("filtered above") + 1);
             let bytes = fs::read(dir.join(name))?;
             segment_bytes += bytes.len() as u64;
             // Lines are decoded one at a time, so a torn or garbled line
@@ -361,16 +360,14 @@ impl DiskResultCache {
 
     /// The backing directory, if persistent.
     pub fn dir(&self) -> Option<PathBuf> {
-        self.disk
-            .as_ref()
-            .map(|d| lock_recover(d).dir.clone())
+        self.disk.as_ref().map(|d| lock_recover(d).dir.clone())
     }
 
     /// Number of keys durably recorded on disk (current version).
     pub fn persisted_len(&self) -> usize {
-        self.disk.as_ref().map_or(0, |d| {
-            lock_recover(d).persisted.len()
-        })
+        self.disk
+            .as_ref()
+            .map_or(0, |d| lock_recover(d).persisted.len())
     }
 
     /// Appends every not-yet-persisted result among `jobs` to the open
@@ -496,7 +493,9 @@ impl DiskResultCache {
         };
         let result = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = disk.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let _guard = disk
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 panic!("deliberately poisoning the cache disk state");
             })
             .join()
@@ -648,24 +647,31 @@ impl SweepService {
     /// here — at read time — so the serving hot paths never pay for them.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let reg = self.metrics.registry();
-        reg.gauge("noc_queue_depth").set(self.pending_points() as f64);
+        reg.gauge("noc_queue_depth")
+            .set(self.pending_points() as f64);
         reg.gauge("noc_queue_limit")
             .set(self.queue_limit.map_or(0.0, |l| l as f64));
         let cs = self.cache.stats();
         reg.counter("noc_cache_hits_total").observe(cs.hits);
         reg.counter("noc_cache_misses_total").observe(cs.misses);
-        reg.counter("noc_cache_stale_records_total").observe(cs.stale);
-        reg.counter("noc_cache_corrupt_lines_total").observe(cs.corrupt);
-        reg.counter("noc_cache_compactions_total").observe(cs.compactions);
+        reg.counter("noc_cache_stale_records_total")
+            .observe(cs.stale);
+        reg.counter("noc_cache_corrupt_lines_total")
+            .observe(cs.corrupt);
+        reg.counter("noc_cache_compactions_total")
+            .observe(cs.compactions);
         reg.gauge("noc_cache_entries").set(cs.entries as f64);
-        reg.gauge("noc_cache_persisted_records").set(cs.persisted as f64);
-        reg.gauge("noc_cache_segment_bytes").set(cs.segment_bytes as f64);
+        reg.gauge("noc_cache_persisted_records")
+            .set(cs.persisted as f64);
+        reg.gauge("noc_cache_segment_bytes")
+            .set(cs.segment_bytes as f64);
         let progress = self.runner.progress().snapshot();
         reg.counter("noc_runner_points_scheduled_total")
             .observe(progress.scheduled as u64);
         reg.counter("noc_runner_points_completed_total")
             .observe(progress.completed as u64);
-        reg.gauge("noc_runner_workers").set(self.runner.workers() as f64);
+        reg.gauge("noc_runner_workers")
+            .set(self.runner.workers() as f64);
         let capacity_ns = self.metrics.uptime_ms() * 1e6 * self.runner.workers() as f64;
         if capacity_ns > 0.0 {
             reg.gauge("noc_worker_utilization")
@@ -680,11 +686,7 @@ impl SweepService {
 
     /// Parses and serves one request line, emitting response events.
     /// Malformed lines produce an `error` event and keep the daemon alive.
-    pub fn handle_line(
-        &self,
-        line: &str,
-        emit: &mut dyn FnMut(ServiceResponse),
-    ) -> ServiceControl {
+    pub fn handle_line(&self, line: &str, emit: &mut dyn FnMut(ServiceResponse)) -> ServiceControl {
         match ServiceRequest::from_json_line(line) {
             Err(e) => {
                 self.metrics.count_request_error();
@@ -767,9 +769,11 @@ impl SweepService {
     ) -> Option<BatchSummary> {
         let total = req.jobs.len();
         if let Some(limit) = self.effective_limit(req.priority) {
-            let admit = self.pending.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |p| {
-                (p + total <= limit).then_some(p + total)
-            });
+            let admit = self
+                .pending
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |p| {
+                    (p + total <= limit).then_some(p + total)
+                });
             if let Err(pending) = admit {
                 self.metrics.busy_rejected();
                 emit(ServiceResponse::Busy {
@@ -858,12 +862,8 @@ impl SweepService {
                         Ok((metrics, cache_hit)) => {
                             ok += 1;
                             hits += u64::from(cache_hit);
-                            self.metrics.point_completed(
-                                job.cache_key(),
-                                job.seed,
-                                cache_hit,
-                                ms,
-                            );
+                            self.metrics
+                                .point_completed(job.cache_key(), job.seed, cache_hit, ms);
                             emit(ServiceResponse::Point {
                                 id: req.id.clone(),
                                 point: ManifestPoint {
@@ -963,10 +963,8 @@ mod tests {
     }
 
     fn scratch_dir(label: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "noc-service-unit-{label}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("noc-service-unit-{label}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
@@ -995,7 +993,11 @@ mod tests {
             }),
         ] {
             let line = req.to_json_line();
-            assert_eq!(ServiceRequest::from_json_line(&line).unwrap(), req, "{line}");
+            assert_eq!(
+                ServiceRequest::from_json_line(&line).unwrap(),
+                req,
+                "{line}"
+            );
         }
     }
 
@@ -1103,7 +1105,11 @@ mod tests {
         ];
         for ev in events {
             let line = ev.to_json_line();
-            assert_eq!(ServiceResponse::from_json_line(&line).unwrap(), ev, "{line}");
+            assert_eq!(
+                ServiceResponse::from_json_line(&line).unwrap(),
+                ev,
+                "{line}"
+            );
         }
     }
 
@@ -1264,7 +1270,10 @@ mod tests {
             })
             .collect();
         assert_eq!(indices, vec![0, 1], "points stream in strict index order");
-        assert!(matches!(events.first(), Some(ServiceResponse::Accepted { points: 2, .. })));
+        assert!(matches!(
+            events.first(),
+            Some(ServiceResponse::Accepted { points: 2, .. })
+        ));
         assert!(matches!(events.last(), Some(ServiceResponse::Done { .. })));
         // Resubmission is served entirely from cache with identical metrics.
         let first: Vec<ManifestPoint> = events
@@ -1368,10 +1377,15 @@ mod tests {
         };
         assert_eq!(snapshot.engine, "noc-serve");
         assert_eq!(
-            snapshot.metrics.counter("noc_requests_total{verb=\"ping\"}"),
+            snapshot
+                .metrics
+                .counter("noc_requests_total{verb=\"ping\"}"),
             Some(1)
         );
-        assert_eq!(snapshot.metrics.counter("noc_request_errors_total"), Some(1));
+        assert_eq!(
+            snapshot.metrics.counter("noc_request_errors_total"),
+            Some(1)
+        );
         assert_eq!(snapshot.metrics.gauge("noc_queue_depth"), Some(0.0));
     }
 
@@ -1395,14 +1409,18 @@ mod tests {
         assert_eq!(service.queue_limit(), Some(1));
         // Two jobs against a limit of one: rejected, with a lone busy event.
         let mut events = Vec::new();
-        assert!(service.run_submit(&submit("b0", 0), &mut |e| events.push(e)).is_none());
+        assert!(service
+            .run_submit(&submit("b0", 0), &mut |e| events.push(e))
+            .is_none());
         assert_eq!(events.len(), 1, "busy is the only event");
         assert!(
             matches!(&events[0], ServiceResponse::Busy { id, pending: 0, limit: 1 } if id == "b0")
         );
         // Negative priority halves the limit (1 / 2 = 0): also rejected.
         let mut events = Vec::new();
-        assert!(service.run_submit(&submit("b1", -1), &mut |e| events.push(e)).is_none());
+        assert!(service
+            .run_submit(&submit("b1", -1), &mut |e| events.push(e))
+            .is_none());
         assert!(matches!(&events[0], ServiceResponse::Busy { limit: 0, .. }));
         // Positive priority bypasses the limit entirely.
         let mut events = Vec::new();
@@ -1482,8 +1500,7 @@ mod tests {
     #[test]
     fn service_md_matches_schema_reference() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SERVICE.md");
-        let text = std::fs::read_to_string(path)
-            .expect("SERVICE.md exists at the repository root");
+        let text = std::fs::read_to_string(path).expect("SERVICE.md exists at the repository root");
         let begin = "<!-- schema:generated:begin -->";
         let end = "<!-- schema:generated:end -->";
         let start = text

@@ -234,7 +234,10 @@ mod tests {
         for m in [0usize, 7, 29] {
             let order = sprint_order(&mesh, NodeId(m));
             let mc = mesh.coord(NodeId(m));
-            let dists: Vec<u32> = order.iter().map(|&n| mesh.coord(n).euclidean_sq(mc)).collect();
+            let dists: Vec<u32> = order
+                .iter()
+                .map(|&n| mesh.coord(n).euclidean_sq(mc))
+                .collect();
             assert!(dists.windows(2).all(|w| w[0] <= w[1]));
         }
     }

@@ -249,7 +249,11 @@ impl Parser<'_> {
             Some(b'[') => self.nested(Self::array),
             Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.i)),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|c| c as char),
+                self.i
+            )),
         }
     }
 
@@ -258,7 +262,10 @@ impl Parser<'_> {
         f: fn(&mut Self) -> Result<JsonValue, String>,
     ) -> Result<JsonValue, String> {
         if self.depth == MAX_JSON_DEPTH {
-            return Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", self.i));
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.i
+            ));
         }
         self.depth += 1;
         let v = f(self);
@@ -632,7 +639,10 @@ impl RunManifest {
         let points = self.points.iter().map(ManifestPoint::to_json_line);
         let faults = self.faults.iter().map(FaultRecord::to_json_line);
         let mut out = String::new();
-        for line in std::iter::once(self.to_json_line()).chain(points).chain(faults) {
+        for line in std::iter::once(self.to_json_line())
+            .chain(points)
+            .chain(faults)
+        {
             out.push_str(&line);
             out.push('\n');
         }
@@ -669,10 +679,7 @@ impl fmt::Display for RunnerEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunnerEvent::PointFailed {
-                label,
-                index,
-                seed,
-                ..
+                label, index, seed, ..
             } => {
                 write!(f, "{label}: point {index} failed")?;
                 if let Some(s) = seed {
@@ -722,7 +729,10 @@ mod tests {
     #[test]
     fn json_round_trips_nested_values() {
         let v = JsonValue::Obj(vec![
-            ("s".to_string(), JsonValue::Str("a \"quote\"\nline".to_string())),
+            (
+                "s".to_string(),
+                JsonValue::Str("a \"quote\"\nline".to_string()),
+            ),
             ("n".to_string(), JsonValue::Num(-12.5)),
             ("i".to_string(), JsonValue::Num(3.0)),
             ("b".to_string(), JsonValue::Bool(true)),
@@ -824,7 +834,10 @@ mod tests {
         // The seed arg survives as hex.
         let doc = JsonValue::parse(&trace).unwrap();
         let ev = &doc.get("traceEvents").unwrap().as_array().unwrap()[0];
-        assert_eq!(ev.get("args").unwrap().get("seed").unwrap().as_u64(), Some(42));
+        assert_eq!(
+            ev.get("args").unwrap().get("seed").unwrap().as_u64(),
+            Some(42)
+        );
     }
 
     #[test]

@@ -389,8 +389,16 @@ impl Fields for SumHiLo {
         Ok((u128::from(hi) << 64) | u128::from(lo))
     }
     fn rows(out: &mut Vec<Row>) {
-        for (name, doc) in [("sum_hi", "high 64 bits of the sum"), ("sum_lo", "low 64 bits")] {
-            out.push(Row { name, kind: Hex::DOC, doc, optional: false });
+        for (name, doc) in [
+            ("sum_hi", "high 64 bits of the sum"),
+            ("sum_lo", "low 64 bits"),
+        ] {
+            out.push(Row {
+                name,
+                kind: Hex::DOC,
+                doc,
+                optional: false,
+            });
         }
     }
 }
@@ -405,7 +413,11 @@ impl Kind for CacheMetrics {
     const DOC: &'static str = "object";
     fn enc(m: &NetworkMetrics) -> JsonValue {
         let pairs = METRIC_FIELDS.iter().zip(metric_values(m)).map(|(&k, v)| {
-            let json = if k == "saturated" { Bool::enc(&(v != 0.0)) } else { Bits::enc(&v) };
+            let json = if k == "saturated" {
+                Bool::enc(&(v != 0.0))
+            } else {
+                Bits::enc(&v)
+            };
             (k.to_string(), json)
         });
         JsonValue::Obj(pairs.collect())
@@ -926,12 +938,20 @@ fn rows<M: Fields>() -> Vec<Row> {
 }
 
 fn variant_rows<'a>(variants: &'a [Variant], tag: &str) -> &'a [Row] {
-    &variants.iter().find(|v| v.tag == tag).expect("declared variant").rows
+    &variants
+        .iter()
+        .find(|v| v.tag == tag)
+        .expect("declared variant")
+        .rows
 }
 
 fn table_head(title: &str, columns: [&str; 3], out: &mut String) {
     let _ = writeln!(out, "#### {title}\n");
-    let _ = writeln!(out, "| {} | {} | {} |\n|---|---|---|", columns[0], columns[1], columns[2]);
+    let _ = writeln!(
+        out,
+        "| {} | {} | {} |\n|---|---|---|",
+        columns[0], columns[1], columns[2]
+    );
 }
 
 /// A Field/Type/Meaning table, led by a `type` row when the object is
@@ -986,6 +1006,11 @@ pub fn schema_reference() -> String {
     }
     field_table("`stats` snapshot", None, &rows::<StatsSnapshot>(), &mut out);
     let cache = rows::<CacheRecord>();
-    field_table("Cache record (segment line)", Some("cache"), &cache, &mut out);
+    field_table(
+        "Cache record (segment line)",
+        Some("cache"),
+        &cache,
+        &mut out,
+    );
     out.trim_end().to_string()
 }

@@ -126,8 +126,7 @@ impl AreaModel {
     /// Full router area with the given routing-logic gate count.
     fn router_area(&self, routing_gates: f64) -> RouterArea {
         let c = &self.config;
-        let buffer_bits =
-            (c.flit_bits as usize * c.vcs_per_port * c.buffer_depth * c.ports) as f64;
+        let buffer_bits = (c.flit_bits as usize * c.vcs_per_port * c.buffer_depth * c.ports) as f64;
         // Allocators: VA is ~(ports*vcs)² arbitration cells, SA ~ports²*vcs.
         let va_gates = ((c.ports * c.vcs_per_port) as f64).powi(2) * 2.2;
         let sa_gates = (c.ports as f64).powi(2) * c.vcs_per_port as f64 * 3.0;
@@ -167,7 +166,10 @@ mod tests {
         let m = AreaModel::new(AreaConfig::paper());
         let o = m.cdor_overhead();
         assert!(o > 0.0, "CDOR must cost something");
-        assert!(o < 0.02, "CDOR overhead {o:.4} exceeds the paper's 2% bound");
+        assert!(
+            o < 0.02,
+            "CDOR overhead {o:.4} exceeds the paper's 2% bound"
+        );
     }
 
     #[test]

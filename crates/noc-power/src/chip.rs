@@ -252,7 +252,10 @@ mod tests {
         let m = ChipPowerModel::paper();
         assert!(m.core_power(CoreState::Active) > m.core_power(CoreState::Idle));
         assert!(m.core_power(CoreState::Idle) > m.core_power(CoreState::Gated));
-        assert!(m.core_power(CoreState::Gated) > 0.0, "sleep transistors leak");
+        assert!(
+            m.core_power(CoreState::Gated) > 0.0,
+            "sleep transistors leak"
+        );
     }
 
     #[test]

@@ -57,7 +57,10 @@ impl LinkPowerModel {
 
     /// Standby leakage (W) while the link drivers are powered.
     pub fn leakage(&self, op: &OperatingPoint) -> f64 {
-        P_LEAK_PER_BIT_MM * f64::from(self.flit_bits) * self.length_mm * op.leakage_scale(&self.tech)
+        P_LEAK_PER_BIT_MM
+            * f64::from(self.flit_bits)
+            * self.length_mm
+            * op.leakage_scale(&self.tech)
     }
 
     /// Average power at a given flit rate over a window (W).

@@ -213,11 +213,7 @@ impl RouterPowerModel {
 
     /// Clock-tree dynamic power (W): charged every cycle while powered.
     pub fn clock_dynamic_power(&self, op: &OperatingPoint) -> f64 {
-        cal::E_CLK_PER_BIT
-            * self.config.buffer_bits() as f64
-            * self.scale_e(op)
-            * op.freq_ghz
-            * 1e9
+        cal::E_CLK_PER_BIT * self.config.buffer_bits() as f64 * self.scale_e(op) * op.freq_ghz * 1e9
     }
 
     /// Leakage power breakdown (W) while powered on.
@@ -265,7 +261,11 @@ impl RouterPowerModel {
     /// Every injected flit is written, read and crossed once per router it
     /// visits; Fig. 2 evaluates a single router, so the rate is applied
     /// directly as flits/cycle through it.
-    pub fn power_at_injection_rate(&self, op: &OperatingPoint, flits_per_cycle: f64) -> RouterPower {
+    pub fn power_at_injection_rate(
+        &self,
+        op: &OperatingPoint,
+        flits_per_cycle: f64,
+    ) -> RouterPower {
         assert!(
             (0.0..=f64::from(self.config.ports as u32)).contains(&flits_per_cycle),
             "rate {flits_per_cycle} flits/cycle exceeds port bandwidth"

@@ -300,8 +300,7 @@ mod tests {
         assert_eq!(stats.delivered_per_vnet, vec![20, 20]);
         // Round trip: 6 hops out + 7 back-ish at 5 cyc/hop + service + the
         // response serialization; anything in 60..150 is sane.
-        let mean: f64 =
-            sim.agent().rtts.iter().sum::<u64>() as f64 / sim.agent().rtts.len() as f64;
+        let mean: f64 = sim.agent().rtts.iter().sum::<u64>() as f64 / sim.agent().rtts.len() as f64;
         assert!((60.0..150.0).contains(&mean), "mean RTT {mean}");
     }
 

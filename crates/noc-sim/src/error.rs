@@ -40,7 +40,10 @@ impl fmt::Display for TopologyError {
                 )
             }
             TopologyError::UnknownTopology(name) => {
-                write!(f, "unknown topology {name:?} (expected mesh<W>x<H> or circ<N>s<S>)")
+                write!(
+                    f,
+                    "unknown topology {name:?} (expected mesh<W>x<H> or circ<N>s<S>)"
+                )
             }
         }
     }

@@ -192,7 +192,12 @@ impl FaultPlan {
     /// Adds a transient outage of `from -> to` over `[start, end)`.
     #[must_use]
     pub fn link_drop(mut self, from: NodeId, to: NodeId, start: u64, end: u64) -> Self {
-        self.faults.push(ScheduledFault::LinkDrop { from, to, start, end });
+        self.faults.push(ScheduledFault::LinkDrop {
+            from,
+            to,
+            start,
+            end,
+        });
         self
     }
 
@@ -206,7 +211,8 @@ impl FaultPlan {
     /// Adds a router freeze of `node` over `[start, end)`.
     #[must_use]
     pub fn router_freeze(mut self, node: NodeId, start: u64, end: u64) -> Self {
-        self.faults.push(ScheduledFault::RouterFreeze { node, start, end });
+        self.faults
+            .push(ScheduledFault::RouterFreeze { node, start, end });
         self
     }
 
@@ -214,7 +220,8 @@ impl FaultPlan {
     /// `at` pays `extra` additional cycles).
     #[must_use]
     pub fn wakeup_delay(mut self, node: NodeId, at: u64, extra: u64) -> Self {
-        self.faults.push(ScheduledFault::WakeupDelay { node, at, extra });
+        self.faults
+            .push(ScheduledFault::WakeupDelay { node, at, extra });
         self
     }
 
@@ -224,8 +231,16 @@ impl FaultPlan {
     pub fn kill_router(mut self, topo: &dyn Topology, node: NodeId, at: u64) -> Self {
         for d in Direction::ALL {
             if let Some(n) = topo.neighbor(node, d) {
-                self.faults.push(ScheduledFault::LinkKill { from: node, to: n, at });
-                self.faults.push(ScheduledFault::LinkKill { from: n, to: node, at });
+                self.faults.push(ScheduledFault::LinkKill {
+                    from: node,
+                    to: n,
+                    at,
+                });
+                self.faults.push(ScheduledFault::LinkKill {
+                    from: n,
+                    to: node,
+                    at,
+                });
             }
         }
         self
@@ -247,13 +262,19 @@ impl FaultPlan {
     /// [`SimError::InvalidConfig`] describing the first offending fault.
     pub fn validate(&self, topo: &dyn Topology) -> Result<(), SimError> {
         let neighbors = |a: NodeId, b: NodeId| -> bool {
-            Direction::ALL.into_iter().any(|d| topo.neighbor(a, d) == Some(b))
+            Direction::ALL
+                .into_iter()
+                .any(|d| topo.neighbor(a, d) == Some(b))
         };
-        let in_range =
-            |n: NodeId| -> bool { n.0 < topo.len() };
+        let in_range = |n: NodeId| -> bool { n.0 < topo.len() };
         for f in &self.faults {
             match *f {
-                ScheduledFault::LinkDrop { from, to, start, end } => {
+                ScheduledFault::LinkDrop {
+                    from,
+                    to,
+                    start,
+                    end,
+                } => {
                     if !in_range(from) || !in_range(to) || !neighbors(from, to) {
                         return Err(SimError::InvalidConfig(format!(
                             "fault plan: {from} -> {to} is not a topology link"
@@ -474,15 +495,37 @@ impl FaultState {
         let mut timeline: Vec<(u64, FaultEvent)> = Vec::new();
         for f in plan.faults() {
             match *f {
-                ScheduledFault::LinkDrop { from, to, start, end } => {
-                    outages.entry((from.0, to.0)).or_default().push((start, end));
-                    timeline.push((start, FaultEvent::LinkDown { from, to, until: Some(end) }));
+                ScheduledFault::LinkDrop {
+                    from,
+                    to,
+                    start,
+                    end,
+                } => {
+                    outages
+                        .entry((from.0, to.0))
+                        .or_default()
+                        .push((start, end));
+                    timeline.push((
+                        start,
+                        FaultEvent::LinkDown {
+                            from,
+                            to,
+                            until: Some(end),
+                        },
+                    ));
                     timeline.push((end, FaultEvent::LinkUp { from, to }));
                 }
                 ScheduledFault::LinkKill { from, to, at } => {
                     let e = dead_at.entry((from.0, to.0)).or_insert(at);
                     *e = (*e).min(at);
-                    timeline.push((at, FaultEvent::LinkDown { from, to, until: None }));
+                    timeline.push((
+                        at,
+                        FaultEvent::LinkDown {
+                            from,
+                            to,
+                            until: None,
+                        },
+                    ));
                 }
                 ScheduledFault::RouterFreeze { node, start, end } => {
                     freezes.entry(node.0).or_default().push((start, end));
@@ -490,7 +533,10 @@ impl FaultState {
                     timeline.push((end, FaultEvent::RouterThawed { node }));
                 }
                 ScheduledFault::WakeupDelay { node, at, extra } => {
-                    wake_delays.entry(node.0).or_default().push((at, extra, false));
+                    wake_delays
+                        .entry(node.0)
+                        .or_default()
+                        .push((at, extra, false));
                 }
             }
         }
@@ -668,7 +714,10 @@ mod tests {
         assert!(!fs.router_frozen(5, 60));
         assert!(fs.hold_active(55));
         assert!(fs.hold_active(150));
-        assert!(!fs.hold_active(250), "only finite windows hold the watchdog");
+        assert!(
+            !fs.hold_active(250),
+            "only finite windows hold the watchdog"
+        );
     }
 
     #[test]
@@ -690,7 +739,13 @@ mod tests {
         assert!(fs.pop_event_at(50).is_none());
         let (c1, e1) = fs.pop_event_at(100).unwrap();
         assert_eq!(c1, 100);
-        assert!(matches!(e1, FaultEvent::LinkDown { until: Some(200), .. }));
+        assert!(matches!(
+            e1,
+            FaultEvent::LinkDown {
+                until: Some(200),
+                ..
+            }
+        ));
         assert!(fs.pop_event_at(100).is_none(), "next event is at 200");
         let (c2, e2) = fs.pop_event_at(400).unwrap();
         assert_eq!(c2, 200);
@@ -739,7 +794,10 @@ mod tests {
             match *f {
                 ScheduledFault::LinkDrop { from, to, .. }
                 | ScheduledFault::LinkKill { from, to, .. } => {
-                    assert!(active[from.0] && active[to.0], "{from}->{to} outside region");
+                    assert!(
+                        active[from.0] && active[to.0],
+                        "{from}->{to} outside region"
+                    );
                 }
                 ScheduledFault::RouterFreeze { node, .. }
                 | ScheduledFault::WakeupDelay { node, .. } => {
@@ -767,7 +825,10 @@ mod tests {
     #[test]
     fn fault_log_records_events() {
         let mut log = FaultLog::new();
-        let ev = FaultEvent::LinkUp { from: NodeId(0), to: NodeId(1) };
+        let ev = FaultEvent::LinkUp {
+            from: NodeId(0),
+            to: NodeId(1),
+        };
         log.on_fault(17, &ev);
         assert_eq!(log.events(), &[(17, ev)]);
     }

@@ -75,14 +75,10 @@ pub use fault::{
 };
 pub use geometry::{Coord, Direction, NodeId, Port};
 pub use network::{GatingMode, Network, StageCycles};
-pub use probe::{
-    EpochSample, EventCounts, LatencyObserver, Probe, SimPhase, TimeSeriesObserver,
-};
+pub use probe::{EpochSample, EventCounts, LatencyObserver, Probe, SimPhase, TimeSeriesObserver};
 pub use route_check::{check_routes, RouteReport, RouteViolation};
 pub use router::{RouterActivity, RouterParams};
-pub use routing::{
-    NegativeFirstRouting, RouteDecision, RoutingFunction, XyRouting, YxRouting,
-};
+pub use routing::{NegativeFirstRouting, RouteDecision, RoutingFunction, XyRouting, YxRouting};
 pub use sim::{PacketAccounting, SimConfig, SimOutcome, Simulation};
 pub use stats::{SimStats, StreamingHistogram};
 pub use sweep::{LoadSweep, SweepPoint, SweepReport};

@@ -702,9 +702,7 @@ impl Network {
     /// Panics if the network was built on a non-mesh topology; use
     /// [`Network::topology`] for topology-agnostic access.
     pub fn mesh(&self) -> &Mesh2D {
-        self.topo
-            .as_mesh()
-            .expect("network topology is not a mesh")
+        self.topo.as_mesh().expect("network topology is not a mesh")
     }
 
     /// The topology this network is built on (see TOPOLOGY.md).
@@ -815,7 +813,10 @@ impl Network {
     /// powered-on nodes) or out of range.
     pub fn enqueue_packet(&mut self, p: Packet) {
         assert!(p.src.0 < self.routers.len(), "packet source out of range");
-        assert!(p.dst.0 < self.routers.len(), "packet destination out of range");
+        assert!(
+            p.dst.0 < self.routers.len(),
+            "packet destination out of range"
+        );
         assert!(
             self.routers[p.src.0].powered_on,
             "cannot inject at dark node {}",
@@ -950,7 +951,10 @@ impl Network {
             assert!(l == 0 || a.link.contains(node), "link set missing {node}");
             let c = self.credit_in[node].len() + self.nis[node].credit_queue.len();
             assert_eq!(a.credit_pending[node] as usize, c, "credit_pending[{node}]");
-            assert!(c == 0 || a.credit.contains(node), "credit set missing {node}");
+            assert!(
+                c == 0 || a.credit.contains(node),
+                "credit set missing {node}"
+            );
             let mut b = 0;
             let mut allocated = 0;
             let mut routed = 0;
@@ -978,7 +982,10 @@ impl Network {
                     routed += u32::from(routed_bit);
                     active += u32::from(active_bit);
                     if let Some(front) = self.store.front(id) {
-                        assert_eq!(self.store.head_arrived[id], front.arrived, "head mirror {id}");
+                        assert_eq!(
+                            self.store.head_arrived[id], front.arrived,
+                            "head mirror {id}"
+                        );
                         assert_eq!(
                             self.store.head_is_head[id],
                             front.kind.is_head(),
@@ -988,7 +995,11 @@ impl Network {
                     }
                     let holder = self.store.out_alloc[id];
                     let alloc_bit = self.store.alloc_mask[pid] & (1 << vc) != 0;
-                    assert_eq!(alloc_bit, holder != FREE_VC, "alloc_mask bit for out id {id}");
+                    assert_eq!(
+                        alloc_bit,
+                        holder != FREE_VC,
+                        "alloc_mask bit for out id {id}"
+                    );
                     if holder != FREE_VC {
                         allocated += 1;
                         let holder = holder as usize;
@@ -1007,10 +1018,19 @@ impl Network {
                 self.store.alloc_count[node] as usize, allocated,
                 "alloc_count[{node}]"
             );
-            assert_eq!(self.store.routed_count[node], routed, "routed_count[{node}]");
-            assert_eq!(self.store.active_count[node], active, "active_count[{node}]");
+            assert_eq!(
+                self.store.routed_count[node], routed,
+                "routed_count[{node}]"
+            );
+            assert_eq!(
+                self.store.active_count[node], active,
+                "active_count[{node}]"
+            );
             assert_eq!(a.buffered[node] as usize, b, "buffered[{node}]");
-            assert!(b == 0 || a.router.contains(node), "router set missing {node}");
+            assert!(
+                b == 0 || a.router.contains(node),
+                "router set missing {node}"
+            );
             let ni_busy = !self.nis[node].is_idle();
             assert!(!ni_busy || a.ni.contains(node), "ni set missing {node}");
             links += l;
@@ -1080,7 +1100,13 @@ impl Network {
         if self.engine == StepEngine::ExhaustiveSweep {
             let len = self.routers.len();
             let a = &mut self.active;
-            for set in [&mut a.link, &mut a.credit, &mut a.ni, &mut a.router, &mut a.sleep_due] {
+            for set in [
+                &mut a.link,
+                &mut a.credit,
+                &mut a.ni,
+                &mut a.router,
+                &mut a.sleep_due,
+            ] {
                 set.fill(len);
             }
         }
@@ -1321,7 +1347,10 @@ impl Network {
     /// gating mode or the power mask changes wholesale.
     fn sync_sleep_events(&mut self) {
         self.active.sleep_events.clear();
-        self.active.sleep_event_at.iter_mut().for_each(|e| *e = None);
+        self.active
+            .sleep_event_at
+            .iter_mut()
+            .for_each(|e| *e = None);
         let GatingMode::Reactive { idle_threshold, .. } = self.gating else {
             return;
         };
@@ -1569,11 +1598,14 @@ impl Network {
     /// out transient faults on the primary route over dropping.
     fn compute_route(&self, node: usize, dst: NodeId, now: u64) -> RouteDecision {
         let Some(fs) = self.faults.as_ref() else {
-            return RouteDecision::Forward(self.routing.route(self.topo.as_dyn(), NodeId(node), dst));
+            return RouteDecision::Forward(self.routing.route(
+                self.topo.as_dyn(),
+                NodeId(node),
+                dst,
+            ));
         };
-        let strict = |a: NodeId, b: NodeId| {
-            !fs.link_faulted(a.0, b.0, now) && !fs.router_frozen(b.0, now)
-        };
+        let strict =
+            |a: NodeId, b: NodeId| !fs.link_faulted(a.0, b.0, now) && !fs.router_frozen(b.0, now);
         match self
             .routing
             .route_degraded(self.topo.as_dyn(), NodeId(node), dst, &strict)
@@ -1620,7 +1652,8 @@ impl Network {
                         self.store.connected[self.store.port_id(node, out_port.index())],
                         "routing chose unconnected port {out_port} at node {node}"
                     );
-                    self.store.set_state(id, VcState::RouteComputed { out_port });
+                    self.store
+                        .set_state(id, VcState::RouteComputed { out_port });
                     return;
                 }
                 RouteDecision::Drop => {
@@ -1742,9 +1775,7 @@ impl Network {
                     if !is_head {
                         continue; // packet already crossing; let it finish
                     }
-                    let next = self
-                        .neighbor_of(node, d)
-                        .expect("routed off the topology");
+                    let next = self.neighbor_of(node, d).expect("routed off the topology");
                     let dead = self
                         .faults
                         .as_ref()
@@ -1776,8 +1807,7 @@ impl Network {
                             }
                         }
                         RouteDecision::Drop => {
-                            if self.drop_head_packet(node, port, in_vc, now, probe.as_deref_mut())
-                            {
+                            if self.drop_head_packet(node, port, in_vc, now, probe.as_deref_mut()) {
                                 self.resolve_route(node, port, in_vc, now, probe.as_deref_mut());
                             }
                         }
@@ -1836,7 +1866,12 @@ impl Network {
 
     /// Stage-2 body for one node: injects at most one flit from the local
     /// NI (BW + RC at the local port).
-    fn inject_at(&mut self, node: usize, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> usize {
+    fn inject_at(
+        &mut self,
+        node: usize,
+        now: u64,
+        mut probe: Option<&mut (dyn Probe + '_)>,
+    ) -> usize {
         // An idle NI has nothing to do (and must not trigger wake-ups).
         if self.nis[node].is_idle() {
             return 0;
@@ -1885,7 +1920,11 @@ impl Network {
                 ni.credits[v] -= 1;
                 let flit = pkt.flit(seq, head_cycle);
                 let done = seq + 1 == pkt.len;
-                self.nis[node].injecting = if done { None } else { Some((pkt, seq + 1, head_cycle)) };
+                self.nis[node].injecting = if done {
+                    None
+                } else {
+                    Some((pkt, seq + 1, head_cycle))
+                };
                 self.buffer_write(node, Port::Local, v, flit, now, probe.as_deref_mut());
                 if let Some(p) = probe {
                     p.on_injection(now, NodeId(node));
@@ -2023,7 +2062,15 @@ impl Network {
                         .clone()
                         .find(|&v| self.store.out_alloc[out_pid * vcs + v] == FREE_VC);
                     let Some(out_vc) = out_vc else { continue };
-                    self.grant_vc(node, in_port, in_vc, out_idx, out_vc, now, probe.as_deref_mut());
+                    self.grant_vc(
+                        node,
+                        in_port,
+                        in_vc,
+                        out_idx,
+                        out_vc,
+                        now,
+                        probe.as_deref_mut(),
+                    );
                     last_granted_id = Some(id);
                     grants += 1;
                 }
@@ -2106,7 +2153,15 @@ impl Network {
                 let Some(out_vc) = self.store.first_free_out_vc(out_pid, range) else {
                     continue;
                 };
-                self.grant_vc(node, in_port, in_vc, out_idx, out_vc, now, probe.as_deref_mut());
+                self.grant_vc(
+                    node,
+                    in_port,
+                    in_vc,
+                    out_idx,
+                    out_vc,
+                    now,
+                    probe.as_deref_mut(),
+                );
                 last_granted = Some(local);
                 grants += 1;
             }
@@ -2119,7 +2174,11 @@ impl Network {
         grants
     }
 
-    fn switch_allocate(&mut self, now: u64, mut probe: Option<&mut (dyn Probe + '_)>) -> (usize, usize) {
+    fn switch_allocate(
+        &mut self,
+        now: u64,
+        mut probe: Option<&mut (dyn Probe + '_)>,
+    ) -> (usize, usize) {
         let mut grants = 0;
         let mut ejections = 0;
         let reference = self.engine == StepEngine::ExhaustiveSweep;
@@ -2153,9 +2212,7 @@ impl Network {
             return true;
         }
         if let (Port::Dir(d), Some(fs)) = (out_port, self.faults.as_ref()) {
-            let next = self
-                .neighbor_of(node, d)
-                .expect("routed off the topology");
+            let next = self.neighbor_of(node, d).expect("routed off the topology");
             if fs.link_faulted(node, next.0, now) || fs.router_frozen(next.0, now) {
                 return false;
             }
@@ -2191,14 +2248,15 @@ impl Network {
                     let VcState::Active { out_port, out_vc } = self.store.state(id) else {
                         continue;
                     };
-                    let Some(head) = self.store.front(id) else { continue };
+                    let Some(head) = self.store.front(id) else {
+                        continue;
+                    };
                     if head.arrived + self.params.sa_delay > now {
                         continue;
                     }
                     // Ejection has an ideal sink: no credit check.
                     if out_port != Port::Local
-                        && self.store.credits[self.store.vc_id(node, out_port.index(), out_vc)]
-                            == 0
+                        && self.store.credits[self.store.vc_id(node, out_port.index(), out_vc)] == 0
                     {
                         continue;
                     }
@@ -2234,8 +2292,15 @@ impl Network {
                     continue;
                 };
                 self.grant_switch(node, in_port, in_vc, out_idx, now, probe.as_deref_mut());
-                let ejected =
-                    self.traverse(node, in_port, in_vc, out_port, out_vc, now, probe.as_deref_mut());
+                let ejected = self.traverse(
+                    node,
+                    in_port,
+                    in_vc,
+                    out_port,
+                    out_vc,
+                    now,
+                    probe.as_deref_mut(),
+                );
                 grants += 1;
                 if ejected {
                     ejections += 1;
@@ -2542,7 +2607,9 @@ mod tests {
         net.enqueue_packet(packet(1, 5, 5, 5, 0));
         let ej = run_until_drained(&mut net, 200);
         assert_eq!(ej.len(), 5);
-        assert!(ej.iter().all(|e| e.flit.src == NodeId(5) && e.flit.dst == NodeId(5)));
+        assert!(ej
+            .iter()
+            .all(|e| e.flit.src == NodeId(5) && e.flit.dst == NodeId(5)));
     }
 
     #[test]
@@ -2716,7 +2783,13 @@ mod tests {
         .unwrap();
         for i in 0..40 {
             let vnet = (i % 2) as u8;
-            net.enqueue_packet(packet_on_vnet(i, (i % 16) as usize, ((i * 3) % 16) as usize, 5, vnet));
+            net.enqueue_packet(packet_on_vnet(
+                i,
+                (i % 16) as usize,
+                ((i * 3) % 16) as usize,
+                5,
+                vnet,
+            ));
         }
         // Debug asserts inside buffer_write enforce the partitioning.
         let ej = run_until_drained(&mut net, 50_000);
@@ -2731,7 +2804,10 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             net.enqueue_packet(packet_on_vnet(1, 0, 1, 1, 1));
         }));
-        assert!(result.is_err(), "vnet 1 must be rejected on a 1-vnet network");
+        assert!(
+            result.is_err(),
+            "vnet 1 must be rejected on a 1-vnet network"
+        );
     }
 
     #[test]
@@ -2856,7 +2932,10 @@ mod tests {
         // Path routers (0..3) should have negligible sleep compared to far
         // corner routers.
         let stats = net.sleep_stats();
-        assert!(stats[12].0 > stats[1].0, "corner should sleep more than path");
+        assert!(
+            stats[12].0 > stats[1].0,
+            "corner should sleep more than path"
+        );
     }
 
     #[test]
@@ -2873,7 +2952,11 @@ mod tests {
         };
         let fast = deliver(false);
         let slow = deliver(true);
-        assert_eq!(slow, fast + 4, "6-cycle link replaces the default 2-cycle one");
+        assert_eq!(
+            slow,
+            fast + 4,
+            "6-cycle link replaces the default 2-cycle one"
+        );
     }
 
     #[test]

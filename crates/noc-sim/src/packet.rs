@@ -92,7 +92,11 @@ impl Packet {
     ///
     /// Panics if `seq >= self.len`.
     pub fn flit(&self, seq: u32, injected: u64) -> Flit {
-        assert!(seq < self.len, "flit index {seq} out of packet of {}", self.len);
+        assert!(
+            seq < self.len,
+            "flit index {seq} out of packet of {}",
+            self.len
+        );
         let kind = if self.len == 1 {
             FlitKind::HeadTail
         } else if seq == 0 {

@@ -141,14 +141,22 @@ impl TimeSeriesObserver {
     /// and gating, plus per-epoch aggregate columns. Stable ordering, so
     /// the output is byte-identical across runs of a deterministic sweep.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("cycle,node,buffered,gated,epoch_injections,epoch_ejections,epoch_link_flits\n");
+        let mut out = String::from(
+            "cycle,node,buffered,gated,epoch_injections,epoch_ejections,epoch_link_flits\n",
+        );
         for s in &self.samples {
             let total_link: u64 = s.link_flits.iter().map(|&(_, c)| c).sum();
             for (node, (&buf, &gated)) in s.buffered.iter().zip(&s.gated).enumerate() {
                 let _ = writeln!(
                     out,
                     "{},{},{},{},{},{},{}",
-                    s.cycle, node, buf, u8::from(gated), s.injections, s.ejections, total_link
+                    s.cycle,
+                    node,
+                    buf,
+                    u8::from(gated),
+                    s.injections,
+                    s.ejections,
+                    total_link
                 );
             }
         }
@@ -162,11 +170,7 @@ impl Probe for TimeSeriesObserver {
     }
 
     fn on_epoch(&mut self, cycle: u64, net: &Network) {
-        let buffered = net
-            .mesh()
-            .nodes()
-            .map(|n| net.buffered_flits(n))
-            .collect();
+        let buffered = net.mesh().nodes().map(|n| net.buffered_flits(n)).collect();
         let gated = net
             .mesh()
             .nodes()
@@ -294,7 +298,12 @@ mod tests {
     use crate::topology::Mesh2D;
 
     fn net() -> Network {
-        Network::new(Mesh2D::paper_4x4(), RouterParams::paper(), Box::new(XyRouting)).unwrap()
+        Network::new(
+            Mesh2D::paper_4x4(),
+            RouterParams::paper(),
+            Box::new(XyRouting),
+        )
+        .unwrap()
     }
 
     fn packet(id: u64, src: usize, dst: usize, len: u32) -> Packet {
@@ -342,8 +351,7 @@ mod tests {
             }
             let mut reports = Vec::new();
             for _ in 0..400 {
-                let probe: Option<&mut dyn Probe> =
-                    if observe { Some(&mut counts) } else { None };
+                let probe: Option<&mut dyn Probe> = if observe { Some(&mut counts) } else { None };
                 reports.push(net.step_observed(probe).unwrap());
                 net.drain_ejections();
             }

@@ -102,7 +102,13 @@ pub trait RoutingFunction: Debug + Send + Sync {
     /// `out_port` (`0..vc_classes()`). Only consulted when
     /// [`vc_classes`](Self::vc_classes) `> 1` and `out_port` is a direction
     /// port; must be deterministic in its arguments.
-    fn vc_class(&self, _topo: &dyn Topology, _node: NodeId, _out_port: Port, _dst: NodeId) -> usize {
+    fn vc_class(
+        &self,
+        _topo: &dyn Topology,
+        _node: NodeId,
+        _out_port: Port,
+        _dst: NodeId,
+    ) -> usize {
         0
     }
 
@@ -178,7 +184,9 @@ pub fn unreachable_pairs(
                     RouteDecision::Forward(Port::Local) => break,
                     RouteDecision::Forward(p) => {
                         let d = p.direction().expect("non-local port has a direction");
-                        cur = topo.neighbor(cur, d).expect("degraded route left the topology");
+                        cur = topo
+                            .neighbor(cur, d)
+                            .expect("degraded route left the topology");
                     }
                     RouteDecision::Drop => {
                         unreachable += 1;
@@ -242,7 +250,9 @@ pub struct NegativeFirstRouting;
 
 impl RoutingFunction for NegativeFirstRouting {
     fn route(&self, topo: &dyn Topology, current: NodeId, dst: NodeId) -> Port {
-        let mesh = topo.as_mesh().expect("NegativeFirstRouting requires a mesh topology");
+        let mesh = topo
+            .as_mesh()
+            .expect("NegativeFirstRouting requires a mesh topology");
         let c = mesh.coord(current);
         let d = mesh.coord(dst);
         if c.x > d.x {

@@ -458,7 +458,9 @@ mod tests {
         let mut x = 1u64;
         for i in 0..10_000u64 {
             let v = 10 + (x % 5000) + i % 7;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             exact.record(v);
             h.record(v);
         }

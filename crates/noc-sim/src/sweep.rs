@@ -292,7 +292,10 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for base in [0u64, 7, u64::MAX] {
             for i in 0..64 {
-                assert!(seen.insert(point_seed(base, i)), "collision at ({base}, {i})");
+                assert!(
+                    seen.insert(point_seed(base, i)),
+                    "collision at ({base}, {i})"
+                );
             }
         }
         // Adjacent indices must not map to adjacent seeds.

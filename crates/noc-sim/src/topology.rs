@@ -609,9 +609,10 @@ impl TopologySpec {
     pub fn build(&self) -> Result<Topo, crate::error::TopologyError> {
         match *self {
             TopologySpec::Mesh { width, height } => Ok(Topo::new(Mesh2D::new(width, height)?)),
-            TopologySpec::Circulant { n, skip } => {
-                Ok(Topo::new(Circulant::new(usize::from(n), usize::from(skip))?))
-            }
+            TopologySpec::Circulant { n, skip } => Ok(Topo::new(Circulant::new(
+                usize::from(n),
+                usize::from(skip),
+            )?)),
         }
     }
 
@@ -825,13 +826,21 @@ mod tests {
                 assert_eq!(topo.hops(a, a), 0, "{}", topo.label());
                 for d in Direction::ALL {
                     if let Some(b) = topo.neighbor(a, d) {
-                        assert!(topo.hops(a, b) <= 1, "{}: neighbor further than 1", topo.label());
+                        assert!(
+                            topo.hops(a, b) <= 1,
+                            "{}: neighbor further than 1",
+                            topo.label()
+                        );
                     }
                 }
                 for b in topo_nodes(&*topo) {
                     let h = topo.hops(a, b);
                     assert_eq!(h, topo.hops(b, a), "{}: asymmetric metric", topo.label());
-                    assert!(h <= topo.diameter(), "{}: hops exceed diameter", topo.label());
+                    assert!(
+                        h <= topo.diameter(),
+                        "{}: hops exceed diameter",
+                        topo.label()
+                    );
                     if a != b {
                         // One step toward b must exist that decreases hops.
                         let decreases = Direction::ALL.into_iter().any(|d| {
@@ -890,9 +899,21 @@ mod tests {
         assert_eq!(c.decompose(0), (0, 0));
         assert_eq!(c.decompose(5), (1, 0), "one chord exactly");
         assert_eq!(c.decompose(7), (1, 2), "chord + two ring steps");
-        assert_eq!(c.decompose(13), (0, -3), "cost tie with (-1, 2): fewer chords wins");
-        assert_eq!(c.decompose(8), (1, 3), "cost tie with (2, -2): fewer chords wins");
-        assert_eq!(c.hops(NodeId(0), NodeId(8)), 4, "the antipode is the farthest node");
+        assert_eq!(
+            c.decompose(13),
+            (0, -3),
+            "cost tie with (-1, 2): fewer chords wins"
+        );
+        assert_eq!(
+            c.decompose(8),
+            (1, 3),
+            "cost tie with (2, -2): fewer chords wins"
+        );
+        assert_eq!(
+            c.hops(NodeId(0), NodeId(8)),
+            4,
+            "the antipode is the farthest node"
+        );
         assert_eq!(c.decompose(12), (-1, 1), "12 = -5 + 1 mod 16");
         assert_eq!(c.diameter(), 4);
     }
@@ -940,9 +961,7 @@ mod tests {
                     // edges staying inside it... minus the two ends: an arc
                     // of k nodes has k-1 internal undirected ring edges
                     // (k when it is the full ring).
-                    let internal = (0..n)
-                        .filter(|&i| active[i] && active[(i + 1) % n])
-                        .count();
+                    let internal = (0..n).filter(|&i| active[i] && active[(i + 1) % n]).count();
                     let expected = if level == n { n } else { level - 1 };
                     assert_eq!(
                         internal, expected,

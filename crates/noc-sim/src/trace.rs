@@ -130,10 +130,15 @@ impl PacketTrace {
             }
             let fields: Vec<&str> = line.split_whitespace().collect();
             if fields.len() != 4 {
-                return Err(format!("line {}: expected 4 fields, got {}", i + 1, fields.len()));
+                return Err(format!(
+                    "line {}: expected 4 fields, got {}",
+                    i + 1,
+                    fields.len()
+                ));
             }
-            let parse =
-                |s: &str| -> Result<u64, String> { s.parse().map_err(|e| format!("line {}: {e}", i + 1)) };
+            let parse = |s: &str| -> Result<u64, String> {
+                s.parse().map_err(|e| format!("line {}: {e}", i + 1))
+            };
             trace.push(TraceEntry {
                 cycle: parse(fields[0])?,
                 src: NodeId(parse(fields[1])? as usize),
@@ -179,7 +184,7 @@ impl TraceReplayer<'_> {
                     len: e.len,
                     created: now,
                     measured,
-            vnet: 0,
+                    vnet: 0,
                 });
                 self.next_id += 1;
             }
@@ -220,10 +225,16 @@ mod tests {
         let mut gen = sample_gen(5);
         let mut replay = trace.replayer();
         for c in 0..500 {
-            let a: Vec<(NodeId, NodeId)> =
-                gen.generate(c, false).iter().map(|p| (p.src, p.dst)).collect();
-            let b: Vec<(NodeId, NodeId)> =
-                replay.generate(c, false).iter().map(|p| (p.src, p.dst)).collect();
+            let a: Vec<(NodeId, NodeId)> = gen
+                .generate(c, false)
+                .iter()
+                .map(|p| (p.src, p.dst))
+                .collect();
+            let b: Vec<(NodeId, NodeId)> = replay
+                .generate(c, false)
+                .iter()
+                .map(|p| (p.src, p.dst))
+                .collect();
             assert_eq!(a, b, "cycle {c}");
         }
         assert!(replay.exhausted());

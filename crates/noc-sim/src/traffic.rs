@@ -59,18 +59,16 @@ impl TrafficPattern {
                     )));
                 }
             }
-            TrafficPattern::BitComplement | TrafficPattern::Shuffle
-                if !k.is_power_of_two() => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "{self:?} requires a power-of-two node count, got {k}"
-                    )));
-                }
-            TrafficPattern::Hotspot { hot_fraction }
-                if !(0.0..=1.0).contains(hot_fraction) => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "hotspot fraction {hot_fraction} outside [0, 1]"
-                    )));
-                }
+            TrafficPattern::BitComplement | TrafficPattern::Shuffle if !k.is_power_of_two() => {
+                return Err(SimError::InvalidConfig(format!(
+                    "{self:?} requires a power-of-two node count, got {k}"
+                )));
+            }
+            TrafficPattern::Hotspot { hot_fraction } if !(0.0..=1.0).contains(hot_fraction) => {
+                return Err(SimError::InvalidConfig(format!(
+                    "hotspot fraction {hot_fraction} outside [0, 1]"
+                )));
+            }
             _ => {}
         }
         Ok(())
@@ -164,7 +162,11 @@ impl Placement {
     /// A uniformly random placement of `k` logical nodes on the mesh
     /// (full-sprinting methodology of Fig. 11).
     pub fn random(k: usize, topo: &dyn Topology, rng: &mut SmallRng) -> Self {
-        assert!(k <= topo.len(), "cannot place {k} nodes on {} slots", topo.len());
+        assert!(
+            k <= topo.len(),
+            "cannot place {k} nodes on {} slots",
+            topo.len()
+        );
         // Partial Fisher-Yates.
         let mut pool: Vec<NodeId> = topo_nodes(topo).collect();
         for i in 0..k {
@@ -346,7 +348,7 @@ impl TrafficGen {
                     len: self.packet_len,
                     created: now,
                     measured,
-            vnet: 0,
+                    vnet: 0,
                 });
             }
         }
@@ -453,7 +455,9 @@ mod tests {
         assert!(TrafficPattern::BitComplement.validate(12).is_err());
         assert!(TrafficPattern::Shuffle.validate(8).is_ok());
         assert!(TrafficPattern::UniformRandom.validate(1).is_err());
-        assert!(TrafficPattern::Hotspot { hot_fraction: 1.5 }.validate(4).is_err());
+        assert!(TrafficPattern::Hotspot { hot_fraction: 1.5 }
+            .validate(4)
+            .is_err());
     }
 
     #[test]
@@ -493,7 +497,11 @@ mod tests {
         let cycles = 20_000u64;
         let mut flits = 0u64;
         for c in 0..cycles {
-            flits += gen.generate(c, false).iter().map(|p| u64::from(p.len)).sum::<u64>();
+            flits += gen
+                .generate(c, false)
+                .iter()
+                .map(|p| u64::from(p.len))
+                .sum::<u64>();
         }
         let rate = flits as f64 / cycles as f64 / 16.0;
         assert!((rate - 0.4).abs() < 0.02, "measured offered rate {rate}");
@@ -503,12 +511,8 @@ mod tests {
     fn generator_rejects_bad_rates() {
         let mesh = Mesh2D::paper_4x4();
         let p = Placement::full(&mesh);
-        assert!(
-            TrafficGen::new(TrafficPattern::UniformRandom, p.clone(), 0.0, 5, 0).is_err()
-        );
-        assert!(
-            TrafficGen::new(TrafficPattern::UniformRandom, p, 1.5, 5, 0).is_err()
-        );
+        assert!(TrafficGen::new(TrafficPattern::UniformRandom, p.clone(), 0.0, 5, 0).is_err());
+        assert!(TrafficGen::new(TrafficPattern::UniformRandom, p, 1.5, 5, 0).is_err());
     }
 
     #[test]

@@ -148,7 +148,9 @@ fn yx_routing_full_simulation() {
         17,
     )
     .unwrap();
-    let out = Simulation::new(net, traffic, SimConfig::quick()).run().unwrap();
+    let out = Simulation::new(net, traffic, SimConfig::quick())
+        .run()
+        .unwrap();
     assert!(out.stats.packets_delivered > 0);
     assert!(!out.stats.saturated);
 }
@@ -201,7 +203,9 @@ fn wide_mesh_uniform_traffic() {
         23,
     )
     .unwrap();
-    let out = Simulation::new(net, traffic, SimConfig::quick()).run().unwrap();
+    let out = Simulation::new(net, traffic, SimConfig::quick())
+        .run()
+        .unwrap();
     // Average distance on 8x2 is long in x: latency must exceed the 4x4's.
     assert!(out.stats.avg_network_latency() > 15.0);
 }

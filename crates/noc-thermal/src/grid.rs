@@ -261,7 +261,8 @@ impl ThermalGrid {
         for _ in 0..100_000 {
             let mut max_delta: f64 = 0.0;
             for i in 0..self.len() {
-                let mut rhs = power[i] + gp.ambient / gp.r_vertical
+                let mut rhs = power[i]
+                    + gp.ambient / gp.r_vertical
                     + self.exposed_edges(i) as f64 * gp.ambient / gp.r_edge;
                 for j in self.neighbors(i) {
                     rhs += t[j] / gp.r_lateral;

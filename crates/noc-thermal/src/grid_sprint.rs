@@ -49,7 +49,13 @@ impl GridSprintSim {
     /// # Panics
     ///
     /// Panics on non-positive coupling parameters.
-    pub fn new(grid: ThermalGrid, material: PhaseChangeMaterial, r_pcm: f64, c_pcm: f64, t_max: f64) -> Self {
+    pub fn new(
+        grid: ThermalGrid,
+        material: PhaseChangeMaterial,
+        r_pcm: f64,
+        c_pcm: f64,
+        t_max: f64,
+    ) -> Self {
         assert!(r_pcm > 0.0, "r_pcm must be positive");
         assert!(c_pcm > 0.0, "c_pcm must be positive");
         let ambient = grid.params().ambient;
@@ -242,7 +248,11 @@ mod tests {
         let _ = sim.run(&powers(&(0..16).collect::<Vec<_>>(), 3.7), 1.0, 1e-3);
         // Mid-melt: PCM pinned near the melt temperature.
         if !sim.pcm.is_fully_melted() && sim.melt_fraction() > 0.0 {
-            assert!((sim.pcm_temp() - 331.15).abs() < 1.0, "pcm at {}", sim.pcm_temp());
+            assert!(
+                (sim.pcm_temp() - 331.15).abs() < 1.0,
+                "pcm at {}",
+                sim.pcm_temp()
+            );
         }
     }
 }

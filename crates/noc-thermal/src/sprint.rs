@@ -177,7 +177,11 @@ impl SprintThermalModel {
                 sprinting = false;
                 end = time + cooldown_seconds;
             }
-            let power = if sprinting { sprint_power } else { nominal_power };
+            let power = if sprinting {
+                sprint_power
+            } else {
+                nominal_power
+            };
             let phase = if !sprinting {
                 SprintPhase::Cooldown
             } else if pcm.is_fully_melted() {
@@ -361,6 +365,10 @@ mod tests {
         let m = model();
         let pts = m.simulate(62.0, 8.0, 1e9, 1.0, 1e-3);
         let peak = pts.iter().map(|p| p.temp).fold(f64::MIN, f64::max);
-        assert!((peak - m.t_max).abs() < 0.5, "peak {peak} vs t_max {}", m.t_max);
+        assert!(
+            (peak - m.t_max).abs() < 0.5,
+            "peak {peak} vs t_max {}",
+            m.t_max
+        );
     }
 }

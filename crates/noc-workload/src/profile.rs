@@ -106,15 +106,69 @@ pub fn parsec_suite() -> Vec<BenchmarkProfile> {
     vec![
         BenchmarkProfile::new("blackscholes", 0.03, 16, 0.0020, 0.00, 0.05, 0.15, Scalable),
         BenchmarkProfile::new("bodytrack", 0.05, 16, 0.0030, 0.00, 0.10, 0.20, Scalable),
-        BenchmarkProfile::new("canneal", 0.22, 4, 0.0100, 0.50, 0.22, 0.50, PeakThenDegrade),
+        BenchmarkProfile::new(
+            "canneal",
+            0.22,
+            4,
+            0.0100,
+            0.50,
+            0.22,
+            0.50,
+            PeakThenDegrade,
+        ),
         BenchmarkProfile::new("dedup", 0.20, 4, 0.0100, 0.35, 0.18, 0.35, PeakThenDegrade),
-        BenchmarkProfile::new("facesim", 0.10, 8, 0.0060, 0.60, 0.15, 0.30, PeakThenDegrade),
+        BenchmarkProfile::new(
+            "facesim",
+            0.10,
+            8,
+            0.0060,
+            0.60,
+            0.15,
+            0.30,
+            PeakThenDegrade,
+        ),
         BenchmarkProfile::new("ferret", 0.12, 4, 0.0080, 0.40, 0.16, 0.30, PeakThenDegrade),
-        BenchmarkProfile::new("fluidanimate", 0.06, 8, 0.0040, 0.30, 0.20, 0.25, PeakThenDegrade),
+        BenchmarkProfile::new(
+            "fluidanimate",
+            0.06,
+            8,
+            0.0040,
+            0.30,
+            0.20,
+            0.25,
+            PeakThenDegrade,
+        ),
         BenchmarkProfile::new("freqmine", 0.88, 16, 0.0020, 0.00, 0.04, 0.25, Serial),
-        BenchmarkProfile::new("raytrace", 0.25, 4, 0.0100, 0.30, 0.08, 0.20, PeakThenDegrade),
-        BenchmarkProfile::new("streamcluster", 0.15, 8, 0.0100, 0.50, 0.28, 0.45, PeakThenDegrade),
-        BenchmarkProfile::new("swaptions", 0.08, 4, 0.0120, 0.50, 0.06, 0.10, PeakThenDegrade),
+        BenchmarkProfile::new(
+            "raytrace",
+            0.25,
+            4,
+            0.0100,
+            0.30,
+            0.08,
+            0.20,
+            PeakThenDegrade,
+        ),
+        BenchmarkProfile::new(
+            "streamcluster",
+            0.15,
+            8,
+            0.0100,
+            0.50,
+            0.28,
+            0.45,
+            PeakThenDegrade,
+        ),
+        BenchmarkProfile::new(
+            "swaptions",
+            0.08,
+            4,
+            0.0120,
+            0.50,
+            0.06,
+            0.10,
+            PeakThenDegrade,
+        ),
         BenchmarkProfile::new("vips", 0.07, 8, 0.0070, 0.55, 0.14, 0.30, PeakThenDegrade),
         BenchmarkProfile::new("x264", 0.10, 8, 0.0080, 0.45, 0.12, 0.25, PeakThenDegrade),
     ]
@@ -158,17 +212,34 @@ mod tests {
     fn injection_rates_below_paper_bound() {
         // "the average network injection rate never exceeds 0.3 flits/cycle".
         for b in parsec_suite() {
-            assert!(b.injection_rate <= 0.3, "{} rate {}", b.name, b.injection_rate);
+            assert!(
+                b.injection_rate <= 0.3,
+                "{} rate {}",
+                b.name,
+                b.injection_rate
+            );
         }
     }
 
     #[test]
     fn classes_match_fig4_examples() {
-        assert_eq!(by_name("blackscholes").unwrap().class, ScalabilityClass::Scalable);
-        assert_eq!(by_name("bodytrack").unwrap().class, ScalabilityClass::Scalable);
+        assert_eq!(
+            by_name("blackscholes").unwrap().class,
+            ScalabilityClass::Scalable
+        );
+        assert_eq!(
+            by_name("bodytrack").unwrap().class,
+            ScalabilityClass::Scalable
+        );
         assert_eq!(by_name("freqmine").unwrap().class, ScalabilityClass::Serial);
-        assert_eq!(by_name("vips").unwrap().class, ScalabilityClass::PeakThenDegrade);
-        assert_eq!(by_name("swaptions").unwrap().class, ScalabilityClass::PeakThenDegrade);
+        assert_eq!(
+            by_name("vips").unwrap().class,
+            ScalabilityClass::PeakThenDegrade
+        );
+        assert_eq!(
+            by_name("swaptions").unwrap().class,
+            ScalabilityClass::PeakThenDegrade
+        );
     }
 
     #[test]

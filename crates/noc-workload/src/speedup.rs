@@ -250,11 +250,7 @@ mod tests {
         {
             let m = ExecutionModel::new(b);
             for n in 1..16 {
-                assert!(
-                    m.time(n + 1) < m.time(n),
-                    "{} not monotone at {n}",
-                    b.name
-                );
+                assert!(m.time(n + 1) < m.time(n), "{} not monotone at {n}", b.name);
             }
         }
     }

@@ -46,7 +46,11 @@ fn main() {
         };
         println!(
             "{level:>6} {power:>9.1} {exec:>10.2} s {cap_str:>12} {completion:>12.2} s{}",
-            if exec > cap { "  (thermal cutoff!)" } else { "" }
+            if exec > cap {
+                "  (thermal cutoff!)"
+            } else {
+                ""
+            }
         );
     }
 

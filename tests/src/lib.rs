@@ -20,8 +20,7 @@ pub fn run_full_mesh(
     seed: u64,
 ) -> SimOutcome {
     let net = Network::new(mesh, RouterParams::paper(), routing).expect("network");
-    let traffic = TrafficGen::new(pattern, Placement::full(&mesh), rate, 5, seed)
-        .expect("traffic");
+    let traffic = TrafficGen::new(pattern, Placement::full(&mesh), rate, 5, seed).expect("traffic");
     Simulation::new(net, traffic, SimConfig::quick())
         .run()
         .expect("simulation")

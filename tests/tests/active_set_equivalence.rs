@@ -117,10 +117,8 @@ fn assert_lockstep(
 ) {
     let mut active = build_net(mesh, StepEngine::ActiveSet, gating, plan);
     let mut oracle = build_net(mesh, StepEngine::ExhaustiveSweep, gating, plan);
-    let mut gen_a =
-        TrafficGen::new(pattern, Placement::full(&mesh), 0.12, 5, seed).unwrap();
-    let mut gen_o =
-        TrafficGen::new(pattern, Placement::full(&mesh), 0.12, 5, seed).unwrap();
+    let mut gen_a = TrafficGen::new(pattern, Placement::full(&mesh), 0.12, 5, seed).unwrap();
+    let mut gen_o = TrafficGen::new(pattern, Placement::full(&mesh), 0.12, 5, seed).unwrap();
     let mut trace_a = Trace::default();
     let mut trace_o = Trace::default();
 
@@ -283,16 +281,9 @@ fn engines_bit_identical_on_sprint_region() {
     let mut active = build(StepEngine::ActiveSet);
     let mut oracle = build(StepEngine::ExhaustiveSweep);
     let placement = Placement::new(set.active_nodes().to_vec(), &mesh).unwrap();
-    let mut gen_a = TrafficGen::new(
-        TrafficPattern::UniformRandom,
-        placement.clone(),
-        0.15,
-        4,
-        5,
-    )
-    .unwrap();
-    let mut gen_o =
-        TrafficGen::new(TrafficPattern::UniformRandom, placement, 0.15, 4, 5).unwrap();
+    let mut gen_a =
+        TrafficGen::new(TrafficPattern::UniformRandom, placement.clone(), 0.15, 4, 5).unwrap();
+    let mut gen_o = TrafficGen::new(TrafficPattern::UniformRandom, placement, 0.15, 4, 5).unwrap();
     for now in 0..1_500 {
         for p in gen_a.generate(now, true) {
             active.enqueue_packet(p);
@@ -408,12 +399,8 @@ fn run_engine(
         // Reactive gating runs the full mesh under XY routing.
         Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap()
     } else {
-        let mut n = Network::new(
-            mesh,
-            RouterParams::paper(),
-            Box::new(CdorRouting::new(set)),
-        )
-        .unwrap();
+        let mut n =
+            Network::new(mesh, RouterParams::paper(), Box::new(CdorRouting::new(set))).unwrap();
         n.set_power_mask(set.mask());
         n
     };
@@ -439,7 +426,15 @@ fn prop_engines_agree(
     plan: &FaultPlan,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let a = run_engine(mesh, set, StepEngine::ActiveSet, pattern, gating, plan, seed);
+    let a = run_engine(
+        mesh,
+        set,
+        StepEngine::ActiveSet,
+        pattern,
+        gating,
+        plan,
+        seed,
+    );
     let o = run_engine(
         mesh,
         set,
@@ -466,9 +461,8 @@ fn engine_case() -> impl Strategy<Value = (Mesh2D, NodeId, usize, u8, u64)> {
     (2u16..=5, 2u16..=5).prop_flat_map(|(w, h)| {
         let mesh = Mesh2D::new(w, h).expect("nonzero");
         let len = mesh.len();
-        (Just(mesh), 0..len, 2..=len, 0u8..2, 0u64..1_000).prop_map(
-            |(mesh, master, level, pat, seed)| (mesh, NodeId(master), level, pat, seed),
-        )
+        (Just(mesh), 0..len, 2..=len, 0u8..2, 0u64..1_000)
+            .prop_map(|(mesh, master, level, pat, seed)| (mesh, NodeId(master), level, pat, seed))
     })
 }
 
@@ -611,7 +605,11 @@ fn fast_forward_never_skips_fault_or_wake_events() {
     let mut slow = build_net(mesh, StepEngine::ExhaustiveSweep, gating, &plan);
     let mut trace_slow = Trace::default();
     while slow.now() < horizon {
-        assert_eq!(slow.skip_idle_cycles(horizon), 0, "the reference never skips");
+        assert_eq!(
+            slow.skip_idle_cycles(horizon),
+            0,
+            "the reference never skips"
+        );
         slow.step_observed(Some(&mut trace_slow)).unwrap();
     }
 
@@ -653,8 +651,7 @@ fn fast_forward_never_skips_fault_or_wake_events() {
 fn sim_fast_forward_preserves_outcome_and_timeline() {
     let mesh = Mesh2D::paper_4x4();
     let run = |engine| {
-        let mut net =
-            Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
+        let mut net = Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
         net.set_step_engine(engine);
         net.set_gating_mode(GatingMode::Reactive {
             idle_threshold: 15,

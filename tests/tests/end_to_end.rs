@@ -30,7 +30,10 @@ fn gated_sprint_regions_run_clean_at_every_level() {
             0.15,
             level as u64,
         );
-        assert!(outcome.stats.packets_delivered > 0, "level {level} delivered nothing");
+        assert!(
+            outcome.stats.packets_delivered > 0,
+            "level {level} delivered nothing"
+        );
         assert!(!outcome.stats.saturated, "level {level} saturated at 0.15");
     }
 }
@@ -68,7 +71,13 @@ fn cdor_and_xy_agree_on_full_mesh_statistically() {
     // identical delivered-packet counts and very close latency.
     let mesh = Mesh2D::paper_4x4();
     let set = SprintSet::paper(16);
-    let a = run_full_mesh(mesh, Box::new(XyRouting), TrafficPattern::UniformRandom, 0.2, 5);
+    let a = run_full_mesh(
+        mesh,
+        Box::new(XyRouting),
+        TrafficPattern::UniformRandom,
+        0.2,
+        5,
+    );
     let b = run_full_mesh(
         mesh,
         Box::new(CdorRouting::new(&set)),

@@ -110,7 +110,11 @@ fn reactive_gating_under_sprint_traffic_sleeps_the_dark_region() {
         "corner slept only {} of {cycles}",
         stats[15].0
     );
-    assert!(stats[0].0 < cycles / 10, "master slept {} cycles", stats[0].0);
+    assert!(
+        stats[0].0 < cycles / 10,
+        "master slept {} cycles",
+        stats[0].0
+    );
 }
 
 /// The LLC flow survives a *reactively* gated mesh too (requests wake the
@@ -236,14 +240,8 @@ fn negative_first_simulation_completes() {
     use noc_sim::routing::NegativeFirstRouting;
     let mesh = Mesh2D::paper_4x4();
     let net = Network::new(mesh, RouterParams::paper(), Box::new(NegativeFirstRouting)).unwrap();
-    let traffic = TrafficGen::new(
-        TrafficPattern::Tornado,
-        Placement::full(&mesh),
-        0.3,
-        5,
-        13,
-    )
-    .unwrap();
+    let traffic =
+        TrafficGen::new(TrafficPattern::Tornado, Placement::full(&mesh), 0.3, 5, 13).unwrap();
     let out = noc_sim::sim::Simulation::new(net, traffic, noc_sim::sim::SimConfig::quick())
         .run()
         .unwrap();

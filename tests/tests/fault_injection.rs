@@ -23,7 +23,14 @@ fn paper_net(routing: Box<dyn noc_sim::routing::RoutingFunction>) -> Network {
 
 fn uniform_traffic(seed: u64) -> TrafficGen {
     let mesh = Mesh2D::paper_4x4();
-    TrafficGen::new(TrafficPattern::UniformRandom, Placement::full(&mesh), 0.1, 5, seed).unwrap()
+    TrafficGen::new(
+        TrafficPattern::UniformRandom,
+        Placement::full(&mesh),
+        0.1,
+        5,
+        seed,
+    )
+    .unwrap()
 }
 
 fn sprint_net(level: usize) -> (Network, SprintSet) {
@@ -83,8 +90,16 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
         let ra = plain.step().unwrap();
         let rb = planned.step().unwrap();
         assert_eq!(ra, rb, "step report diverged at cycle {now}");
-        let ea: Vec<_> = plain.drain_ejections().into_iter().map(|e| (e.flit, e.at)).collect();
-        let eb: Vec<_> = planned.drain_ejections().into_iter().map(|e| (e.flit, e.at)).collect();
+        let ea: Vec<_> = plain
+            .drain_ejections()
+            .into_iter()
+            .map(|e| (e.flit, e.at))
+            .collect();
+        let eb: Vec<_> = planned
+            .drain_ejections()
+            .into_iter()
+            .map(|e| (e.flit, e.at))
+            .collect();
         assert_eq!(ea, eb, "ejections diverged at cycle {now}");
     }
     assert_eq!(planned.fault_stats(), Default::default());
@@ -126,7 +141,9 @@ fn same_plan_replay_is_deterministic() {
     let run = || {
         let mut net = paper_net(Box::new(XyRouting));
         net.set_fault_plan(&plan).unwrap();
-        Simulation::new(net, uniform_traffic(3), SimConfig::quick()).run().unwrap()
+        Simulation::new(net, uniform_traffic(3), SimConfig::quick())
+            .run()
+            .unwrap()
     };
     let (a, b) = (run(), run());
     assert_eq!(a.accounting, b.accounting);
@@ -148,7 +165,8 @@ fn same_plan_replay_is_deterministic() {
 #[test]
 fn cdor_drops_without_a_legal_detour_and_reroutes_with_one() {
     let (mut net, _) = sprint_net(4);
-    net.set_fault_plan(&FaultPlan::new().link_kill(NodeId(0), NodeId(1), 0)).unwrap();
+    net.set_fault_plan(&FaultPlan::new().link_kill(NodeId(0), NodeId(1), 0))
+        .unwrap();
     enqueue(&mut net, 0, 0, 1); // only minimal in-region exit is dead
     enqueue(&mut net, 1, 0, 5); // minimal alternative via 4 exists
     let ej = drive(&mut net, 10_000);
@@ -158,7 +176,10 @@ fn cdor_drops_without_a_legal_detour_and_reroutes_with_one() {
     assert_eq!(stats.measured_packets_dropped, 1);
     assert_eq!(stats.flits_dropped, 5);
     let delivered: Vec<_> = ej.iter().map(|(f, _)| f.packet).collect();
-    assert!(!delivered.contains(&PacketId(0)), "dropped packet must not eject");
+    assert!(
+        !delivered.contains(&PacketId(0)),
+        "dropped packet must not eject"
+    );
     assert_eq!(delivered.iter().filter(|&&p| p == PacketId(1)).count(), 5);
 }
 
@@ -168,7 +189,8 @@ fn cdor_drops_without_a_legal_detour_and_reroutes_with_one() {
 fn killed_router_isolates_only_itself() {
     let mesh = Mesh2D::paper_4x4();
     let (mut net, _) = sprint_net(4);
-    net.set_fault_plan(&FaultPlan::new().kill_router(&mesh, NodeId(5), 0)).unwrap();
+    net.set_fault_plan(&FaultPlan::new().kill_router(&mesh, NodeId(5), 0))
+        .unwrap();
     enqueue(&mut net, 0, 0, 5); // destination unreachable -> drop
     enqueue(&mut net, 1, 0, 4); // unaffected pair -> delivered
     enqueue(&mut net, 2, 1, 0); // unaffected pair -> delivered
@@ -208,14 +230,18 @@ fn transient_outage_delays_but_delivers() {
 #[test]
 fn frozen_router_stalls_then_recovers() {
     let mut net = paper_net(Box::new(XyRouting));
-    net.set_fault_plan(&FaultPlan::new().router_freeze(NodeId(1), 0, 300)).unwrap();
+    net.set_fault_plan(&FaultPlan::new().router_freeze(NodeId(1), 0, 300))
+        .unwrap();
     enqueue(&mut net, 0, 0, 2); // XY route passes through frozen node 1
     let ej = drive(&mut net, 10_000);
     assert_eq!(net.fault_stats().packets_dropped, 0);
     assert_eq!(net.fault_stats().freeze_events, 1);
     assert_eq!(net.fault_stats().thaw_events, 1);
     assert_eq!(ej.len(), 5);
-    assert!(ej.last().unwrap().1 >= 300, "delivery cannot complete inside the freeze");
+    assert!(
+        ej.last().unwrap().1 >= 300,
+        "delivery cannot complete inside the freeze"
+    );
 }
 
 /// The probe sees the whole fault timeline: scheduled transitions and the
@@ -251,7 +277,10 @@ fn fault_events_reach_the_probe() {
     assert_eq!(kinds.iter().filter(|&&k| k == "up").count(), 1);
     assert_eq!(kinds.iter().filter(|&&k| k == "dropped").count(), 1);
     let cycles: Vec<u64> = log.events().iter().map(|&(c, _)| c).collect();
-    assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "events in cycle order");
+    assert!(
+        cycles.windows(2).all(|w| w[0] <= w[1]),
+        "events in cycle order"
+    );
 }
 
 /// Wake-up delays surface in the fault stats when reactive gating wakes a
@@ -265,7 +294,8 @@ fn delayed_wakeup_is_counted() {
         idle_threshold: 50,
         wakeup_latency: 10,
     });
-    net.set_fault_plan(&FaultPlan::new().wakeup_delay(NodeId(1), 0, 40)).unwrap();
+    net.set_fault_plan(&FaultPlan::new().wakeup_delay(NodeId(1), 0, 40))
+        .unwrap();
     // Let node 1 fall asleep, then force a wake-up through it.
     for _ in 0..200 {
         net.step().unwrap();

@@ -17,9 +17,8 @@ fn mesh_master_level() -> impl Strategy<Value = (Mesh2D, NodeId, usize)> {
     (2u16..=7, 2u16..=7).prop_flat_map(|(w, h)| {
         let mesh = Mesh2D::new(w, h).expect("nonzero");
         let len = mesh.len();
-        (Just(mesh), 0..len, 1..=len).prop_map(|(mesh, master, level)| {
-            (mesh, NodeId(master), level)
-        })
+        (Just(mesh), 0..len, 1..=len)
+            .prop_map(|(mesh, master, level)| (mesh, NodeId(master), level))
     })
 }
 

@@ -10,8 +10,8 @@ use noc_sim::routing::{RoutingFunction, XyRouting};
 use noc_sim::sim::SimConfig;
 use noc_sim::sweep::{point_seed, LoadSweep};
 use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficPattern};
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::{Placement, TrafficPattern};
 use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
@@ -153,10 +153,19 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
         .run_synthetic_jobs(&e, &jobs, Some(&cache))
         .expect("parallel jobs");
     for (p, s) in parallel.iter().zip(&serial) {
-        assert_eq!(p.avg_packet_latency.to_bits(), s.avg_packet_latency.to_bits());
-        assert_eq!(p.avg_network_latency.to_bits(), s.avg_network_latency.to_bits());
+        assert_eq!(
+            p.avg_packet_latency.to_bits(),
+            s.avg_packet_latency.to_bits()
+        );
+        assert_eq!(
+            p.avg_network_latency.to_bits(),
+            s.avg_network_latency.to_bits()
+        );
         assert_eq!(p.network_power.to_bits(), s.network_power.to_bits());
-        assert_eq!(p.accepted_throughput.to_bits(), s.accepted_throughput.to_bits());
+        assert_eq!(
+            p.accepted_throughput.to_bits(),
+            s.accepted_throughput.to_bits()
+        );
         assert_eq!(p.saturated, s.saturated);
     }
     // A second pass over the same jobs is served from the cache and still
@@ -168,6 +177,9 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
     assert_eq!(cache.misses(), jobs.len() as u64, "no recomputation");
     assert!(cache.hits() >= jobs.len() as u64);
     for (c, s) in cached.iter().zip(&serial) {
-        assert_eq!(c.avg_network_latency.to_bits(), s.avg_network_latency.to_bits());
+        assert_eq!(
+            c.avg_network_latency.to_bits(),
+            s.avg_network_latency.to_bits()
+        );
     }
 }

@@ -7,21 +7,17 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use noc_sim::traffic::TrafficPattern;
 use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{
-    code_version, metrics_from_pairs, DiskResultCache, ServiceResponse, SubmitRequest,
-    SweepService,
+    code_version, metrics_from_pairs, DiskResultCache, ServiceResponse, SubmitRequest, SweepService,
 };
 use noc_sprinting::telemetry::ManifestPoint;
 use noc_sprinting::Experiment;
 
 fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "noc-service-int-{label}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("noc-service-int-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -45,7 +41,11 @@ fn jobs(count: usize) -> Vec<SyntheticJob> {
 }
 
 fn quick_service(cache: DiskResultCache) -> SweepService {
-    SweepService::new(Experiment::quick(), ExperimentRunner::with_workers(3), cache)
+    SweepService::new(
+        Experiment::quick(),
+        ExperimentRunner::with_workers(3),
+        cache,
+    )
 }
 
 fn collect_points(service: &SweepService, req: &SubmitRequest) -> Vec<ManifestPoint> {
@@ -81,7 +81,11 @@ fn cache_round_trip_is_bit_identical_across_restart() {
         points
     }; // daemon "dies" here: all in-memory state is gone
     let (cache, report) = DiskResultCache::open(&dir, &version).unwrap();
-    assert_eq!(report.loaded, req.jobs.len(), "all points reloaded from disk");
+    assert_eq!(
+        report.loaded,
+        req.jobs.len(),
+        "all points reloaded from disk"
+    );
     let service = quick_service(cache);
     let mut replayed = Vec::new();
     let summary = service
@@ -274,7 +278,10 @@ fn version_stamp_invalidates_stale_records() {
     assert_eq!(report.stale, req.jobs.len());
     let service = quick_service(cache);
     let points = collect_points(&service, &req);
-    assert!(points.iter().all(|p| !p.cache_hit), "stale entries recompute");
+    assert!(
+        points.iter().all(|p| !p.cache_hit),
+        "stale entries recompute"
+    );
     service.cache().persist_jobs(&req.jobs).unwrap();
     // Compaction drops the stale-version records entirely.
     service.cache().compact().unwrap();
@@ -392,7 +399,11 @@ fn mid_flight_cancel_stops_remaining_points() {
     );
     assert_eq!(summary.cancelled, failures.len());
     assert_eq!(summary.failed, 0, "only cancellations, no real failures");
-    assert_eq!(ordered, (0..req.jobs.len()).collect::<Vec<_>>(), "strict order held");
+    assert_eq!(
+        ordered,
+        (0..req.jobs.len()).collect::<Vec<_>>(),
+        "strict order held"
+    );
     // The registry entry is gone: resubmitting the same id runs clean.
     let rerun = service
         .run_submit(&req, &mut |_| {})
@@ -406,8 +417,8 @@ fn mid_flight_cancel_stops_remaining_points() {
 /// afterwards, and admits a high-priority batch past the limit.
 #[test]
 fn queue_limit_busy_then_recovers() {
-    let service = quick_service(DiskResultCache::in_memory(code_version("quick")))
-        .with_queue_limit(3);
+    let service =
+        quick_service(DiskResultCache::in_memory(code_version("quick"))).with_queue_limit(3);
     let req = SubmitRequest {
         id: "bp1".to_string(),
         label: "backpressure".to_string(),
@@ -471,7 +482,11 @@ fn poisoned_disk_lock_keeps_serving_batches() {
         .run_submit(&req, &mut |_| {})
         .expect("no queue limit configured");
     assert_eq!(rerun.ok, req.jobs.len());
-    assert_eq!(rerun.cache_hits as usize, req.jobs.len(), "cache still answers");
+    assert_eq!(
+        rerun.cache_hits as usize,
+        req.jobs.len(),
+        "cache still answers"
+    );
     service.cache().persist_jobs(&req.jobs).unwrap();
     let live = service.cache().compact().unwrap();
     assert_eq!(live, req.jobs.len());

@@ -20,10 +20,8 @@ use noc_sprinting::telemetry::{
 
 /// A scratch directory unique to this test binary's process.
 fn scratch_dir(label: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "noc-telemetry-test-{label}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("noc-telemetry-test-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
 }

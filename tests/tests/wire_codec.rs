@@ -35,13 +35,31 @@ fn submit_with(job: &str) -> String {
 #[test]
 fn wrong_kind_fields_are_errors_that_name_the_field() {
     let requests = [
-        (r#"{"type":"submit","id":"r","label":5,"jobs":[]}"#.to_string(), "label"),
-        (r#"{"type":"submit","id":"r","priority":0.5,"jobs":[]}"#.to_string(), "priority"),
+        (
+            r#"{"type":"submit","id":"r","label":5,"jobs":[]}"#.to_string(),
+            "label",
+        ),
+        (
+            r#"{"type":"submit","id":"r","priority":0.5,"jobs":[]}"#.to_string(),
+            "priority",
+        ),
         (r#"{"type":"submit","id":7,"jobs":[]}"#.to_string(), "id"),
-        (r#"{"type":"submit","id":"r","jobs":{}}"#.to_string(), "jobs"),
-        (submit_with(&JOB.replace("{", r#"{"topology":5,"#)), "topology"),
-        (submit_with(&JOB.replace("\"level\":4", "\"level\":\"4\"")), "level"),
-        (submit_with(&JOB.replace("{", r#"{"hot_fraction":"x","#)), "hot_fraction"),
+        (
+            r#"{"type":"submit","id":"r","jobs":{}}"#.to_string(),
+            "jobs",
+        ),
+        (
+            submit_with(&JOB.replace("{", r#"{"topology":5,"#)),
+            "topology",
+        ),
+        (
+            submit_with(&JOB.replace("\"level\":4", "\"level\":\"4\"")),
+            "level",
+        ),
+        (
+            submit_with(&JOB.replace("{", r#"{"hot_fraction":"x","#)),
+            "hot_fraction",
+        ),
         (r#"{"type":"cancel","id":null}"#.to_string(), "id"),
     ];
     for (line, field) in &requests {
@@ -50,19 +68,36 @@ fn wrong_kind_fields_are_errors_that_name_the_field() {
     }
     let stats = r#"{"schema":1,"engine":"e","code_version":"v","uptime_ms":1,"metrics":{"counters":{},"gauges":{},"histograms":{}}"#;
     let responses = [
-        (r#"{"type":"progress","id":"r","completed":1,"total":2,"eta_ms":"x"}"#.to_string(), "eta_ms"),
-        (r#"{"type":"pong","uptime_ms":"soon"}"#.to_string(), "uptime_ms"),
+        (
+            r#"{"type":"progress","id":"r","completed":1,"total":2,"eta_ms":"x"}"#.to_string(),
+            "eta_ms",
+        ),
+        (
+            r#"{"type":"pong","uptime_ms":"soon"}"#.to_string(),
+            "uptime_ms",
+        ),
         (r#"{"type":"error","id":7,"message":"m"}"#.to_string(), "id"),
-        (r#"{"type":"cancelled","id":"r","active":1}"#.to_string(), "active"),
-        (format!(r#"{{"type":"stats","snapshot":{stats},"slow_points":{{}}}}}}"#), "slow_points"),
-        (format!(r#"{{"type":"stats","snapshot":{stats},"shards":[5]}}}}"#), "shards"),
+        (
+            r#"{"type":"cancelled","id":"r","active":1}"#.to_string(),
+            "active",
+        ),
+        (
+            format!(r#"{{"type":"stats","snapshot":{stats},"slow_points":{{}}}}}}"#),
+            "slow_points",
+        ),
+        (
+            format!(r#"{{"type":"stats","snapshot":{stats},"shards":[5]}}}}"#),
+            "shards",
+        ),
     ];
     for (line, field) in &responses {
         let err = ServiceResponse::from_json_line(line).expect_err(line);
         assert!(err.contains(field), "{line}: {err}");
     }
     let cache = r#"{"type":"cache","key":"0x1","seed":"0x1","version":"v","value":{"avg_packet_latency":"0x0","avg_network_latency":"0x0","network_power":"0x0","accepted_throughput":"0x0","saturated":1}}"#;
-    assert!(CacheRecord::from_json_line(cache).expect_err(cache).contains("saturated"));
+    assert!(CacheRecord::from_json_line(cache)
+        .expect_err(cache)
+        .contains("saturated"));
 }
 
 #[test]
@@ -71,8 +106,14 @@ fn missing_required_fields_and_failed_checks_are_errors() {
         (r#"{"type":"submit","id":"r"}"#.to_string(), "jobs"),
         (r#"{"type":"submit","jobs":[]}"#.to_string(), "id"),
         (submit_with(&JOB.replace("\"rate\":0.1,", "")), "rate"),
-        (submit_with(&JOB.replace("\"level\":4", "\"level\":0")), "level"),
-        (submit_with(&JOB.replace("uniform", "hotspot")), "hot_fraction"),
+        (
+            submit_with(&JOB.replace("\"level\":4", "\"level\":0")),
+            "level",
+        ),
+        (
+            submit_with(&JOB.replace("uniform", "hotspot")),
+            "hot_fraction",
+        ),
         (r#"{"type":"nonsense"}"#.to_string(), "type"),
     ];
     for (line, needle) in &lines {
@@ -210,8 +251,16 @@ fn index() -> std::ops::RangeInclusive<usize> {
 }
 
 fn job() -> impl Strategy<Value = SyntheticJob> {
-    (0usize..3, 1usize..=1024, 0usize..7, 0.0f64..=1.0, 0.0f64..1.0, any_u64(), 0usize..3).prop_map(
-        |(t, level, p, hot_fraction, r, seed, b)| SyntheticJob {
+    (
+        0usize..3,
+        1usize..=1024,
+        0usize..7,
+        0.0f64..=1.0,
+        0.0f64..1.0,
+        any_u64(),
+        0usize..3,
+    )
+        .prop_map(|(t, level, p, hot_fraction, r, seed, b)| SyntheticJob {
             topology: TopologySpec::from_wire_name(["mesh4x4", "mesh8x8", "circ16s5"][t])
                 .expect("valid topology"),
             level,
@@ -231,8 +280,7 @@ fn job() -> impl Strategy<Value = SyntheticJob> {
                 SyntheticBaseline::RandomEndpoints,
                 SyntheticBaseline::SpreadAggregate,
             ][b],
-        },
-    )
+        })
 }
 
 fn point() -> impl Strategy<Value = ManifestPoint> {
@@ -244,14 +292,16 @@ fn point() -> impl Strategy<Value = ManifestPoint> {
         finite(),
         prop::collection::vec((text(), finite()), 0..6),
     )
-        .prop_map(|(index, seed, config_hash, cache_hit, duration_ms, metrics)| ManifestPoint {
-            index,
-            seed,
-            config_hash,
-            cache_hit,
-            duration_ms,
-            metrics,
-        })
+        .prop_map(
+            |(index, seed, config_hash, cache_hit, duration_ms, metrics)| ManifestPoint {
+                index,
+                seed,
+                config_hash,
+                cache_hit,
+                duration_ms,
+                metrics,
+            },
+        )
 }
 
 fn histogram() -> impl Strategy<Value = HistogramSnapshot> {
@@ -301,13 +351,24 @@ fn snapshot() -> impl Strategy<Value = StatsSnapshot> {
         prop::collection::vec(shard, 0..3),
     )
         .prop_map(
-            |((engine, code_version, uptime_ms), counters, gauges, histograms, slow_points, shards)| {
+            |(
+                (engine, code_version, uptime_ms),
+                counters,
+                gauges,
+                histograms,
+                slow_points,
+                shards,
+            )| {
                 StatsSnapshot {
                     schema: 1,
                     engine,
                     code_version,
                     uptime_ms,
-                    metrics: MetricsSnapshot { counters, gauges, histograms },
+                    metrics: MetricsSnapshot {
+                        counters,
+                        gauges,
+                        histograms,
+                    },
                     slow_points,
                     shards,
                 }
@@ -326,39 +387,71 @@ fn responses() -> impl Strategy<Value = Vec<ServiceResponse>> {
         any::<bool>(),
         snapshot(),
     )
-        .prop_map(|((id, msg), (a, b), f, point, (h, s, hits, misses), flag, snapshot)| {
-            vec![
-                ServiceResponse::Accepted { id: id.clone(), points: a },
-                ServiceResponse::Progress { id: id.clone(), completed: a, total: b, eta_ms: None },
-                ServiceResponse::Progress { id: id.clone(), completed: b, total: a, eta_ms: Some(f) },
-                ServiceResponse::Point { id: id.clone(), point },
-                ServiceResponse::PointFailed {
-                    id: id.clone(),
-                    index: a,
-                    config_hash: h,
-                    seed: s,
-                    error: msg.clone(),
-                },
-                ServiceResponse::Done {
-                    id: id.clone(),
-                    summary: BatchSummary {
+        .prop_map(
+            |((id, msg), (a, b), f, point, (h, s, hits, misses), flag, snapshot)| {
+                vec![
+                    ServiceResponse::Accepted {
+                        id: id.clone(),
                         points: a,
-                        ok: b,
-                        failed: a,
-                        cancelled: b,
-                        cache_hits: hits,
-                        cache_misses: misses,
-                        config_hash: h,
-                        wall_ms: f,
                     },
-                },
-                ServiceResponse::Busy { id: id.clone(), pending: a, limit: b },
-                ServiceResponse::Cancelled { id: id.clone(), active: flag },
-                ServiceResponse::Pong { uptime_ms: f, code_version: msg.clone(), engine: id.clone() },
-                ServiceResponse::Stats { snapshot },
-                ServiceResponse::Error { id: flag.then(|| id.clone()), message: msg },
-            ]
-        })
+                    ServiceResponse::Progress {
+                        id: id.clone(),
+                        completed: a,
+                        total: b,
+                        eta_ms: None,
+                    },
+                    ServiceResponse::Progress {
+                        id: id.clone(),
+                        completed: b,
+                        total: a,
+                        eta_ms: Some(f),
+                    },
+                    ServiceResponse::Point {
+                        id: id.clone(),
+                        point,
+                    },
+                    ServiceResponse::PointFailed {
+                        id: id.clone(),
+                        index: a,
+                        config_hash: h,
+                        seed: s,
+                        error: msg.clone(),
+                    },
+                    ServiceResponse::Done {
+                        id: id.clone(),
+                        summary: BatchSummary {
+                            points: a,
+                            ok: b,
+                            failed: a,
+                            cancelled: b,
+                            cache_hits: hits,
+                            cache_misses: misses,
+                            config_hash: h,
+                            wall_ms: f,
+                        },
+                    },
+                    ServiceResponse::Busy {
+                        id: id.clone(),
+                        pending: a,
+                        limit: b,
+                    },
+                    ServiceResponse::Cancelled {
+                        id: id.clone(),
+                        active: flag,
+                    },
+                    ServiceResponse::Pong {
+                        uptime_ms: f,
+                        code_version: msg.clone(),
+                        engine: id.clone(),
+                    },
+                    ServiceResponse::Stats { snapshot },
+                    ServiceResponse::Error {
+                        id: flag.then(|| id.clone()),
+                        message: msg,
+                    },
+                ]
+            },
+        )
 }
 
 /// Decodes `line` and checks the value re-encodes to the same line (every

@@ -121,15 +121,28 @@ fn responses() -> Vec<(ServiceResponse, &'static str)> {
     };
     vec![
         (
-            ServiceResponse::Accepted { id: s("r1"), points: 2 },
+            ServiceResponse::Accepted {
+                id: s("r1"),
+                points: 2,
+            },
             r#"{"type":"accepted","id":"r1","points":2}"#,
         ),
         (
-            ServiceResponse::Progress { id: s("r1"), completed: 1, total: 2, eta_ms: None },
+            ServiceResponse::Progress {
+                id: s("r1"),
+                completed: 1,
+                total: 2,
+                eta_ms: None,
+            },
             r#"{"type":"progress","id":"r1","completed":1,"total":2}"#,
         ),
         (
-            ServiceResponse::Progress { id: s("r1"), completed: 2, total: 2, eta_ms: Some(125.5) },
+            ServiceResponse::Progress {
+                id: s("r1"),
+                completed: 2,
+                total: 2,
+                eta_ms: Some(125.5),
+            },
             r#"{"type":"progress","id":"r1","completed":2,"total":2,"eta_ms":125.5}"#,
         ),
         (
@@ -163,11 +176,18 @@ fn responses() -> Vec<(ServiceResponse, &'static str)> {
             r#"{"type":"done","id":"r1","points":9,"ok":6,"failed":1,"cancelled":2,"cache_hits":3,"cache_misses":3,"config_hash":"0x123456789abcdef0","wall_ms":88.5}"#,
         ),
         (
-            ServiceResponse::Busy { id: s("r1"), pending: 480, limit: 512 },
+            ServiceResponse::Busy {
+                id: s("r1"),
+                pending: 480,
+                limit: 512,
+            },
             r#"{"type":"busy","id":"r1","pending":480,"limit":512}"#,
         ),
         (
-            ServiceResponse::Cancelled { id: s("r9"), active: false },
+            ServiceResponse::Cancelled {
+                id: s("r9"),
+                active: false,
+            },
             r#"{"type":"cancelled","id":"r9","active":false}"#,
         ),
         (
@@ -179,15 +199,23 @@ fn responses() -> Vec<(ServiceResponse, &'static str)> {
             r#"{"type":"pong","uptime_ms":1234.5,"code_version":"0.1.0+cache-v2+quick","engine":"noc-serve"}"#,
         ),
         (
-            ServiceResponse::Stats { snapshot: snapshot() },
+            ServiceResponse::Stats {
+                snapshot: snapshot(),
+            },
             r#"{"type":"stats","snapshot":{"schema":1,"engine":"noc-fleet","code_version":"v","uptime_ms":12.5,"metrics":{"counters":{"noc_a_total":"0x3"},"gauges":{"noc_g":"0x3ff8000000000000"},"histograms":{"noc_h":{"count":"0x2","sum_hi":"0x1","sum_lo":"0x5","min":"0x5","max":"0x1f4","buckets":[["0x5","0x1"],["0x1f0","0x1"]]}}},"slow_points":[{"config_hash":"0xdead","seed":"0xbeef","duration_ms":100,"mean_ms":1.5,"factor":66.5}],"shards":[{"shard":0,"socket":"s0.sock","alive":true,"engine":"noc-serve","code_version":"v","uptime_ms":7.25}]}}"#,
         ),
         (
-            ServiceResponse::Error { id: None, message: s("bad request: x") },
+            ServiceResponse::Error {
+                id: None,
+                message: s("bad request: x"),
+            },
             r#"{"type":"error","message":"bad request: x"}"#,
         ),
         (
-            ServiceResponse::Error { id: Some(s("r1")), message: s("cache persist failed") },
+            ServiceResponse::Error {
+                id: Some(s("r1")),
+                message: s("cache persist failed"),
+            },
             r#"{"type":"error","id":"r1","message":"cache persist failed"}"#,
         ),
     ]
@@ -226,7 +254,10 @@ fn cache_record_matches_its_golden_line_bit_for_bit() {
     let line = r#"{"type":"cache","key":"0xffffffffffffffff","seed":"0x9e3779b97f4a7c15","version":"0.1.0+cache-v2+paper","value":{"avg_packet_latency":"0x7ff8000000000000","avg_network_latency":"0x7ff0000000000000","network_power":"0x8000000000000000","accepted_throughput":"0x3fd3333333333334","saturated":true}}"#;
     assert_eq!(record.to_json_line(), line);
     let back = CacheRecord::from_json_line(line).expect("golden cache line decodes");
-    assert_eq!((back.key, back.seed, &back.version), (record.key, record.seed, &record.version));
+    assert_eq!(
+        (back.key, back.seed, &back.version),
+        (record.key, record.seed, &record.version)
+    );
     let bits = |m: &NetworkMetrics| {
         [
             m.avg_packet_latency.to_bits(),
@@ -259,8 +290,20 @@ fn run_manifest_matches_its_golden_lines() {
             metrics: vec![(s("avg_packet_latency"), 23.75)],
         }],
         faults: vec![
-            FaultRecord { point: 0, cycle: 120, kind: s("link_down"), node: 0, peer: Some(1) },
-            FaultRecord { point: 0, cycle: 250, kind: s("packet_dropped"), node: 5, peer: None },
+            FaultRecord {
+                point: 0,
+                cycle: 120,
+                kind: s("link_down"),
+                node: 0,
+                peer: Some(1),
+            },
+            FaultRecord {
+                point: 0,
+                cycle: 250,
+                kind: s("packet_dropped"),
+                node: 5,
+                peer: None,
+            },
         ],
     };
     let text = concat!(
@@ -274,7 +317,10 @@ fn run_manifest_matches_its_golden_lines() {
         "\n",
     );
     assert_eq!(manifest.to_jsonl(), text);
-    assert_eq!(RunManifest::from_jsonl(text).expect("golden manifest decodes"), manifest);
+    assert_eq!(
+        RunManifest::from_jsonl(text).expect("golden manifest decodes"),
+        manifest
+    );
 }
 
 #[test]
@@ -289,7 +335,11 @@ fn lines_without_optional_fields_decode_to_their_defaults() {
     // Pre-observability daemons answered a bare pong.
     assert_eq!(
         ServiceResponse::from_json_line(r#"{"type":"pong"}"#).expect("bare pong"),
-        ServiceResponse::Pong { uptime_ms: 0.0, code_version: String::new(), engine: String::new() }
+        ServiceResponse::Pong {
+            uptime_ms: 0.0,
+            code_version: String::new(),
+            engine: String::new()
+        }
     );
     // A single daemon's snapshot may omit slow points and shards.
     let line = r#"{"type":"stats","snapshot":{"schema":1,"engine":"noc-serve","code_version":"v","uptime_ms":1,"metrics":{"counters":{},"gauges":{},"histograms":{}}}}"#;
