@@ -321,14 +321,18 @@ impl Simulation {
         // An operating point is saturated when the network could not accept
         // the offered load during the window (accepted < 90% of offered) or
         // when the drain budget expired with measured packets outstanding.
+        // A burst schedule offers load only during its on-cycles.
         let nodes = self.traffic.placement().len();
-        if self.cfg.measure > 0 && nodes > 0 {
+        let offered_cycles = self.traffic.bursts().map_or(self.cfg.measure, |b| {
+            b.on_cycles_between(warmup_end, measure_end)
+        });
+        if offered_cycles > 0 && nodes > 0 {
             let offered_flits =
-                self.traffic.injection_rate() * self.cfg.measure as f64 * nodes as f64;
+                self.traffic.injection_rate() * offered_cycles as f64 * nodes as f64;
             // Below a few hundred expected flits the accepted/offered ratio
             // is dominated by Bernoulli noise — skip the throughput check.
             if offered_flits >= 500.0 {
-                let accepted = window_flits as f64 / self.cfg.measure as f64 / nodes as f64;
+                let accepted = window_flits as f64 / offered_cycles as f64 / nodes as f64;
                 if accepted < 0.9 * self.traffic.injection_rate() {
                     saturated = true;
                 }
@@ -431,6 +435,37 @@ mod tests {
         };
         let out = sim(0.95, cfg).run().unwrap();
         assert!(out.stats.saturated);
+    }
+
+    #[test]
+    fn bursty_saturation_counts_only_on_cycles() {
+        use crate::traffic::BurstSchedule;
+        let bursty = |rate, on_cycles, off_cycles| {
+            let mesh = Mesh2D::paper_4x4();
+            let net = Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
+            let traffic = TrafficGen::new(
+                TrafficPattern::UniformRandom,
+                Placement::full(&mesh),
+                rate,
+                5,
+                99,
+            )
+            .unwrap()
+            .with_bursts(BurstSchedule {
+                on_cycles,
+                off_cycles,
+            });
+            Simulation::new(net, traffic, SimConfig::quick())
+                .run()
+                .unwrap()
+        };
+        // A 25% duty cycle at low load carries everything it offers.
+        let low = bursty(0.2, 200, 600);
+        assert!(low.stats.accepted_throughput() < 0.9 * 0.2, "duty-scaled");
+        assert!(!low.stats.saturated, "low-load bursts read as saturated");
+        // Full rate at a 90% duty cycle averages 0.9 flits/cycle/node, past
+        // the 4x4 uniform knee (~0.65).
+        assert!(bursty(1.0, 900, 100).stats.saturated);
     }
 
     #[test]

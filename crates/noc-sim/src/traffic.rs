@@ -237,6 +237,16 @@ impl BurstSchedule {
         (now / period + 1) * period
     }
 
+    /// Number of on-cycles in `[start, end)`.
+    pub fn on_cycles_between(&self, start: u64, end: u64) -> u64 {
+        let period = self.on_cycles + self.off_cycles;
+        if period == 0 {
+            return end.saturating_sub(start);
+        }
+        let on_before = |t: u64| t / period * self.on_cycles + (t % period).min(self.on_cycles);
+        on_before(end).saturating_sub(on_before(start))
+    }
+
     /// Fraction of time the schedule is on.
     pub fn duty_cycle(&self) -> f64 {
         let period = self.on_cycles + self.off_cycles;
@@ -383,6 +393,24 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn on_cycles_between_counts_the_on_phase() {
+        for (on_cycles, off_cycles) in [(200, 600), (3, 0), (0, 5), (0, 0), (7, 2)] {
+            let b = BurstSchedule {
+                on_cycles,
+                off_cycles,
+            };
+            for (start, end) in [(0, 0), (0, 1), (5, 5), (3, 17), (500, 2500), (799, 1601)] {
+                let brute = (start..end).filter(|&t| b.is_on(t)).count() as u64;
+                assert_eq!(
+                    b.on_cycles_between(start, end),
+                    brute,
+                    "{b:?} [{start}, {end})"
+                );
+            }
+        }
     }
 
     #[test]
