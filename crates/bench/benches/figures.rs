@@ -7,9 +7,11 @@ use noc_power::area::{AreaConfig, AreaModel};
 use noc_power::chip::ChipPowerModel;
 use noc_power::router::{RouterConfig, RouterPowerModel};
 use noc_power::tech::{OperatingPoint, TechNode};
+use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::controller::SprintPolicy;
 use noc_sprinting::experiment::{Experiment, ThermalVariant};
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_workload::profile::{by_name, parsec_suite};
 use noc_workload::speedup::{ExecutionModel, OPTIMAL_TOLERANCE};
 
@@ -69,11 +71,16 @@ fn bench_fig08_core_power(c: &mut Criterion) {
 
 fn bench_fig11_sim_point(c: &mut Criterion) {
     let e = Experiment::quick();
+    let job = SyntheticJob {
+        topology: TopologySpec::default(),
+        level: 4,
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.1,
+        seed: 7,
+        baseline: SyntheticBaseline::NocSprinting,
+    };
     c.bench_function("fig11_synthetic_point_4core", |b| {
-        b.iter(|| {
-            e.run_synthetic(4, true, TrafficPattern::UniformRandom, 0.1, 7)
-                .unwrap()
-        })
+        b.iter(|| job.run(&e).unwrap())
     });
 }
 

@@ -17,8 +17,10 @@
 //!   maximal idle credit.
 
 use noc_bench::{banner, markdown_table};
+use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::{BurstSchedule, TrafficPattern};
 use noc_sprinting::experiment::Experiment;
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 fn main() {
     print!(
@@ -96,9 +98,16 @@ fn main() {
     // initiation and no packet ever stalls on a sleeping router. Measured
     // on-phase power/latency come from the simulator; the off phase is the
     // nominal network.
-    let ns_on = e
-        .run_synthetic(level, true, TrafficPattern::UniformRandom, rate, 7)
-        .expect("NoC-sprinting on-phase");
+    let ns_on = SyntheticJob {
+        topology: TopologySpec::default(),
+        level,
+        pattern: TrafficPattern::UniformRandom,
+        rate,
+        seed: 7,
+        baseline: SyntheticBaseline::NocSprinting,
+    }
+    .run(&e)
+    .expect("NoC-sprinting on-phase");
     let nominal_net = {
         // One powered router + its (zero) region links.
         let p = e.router_power.power_from_activity(

@@ -9,11 +9,13 @@
 //! ```
 //!
 //! By default: paper 4x4 mesh, master 0, level 4, uniform at 0.1
-//! flits/cycle/node under NoC-sprinting (CDOR + gating); `--full` runs the
-//! fully powered mesh with XY routing instead. `--loads` switches from a
-//! single operating point to a latency-vs-load sweep executed on the
-//! parallel `ExperimentRunner` (`--workers 1` forces the serial path; the
-//! curve is bit-identical at any worker count).
+//! flits/cycle/node under NoC-sprinting (CDOR + gating); `--full` spreads
+//! the same per-node rate over the fully powered mesh with XY routing
+//! instead. `--loads` switches from a single operating point to a
+//! latency-vs-load sweep executed on the parallel `ExperimentRunner`
+//! (`--workers 1` forces the serial path; the curve is bit-identical at any
+//! worker count). Every mode describes its points as `SyntheticJob`s, the
+//! same cache-keyed form the figures and the daemon run.
 //!
 //! `--telemetry DIR` (or `NOC_BENCH_TELEMETRY=DIR`) additionally attaches a
 //! [`TimeSeriesObserver`] to every sweep point and writes
@@ -22,30 +24,28 @@
 //! `explore.point<N>.timeseries.csv` per operating point. Telemetry only
 //! observes: the printed curve is bit-identical with it on or off.
 //!
-//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the operating
-//! point(s) to a running `noc_serve` daemon instead of simulating locally,
-//! so repeated explorations hit the daemon's persistent cache. The daemon
-//! owns the experiment configuration, so this mode requires the defaults
-//! it serves: paper 4x4 mesh, master 0, no `--full`. See `SERVICE.md`.
+//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the same jobs to
+//! a running `noc_serve` daemon instead of simulating locally, so repeated
+//! explorations hit the daemon's persistent cache. The daemon owns the
+//! experiment configuration, so this mode requires the mesh and master it
+//! serves: paper 4x4 mesh, master 0. See `SERVICE.md`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use noc_bench::flags::{exit_usage, Flags};
+use noc_sim::error::SimError;
 use noc_sim::geometry::NodeId;
-use noc_sim::network::Network;
 use noc_sim::probe::TimeSeriesObserver;
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::{SimConfig, Simulation};
-use noc_sim::sweep::{point_seed, LoadSweep, SweepReport};
-use noc_sim::topology::Mesh2D;
-use noc_sim::topology::TopologySpec;
-use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
-use noc_sprinting::cdor::CdorRouting;
+use noc_sim::sweep::point_seed;
+use noc_sim::topology::{Mesh2D, TopologySpec};
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::config::SystemConfig;
+use noc_sprinting::controller::SprintController;
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
-use noc_sprinting::sprint_topology::SprintSet;
+use noc_sprinting::service::metric_pairs;
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
 
 /// Per-epoch sampling interval for `--telemetry` sweep observers, in
@@ -130,8 +130,6 @@ fn main() {
         let (w, h) = (args.width, args.height);
         exit_usage("explore", format!("master/level out of range for {w}x{h}"));
     }
-    let sys = SystemConfig::paper();
-    let set = SprintSet::new(mesh, NodeId(args.master), args.level);
     println!(
         "mesh {}x{}, master {}, level {} ({} routers gated), {} @ {} flits/cyc/node, {}",
         args.width,
@@ -147,41 +145,25 @@ fn main() {
         args.rate,
         format_args!("pattern {:?}", args.pattern),
     );
-
-    if let Some(socket) = args.service.clone() {
-        run_service_mode(&args, &socket);
+    let jobs = jobs(&args);
+    if let Some(socket) = &args.service {
+        run_service_mode(&args, socket, &jobs);
         return;
     }
-
-    if let Some(loads) = args.loads.clone() {
-        run_sweep_mode(&args, mesh, &set, loads);
-        return;
-    }
-
-    let (net, placement) = if args.full {
-        (
-            Network::new(mesh, sys.router, Box::new(XyRouting)).expect("network"),
-            Placement::full(&mesh),
-        )
-    } else {
-        let mut net =
-            Network::new(mesh, sys.router, Box::new(CdorRouting::new(&set))).expect("network");
-        net.set_power_mask(set.mask());
-        (
-            net,
-            Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement"),
-        )
+    let mut experiment = Experiment::paper();
+    experiment.system = SystemConfig {
+        core_count: mesh.len() as u32,
+        mesh_width: args.width,
+        mesh_height: args.height,
+        ..SystemConfig::paper()
     };
-    let traffic = TrafficGen::new(
-        args.pattern,
-        placement,
-        args.rate,
-        sys.packet_len,
-        args.seed,
-    )
-    .unwrap_or_else(|e| exit_usage("explore", format!("traffic setup failed: {e}")));
-    match Simulation::new(net, traffic, SimConfig::sweep()).run() {
-        Ok(out) => {
+    experiment.controller = SprintController::new(mesh, NodeId(args.master));
+    if args.loads.is_some() {
+        run_loads_mode(&args, &experiment, &jobs);
+        return;
+    }
+    match experiment.run_job(&jobs[0], None, None) {
+        Ok((_, out)) => {
             println!(
                 "packets delivered: {} ({} flits); saturated: {}",
                 out.stats.packets_delivered, out.stats.flits_delivered, out.stats.saturated
@@ -203,6 +185,7 @@ fn main() {
                 out.stats.accepted_throughput()
             );
         }
+        Err(SimError::InvalidConfig(e)) => exit_usage("explore", format!("invalid setup: {e}")),
         Err(e) => {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
@@ -210,16 +193,59 @@ fn main() {
     }
 }
 
-/// `--service` mode: submit the operating point(s) to a `noc_serve`
-/// daemon instead of simulating in-process. The daemon evaluates jobs
-/// against *its* experiment configuration, so flags that would change the
-/// local world (`--full`, a non-default mesh or master) are rejected
-/// rather than silently ignored.
-fn run_service_mode(args: &Args, socket: &std::path::Path) {
-    if args.full {
-        eprintln!("--service cannot serve --full: the daemon runs the sprinting configuration");
-        std::process::exit(2);
+/// The operating points every mode runs: one per `--loads` entry (point
+/// `i` seeded `point_seed(seed, i)`) or the single `--rate` point (seeded
+/// `seed`). NoC-sprinting runs the `level`-node sprint region; `--full`
+/// spreads the aggregate of all N nodes at `rate` over the powered mesh
+/// (level N, so each node injects `rate * N / N` — exactly `rate` when N
+/// is a power of two).
+fn jobs(args: &Args) -> Vec<SyntheticJob> {
+    let topology = TopologySpec::Mesh {
+        width: args.width,
+        height: args.height,
+    };
+    let (level, baseline) = if args.full {
+        (topology.len(), SyntheticBaseline::SpreadAggregate)
+    } else {
+        (args.level, SyntheticBaseline::NocSprinting)
+    };
+    let job = |rate, seed| SyntheticJob {
+        topology,
+        level,
+        pattern: args.pattern,
+        rate,
+        seed,
+        baseline,
+    };
+    match &args.loads {
+        Some(loads) => loads
+            .iter()
+            .enumerate()
+            .map(|(i, &rate)| job(rate, point_seed(args.seed, i)))
+            .collect(),
+        None => vec![job(args.rate, args.seed)],
     }
+}
+
+/// Whether a point is past saturation: flagged by the simulator, or it
+/// delivered no measured packet (non-finite latency).
+fn saturated(m: &NetworkMetrics) -> bool {
+    m.saturated || !m.avg_packet_latency.is_finite()
+}
+
+fn yes_no(b: bool) -> &'static str {
+    if b {
+        "yes"
+    } else {
+        "no"
+    }
+}
+
+/// `--service` mode: submit the jobs to a `noc_serve` daemon instead of
+/// simulating in-process. The daemon evaluates jobs against *its*
+/// experiment configuration, so a non-default mesh or master is rejected
+/// rather than silently ignored.
+fn run_service_mode(args: &Args, socket: &std::path::Path, jobs: &[SyntheticJob]) {
     if (args.width, args.height) != (4, 4) || args.master != 0 {
         eprintln!(
             "--service serves the daemon's experiment (paper 4x4 mesh, master 0); \
@@ -227,28 +253,6 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
         );
         std::process::exit(2);
     }
-    let jobs: Vec<SyntheticJob> = match &args.loads {
-        Some(loads) => loads
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| SyntheticJob {
-                topology: TopologySpec::default(),
-                level: args.level,
-                pattern: args.pattern,
-                rate,
-                seed: point_seed(args.seed, i),
-                baseline: SyntheticBaseline::NocSprinting,
-            })
-            .collect(),
-        None => vec![SyntheticJob {
-            topology: TopologySpec::default(),
-            level: args.level,
-            pattern: args.pattern,
-            rate: args.rate,
-            seed: args.seed,
-            baseline: SyntheticBaseline::NocSprinting,
-        }],
-    };
     let mut client = match noc_bench::client::connect_unix(socket) {
         Ok(c) => c,
         Err(e) => {
@@ -256,7 +260,7 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
             std::process::exit(2);
         }
     };
-    let batch = match client.submit("explore", &jobs) {
+    let batch = match client.submit("explore", jobs) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("service submission failed: {e}");
@@ -274,8 +278,8 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
             m.avg_packet_latency,
             m.avg_network_latency,
             m.accepted_throughput,
-            if m.saturated { "yes" } else { "no" },
-            if p.cache_hit { "yes" } else { "no" }
+            yes_no(saturated(m)),
+            yes_no(p.cache_hit)
         );
     }
     eprintln!(
@@ -290,8 +294,7 @@ fn run_service_mode(args: &Args, socket: &std::path::Path) {
 /// `--loads` mode: a latency-vs-load sweep over the parallel runner, with
 /// optional telemetry (probes + manifest + Chrome trace) when
 /// `--telemetry DIR` is given.
-fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
-    let sys = SystemConfig::paper();
+fn run_loads_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
     let mut runner = match args.workers {
         Some(w) => ExperimentRunner::with_workers(w),
         None => ExperimentRunner::new(),
@@ -306,89 +309,71 @@ fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
     if noc_bench::progress_from_env() {
         runner = runner.with_echo("explore");
     }
-    let sweep = LoadSweep {
-        topo: mesh.into(),
-        params: sys.router,
-        pattern: args.pattern,
-        packet_len: sys.packet_len,
-        loads,
-        sim_config: SimConfig::sweep(),
-        seed: args.seed,
-    };
-    let placement = if args.full {
-        Placement::full(&mesh)
-    } else {
-        Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement")
-    };
-    let make_routing: Box<dyn Fn() -> Box<dyn RoutingFunction> + Send + Sync> = if args.full {
-        Box::new(|| Box::new(XyRouting))
-    } else {
-        let set = set.clone();
-        Box::new(move || Box::new(CdorRouting::new(&set)))
-    };
     let started = Instant::now();
-    // With telemetry: the observed path, which attaches one
-    // TimeSeriesObserver per point. Without: the plain (probe-free) path.
-    // Both produce bit-identical reports — probes only observe.
-    let report = if let Some(dir) = &args.telemetry {
-        let observed = runner.run_sweep_observed(&sweep, &placement, make_routing, |_| {
-            TimeSeriesObserver::new(EPOCH_INTERVAL)
-        });
-        match observed {
-            Ok((report, observers)) => {
-                let spans = spans.as_ref().expect("recorder attached with telemetry");
-                if let Err(e) =
-                    write_telemetry(dir, &runner, &sweep, &report, &observers, spans, started)
-                {
-                    eprintln!("telemetry write failed: {e}");
-                    std::process::exit(1);
-                }
-                report
-            }
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match runner.run_sweep(&sweep, &placement, make_routing) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
+    // With telemetry, one TimeSeriesObserver rides along on every point;
+    // probes only observe, so the metrics are the same either way.
+    let run = match &args.telemetry {
+        Some(_) => runner
+            .run_synthetic_jobs_observed(experiment, jobs, |_| {
+                TimeSeriesObserver::new(EPOCH_INTERVAL)
+            })
+            .map(|points| points.into_iter().unzip()),
+        None => runner
+            .run_synthetic_jobs(experiment, jobs, None)
+            .map(|metrics| (metrics, Vec::new())),
     };
+    let (metrics, observers): (Vec<NetworkMetrics>, Vec<TimeSeriesObserver>) =
+        run.unwrap_or_else(|e| {
+            eprintln!("sweep failed: {e}");
+            std::process::exit(1);
+        });
+    if let (Some(dir), Some(spans)) = (&args.telemetry, &spans) {
+        let written = write_telemetry(
+            dir, &runner, args.seed, jobs, &metrics, &observers, spans, started,
+        );
+        if let Err(e) = written {
+            eprintln!("telemetry write failed: {e}");
+            std::process::exit(1);
+        }
+    }
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>5}",
         "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat"
     );
-    for p in &report.points {
+    for (job, m) in jobs.iter().zip(&metrics) {
         println!(
             "{:8.3} {:14.2} {:14.2} {:10.3} {:>5}",
-            p.offered,
-            p.packet_latency,
-            p.network_latency,
-            p.accepted,
-            if p.saturated { "yes" } else { "no" }
+            job.rate,
+            m.avg_packet_latency,
+            m.avg_network_latency,
+            m.accepted_throughput,
+            yes_no(saturated(m))
         );
     }
     println!(
         "zero-load latency: {}",
-        report
-            .zero_load_latency()
+        metrics
+            .iter()
+            .map(|m| m.avg_network_latency)
+            .find(|l| l.is_finite())
             .map_or("-".to_string(), |v| format!("{v:.2} cyc"))
     );
     println!(
         "saturation onset:  {}",
-        report
-            .saturation_onset()
-            .map_or("none in sweep".to_string(), |v| format!("{v:.3}"))
+        jobs.iter()
+            .zip(&metrics)
+            .find(|(_, m)| saturated(m))
+            .map_or("none in sweep".to_string(), |(job, _)| format!(
+                "{:.3}",
+                job.rate
+            ))
     );
     println!(
         "peak accepted:     {}",
-        report
-            .peak_accepted()
+        metrics
+            .iter()
+            .map(|m| m.accepted_throughput)
+            .reduce(f64::max)
             .map_or("-".to_string(), |v| format!("{v:.3} flits/cyc/node"))
     );
     let snap = runner.progress().snapshot();
@@ -402,52 +387,43 @@ fn run_sweep_mode(args: &Args, mesh: Mesh2D, set: &SprintSet, loads: Vec<f64>) {
 
 /// Writes `explore.manifest.jsonl`, `explore.trace.json` and one
 /// `explore.point<N>.timeseries.csv` per sweep point into `dir`.
+#[allow(clippy::too_many_arguments)]
 fn write_telemetry(
     dir: &PathBuf,
     runner: &ExperimentRunner,
-    sweep: &LoadSweep,
-    report: &SweepReport,
+    base_seed: u64,
+    jobs: &[SyntheticJob],
+    metrics: &[NetworkMetrics],
     observers: &[TimeSeriesObserver],
     spans: &SpanRecorder,
     started: Instant,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     // Per-point wall durations come from the recorded spans.
-    let mut dur_ms = vec![0.0f64; report.points.len()];
+    let mut dur_ms = vec![0.0f64; jobs.len()];
     for s in spans.spans() {
         if let Some(d) = dur_ms.get_mut(s.index) {
             *d = s.dur_us as f64 / 1e3;
         }
     }
-    let points: Vec<ManifestPoint> = report
-        .points
+    let points: Vec<ManifestPoint> = jobs
         .iter()
+        .zip(metrics)
         .enumerate()
-        .map(|(i, p)| ManifestPoint {
+        .map(|(i, (job, m))| ManifestPoint {
             index: i,
-            seed: point_seed(sweep.seed, i),
-            config_hash: RunManifest::combine_hashes([
-                sweep.seed,
-                i as u64,
-                sweep.loads[i].to_bits(),
-                u64::from(sweep.packet_len),
-            ]),
+            seed: job.seed,
+            config_hash: job.cache_key(),
             cache_hit: false,
             duration_ms: dur_ms[i],
-            metrics: vec![
-                ("offered".to_string(), p.offered),
-                ("packet_latency".to_string(), p.packet_latency),
-                ("network_latency".to_string(), p.network_latency),
-                ("accepted".to_string(), p.accepted),
-                ("saturated".to_string(), f64::from(u8::from(p.saturated))),
-            ],
+            metrics: metric_pairs(m),
         })
         .collect();
     let manifest = RunManifest {
         figure: "explore".to_string(),
         config_hash: RunManifest::combine_hashes(points.iter().map(|p| p.config_hash)),
         workers: runner.workers(),
-        base_seed: sweep.seed,
+        base_seed,
         seed_schedule: points.iter().map(|p| p.seed).collect(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         cache_hits: 0,

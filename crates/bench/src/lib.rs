@@ -263,8 +263,8 @@ impl FigureHarness {
         }
     }
 
-    /// The underlying runner (for generic [`ExperimentRunner::run`] /
-    /// [`ExperimentRunner::run_sweep`] fan-outs).
+    /// The underlying runner (for generic [`ExperimentRunner::run`]
+    /// fan-outs).
     pub fn runner(&self) -> &ExperimentRunner {
         &self.runner
     }

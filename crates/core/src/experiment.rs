@@ -8,6 +8,7 @@ use noc_power::router::{RouterConfig, RouterPowerModel};
 use noc_power::tech::{OperatingPoint, TechNode};
 use noc_sim::error::SimError;
 use noc_sim::network::{GatingMode, Network};
+use noc_sim::probe::Probe;
 use noc_sim::routing::{CirculantRouting, RoutingFunction, XyRouting};
 use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
 use noc_sim::topology::{Topo, TopologySpec};
@@ -16,6 +17,7 @@ use noc_thermal::grid::{TemperatureField, ThermalGrid};
 use noc_thermal::sprint::SprintThermalModel;
 use noc_workload::profile::BenchmarkProfile;
 use noc_workload::speedup::ExecutionModel;
+use rand::SeedableRng;
 
 use std::sync::Arc;
 
@@ -25,6 +27,7 @@ use crate::controller::{SprintController, SprintPolicy};
 use crate::floorplan::Floorplan;
 use crate::gating::GatingPlan;
 use crate::metrics::StageBusyTotals;
+use crate::runner::{SyntheticBaseline, SyntheticJob};
 use crate::sprint_topology::SprintSet;
 
 /// Network performance/power metrics of one simulated run.
@@ -40,6 +43,20 @@ pub struct NetworkMetrics {
     pub accepted_throughput: f64,
     /// Whether the operating point saturated.
     pub saturated: bool,
+}
+
+impl NetworkMetrics {
+    /// The latency, throughput and saturation figures of `outcome`, with
+    /// its separately priced `network_power`.
+    fn of(outcome: &SimOutcome, network_power: f64) -> Self {
+        NetworkMetrics {
+            avg_packet_latency: outcome.stats.avg_packet_latency(),
+            avg_network_latency: outcome.stats.avg_network_latency(),
+            network_power,
+            accepted_throughput: outcome.stats.accepted_throughput(),
+            saturated: outcome.stats.saturated,
+        }
+    }
 }
 
 /// Floorplanning variants compared in Fig. 12.
@@ -174,38 +191,6 @@ impl Experiment {
         }
     }
 
-    /// Runs a synthetic-traffic operating point for Fig. 11: `level`-core
-    /// sprinting at `rate` flits/cycle/node.
-    ///
-    /// With `noc_sprinting = true` the sprint region + CDOR + gating are
-    /// used; otherwise the k logical nodes are placed **randomly** on the
-    /// fully powered mesh (the paper averages this over ten samples via
-    /// distinct seeds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_synthetic(
-        &self,
-        level: usize,
-        noc_sprinting: bool,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        if noc_sprinting {
-            let set = SprintSet::new(mesh, self.controller.master(), level);
-            let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-            self.run_placed(placement, Some(&set), pattern, rate, seed)
-        } else {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let placement = Placement::random(level, &mesh, &mut rng);
-            self.run_placed(placement, None, pattern, rate, seed)
-        }
-    }
-
     /// Like [`Experiment::run_network`], but the benchmark's
     /// `memory_intensity` fraction of traffic targets the memory
     /// controller's node (the master / logical node 0) as a hotspot —
@@ -241,196 +226,133 @@ impl Experiment {
         }
     }
 
-    /// The Fig. 11 full-sprinting baseline that matches the paper's
-    /// saturation discussion: "full-sprinting spreads the **same amount of
-    /// traffic** among a fixed fully-functional network" — all `N` nodes
-    /// inject, with per-node rate `level * rate / N` so the aggregate load
-    /// equals the `level`-core sprint at `rate`.
+    /// Runs one synthetic operating point and hands back its simulation
+    /// outcome with the priced metrics. This is the one place a
+    /// [`SyntheticJob`]'s baseline becomes a placement, sprint region and
+    /// per-node rate, on any topology (see TOPOLOGY.md):
+    ///
+    /// - `NocSprinting`: the `level`-node sprint region grown from the
+    ///   master (convex on a mesh, an arc on a circulant), routed inside it
+    ///   with everything outside gated;
+    /// - `RandomEndpoints`: the `level` endpoints placed randomly on the
+    ///   fully powered network (the paper averages ten such samples via
+    ///   distinct seeds);
+    /// - `SpreadAggregate`: the paper's "full-sprinting spreads the **same
+    ///   amount of traffic** among a fixed fully-functional network" — all
+    ///   `N` nodes inject at `rate * level / N`.
+    ///
+    /// `bursts` restricts generation to an on/off schedule; `probe`
+    /// observes the run without perturbing it.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
-    pub fn run_synthetic_spread(
-        &self,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let spread_rate = rate * level as f64 / mesh.len() as f64;
-        self.run_placed(Placement::full(&mesh), None, pattern, spread_rate, seed)
-    }
-
-    /// Checks a mesh spec against the experiment's configured mesh, or
-    /// builds the non-mesh topology. `Ok(None)` means "use the mesh paths".
-    fn resolve_topology(&self, spec: TopologySpec) -> Result<Option<Topo>, SimError> {
-        if spec.is_mesh() {
-            let mesh = self.system.mesh();
-            let configured = TopologySpec::Mesh {
-                width: mesh.width(),
-                height: mesh.height(),
-            };
-            if spec != configured {
-                return Err(SimError::InvalidConfig(format!(
-                    "topology {} does not match the configured mesh {}",
-                    spec.wire_name(),
-                    configured.wire_name()
-                )));
-            }
-            return Ok(None);
-        }
-        spec.build()
-            .map(Some)
-            .map_err(|e| SimError::InvalidConfig(e.to_string()))
-    }
-
-    /// Topology-generic [`Experiment::run_synthetic`] (see TOPOLOGY.md).
-    ///
-    /// A mesh `spec` must match the configured mesh and takes *exactly* the
-    /// mesh code path — bit-identical to calling `run_synthetic` directly.
-    /// A circulant spec grows the sprint region as a ring arc from the
-    /// master, routes in-arc (chord-first when fully lit), and gates
-    /// everything outside the arc; the non-sprinting baseline places the
-    /// `level` endpoints randomly on the fully powered, chord-routed ring.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] on a mesh spec that mismatches the
+    /// [`SimError::InvalidConfig`] on a mesh topology other than the
     /// configured mesh or a degenerate circulant; otherwise propagates
     /// simulator errors.
-    pub fn run_synthetic_on(
+    pub fn run_job(
         &self,
-        spec: TopologySpec,
-        level: usize,
-        noc_sprinting: bool,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let Some(topo) = self.resolve_topology(spec)? else {
-            return self.run_synthetic(level, noc_sprinting, pattern, rate, seed);
+        job: &SyntheticJob,
+        bursts: Option<BurstSchedule>,
+        probe: Option<&mut (dyn Probe + '_)>,
+    ) -> Result<(NetworkMetrics, SimOutcome), SimError> {
+        let mesh = self.mesh_spec();
+        if job.topology.is_mesh() && job.topology != mesh {
+            return Err(SimError::InvalidConfig(format!(
+                "topology {} does not match the configured mesh {}",
+                job.topology.wire_name(),
+                mesh.wire_name()
+            )));
+        }
+        let topo = job
+            .topology
+            .build()
+            .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
+        let (placement, region, rate) = match job.baseline {
+            SyntheticBaseline::NocSprinting => {
+                let set = SprintSet::on(topo.clone(), self.controller.master(), job.level);
+                let placement = Placement::new(set.active_nodes().to_vec(), topo.as_dyn())?;
+                (placement, Some(set), job.rate)
+            }
+            SyntheticBaseline::RandomEndpoints => {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(job.seed ^ 0x9e37_79b9_7f4a_7c15);
+                let placement = Placement::random(job.level, topo.as_dyn(), &mut rng);
+                (placement, None, job.rate)
+            }
+            SyntheticBaseline::SpreadAggregate => {
+                let rate = job.rate * job.level as f64 / topo.len() as f64;
+                (Placement::full(topo.as_dyn()), None, rate)
+            }
         };
-        if noc_sprinting {
-            let set = SprintSet::on(topo.clone(), self.controller.master(), level);
-            let routing = CirculantRouting::on_arc(set.mask().to_vec());
-            let placement = Placement::new(set.active_nodes().to_vec(), topo.as_dyn())?;
-            self.run_placed_on(
-                topo,
-                Box::new(routing),
-                placement,
-                Some(&set),
-                pattern,
-                rate,
-                seed,
-            )
-        } else {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-            let placement = Placement::random(level, topo.as_dyn(), &mut rng);
-            self.run_placed_on(
-                topo,
-                Box::new(CirculantRouting::full()),
-                placement,
-                None,
-                pattern,
-                rate,
-                seed,
-            )
+        let mut traffic = TrafficGen::new(
+            job.pattern,
+            placement,
+            rate,
+            self.system.packet_len,
+            job.seed,
+        )?;
+        if let Some(b) = bursts {
+            traffic = traffic.with_bursts(b);
+        }
+        self.simulate(topo, region.as_ref(), traffic, probe)
+    }
+
+    /// The configured mesh as a topology spec.
+    fn mesh_spec(&self) -> TopologySpec {
+        TopologySpec::Mesh {
+            width: self.system.mesh_width,
+            height: self.system.mesh_height,
         }
     }
 
-    /// Topology-generic [`Experiment::run_synthetic_spread`]: all nodes of
-    /// the topology inject, aggregate load matched to the `level`-core
-    /// sprint. Mesh specs take the bit-identical mesh path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Experiment::run_synthetic_on`].
-    pub fn run_synthetic_spread_on(
-        &self,
-        spec: TopologySpec,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let Some(topo) = self.resolve_topology(spec)? else {
-            return self.run_synthetic_spread(level, pattern, rate, seed);
-        };
-        let spread_rate = rate * level as f64 / topo.len() as f64;
-        let placement = Placement::full(topo.as_dyn());
-        self.run_placed_on(
-            topo,
-            Box::new(CirculantRouting::full()),
-            placement,
-            None,
-            pattern,
-            spread_rate,
-            seed,
-        )
-    }
-
+    /// Runs `placement` on the configured mesh, confined to `region` when
+    /// one is given.
     fn run_placed(
         &self,
         placement: Placement,
-        gated: Option<&SprintSet>,
+        region: Option<&SprintSet>,
         pattern: TrafficPattern,
         rate: f64,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let routing: Box<dyn RoutingFunction> = match gated {
-            Some(set) => Box::new(CdorRouting::new(set)),
-            None => Box::new(XyRouting),
-        };
-        self.run_placed_on(
-            Topo::from(self.system.mesh()),
-            routing,
-            placement,
-            gated,
-            pattern,
-            rate,
-            seed,
-        )
+        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
+        let topo = Topo::from(self.system.mesh());
+        Ok(self.simulate(topo, region, traffic, None)?.0)
     }
 
-    /// Topology-generic core of every synthetic run: builds the network on
-    /// `topo` with `routing`, applies the sprint set's power mask when one
-    /// is given, simulates, and prices power by powered resources. The
-    /// mesh paths route through here unchanged (pinned bit-identical by
-    /// `mesh_runs_are_bit_identical_to_pre_trait_refactor`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_placed_on(
+    /// Core of every structurally gated run: builds the network on `topo`,
+    /// simulates `traffic`, and prices power by powered resources. With a
+    /// sprint `region` the network routes inside it (CDOR on a mesh,
+    /// in-arc on a circulant) and gates everything outside; without one
+    /// it routes over the whole powered network (XY on a mesh, chord-first
+    /// on a circulant).
+    fn simulate(
         &self,
         topo: Topo,
-        routing: Box<dyn RoutingFunction>,
-        placement: Placement,
-        gated: Option<&SprintSet>,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
+        region: Option<&SprintSet>,
+        traffic: TrafficGen,
+        probe: Option<&mut (dyn Probe + '_)>,
+    ) -> Result<(NetworkMetrics, SimOutcome), SimError> {
+        let on_mesh = topo.as_mesh().is_some();
+        let routing: Box<dyn RoutingFunction> = match region {
+            Some(set) if on_mesh => Box::new(CdorRouting::new(set)),
+            Some(set) => Box::new(CirculantRouting::on_arc(set.mask().to_vec())),
+            None if on_mesh => Box::new(XyRouting),
+            None => Box::new(CirculantRouting::full()),
+        };
         let mut net = Network::with_topology(topo.clone(), self.system.router, routing)?;
-        if let Some(set) = gated {
-            net.set_power_mask(set.mask());
-        }
-        let powered_routers = net.powered_on_count();
-        let powered_links = match gated {
-            Some(set) => GatingPlan::from_sprint_set(set).links_on().len(),
+        let powered_links = match region {
+            Some(set) => {
+                net.set_power_mask(set.mask());
+                GatingPlan::from_sprint_set(set).links_on().len()
+            }
             None => topo.num_directed_links(),
         };
-        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
+        let powered_routers = net.powered_on_count();
         net.set_counting(false);
-        let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
+        let outcome = Simulation::new(net, traffic, self.sim_config).run_observed(probe)?;
         self.stage_totals.record(&outcome.stage_cycles);
         let power = self.network_power_of(&outcome, powered_routers, powered_links);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        Ok((NetworkMetrics::of(&outcome, power), outcome))
     }
 
     /// Runs `level` compact sprint nodes under **reactive** router gating
@@ -471,14 +393,10 @@ impl Experiment {
         }
         let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
         self.stage_totals.record(&outcome.stage_cycles);
-        let power = self.network_power_reactive(&outcome);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        Ok(NetworkMetrics::of(
+            &outcome,
+            self.network_power_reactive(&outcome),
+        ))
     }
 
     /// Runs the NoC-sprinting configuration (CDOR + structural gating) with
@@ -496,25 +414,15 @@ impl Experiment {
         bursts: BurstSchedule,
         seed: u64,
     ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let set = SprintSet::new(mesh, self.controller.master(), level);
-        let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-        let mut net = Network::new(mesh, self.system.router, Box::new(CdorRouting::new(&set)))?;
-        net.set_power_mask(set.mask());
-        let powered_routers = net.powered_on_count();
-        let powered_links = GatingPlan::from_sprint_set(&set).links_on().len();
-        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?
-            .with_bursts(bursts);
-        let outcome = Simulation::new(net, traffic, self.sim_config).run()?;
-        self.stage_totals.record(&outcome.stage_cycles);
-        let power = self.network_power_of(&outcome, powered_routers, powered_links);
-        Ok(NetworkMetrics {
-            avg_packet_latency: outcome.stats.avg_packet_latency(),
-            avg_network_latency: outcome.stats.avg_network_latency(),
-            network_power: power,
-            accepted_throughput: outcome.stats.accepted_throughput(),
-            saturated: outcome.stats.saturated,
-        })
+        let job = SyntheticJob {
+            topology: self.mesh_spec(),
+            level,
+            pattern,
+            rate,
+            seed,
+            baseline: SyntheticBaseline::NocSprinting,
+        };
+        Ok(self.run_job(&job, Some(bursts), None)?.0)
     }
 
     /// Prices a reactive-gating outcome: dynamic power from activity,
@@ -891,9 +799,15 @@ mod tests {
     #[test]
     fn synthetic_run_produces_sane_metrics() {
         let e = exp();
-        let m = e
-            .run_synthetic(4, true, TrafficPattern::UniformRandom, 0.1, 3)
-            .unwrap();
+        let job = SyntheticJob {
+            topology: TopologySpec::default(),
+            level: 4,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.1,
+            seed: 3,
+            baseline: SyntheticBaseline::NocSprinting,
+        };
+        let m = job.run(&e).unwrap();
         assert!(m.avg_packet_latency > 5.0 && m.avg_packet_latency < 200.0);
         assert!(m.network_power > 0.0);
         assert!(!m.saturated);

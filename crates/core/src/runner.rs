@@ -9,15 +9,15 @@
 //! workers — and reassembles results **in input order**, so parallel output
 //! is bit-identical to the serial path at any worker count.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`ExperimentRunner::run`] / [`ExperimentRunner::try_run`] — generic
 //!   order-preserving parallel map over a slice,
-//! - [`ExperimentRunner::run_sweep`] — a [`LoadSweep`] driven point-by-point
-//!   through the pool,
-//! - [`ExperimentRunner::run_synthetic_jobs`] — the Fig. 11 / ablation
-//!   fan-out over [`SyntheticJob`] operating points, with an optional
-//!   [`ResultCache`] so repeated figure runs skip already-simulated points.
+//! - [`ExperimentRunner::run_synthetic_jobs`] — the fan-out over
+//!   [`SyntheticJob`] operating points (every figure, ablation, load sweep
+//!   and daemon batch), with an optional [`ResultCache`] so repeated runs
+//!   skip already-simulated points, or a probe per point
+//!   ([`ExperimentRunner::run_synthetic_jobs_observed`]).
 //!
 //! Progress is observable through [`RunnerProgress`]: completed/total
 //! counters and accumulated per-point busy time, readable from another
@@ -32,10 +32,8 @@ use std::time::{Duration, Instant};
 
 use noc_sim::error::SimError;
 use noc_sim::probe::Probe;
-use noc_sim::routing::RoutingFunction;
-use noc_sim::sweep::{point_seed, LoadSweep, SweepReport};
 use noc_sim::topology::TopologySpec;
-use noc_sim::traffic::{Placement, TrafficPattern};
+use noc_sim::traffic::TrafficPattern;
 
 use crate::experiment::{Experiment, NetworkMetrics};
 use crate::telemetry::{progress_line, RunnerEvent, SpanRecorder};
@@ -206,54 +204,6 @@ impl ExperimentRunner {
         self.spans.as_ref()
     }
 
-    /// The label used for spans, events and progress lines.
-    fn label_or(&self, fallback: &str) -> String {
-        self.echo.clone().unwrap_or_else(|| fallback.to_string())
-    }
-
-    /// Records one completed point span if a recorder is attached.
-    fn record_span(
-        &self,
-        fallback: &str,
-        index: usize,
-        start: Instant,
-        cache_hit: bool,
-        seed: Option<u64>,
-        config_hash: Option<u64>,
-    ) {
-        if let Some(rec) = &self.spans {
-            rec.record(
-                &self.label_or(fallback),
-                index,
-                start,
-                Instant::now(),
-                cache_hit,
-                seed,
-                config_hash,
-            );
-        }
-    }
-
-    /// Emits a structured point-failure event (one JSON line on stderr)
-    /// carrying the failing point's index, config hash and seed.
-    fn emit_failure(
-        &self,
-        fallback: &str,
-        index: usize,
-        config_hash: Option<u64>,
-        seed: Option<u64>,
-        error: &dyn std::fmt::Display,
-    ) {
-        let event = RunnerEvent::PointFailed {
-            label: self.label_or(fallback),
-            index,
-            config_hash,
-            seed,
-            error: error.to_string(),
-        };
-        eprintln!("{}", event.to_json_line());
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -348,88 +298,9 @@ impl ExperimentRunner {
         Ok(out)
     }
 
-    /// Runs a [`LoadSweep`] through the pool: each operating point is an
-    /// independent simulation ([`LoadSweep::run_point`]), so the report is
-    /// bit-identical to [`LoadSweep::run`] at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed point's simulator error.
-    pub fn run_sweep<F>(
-        &self,
-        sweep: &LoadSweep,
-        placement: &Placement,
-        make_routing: F,
-    ) -> Result<SweepReport, SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + Send + Sync,
-    {
-        let indices: Vec<usize> = (0..sweep.loads.len()).collect();
-        let points = self.try_run(&indices, |_, &i| {
-            let start = Instant::now();
-            let seed = point_seed(sweep.seed, i);
-            match sweep.run_point(i, placement, &make_routing) {
-                Ok(p) => {
-                    self.record_span("sweep", i, start, false, Some(seed), None);
-                    Ok(p)
-                }
-                Err(e) => {
-                    self.emit_failure("sweep", i, None, Some(seed), &e);
-                    Err(e)
-                }
-            }
-        })?;
-        Ok(SweepReport { points })
-    }
-
-    /// [`ExperimentRunner::run_sweep`] with one probe attached per point:
-    /// `make_probe(i)` builds point `i`'s observer, the point runs through
-    /// [`LoadSweep::run_point_observed`], and the filled probes come back in
-    /// point order alongside the report.
-    ///
-    /// Probes observe without mutating simulation state, so the returned
-    /// [`SweepReport`] is `assert_eq!`-identical to the probe-less
-    /// [`ExperimentRunner::run_sweep`] at any worker count (pinned by the
-    /// determinism suite).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed point's simulator error.
-    pub fn run_sweep_observed<F, P, M>(
-        &self,
-        sweep: &LoadSweep,
-        placement: &Placement,
-        make_routing: F,
-        make_probe: M,
-    ) -> Result<(SweepReport, Vec<P>), SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + Send + Sync,
-        P: Probe,
-        M: Fn(usize) -> P + Send + Sync,
-    {
-        let indices: Vec<usize> = (0..sweep.loads.len()).collect();
-        let results = self.try_run(&indices, |_, &i| {
-            let start = Instant::now();
-            let seed = point_seed(sweep.seed, i);
-            let mut probe = make_probe(i);
-            match sweep.run_point_observed(i, placement, &make_routing, Some(&mut probe)) {
-                Ok(p) => {
-                    self.record_span("sweep", i, start, false, Some(seed), None);
-                    Ok((p, probe))
-                }
-                Err(e) => {
-                    self.emit_failure("sweep", i, None, Some(seed), &e);
-                    Err(e)
-                }
-            }
-        })?;
-        let (points, probes) = results.into_iter().unzip();
-        Ok((SweepReport { points }, probes))
-    }
-
-    /// Runs a batch of synthetic operating points (the Fig. 11 / ablation
-    /// fan-out) through the pool, optionally consulting `cache` so repeated
-    /// figure runs skip already-simulated points.
+    /// Runs a batch of synthetic operating points through the pool,
+    /// optionally consulting `cache` so repeated figure runs skip
+    /// already-simulated points.
     ///
     /// # Errors
     ///
@@ -460,17 +331,76 @@ impl ExperimentRunner {
         jobs: &[SyntheticJob],
         cache: Option<&ResultCache<NetworkMetrics>>,
     ) -> Result<Vec<(NetworkMetrics, PointDetail)>, SimError> {
+        self.run_jobs(jobs, |_, job| {
+            let compute = || job.run(experiment);
+            match cache {
+                Some(c) => c.get_or_try_insert_with_stats(job.cache_key(), compute),
+                None => compute().map(|v| (v, false)),
+            }
+        })
+    }
+
+    /// [`ExperimentRunner::run_synthetic_jobs`] with one probe attached per
+    /// point and no cache: `make_probe(i)` builds job `i`'s observer, and
+    /// the filled probes come back in job order beside the metrics.
+    ///
+    /// Probes observe without mutating simulation state, so the metrics are
+    /// bit-identical to the probe-less run at any worker count (pinned by
+    /// the determinism suite).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the lowest-indexed job's simulator error.
+    pub fn run_synthetic_jobs_observed<P, M>(
+        &self,
+        experiment: &Experiment,
+        jobs: &[SyntheticJob],
+        make_probe: M,
+    ) -> Result<Vec<(NetworkMetrics, P)>, SimError>
+    where
+        P: Probe + Send,
+        M: Fn(usize) -> P + Sync,
+    {
+        let observed = self.run_jobs(jobs, |i, job| {
+            let mut probe = make_probe(i);
+            let (m, _) = experiment.run_job(job, None, Some(&mut probe))?;
+            Ok(((m, probe), false))
+        })?;
+        Ok(observed.into_iter().map(|(v, _)| v).collect())
+    }
+
+    /// The job fan-out under [`ExperimentRunner::try_run`]: `point(i, job)`
+    /// yields a value and whether it was a cache hit; each point gets a
+    /// span (when a recorder is attached) or, on failure, a structured
+    /// point-failure event on stderr carrying its index, config hash and
+    /// seed.
+    fn run_jobs<O, F>(
+        &self,
+        jobs: &[SyntheticJob],
+        point: F,
+    ) -> Result<Vec<(O, PointDetail)>, SimError>
+    where
+        O: Send,
+        F: Fn(usize, &SyntheticJob) -> Result<(O, bool), SimError> + Sync,
+    {
+        let label = || self.echo.clone().unwrap_or_else(|| "jobs".to_string());
         self.try_run(jobs, |i, job| {
             let start = Instant::now();
             let key = job.cache_key();
-            let compute = || job.run(experiment);
-            let result = match cache {
-                Some(c) => c.get_or_try_insert_with_stats(key, compute),
-                None => compute().map(|v| (v, false)),
-            };
-            match result {
+            match point(i, job) {
                 Ok((v, cache_hit)) => {
-                    self.record_span("jobs", i, start, cache_hit, Some(job.seed), Some(key));
+                    if let Some(rec) = &self.spans {
+                        let seed = Some(job.seed);
+                        rec.record(
+                            &label(),
+                            i,
+                            start,
+                            Instant::now(),
+                            cache_hit,
+                            seed,
+                            Some(key),
+                        );
+                    }
                     let detail = PointDetail {
                         cache_hit,
                         duration: start.elapsed(),
@@ -481,7 +411,14 @@ impl ExperimentRunner {
                     Ok((v, detail))
                 }
                 Err(e) => {
-                    self.emit_failure("jobs", i, Some(key), Some(job.seed), &e);
+                    let event = RunnerEvent::PointFailed {
+                        label: label(),
+                        index: i,
+                        config_hash: Some(key),
+                        seed: Some(job.seed),
+                        error: e.to_string(),
+                    };
+                    eprintln!("{}", event.to_json_line());
                     Err(e)
                 }
             }
@@ -508,7 +445,7 @@ pub enum SyntheticBaseline {
     /// powered mesh, each injecting at the nominal rate.
     RandomEndpoints,
     /// Full-sprinting read #2: all nodes inject, aggregate load matched to
-    /// the sprint configuration (`run_synthetic_spread`).
+    /// the sprint configuration.
     SpreadAggregate,
 }
 
@@ -538,31 +475,7 @@ impl SyntheticJob {
     ///
     /// Propagates simulator errors.
     pub fn run(&self, experiment: &Experiment) -> Result<NetworkMetrics, SimError> {
-        match self.baseline {
-            SyntheticBaseline::NocSprinting => experiment.run_synthetic_on(
-                self.topology,
-                self.level,
-                true,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-            SyntheticBaseline::RandomEndpoints => experiment.run_synthetic_on(
-                self.topology,
-                self.level,
-                false,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-            SyntheticBaseline::SpreadAggregate => experiment.run_synthetic_spread_on(
-                self.topology,
-                self.level,
-                self.pattern,
-                self.rate,
-                self.seed,
-            ),
-        }
+        Ok(experiment.run_job(self, None, None)?.0)
     }
 
     /// Stable 64-bit key over the full point configuration. Floats are
@@ -831,25 +744,29 @@ mod tests {
     #[test]
     fn sweep_records_spans_when_recorder_attached() {
         use crate::telemetry::validate_chrome_trace;
-        use noc_sim::routing::XyRouting;
-        use noc_sim::sim::SimConfig;
-        use noc_sim::topology::Mesh2D;
+        use noc_sim::sweep::point_seed;
 
         let rec = Arc::new(SpanRecorder::new());
         let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-        let mesh = Mesh2D::paper_4x4();
-        let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-        sweep.sim_config = SimConfig::quick();
-        sweep.loads.truncate(2);
-        let report = runner
-            .run_sweep(&sweep, &Placement::full(&mesh), || Box::new(XyRouting))
+        let jobs: Vec<SyntheticJob> = [0.04, 0.12]
+            .iter()
+            .enumerate()
+            .map(|(i, &rate)| SyntheticJob {
+                topology: TopologySpec::default(),
+                level: 16,
+                pattern: TrafficPattern::UniformRandom,
+                rate,
+                seed: point_seed(7, i),
+                baseline: SyntheticBaseline::SpreadAggregate,
+            })
+            .collect();
+        let metrics = runner
+            .run_synthetic_jobs(&Experiment::quick(), &jobs, None)
             .unwrap();
-        assert_eq!(report.points.len(), 2);
+        assert_eq!(metrics.len(), 2);
         assert_eq!(rec.len(), 2, "one span per operating point");
         let spans = rec.spans();
-        assert!(spans
-            .iter()
-            .any(|s| s.seed == Some(point_seed(sweep.seed, 0))));
+        assert!(spans.iter().any(|s| s.seed == Some(point_seed(7, 0))));
         assert!(spans.iter().all(|s| !s.cache_hit));
         assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);
     }

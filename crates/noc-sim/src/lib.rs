@@ -81,7 +81,6 @@ pub use router::{RouterActivity, RouterParams};
 pub use routing::{NegativeFirstRouting, RouteDecision, RoutingFunction, XyRouting, YxRouting};
 pub use sim::{PacketAccounting, SimConfig, SimOutcome, Simulation};
 pub use stats::{SimStats, StreamingHistogram};
-pub use sweep::{LoadSweep, SweepPoint, SweepReport};
 pub use topology::Mesh2D;
 pub use trace::{PacketTrace, TraceEntry, TraceReplayer};
 pub use traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};

@@ -16,8 +16,9 @@
 //!   `Option<&mut dyn Probe>` — the unobserved path costs one `None` branch
 //!   per event and nothing else (`Network::step` compiles down to the same
 //!   hot loop as before the hooks existed).
-//! - The determinism suite pins the contract: a `SweepReport` produced with
-//!   probes attached is `assert_eq!`-identical to one produced without.
+//! - The determinism suite pins the contract: a job fan-out run with a
+//!   probe on every point returns metrics bit-identical to the unobserved
+//!   run at any worker count.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,26 +1,14 @@
-//! Load sweeps and saturation analysis (booksim-style reporting).
+//! Seeds for load sweeps (booksim-style latency-vs-load curves).
 //!
 //! A network configuration is characterized by its latency-vs-offered-load
 //! curve: flat near zero load ("zero-load latency"), rising with queueing,
-//! and diverging at the saturation throughput. [`LoadSweep`] runs the curve
-//! and [`SweepReport`] extracts the standard scalar summaries the Fig. 11
-//! analysis needs.
-//!
-//! Every operating point is an **independent** simulation: its network,
-//! traffic generator and routing function are built from scratch and its
-//! RNG seed is a pure function of `(base_seed, point_index)` (see
-//! [`point_seed`]). Points can therefore run in any order — or on any
-//! thread — and produce bit-identical results; the parallel
-//! `ExperimentRunner` in the `noc-sprinting` crate relies on this.
-
-use crate::error::SimError;
-use crate::network::Network;
-use crate::probe::Probe;
-use crate::router::RouterParams;
-use crate::routing::RoutingFunction;
-use crate::sim::{SimConfig, Simulation};
-use crate::topology::{Mesh2D, Topo};
-use crate::traffic::{Placement, TrafficGen, TrafficPattern};
+//! and diverging at the saturation throughput. Every operating point of a
+//! curve is an **independent** simulation: its network, traffic generator
+//! and routing function are built from scratch and its RNG seed is a pure
+//! function of `(base_seed, point_index)` (see [`point_seed`]). Points can
+//! therefore run in any order — or on any thread — and produce
+//! bit-identical results; the `SyntheticJob` fan-out of the
+//! `noc-sprinting` crate relies on this.
 
 /// Derives the RNG seed of sweep point `index` from the sweep's base seed.
 ///
@@ -36,224 +24,53 @@ pub fn point_seed(base_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One operating point of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Offered load (flits/cycle/node).
-    pub offered: f64,
-    /// Mean packet latency (cycles; includes source queueing).
-    pub packet_latency: f64,
-    /// Mean network latency (cycles).
-    pub network_latency: f64,
-    /// Accepted throughput (flits/cycle/node).
-    pub accepted: f64,
-    /// Whether the point is past saturation.
-    pub saturated: bool,
-}
-
-/// Summary of a full sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepReport {
-    /// The measured curve, ascending offered load.
-    pub points: Vec<SweepPoint>,
-}
-
-impl SweepReport {
-    /// Latency of the lowest-load point with a finite measurement (the
-    /// zero-load estimate). Points that delivered nothing (infinite or NaN
-    /// latency) are skipped rather than poisoning the estimate.
-    pub fn zero_load_latency(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.network_latency)
-            .find(|l| l.is_finite())
-    }
-
-    /// The lowest offered load flagged saturated, if any point saturated.
-    pub fn saturation_onset(&self) -> Option<f64> {
-        self.points.iter().find(|p| p.saturated).map(|p| p.offered)
-    }
-
-    /// The largest accepted throughput observed (the capacity estimate), or
-    /// `None` for an empty sweep.
-    pub fn peak_accepted(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.accepted)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-
-    /// Mean network latency over unsaturated, finite points at or below
-    /// `max_load`. Deep-saturation points that delivered nothing report
-    /// non-finite latency and are excluded even if not flagged saturated.
-    pub fn mean_latency_below(&self, max_load: f64) -> Option<f64> {
-        let xs: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| !p.saturated && p.offered <= max_load && p.network_latency.is_finite())
-            .map(|p| p.network_latency)
-            .collect();
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
-    }
-}
-
-/// A configurable load sweep over one network setup.
-///
-/// The builder is re-invoked per point because [`Network`] is consumed by
-/// each run; it must be callable from any thread (`Fn + Send + Sync`) so
-/// sweeps can fan out across a worker pool.
-#[derive(Debug, Clone)]
-pub struct LoadSweep {
-    /// Topology under test.
-    pub topo: Topo,
-    /// Router parameters.
-    pub params: RouterParams,
-    /// Traffic pattern.
-    pub pattern: TrafficPattern,
-    /// Flits per packet.
-    pub packet_len: u32,
-    /// Offered loads to visit (ascending).
-    pub loads: Vec<f64>,
-    /// Simulation phases per point.
-    pub sim_config: SimConfig,
-    /// RNG seed base.
-    pub seed: u64,
-}
-
-impl LoadSweep {
-    /// A standard sweep from 4% to ~92% load in 8% steps.
-    pub fn standard(mesh: Mesh2D, pattern: TrafficPattern) -> Self {
-        LoadSweep::standard_on(Topo::from(mesh), pattern)
-    }
-
-    /// [`LoadSweep::standard`] on an arbitrary topology.
-    pub fn standard_on(topo: Topo, pattern: TrafficPattern) -> Self {
-        LoadSweep {
-            topo,
-            params: RouterParams::paper(),
-            pattern,
-            packet_len: 5,
-            loads: (1..=12).map(|i| 0.04 + 0.08 * f64::from(i - 1)).collect(),
-            sim_config: SimConfig::sweep(),
-            seed: 7,
-        }
-    }
-
-    /// Runs the single operating point at `loads[index]`, building its own
-    /// network, traffic generator and routing function.
-    ///
-    /// A point that delivers no measured packet reports non-finite latency
-    /// and is always flagged `saturated` — the operating point is past the
-    /// capacity of the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_point<F>(
-        &self,
-        index: usize,
-        placement: &Placement,
-        make_routing: &F,
-    ) -> Result<SweepPoint, SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + ?Sized,
-    {
-        self.run_point_observed(index, placement, make_routing, None)
-    }
-
-    /// [`LoadSweep::run_point`] with an optional [`Probe`] attached to the
-    /// point's simulation. The probe observes but cannot perturb: the
-    /// returned [`SweepPoint`] is bit-identical to the unobserved call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_point_observed<F>(
-        &self,
-        index: usize,
-        placement: &Placement,
-        make_routing: &F,
-        probe: Option<&mut (dyn Probe + '_)>,
-    ) -> Result<SweepPoint, SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction> + ?Sized,
-    {
-        let load = self.loads[index];
-        let net = Network::with_topology(self.topo.clone(), self.params, make_routing())?;
-        let traffic = TrafficGen::new(
-            self.pattern,
-            placement.clone(),
-            load,
-            self.packet_len,
-            point_seed(self.seed, index),
-        )?;
-        let out = Simulation::new(net, traffic, self.sim_config).run_observed(probe)?;
-        let nothing_delivered = out.stats.packet_latency.count() == 0;
-        Ok(SweepPoint {
-            offered: load,
-            packet_latency: out.stats.avg_packet_latency(),
-            network_latency: out.stats.avg_network_latency(),
-            accepted: out.stats.accepted_throughput(),
-            saturated: out.stats.saturated || nothing_delivered,
-        })
-    }
-
-    /// Runs the sweep serially with a routing-function builder and node
-    /// placement. The parallel path (`ExperimentRunner::run_sweep` in the
-    /// `noc-sprinting` crate) fans the same [`LoadSweep::run_point`] calls
-    /// across threads and is bit-identical to this one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors from any operating point.
-    pub fn run<F>(&self, placement: &Placement, make_routing: F) -> Result<SweepReport, SimError>
-    where
-        F: Fn() -> Box<dyn RoutingFunction>,
-    {
-        let points = (0..self.loads.len())
-            .map(|i| self.run_point(i, placement, &make_routing))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport { points })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Network;
+    use crate::router::RouterParams;
     use crate::routing::XyRouting;
+    use crate::sim::{SimConfig, SimOutcome, Simulation};
+    use crate::topology::Mesh2D;
+    use crate::traffic::{Placement, TrafficGen, TrafficPattern};
 
-    fn quick_sweep() -> SweepReport {
+    /// Uniform-random XY curve of the paper's 4x4 mesh from 4% to ~92%
+    /// load in 8% steps, one independently seeded simulation per point.
+    fn quick_curve() -> Vec<(f64, SimOutcome)> {
         let mesh = Mesh2D::paper_4x4();
-        let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-        sweep.sim_config = SimConfig::quick();
-        sweep
-            .run(&Placement::full(&mesh), || Box::new(XyRouting))
-            .unwrap()
+        (0..12u32)
+            .map(|i| {
+                let load = 0.04 + 0.08 * f64::from(i);
+                let net = Network::new(mesh, RouterParams::paper(), Box::new(XyRouting)).unwrap();
+                let seed = point_seed(7, i as usize);
+                let traffic = TrafficGen::new(
+                    TrafficPattern::UniformRandom,
+                    Placement::full(&mesh),
+                    load,
+                    5,
+                    seed,
+                )
+                .unwrap();
+                let out = Simulation::new(net, traffic, SimConfig::quick())
+                    .run()
+                    .unwrap();
+                (load, out)
+            })
+            .collect()
     }
 
     #[test]
     fn latency_curve_is_increasing_overall() {
-        let r = quick_sweep();
-        let first = r.points.first().unwrap().packet_latency;
-        let last_unsat = r
-            .points
+        let curve = quick_curve();
+        let first = curve[0].1.stats.avg_packet_latency();
+        let last_unsat = curve
             .iter()
             .rev()
-            .find(|p| !p.saturated)
+            .find(|(_, out)| !out.stats.saturated)
             .unwrap()
-            .packet_latency;
+            .1
+            .stats
+            .avg_packet_latency();
         assert!(last_unsat > first, "queueing must grow with load");
     }
 
@@ -261,29 +78,27 @@ mod tests {
     fn uniform_4x4_saturates_in_the_classic_band() {
         // XY on a 4x4 with 4 VCs saturates somewhere around 0.35-0.7
         // flits/cycle/node for uniform random.
-        let r = quick_sweep();
-        let onset = r.saturation_onset().expect("sweep reaches saturation");
+        let curve = quick_curve();
+        let (onset, _) = curve
+            .iter()
+            .find(|(_, out)| out.stats.saturated)
+            .expect("sweep reaches saturation");
         assert!(
-            (0.3..0.8).contains(&onset),
+            (0.3..0.8).contains(onset),
             "saturation onset {onset} out of band"
         );
-        assert!(r.peak_accepted().expect("nonempty sweep") > 0.3);
+        let peak = curve
+            .iter()
+            .map(|(_, out)| out.stats.accepted_throughput())
+            .fold(0.0, f64::max);
+        assert!(peak > 0.3);
     }
 
     #[test]
     fn zero_load_latency_matches_expectation() {
-        let r = quick_sweep();
-        let z = r.zero_load_latency().unwrap();
+        let z = quick_curve()[0].1.stats.avg_network_latency();
         // ~ (avg hops 2.67 + ejection) * 5 + serialization 4 ≈ 22.
         assert!((15.0..30.0).contains(&z), "zero-load {z}");
-    }
-
-    #[test]
-    fn mean_latency_below_excludes_saturated_points() {
-        let r = quick_sweep();
-        let low = r.mean_latency_below(0.2).unwrap();
-        let z = r.zero_load_latency().unwrap();
-        assert!(low >= z - 1.0 && low < z + 15.0);
     }
 
     #[test]
@@ -300,54 +115,5 @@ mod tests {
         }
         // Adjacent indices must not map to adjacent seeds.
         assert!(point_seed(7, 0).abs_diff(point_seed(7, 1)) > 1 << 20);
-    }
-
-    #[test]
-    fn empty_sweep_summaries_signal_absence() {
-        let r = SweepReport { points: vec![] };
-        assert_eq!(r.peak_accepted(), None);
-        assert_eq!(r.zero_load_latency(), None);
-        assert_eq!(r.mean_latency_below(1.0), None);
-        assert_eq!(r.saturation_onset(), None);
-    }
-
-    #[test]
-    fn nonfinite_points_do_not_poison_aggregations() {
-        let good = SweepPoint {
-            offered: 0.1,
-            packet_latency: 20.0,
-            network_latency: 18.0,
-            accepted: 0.1,
-            saturated: false,
-        };
-        // A deep-saturation point that delivered nothing: infinite latency.
-        let dead = SweepPoint {
-            offered: 0.05,
-            packet_latency: f64::INFINITY,
-            network_latency: f64::INFINITY,
-            accepted: 0.0,
-            saturated: false,
-        };
-        let r = SweepReport {
-            points: vec![dead, good],
-        };
-        assert_eq!(r.zero_load_latency(), Some(18.0));
-        assert_eq!(r.mean_latency_below(1.0), Some(18.0));
-        assert!(r.peak_accepted().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn run_point_matches_full_run() {
-        let mesh = Mesh2D::paper_4x4();
-        let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-        sweep.sim_config = SimConfig::quick();
-        sweep.loads.truncate(3);
-        let placement = Placement::full(&mesh);
-        let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-        let full = sweep.run(&placement, make).unwrap();
-        for i in (0..3).rev() {
-            let p = sweep.run_point(i, &placement, &make).unwrap();
-            assert_eq!(p, full.points[i], "point {i} must be order-independent");
-        }
     }
 }

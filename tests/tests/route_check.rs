@@ -19,10 +19,12 @@ use noc_sim::routing::{
     CirculantRouting, NegativeFirstRouting, RoutingFunction, XyRouting, YxRouting,
 };
 use noc_sim::sim::SimConfig;
-use noc_sim::sweep::LoadSweep;
+use noc_sim::sweep::point_seed;
 use noc_sim::topology::{Circulant, Mesh2D, Topo, TopologySpec};
-use noc_sim::traffic::{Placement, TrafficPattern};
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::cdor::CdorRouting;
+use noc_sprinting::experiment::Experiment;
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::sprint_topology::SprintSet;
 
 /// Meshes CDOR and the mesh baselines are checked on.
@@ -255,64 +257,76 @@ fn zero_load_latency_is_exact_for_every_pair() {
 // Channel-load throughput bound
 // ---------------------------------------------------------------------------
 
-/// Runs a uniform sweep at offered loads 0.2 to 1.0 (seed 11) and asserts
-/// every point's accepted throughput stays at or under
-/// `min(1, (k - 1) / max_channel_load)`. Returns the largest
-/// accepted/bound ratio seen.
+/// Runs `job`'s configuration as a uniform sweep at offered loads 0.2 to
+/// 1.0 (point seeds from base 11) and asserts every point's accepted
+/// throughput stays at or under `min(1, (k - 1) / max_channel_load)` of
+/// `routing` over the `active` nodes — the routing and region the job
+/// runs. Returns the largest accepted/bound ratio seen.
 fn assert_under_channel_load_bound(
     name: &str,
-    topo: Topo,
-    make_routing: MakeRouting,
+    job: SyntheticJob,
+    routing: &dyn RoutingFunction,
     active: &[bool],
 ) -> f64 {
-    let report = check_routes(topo.as_dyn(), make_routing().as_ref(), active).unwrap();
-    let nodes: Vec<NodeId> = (0..topo.len()).filter(|&i| active[i]).map(NodeId).collect();
-    let k = nodes.len() as f64;
+    let topo = job.topology.build().unwrap();
+    let report = check_routes(topo.as_dyn(), routing, active).unwrap();
+    let k = active.iter().filter(|&&a| a).count() as f64;
     let bound = ((k - 1.0) / report.max_channel_load as f64).min(1.0);
-    let mut sweep = LoadSweep::standard_on(topo.clone(), TrafficPattern::UniformRandom);
-    sweep.loads = (2..=10).map(|i| f64::from(i) / 10.0).collect();
-    sweep.seed = 11;
     // Throughput is measured in the window; a short drain keeps saturated
     // points cheap without changing it.
-    sweep.sim_config = SimConfig {
-        drain_max: 1_000,
-        ..SimConfig::quick()
+    let experiment = Experiment {
+        sim_config: SimConfig {
+            drain_max: 1_000,
+            ..SimConfig::quick()
+        },
+        ..Experiment::quick()
     };
-    let placement = Placement::new(nodes, topo.as_dyn()).unwrap();
     let mut worst = 0.0f64;
-    for (i, &load) in sweep.loads.iter().enumerate() {
-        let point = sweep.run_point(i, &placement, make_routing).unwrap();
+    for (i, load) in (2..=10).map(|i| f64::from(i) / 10.0).enumerate() {
+        let point = SyntheticJob {
+            rate: load,
+            seed: point_seed(11, i),
+            ..job
+        };
+        let accepted = point.run(&experiment).unwrap().accepted_throughput;
         assert!(
-            point.accepted <= bound,
-            "{name} at load {load}: accepted {} exceeds the channel-load bound {bound}",
-            point.accepted
+            accepted <= bound,
+            "{name} at load {load}: accepted {accepted} exceeds the channel-load bound {bound}"
         );
-        worst = worst.max(point.accepted / bound);
+        worst = worst.max(accepted / bound);
     }
     worst
 }
 
 #[test]
 fn accepted_throughput_never_exceeds_the_channel_load_bound() {
-    let mesh = Mesh2D::paper_4x4();
+    let uniform = |topology, level, baseline| SyntheticJob {
+        topology,
+        level,
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.0,
+        seed: 0,
+        baseline,
+    };
     let mut worst = 0.0f64;
     for level in [4, 8, 12, 16] {
         let set = SprintSet::paper(level);
         worst = worst.max(assert_under_channel_load_bound(
             &format!("mesh4x4 cdor level {level}"),
-            Topo::from(mesh),
-            &|| Box::new(CdorRouting::new(&set)),
+            uniform(
+                TopologySpec::default(),
+                level,
+                SyntheticBaseline::NocSprinting,
+            ),
+            &CdorRouting::new(&set),
             set.mask(),
         ));
     }
-    let circ = TopologySpec::from_wire_name("circ16s5")
-        .unwrap()
-        .build()
-        .unwrap();
+    let circ = TopologySpec::from_wire_name("circ16s5").unwrap();
     worst = worst.max(assert_under_channel_load_bound(
         "circ16s5 full",
-        circ,
-        &|| Box::new(CirculantRouting::full()),
+        uniform(circ, 16, SyntheticBaseline::SpreadAggregate),
+        &CirculantRouting::full(),
         &[true; 16],
     ));
     // The bound is not vacuous: saturated points come close to it.

@@ -6,37 +6,46 @@
 use std::sync::Arc;
 
 use noc_sim::probe::{EventCounts, TimeSeriesObserver};
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::SimConfig;
-use noc_sim::sweep::{point_seed, LoadSweep};
-use noc_sim::topology::Mesh2D;
+use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
-use noc_sim::traffic::{Placement, TrafficPattern};
-use noc_sprinting::cdor::CdorRouting;
-use noc_sprinting::experiment::Experiment;
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
-use noc_sprinting::sprint_topology::SprintSet;
 use noc_sprinting::telemetry::SpanRecorder;
 
-fn quick_sweep() -> (LoadSweep, Placement) {
-    let mesh = Mesh2D::paper_4x4();
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick();
-    sweep.loads.truncate(6);
-    (sweep, Placement::full(&mesh))
+/// A uniform load sweep from 4% in 8% steps as `n` jobs: `level` 16 with
+/// `SpreadAggregate` is every node of the 4x4 mesh injecting under XY.
+fn quick_sweep(level: usize, baseline: SyntheticBaseline, n: usize) -> Vec<SyntheticJob> {
+    (0..n)
+        .map(|i| SyntheticJob {
+            topology: TopologySpec::default(),
+            level,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.04 + 0.08 * i as f64,
+            seed: point_seed(7, i),
+            baseline,
+        })
+        .collect()
+}
+
+/// The jobs run one after another on the calling thread, outside the pool.
+fn serial(e: &Experiment, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
+    jobs.iter()
+        .map(|job| job.run(e).expect("serial point"))
+        .collect()
 }
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let serial = sweep.run(&placement, make).expect("serial sweep");
+    let e = Experiment::quick();
+    let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
+    let serial = serial(&e, &jobs);
     for workers in [1, 2, 3, 8] {
         let runner = ExperimentRunner::with_workers(workers);
         let parallel = runner
-            .run_sweep(&sweep, &placement, make)
+            .run_synthetic_jobs(&e, &jobs, None)
             .expect("parallel sweep");
-        // SweepPoint is PartialEq over f64 fields: equality here is
+        // NetworkMetrics is PartialEq over f64 fields: equality here is
         // bit-level, not approximate.
         assert_eq!(
             parallel, serial,
@@ -47,39 +56,36 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 
 #[test]
 fn parallel_cdor_sweep_matches_serial() {
-    let mesh = Mesh2D::paper_4x4();
-    let set = SprintSet::paper(4);
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick();
-    sweep.loads.truncate(4);
-    let placement = Placement::new(set.active_nodes().to_vec(), &mesh).expect("placement");
-    let make = || Box::new(CdorRouting::new(&set)) as Box<dyn RoutingFunction>;
-    let serial = sweep.run(&placement, make).expect("serial sweep");
+    let e = Experiment::quick();
+    let jobs = quick_sweep(4, SyntheticBaseline::NocSprinting, 4);
+    let serial = serial(&e, &jobs);
     let parallel = ExperimentRunner::with_workers(4)
-        .run_sweep(&sweep, &placement, make)
+        .run_synthetic_jobs(&e, &jobs, None)
         .expect("parallel sweep");
     assert_eq!(parallel, serial);
 }
 
 #[test]
 fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
-    // The telemetry contract: probes observe but never perturb. A sweep run
-    // with a TimeSeriesObserver on every point must produce a SweepReport
+    // The telemetry contract: probes observe but never perturb. Jobs run
+    // with a TimeSeriesObserver on every point must return metrics
     // bit-identical (f64 PartialEq) to the probe-free serial run, at any
     // worker count.
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let baseline = sweep.run(&placement, make).expect("unobserved serial");
+    let e = Experiment::quick();
+    let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
+    let baseline = serial(&e, &jobs);
     for workers in [1, 2, 4] {
         let runner = ExperimentRunner::with_workers(workers);
-        let (observed, probes) = runner
-            .run_sweep_observed(&sweep, &placement, make, |_| TimeSeriesObserver::new(250))
-            .expect("observed sweep");
+        let (observed, probes): (Vec<_>, Vec<_>) = runner
+            .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(250))
+            .expect("observed sweep")
+            .into_iter()
+            .unzip();
         assert_eq!(
             observed, baseline,
             "observation must not perturb results ({workers} workers)"
         );
-        assert_eq!(probes.len(), sweep.loads.len());
+        assert_eq!(probes.len(), jobs.len());
         for (i, p) in probes.iter().enumerate() {
             assert!(!p.samples().is_empty(), "point {i} produced no epochs");
         }
@@ -89,24 +95,28 @@ fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
 #[test]
 fn span_recorder_and_event_counters_do_not_perturb_results() {
     // Layering the runner-side SpanRecorder on top of per-point EventCounts
-    // probes still leaves the report bit-identical, and both telemetry
-    // sinks actually see the run.
-    let (sweep, placement) = quick_sweep();
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
-    let baseline = sweep.run(&placement, make).expect("unobserved serial");
-    let rec = Arc::new(SpanRecorder::new());
-    let runner = ExperimentRunner::with_workers(3).with_span_recorder(Arc::clone(&rec));
-    let (observed, counters) = runner
-        .run_sweep_observed(&sweep, &placement, make, |_| EventCounts::default())
-        .expect("observed sweep");
-    assert_eq!(observed, baseline);
-    assert_eq!(rec.spans().len(), sweep.loads.len());
-    for c in &counters {
-        assert!(c.injections > 0, "counter probe saw no injections");
-        assert!(
-            c.ejections > 0 && c.ejections <= c.injections,
-            "ejections must be positive and bounded by injections"
-        );
+    // probes still leaves the metrics bit-identical, at 1, 2 and 4 workers,
+    // and both telemetry sinks actually see the run.
+    let e = Experiment::quick();
+    let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
+    let baseline = serial(&e, &jobs);
+    for workers in [1, 2, 4] {
+        let rec = Arc::new(SpanRecorder::new());
+        let runner = ExperimentRunner::with_workers(workers).with_span_recorder(Arc::clone(&rec));
+        let (observed, counters): (Vec<_>, Vec<_>) = runner
+            .run_synthetic_jobs_observed(&e, &jobs, |_| EventCounts::default())
+            .expect("observed sweep")
+            .into_iter()
+            .unzip();
+        assert_eq!(observed, baseline, "{workers} workers");
+        assert_eq!(rec.spans().len(), jobs.len());
+        for c in &counters {
+            assert!(c.injections > 0, "counter probe saw no injections");
+            assert!(
+                c.ejections > 0 && c.ejections <= c.injections,
+                "ejections must be positive and bounded by injections"
+            );
+        }
     }
 }
 

@@ -1,19 +1,18 @@
 //! Telemetry pipeline integration tests: manifest and Chrome-trace
 //! round-trips, and the end-to-end acceptance property — a probe attached
-//! to a paper-preset sweep produces a per-epoch time-series and a Chrome
-//! trace file while the probe-free sweep yields a bit-identical
-//! `SweepReport`.
+//! to every point of a paper-preset sweep produces a per-epoch time-series
+//! and a Chrome trace file while the probe-free sweep yields bit-identical
+//! metrics.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use noc_sim::probe::TimeSeriesObserver;
-use noc_sim::routing::{RoutingFunction, XyRouting};
-use noc_sim::sim::SimConfig;
-use noc_sim::sweep::{point_seed, LoadSweep};
-use noc_sim::topology::Mesh2D;
-use noc_sim::traffic::{Placement, TrafficPattern};
-use noc_sprinting::runner::ExperimentRunner;
+use noc_sim::sweep::point_seed;
+use noc_sim::topology::TopologySpec;
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::Experiment;
+use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::{
     validate_chrome_trace, JsonValue, ManifestPoint, RunManifest, SpanRecorder,
 };
@@ -111,25 +110,34 @@ fn chrome_trace_round_trips_with_required_fields() {
 
 #[test]
 fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
-    // The issue's acceptance criterion, end to end: run the paper-preset
-    // sweep (standard loads, paper router parameters) observed and
-    // unobserved, write the trace file, and pin bit-identity.
-    let mesh = Mesh2D::paper_4x4();
-    let mut sweep = LoadSweep::standard(mesh, TrafficPattern::UniformRandom);
-    sweep.sim_config = SimConfig::quick(); // paper presets otherwise
-    sweep.loads.truncate(4);
-    let placement = Placement::full(&mesh);
-    let make = || Box::new(XyRouting) as Box<dyn RoutingFunction>;
+    // End to end: run the paper-preset sweep (standard loads, paper
+    // router parameters, every node injecting) observed and unobserved,
+    // write the trace file, and pin bit-identity.
+    let e = Experiment::quick(); // paper presets otherwise
+    let jobs: Vec<SyntheticJob> = (0..4)
+        .map(|i| SyntheticJob {
+            topology: TopologySpec::default(),
+            level: 16,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.04 + 0.08 * i as f64,
+            seed: point_seed(7, i),
+            baseline: SyntheticBaseline::SpreadAggregate,
+        })
+        .collect();
 
-    let unprobed = sweep.run(&placement, make).expect("unprobed sweep");
+    let unprobed = ExperimentRunner::with_workers(1)
+        .run_synthetic_jobs(&e, &jobs, None)
+        .expect("unprobed sweep");
 
     let rec = Arc::new(SpanRecorder::new());
     let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-    let (probed, observers) = runner
-        .run_sweep_observed(&sweep, &placement, make, |_| TimeSeriesObserver::new(500))
-        .expect("probed sweep");
+    let (probed, observers): (Vec<_>, Vec<_>) = runner
+        .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(500))
+        .expect("probed sweep")
+        .into_iter()
+        .unzip();
 
-    // Bit-identical report (SweepPoint is PartialEq over raw f64s).
+    // Bit-identical metrics (NetworkMetrics is PartialEq over raw f64s).
     assert_eq!(probed, unprobed);
 
     // Per-epoch time-series: every point sampled every 500 cycles, and the
@@ -142,7 +150,7 @@ fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
         assert!(samples.iter().any(|s| s.injections > 0));
         let csv = obs.to_csv();
         assert!(csv.starts_with("cycle,node,"));
-        assert_eq!(csv.lines().count(), 1 + samples.len() * mesh.len());
+        assert_eq!(csv.lines().count(), 1 + samples.len() * 16);
     }
 
     // Chrome trace file: written, validated, one span per point.
