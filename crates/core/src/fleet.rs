@@ -98,9 +98,9 @@ impl ShardPlan {
 /// and releases the contiguous prefix, restoring strict per-request order
 /// over events that arrive interleaved across shard streams.
 ///
-/// This is the same reorder-buffer discipline the single-daemon collector
-/// uses (`BTreeMap` + next-expected counter), generalized to any producer
-/// that can label items with their original index.
+/// The single daemon's collector releases its point stream through the
+/// same buffer; any producer that can label items with their original
+/// index can.
 #[derive(Debug)]
 pub struct FleetReorder<T> {
     pending: BTreeMap<usize, T>,

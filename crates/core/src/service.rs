@@ -36,7 +36,7 @@
 //! Everything is `std`-only (threads + channels); a `point` event is a
 //! [`ManifestPoint`] with the request id spliced in.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -46,6 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::experiment::{Experiment, NetworkMetrics};
+use crate::fleet::FleetReorder;
 use crate::metrics::{ServiceMetrics, StatsSnapshot};
 use crate::runner::{lock_recover, ExperimentRunner, ResultCache, SyntheticJob};
 use crate::telemetry::{ManifestPoint, RunManifest};
@@ -273,7 +274,10 @@ impl DiskResultCache {
         let mut segment_bytes = 0u64;
         for name in &names {
             report.segments += 1;
-            next_segment = next_segment.max(parse_segment_index(name).expect("filtered above") + 1);
+            // Saturating: past a segment at the largest index, new records
+            // append to that segment and compaction rewrites it in place.
+            let index = parse_segment_index(name).expect("filtered above");
+            next_segment = next_segment.max(index.saturating_add(1));
             let bytes = fs::read(dir.join(name))?;
             segment_bytes += bytes.len() as u64;
             // Lines are decoded one at a time, so a torn or garbled line
@@ -394,7 +398,7 @@ impl DiskResultCache {
             };
             if state.open_segment.is_none() {
                 let path = state.dir.join(segment_name(state.next_segment));
-                state.next_segment += 1;
+                state.next_segment = state.next_segment.saturating_add(1);
                 let file = fs::OpenOptions::new()
                     .create(true)
                     .append(true)
@@ -464,7 +468,7 @@ impl DiskResultCache {
             out.get_ref().sync_all()?;
         }
         let target_index = state.next_segment;
-        state.next_segment += 1;
+        state.next_segment = target_index.saturating_add(1);
         let target = state.dir.join(segment_name(target_index));
         fs::rename(&tmp_path, &target)?;
         // Only now drop the superseded segments.
@@ -830,8 +834,7 @@ impl SweepService {
             });
             // Collector: report completions as they happen, release the
             // point stream in strict index order.
-            let mut pending: BTreeMap<usize, PointOutcome> = BTreeMap::new();
-            let mut next = 0usize;
+            let mut reorder: FleetReorder<PointOutcome> = FleetReorder::new(total);
             let mut batch_hits = 0usize;
             for (completed, (i, outcome)) in rx.iter().enumerate() {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
@@ -855,9 +858,8 @@ impl SweepService {
                     total,
                     eta_ms,
                 });
-                pending.insert(i, outcome);
-                while let Some((outcome, ms)) = pending.remove(&next) {
-                    let job = &req.jobs[next];
+                for (index, (outcome, ms)) in reorder.push(i, outcome) {
+                    let job = &req.jobs[index];
                     match outcome {
                         Ok((metrics, cache_hit)) => {
                             ok += 1;
@@ -867,7 +869,7 @@ impl SweepService {
                             emit(ServiceResponse::Point {
                                 id: req.id.clone(),
                                 point: ManifestPoint {
-                                    index: next,
+                                    index,
                                     seed: job.seed,
                                     config_hash: job.cache_key(),
                                     cache_hit,
@@ -891,14 +893,13 @@ impl SweepService {
                             };
                             emit(ServiceResponse::PointFailed {
                                 id: req.id.clone(),
-                                index: next,
+                                index,
                                 config_hash: job.cache_key(),
                                 seed: job.seed,
                                 error,
                             });
                         }
                     }
-                    next += 1;
                 }
             }
             // Joined so the thread has exited, and its malloc arena is free

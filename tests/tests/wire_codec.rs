@@ -6,10 +6,14 @@
 //!   take their defaults (the golden-line tests pin those).
 //! - Hostile input: arbitrary, truncated and byte-mutated lines fed to every
 //!   outside-facing parser — the Prometheus exposition validator included —
-//!   return `Err` or a value and never panic.
+//!   return `Err` or a value and never panic; so does opening a cache
+//!   directory of arbitrary or mutated segment files.
 //! - Round trips: `decode(encode(x)) == x` for generated values of every
 //!   message, with every `f64` compared by bit pattern (the decoded value
 //!   must re-encode to the same line).
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -21,7 +25,7 @@ use noc_sprinting::metrics::{
 };
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{
-    BatchSummary, CacheRecord, ServiceRequest, ServiceResponse, SubmitRequest,
+    BatchSummary, CacheRecord, DiskResultCache, ServiceRequest, ServiceResponse, SubmitRequest,
 };
 use noc_sprinting::telemetry::{FaultRecord, JsonValue, ManifestPoint, RunManifest, RunnerEvent};
 
@@ -224,6 +228,66 @@ fn exposition_validates_and_every_truncation_is_survived() {
     for cut in 0..EXPOSITION.len() {
         let _ = validate_prometheus(&EXPOSITION[..cut]);
     }
+}
+
+/// A valid cache segment: a current-version record with a CRLF ending, a
+/// blank line and a stale-version record.
+fn segment() -> Vec<u8> {
+    let record = |key, version: &str| {
+        CacheRecord {
+            key,
+            seed: key,
+            version: version.to_string(),
+            value: NetworkMetrics {
+                avg_packet_latency: 19.25,
+                avg_network_latency: 18.5,
+                network_power: 0.125,
+                accepted_throughput: 0.1,
+                saturated: false,
+            },
+        }
+        .to_json_line()
+    };
+    format!("{}\r\n\n{}\n", record(1, "v"), record(2, "old")).into_bytes()
+}
+
+/// A fresh, empty scratch directory for one cache.
+fn cache_dir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("noc-wire-cache-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn cache_segments_load_whatever_their_index() {
+    let dir = cache_dir();
+    for index in [0, usize::MAX] {
+        let name = format!("seg-{index:06}.cache.jsonl");
+        std::fs::write(dir.join(name), segment()).expect("write segment");
+    }
+    let (cache, report) = DiskResultCache::open(&dir, "v").expect("open");
+    assert_eq!((report.segments, report.loaded, report.stale), (2, 2, 2));
+    assert_eq!(report.corrupt, 0);
+    assert_eq!(cache.persisted_len(), 1, "one key, written twice");
+    // Past the largest index, appends and compaction reuse that segment.
+    let job = SyntheticJob {
+        topology: TopologySpec::default(),
+        level: 4,
+        pattern: TrafficPattern::UniformRandom,
+        rate: 0.1,
+        seed: 1,
+        baseline: SyntheticBaseline::NocSprinting,
+    };
+    let value = cache.memory().get(1).expect("loaded record");
+    cache.memory().insert(job.cache_key(), value);
+    assert_eq!(cache.persist_jobs(&[job]).expect("append"), 1);
+    assert_eq!(cache.compact().expect("compact"), 2);
+    let (_, report) = DiskResultCache::open(&dir, "v").expect("reopen");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!((report.segments, report.loaded, report.stale), (1, 2, 0));
 }
 
 fn text() -> impl Strategy<Value = String> {
@@ -498,6 +562,25 @@ proptest! {
         let mut mutated = EXPOSITION.as_bytes().to_vec();
         mutate(&mut mutated, edits, PROM_MUTATIONS);
         let _ = validate_prometheus(&String::from_utf8_lossy(&mutated));
+    }
+
+    #[test]
+    fn cache_open_never_panics(
+        arbitrary in prop::collection::vec(prop::collection::vec(0u8..=255, 0..160), 0..3),
+        edits in prop::collection::vec((0usize..4096, 0usize..MUTATIONS.len(), 0u8..3), 1..8),
+    ) {
+        let dir = cache_dir();
+        let mut mutated = segment();
+        mutate(&mut mutated, edits, MUTATIONS);
+        for (i, bytes) in arbitrary.iter().chain([&mutated]).enumerate() {
+            std::fs::write(dir.join(format!("seg-{i:06}.cache.jsonl")), bytes)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        }
+        let opened = DiskResultCache::open(&dir, "v");
+        std::fs::remove_dir_all(&dir).ok();
+        let (cache, report) = opened.map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(report.segments, arbitrary.len() + 1);
+        prop_assert!(cache.persisted_len() <= report.loaded);
     }
 
     #[test]
