@@ -132,6 +132,72 @@ fn respond(stream: &mut (impl Read + Write), body: &str) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// A scripted connection: each `read` hands out the next chunk (split
+    /// to fit the caller's buffer), `None` reads as an I/O error and the end
+    /// of the script as EOF; writes are captured.
+    struct Scripted {
+        chunks: VecDeque<Option<Vec<u8>>>,
+        consumed: usize,
+        written: Vec<u8>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.chunks.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::TimedOut.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.chunks.push_front(Some(chunk.split_off(n)));
+                    }
+                    self.consumed += n;
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Bytes request heads are drawn from.
+    const HEAD_BYTES: &[u8] = b"GET /metrics HTTP/1.0\r\n:Host x\r\n\r\n\xff";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn request_head_reader_never_panics(
+            chunks in prop::collection::vec((prop::collection::vec(0u8..=255, 0..700), 0u8..8), 0..24),
+            drawn in prop::collection::vec(0usize..HEAD_BYTES.len(), 0..64),
+        ) {
+            // Arbitrary bytes in arbitrary chunks, one read in eight an
+            // error, then a head drawn from the request alphabet that may or
+            // may not terminate.
+            let mut script: VecDeque<Option<Vec<u8>>> =
+                chunks.into_iter().map(|(c, e)| (e != 0).then_some(c)).collect();
+            script.push_back(Some(drawn.into_iter().map(|i| HEAD_BYTES[i]).collect()));
+            let mut conn = Scripted { chunks: script, consumed: 0, written: Vec::new() };
+            respond(&mut conn, "noc_up 1\n").map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let response = String::from_utf8_lossy(&conn.written);
+            prop_assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{}", response);
+            prop_assert!(response.ends_with("Content-Length: 9\r\nConnection: close\r\n\r\nnoc_up 1\n"));
+            prop_assert!(conn.consumed <= 8192 + 1024, "read {} bytes past the head cap", conn.consumed);
+        }
+    }
 
     fn scrape_tcp(addr: &str) -> String {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
