@@ -247,8 +247,8 @@ impl Experiment {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] on a mesh topology other than the
-    /// configured mesh or a degenerate circulant; otherwise propagates
-    /// simulator errors.
+    /// configured mesh, a degenerate circulant or a level outside
+    /// `1..=N`; otherwise propagates simulator errors.
     pub fn run_job(
         &self,
         job: &SyntheticJob,
@@ -267,6 +267,15 @@ impl Experiment {
             .topology
             .build()
             .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
+        // Jobs arrive over the wire: an impossible level is the client's
+        // error, not a reason for the daemon to panic.
+        if !(1..=topo.len()).contains(&job.level) {
+            return Err(SimError::InvalidConfig(format!(
+                "sprint level {} outside 1..={}",
+                job.level,
+                topo.len()
+            )));
+        }
         let (placement, region, rate) = match job.baseline {
             SyntheticBaseline::NocSprinting => {
                 let set = SprintSet::on(topo.clone(), self.controller.master(), job.level);
@@ -811,5 +820,38 @@ mod tests {
         assert!(m.avg_packet_latency > 5.0 && m.avg_packet_latency < 200.0);
         assert!(m.network_power > 0.0);
         assert!(!m.saturated);
+    }
+
+    #[test]
+    fn jobs_out_of_range_are_errors_not_panics() {
+        let e = exp();
+        let job = |topology, level, baseline| SyntheticJob {
+            topology,
+            level,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.1,
+            seed: 3,
+            baseline,
+        };
+        let mesh = TopologySpec::default();
+        let circ = TopologySpec::Circulant { n: 16, skip: 5 };
+        for baseline in [
+            SyntheticBaseline::NocSprinting,
+            SyntheticBaseline::RandomEndpoints,
+            SyntheticBaseline::SpreadAggregate,
+        ] {
+            for (topology, level) in [(mesh, 0), (mesh, 17), (circ, 99)] {
+                let err = job(topology, level, baseline).run(&e).unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+            }
+        }
+        let other_mesh = TopologySpec::Mesh {
+            width: 8,
+            height: 8,
+        };
+        let err = job(other_mesh, 4, SyntheticBaseline::NocSprinting)
+            .run(&e)
+            .unwrap_err();
+        assert!(err.to_string().contains("does not match"), "{err}");
     }
 }

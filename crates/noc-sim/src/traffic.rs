@@ -238,7 +238,7 @@ impl BurstSchedule {
     }
 
     /// Number of on-cycles in `[start, end)`.
-    pub fn on_cycles_between(&self, start: u64, end: u64) -> u64 {
+    pub(crate) fn on_cycles_between(&self, start: u64, end: u64) -> u64 {
         let period = self.on_cycles + self.off_cycles;
         if period == 0 {
             return end.saturating_sub(start);
