@@ -185,7 +185,7 @@ fn main() {
                 out.stats.accepted_throughput()
             );
         }
-        Err(SimError::InvalidConfig(e)) => exit_usage("explore", format!("invalid setup: {e}")),
+        Err(e @ SimError::InvalidConfig(_)) => exit_usage("explore", e),
         Err(e) => {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
