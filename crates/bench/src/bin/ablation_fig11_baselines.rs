@@ -63,7 +63,10 @@ fn main() {
                 jobs.push(point(s, SyntheticBaseline::SpreadAggregate));
             }
         }
-        let metrics = harness.run(&e, &jobs).expect("baseline ablation points");
+        let metrics = harness
+            .run(&e, &jobs)
+            .expect("baseline ablation points")
+            .metrics;
 
         let mut rows = Vec::new();
         let per_rate = 1 + 2 * SAMPLES as usize;

@@ -62,7 +62,10 @@ fn main() {
                 })
             })
             .collect();
-        let metrics = harness.run(&e, &jobs).expect("pattern ablation points");
+        let metrics = harness
+            .run(&e, &jobs)
+            .expect("pattern ablation points")
+            .metrics;
         let mut results = valid.iter().zip(metrics.chunks(2));
 
         let mut rows = Vec::new();

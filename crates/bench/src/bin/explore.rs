@@ -12,29 +12,31 @@
 //! flits/cycle/node under NoC-sprinting (CDOR + gating); `--full` spreads
 //! the same per-node rate over the fully powered mesh with XY routing
 //! instead. `--loads` switches from a single operating point to a
-//! latency-vs-load sweep executed on the parallel `ExperimentRunner`
-//! (`--workers 1` forces the serial path; the curve is bit-identical at any
-//! worker count). Every mode describes its points as `SyntheticJob`s, the
-//! same cache-keyed form the figures and the daemon run.
+//! latency-vs-load table. Every mode describes its points as
+//! `SyntheticJob`s, the same cache-keyed form the figures and the daemon
+//! run, and the table runs them through [`FigureHarness`]: in-process on
+//! the parallel runner (`--workers 1` forces the serial path; the curve is
+//! bit-identical at any worker count), or on a `noc_serve` daemon.
 //!
 //! `--telemetry DIR` (or `NOC_BENCH_TELEMETRY=DIR`) additionally attaches a
-//! [`TimeSeriesObserver`] to every sweep point and writes
+//! [`TimeSeriesObserver`] to every locally run table point and writes
 //! `explore.manifest.jsonl`, `explore.trace.json` (Chrome Trace Event
 //! Format — load in `chrome://tracing`) and one
 //! `explore.point<N>.timeseries.csv` per operating point. Telemetry only
 //! observes: the printed curve is bit-identical with it on or off.
 //!
-//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the same jobs to
-//! a running `noc_serve` daemon instead of simulating locally, so repeated
-//! explorations hit the daemon's persistent cache. The daemon owns the
-//! experiment configuration, so this mode requires the mesh and master it
-//! serves: paper 4x4 mesh, master 0. See `SERVICE.md`.
+//! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the jobs to a
+//! running `noc_serve` daemon instead of simulating locally, so repeated
+//! explorations hit the daemon's persistent cache; it prints the same
+//! table, even for a single point, since the wire does not carry the
+//! single-point details. The daemon owns the experiment configuration, so
+//! this mode requires the mesh and master it serves: paper 4x4 mesh,
+//! master 0. See `SERVICE.md`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
 
 use noc_bench::flags::{exit_usage, Flags};
+use noc_bench::FigureHarness;
 use noc_sim::error::SimError;
 use noc_sim::geometry::NodeId;
 use noc_sim::probe::TimeSeriesObserver;
@@ -44,9 +46,7 @@ use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::config::SystemConfig;
 use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
-use noc_sprinting::service::metric_pairs;
-use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 /// Per-epoch sampling interval for `--telemetry` sweep observers, in
 /// cycles. `SimConfig::sweep` runs 12k measured cycles, so this yields a
@@ -130,13 +130,14 @@ fn main() {
         let (w, h) = (args.width, args.height);
         exit_usage("explore", format!("master/level out of range for {w}x{h}"));
     }
+    let jobs = jobs(&args);
     println!(
         "mesh {}x{}, master {}, level {} ({} routers gated), {} @ {} flits/cyc/node, {}",
         args.width,
         args.height,
         args.master,
-        args.level,
-        mesh.len() - args.level,
+        jobs[0].level,
+        mesh.len() - jobs[0].level,
         if args.full {
             "full mesh + XY"
         } else {
@@ -145,10 +146,14 @@ fn main() {
         args.rate,
         format_args!("pattern {:?}", args.pattern),
     );
-    let jobs = jobs(&args);
-    if let Some(socket) = &args.service {
-        run_service_mode(&args, socket, &jobs);
-        return;
+    // The daemon runs jobs on *its* experiment: refuse rather than
+    // silently ignore a mesh or master it does not serve.
+    if args.service.is_some() && ((args.width, args.height) != (4, 4) || args.master != 0) {
+        eprintln!(
+            "--service serves the daemon's experiment (paper 4x4 mesh, master 0); \
+             drop --mesh/--master or run locally"
+        );
+        std::process::exit(2);
     }
     let mut experiment = Experiment::paper();
     experiment.system = SystemConfig {
@@ -158,11 +163,11 @@ fn main() {
         ..SystemConfig::paper()
     };
     experiment.controller = SprintController::new(mesh, NodeId(args.master));
-    if args.loads.is_some() {
-        run_loads_mode(&args, &experiment, &jobs);
+    if args.loads.is_some() || args.service.is_some() {
+        run_table_mode(&args, &experiment, &jobs);
         return;
     }
-    match experiment.run_job(&jobs[0], None, None) {
+    match experiment.run_job(&jobs[0], None) {
         Ok((_, out)) => {
             println!(
                 "packets delivered: {} ({} flits); saturated: {}",
@@ -233,121 +238,37 @@ fn saturated(m: &NetworkMetrics) -> bool {
     m.saturated || !m.avg_packet_latency.is_finite()
 }
 
-fn yes_no(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "no"
-    }
-}
-
-/// `--service` mode: submit the jobs to a `noc_serve` daemon instead of
-/// simulating in-process. The daemon evaluates jobs against *its*
-/// experiment configuration, so a non-default mesh or master is rejected
-/// rather than silently ignored.
-fn run_service_mode(args: &Args, socket: &std::path::Path, jobs: &[SyntheticJob]) {
-    if (args.width, args.height) != (4, 4) || args.master != 0 {
-        eprintln!(
-            "--service serves the daemon's experiment (paper 4x4 mesh, master 0); \
-             drop --mesh/--master or run locally"
-        );
-        std::process::exit(2);
-    }
-    let mut client = match noc_bench::client::connect_unix(socket) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot reach noc-serve at {}: {e}", socket.display());
-            std::process::exit(2);
-        }
-    };
-    let batch = match client.submit("explore", jobs) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("service submission failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "{:>8} {:>14} {:>14} {:>10} {:>5} {:>5}",
-        "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat", "hit"
+/// `--loads` or `--service` mode: a latency-vs-load table over the jobs,
+/// run by the bench harness — in-process on the parallel runner, with a
+/// [`TimeSeriesObserver`] per point under `--telemetry DIR`, or through
+/// the `noc_serve` socket.
+fn run_table_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
+    let harness = FigureHarness::configured(
+        args.workers,
+        args.telemetry.clone(),
+        args.service.as_deref(),
     );
-    for (job, (m, p)) in jobs.iter().zip(batch.metrics.iter().zip(&batch.points)) {
-        println!(
-            "{:8.3} {:14.2} {:14.2} {:10.3} {:>5} {:>5}",
-            job.rate,
-            m.avg_packet_latency,
-            m.avg_network_latency,
-            m.accepted_throughput,
-            yes_no(saturated(m)),
-            yes_no(p.cache_hit)
-        );
-    }
-    eprintln!(
-        "[{} points via noc-serve at {}: {} cache hits, daemon wall {:.2} ms]",
-        batch.summary.points,
-        socket.display(),
-        batch.summary.cache_hits,
-        batch.summary.wall_ms
-    );
-}
-
-/// `--loads` mode: a latency-vs-load sweep over the parallel runner, with
-/// optional telemetry (probes + manifest + Chrome trace) when
-/// `--telemetry DIR` is given.
-fn run_loads_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
-    let mut runner = match args.workers {
-        Some(w) => ExperimentRunner::with_workers(w),
-        None => ExperimentRunner::new(),
-    };
-    let spans = args
-        .telemetry
-        .as_ref()
-        .map(|_| Arc::new(SpanRecorder::new()));
-    if let Some(s) = &spans {
-        runner = runner.with_span_recorder(Arc::clone(s));
-    }
-    if noc_bench::progress_from_env() {
-        runner = runner.with_echo("explore");
-    }
-    let started = Instant::now();
-    // With telemetry, one TimeSeriesObserver rides along on every point;
-    // probes only observe, so the metrics are the same either way.
-    let run = match &args.telemetry {
-        Some(_) => runner
-            .run_synthetic_jobs_observed(experiment, jobs, |_| {
-                TimeSeriesObserver::new(EPOCH_INTERVAL)
-            })
-            .map(|points| points.into_iter().unzip()),
-        None => runner
-            .run_synthetic_jobs(experiment, jobs, None)
-            .map(|metrics| (metrics, Vec::new())),
-    };
-    let (metrics, observers): (Vec<NetworkMetrics>, Vec<TimeSeriesObserver>) =
-        run.unwrap_or_else(|e| {
+    let (batch, observers) = harness
+        .run_observed(experiment, jobs, |_| {
+            TimeSeriesObserver::new(EPOCH_INTERVAL)
+        })
+        .unwrap_or_else(|e| {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);
         });
-    if let (Some(dir), Some(spans)) = (&args.telemetry, &spans) {
-        let written = write_telemetry(
-            dir, &runner, args.seed, jobs, &metrics, &observers, spans, started,
-        );
-        if let Err(e) = written {
-            eprintln!("telemetry write failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let metrics = &batch.metrics;
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>5}",
         "offered", "pkt lat (cyc)", "net lat (cyc)", "accepted", "sat"
     );
-    for (job, m) in jobs.iter().zip(&metrics) {
+    for (job, m) in jobs.iter().zip(metrics) {
         println!(
             "{:8.3} {:14.2} {:14.2} {:10.3} {:>5}",
             job.rate,
             m.avg_packet_latency,
             m.avg_network_latency,
             m.accepted_throughput,
-            yes_no(saturated(m))
+            if saturated(m) { "yes" } else { "no" }
         );
     }
     println!(
@@ -360,13 +281,10 @@ fn run_loads_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
     );
     println!(
         "saturation onset:  {}",
-        jobs.iter()
-            .zip(&metrics)
-            .find(|(_, m)| saturated(m))
-            .map_or("none in sweep".to_string(), |(job, _)| format!(
-                "{:.3}",
-                job.rate
-            ))
+        jobs.iter().zip(metrics).find(|(_, m)| saturated(m)).map_or(
+            "none in sweep".to_string(),
+            |(job, _)| format!("{:.3}", job.rate)
+        )
     );
     println!(
         "peak accepted:     {}",
@@ -376,77 +294,23 @@ fn run_loads_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
             .reduce(f64::max)
             .map_or("-".to_string(), |v| format!("{v:.3} flits/cyc/node"))
     );
-    let snap = runner.progress().snapshot();
-    eprintln!(
-        "[{} points on {} workers, busy {:.2?}]",
-        snap.completed,
-        runner.workers(),
-        snap.busy
-    );
-}
-
-/// Writes `explore.manifest.jsonl`, `explore.trace.json` and one
-/// `explore.point<N>.timeseries.csv` per sweep point into `dir`.
-#[allow(clippy::too_many_arguments)]
-fn write_telemetry(
-    dir: &PathBuf,
-    runner: &ExperimentRunner,
-    base_seed: u64,
-    jobs: &[SyntheticJob],
-    metrics: &[NetworkMetrics],
-    observers: &[TimeSeriesObserver],
-    spans: &SpanRecorder,
-    started: Instant,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    // Per-point wall durations come from the recorded spans.
-    let mut dur_ms = vec![0.0f64; jobs.len()];
-    for s in spans.spans() {
-        if let Some(d) = dur_ms.get_mut(s.index) {
-            *d = s.dur_us as f64 / 1e3;
+    let written = harness.finish("explore").and_then(|()| {
+        let Some(dir) = harness.telemetry_dir() else {
+            return Ok(());
+        };
+        for (i, obs) in observers.iter().enumerate() {
+            let csv = dir.join(format!("explore.point{i}.timeseries.csv"));
+            std::fs::write(csv, obs.to_csv())?;
         }
+        eprintln!(
+            "[telemetry: {} per-point time-series written to {}]",
+            observers.len(),
+            dir.display()
+        );
+        Ok(())
+    });
+    if let Err(e) = written {
+        eprintln!("telemetry write failed: {e}");
+        std::process::exit(1);
     }
-    let points: Vec<ManifestPoint> = jobs
-        .iter()
-        .zip(metrics)
-        .enumerate()
-        .map(|(i, (job, m))| ManifestPoint {
-            index: i,
-            seed: job.seed,
-            config_hash: job.cache_key(),
-            cache_hit: false,
-            duration_ms: dur_ms[i],
-            metrics: metric_pairs(m),
-        })
-        .collect();
-    let manifest = RunManifest {
-        figure: "explore".to_string(),
-        config_hash: RunManifest::combine_hashes(points.iter().map(|p| p.config_hash)),
-        workers: runner.workers(),
-        base_seed,
-        seed_schedule: points.iter().map(|p| p.seed).collect(),
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        cache_hits: 0,
-        cache_misses: points.len() as u64,
-        points,
-        faults: vec![],
-    };
-    let manifest_path = dir.join("explore.manifest.jsonl");
-    let trace_path = dir.join("explore.trace.json");
-    std::fs::write(&manifest_path, manifest.to_jsonl())?;
-    std::fs::write(&trace_path, spans.chrome_trace())?;
-    for (i, obs) in observers.iter().enumerate() {
-        std::fs::write(
-            dir.join(format!("explore.point{i}.timeseries.csv")),
-            obs.to_csv(),
-        )?;
-    }
-    eprintln!(
-        "[telemetry: {}, {} and {} per-point time-series written to {}]",
-        manifest_path.display(),
-        trace_path.display(),
-        observers.len(),
-        dir.display()
-    );
-    Ok(())
 }

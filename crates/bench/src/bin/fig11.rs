@@ -67,7 +67,7 @@ fn main() {
                 });
             }
         }
-        let metrics = harness.run(&e, &jobs).expect("Fig. 11 points");
+        let metrics = harness.run(&e, &jobs).expect("Fig. 11 points").metrics;
 
         let mut rows = Vec::new();
         let mut lat_cuts = Vec::new();

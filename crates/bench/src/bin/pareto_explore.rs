@@ -18,8 +18,8 @@
 //! submitted to a running `noc_serve`/`noc_fleet` daemon, so repeated
 //! explorations are served from its persistent result cache — a repeat
 //! sweep is pure cache hits and near-free. Without a socket the grid runs
-//! on the in-process parallel [`ExperimentRunner`]; the points are
-//! bit-identical either way.
+//! in-process on the parallel runner; [`FigureHarness`] makes that choice,
+//! and the points are bit-identical either way.
 //!
 //! Output: `pareto.csv` (every candidate, with an `on_front` column),
 //! `pareto_explore.manifest.jsonl` (a [`RunManifest`] validated by
@@ -36,14 +36,15 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use noc_bench::flags::{exit_usage, Flags};
+use noc_bench::FigureHarness;
 use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
+use noc_sprinting::service::BatchSummary;
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest};
 
 #[derive(Debug)]
@@ -102,15 +103,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Per-candidate evaluation results plus batch cache hits and wall time.
-type EvalOutcome = (Vec<(NetworkMetrics, bool, f64)>, u64, f64);
-
 /// One evaluated candidate.
 struct Candidate {
     job: SyntheticJob,
     metrics: NetworkMetrics,
-    cache_hit: bool,
-    duration_ms: f64,
+    point: ManifestPoint,
     on_front: bool,
 }
 
@@ -185,38 +182,6 @@ fn build_jobs(args: &Args) -> Vec<SyntheticJob> {
     jobs
 }
 
-fn evaluate_service(
-    socket: &std::path::Path,
-    jobs: &[SyntheticJob],
-) -> Result<EvalOutcome, String> {
-    let mut client = noc_bench::client::connect_unix(socket)
-        .map_err(|e| format!("cannot reach noc-serve at {}: {e}", socket.display()))?;
-    let batch = client
-        .submit("pareto_explore", jobs)
-        .map_err(|e| format!("service submission failed: {e}"))?;
-    let results = batch
-        .metrics
-        .iter()
-        .zip(&batch.points)
-        .map(|(m, p)| (*m, p.cache_hit, p.duration_ms))
-        .collect();
-    Ok((results, batch.summary.cache_hits, batch.summary.wall_ms))
-}
-
-fn evaluate_local(experiment: &Experiment, jobs: &[SyntheticJob]) -> Result<EvalOutcome, String> {
-    let start = Instant::now();
-    let runner = ExperimentRunner::new().with_echo("pareto_explore");
-    let detailed = runner
-        .run_synthetic_jobs_detailed(experiment, jobs, None)
-        .map_err(|e| format!("simulation failed: {e}"))?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let results = detailed
-        .into_iter()
-        .map(|(m, d)| (m, d.cache_hit, d.duration.as_secs_f64() * 1e3))
-        .collect();
-    Ok((results, 0, wall_ms))
-}
-
 fn main() {
     let args = parse_args().unwrap_or_else(|e| exit_usage("pareto_explore", e));
     let jobs = build_jobs(&args);
@@ -234,39 +199,30 @@ fn main() {
         args.loads.len()
     );
 
-    let outcome = match &args.service {
-        Some(socket) => evaluate_service(socket, &jobs),
-        None => {
-            let experiment = if args.quick {
-                Experiment::quick()
-            } else {
-                Experiment::paper()
-            };
-            evaluate_local(&experiment, &jobs)
-        }
+    let experiment = if args.quick {
+        Experiment::quick()
+    } else {
+        Experiment::paper()
     };
-    let (results, cache_hits, wall_ms) = match outcome {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-
+    let harness = FigureHarness::configured(None, None, args.service.as_deref());
+    let batch = harness.run(&experiment, &jobs).unwrap_or_else(|e| {
+        eprintln!("evaluation failed: {e}");
+        std::process::exit(1);
+    });
+    let summary = batch.summary;
     let mut cands: Vec<Candidate> = jobs
         .iter()
-        .zip(results)
-        .map(|(job, (metrics, cache_hit, duration_ms))| Candidate {
+        .zip(batch.metrics.into_iter().zip(batch.points))
+        .map(|(job, (metrics, point))| Candidate {
             job: *job,
             metrics,
-            cache_hit,
-            duration_ms,
+            point,
             on_front: false,
         })
         .collect();
     mark_front(&mut cands);
 
-    if let Err(e) = write_outputs(&args, &cands, cache_hits, wall_ms) {
+    if let Err(e) = write_outputs(&args, &cands, &summary) {
         eprintln!("cannot write {}: {e}", args.out.display());
         std::process::exit(1);
     }
@@ -281,8 +237,8 @@ fn main() {
         cands.len(),
         via,
         cands.iter().filter(|c| c.on_front).count(),
-        cache_hits,
-        wall_ms,
+        summary.cache_hits,
+        summary.wall_ms,
         args.out.display()
     );
 }
@@ -308,17 +264,12 @@ fn print_front(cands: &[Candidate]) {
             c.energy_per_flit(),
             c.aggregate_throughput(),
             c.edp(),
-            if c.cache_hit { "yes" } else { "no" }
+            if c.point.cache_hit { "yes" } else { "no" }
         );
     }
 }
 
-fn write_outputs(
-    args: &Args,
-    cands: &[Candidate],
-    cache_hits: u64,
-    wall_ms: f64,
-) -> std::io::Result<()> {
+fn write_outputs(args: &Args, cands: &[Candidate], summary: &BatchSummary) -> std::io::Result<()> {
     std::fs::create_dir_all(&args.out)?;
 
     let mut csv = std::fs::File::create(args.out.join("pareto.csv"))?;
@@ -345,19 +296,14 @@ fn write_outputs(
             u8::from(c.metrics.saturated),
             c.edp(),
             u8::from(c.on_front),
-            u8::from(c.cache_hit),
+            u8::from(c.point.cache_hit),
         )?;
     }
 
+    // The manifest's points carry the Pareto metrics beside the wire's.
     let points: Vec<ManifestPoint> = cands
         .iter()
-        .enumerate()
-        .map(|(index, c)| ManifestPoint {
-            index,
-            seed: c.job.seed,
-            config_hash: c.job.cache_key(),
-            cache_hit: c.cache_hit,
-            duration_ms: c.duration_ms,
+        .map(|c| ManifestPoint {
             metrics: vec![
                 ("avg_packet_latency".into(), c.metrics.avg_packet_latency),
                 ("avg_network_latency".into(), c.metrics.avg_network_latency),
@@ -369,17 +315,18 @@ fn write_outputs(
                 ("edp".into(), c.edp()),
                 ("on_front".into(), f64::from(u8::from(c.on_front))),
             ],
+            ..c.point.clone()
         })
         .collect();
     let manifest = RunManifest {
         figure: "pareto_explore".to_string(),
-        config_hash: RunManifest::combine_hashes(cands.iter().map(|c| c.job.cache_key())),
+        config_hash: summary.config_hash,
         workers: std::thread::available_parallelism().map_or(1, usize::from),
         base_seed: args.seed,
         seed_schedule: cands.iter().map(|c| c.job.seed).collect(),
-        wall_ms,
-        cache_hits,
-        cache_misses: cands.len() as u64 - cache_hits.min(cands.len() as u64),
+        wall_ms: summary.wall_ms,
+        cache_hits: summary.cache_hits,
+        cache_misses: summary.cache_misses,
         points,
         faults: Vec::new(),
     };

@@ -110,7 +110,7 @@ fn main() {
             })
         })
         .collect();
-    let metrics = harness.run(&e, &jobs).expect("scale-study points");
+    let metrics = harness.run(&e, &jobs).expect("scale-study points").metrics;
     let mut rows = Vec::new();
     for (level, chunk) in levels.iter().zip(metrics.chunks(2)) {
         let (ns, full) = (chunk[0], chunk[1]);

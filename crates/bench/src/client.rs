@@ -4,10 +4,12 @@
 //! `UnixStream` to a daemon's socket, a child process's stdio, or in-memory
 //! buffers in tests — and turns one `submit` request into a validated
 //! [`BatchResult`]: metrics in job order, the daemon's per-point manifest
-//! records, and the end-of-batch summary. The client *checks* the
-//! contract's ordering guarantee (point events must arrive in strict index
-//! order) rather than re-sorting, so a misbehaving server is an error, not
-//! silently repaired data.
+//! records, and the end-of-batch summary. Every reader of a batch stream
+//! — [`ServiceClient::submit`], [`FleetClient::submit`] and the fleet's
+//! per-shard driver — goes through one `BatchCheck`, which *checks* the
+//! contract (ids, counts, strict index order, `done` last) rather than
+//! repairing it, so a misbehaving server is an error, not silently
+//! repaired data.
 
 use std::io::{BufRead, Write};
 
@@ -40,7 +42,7 @@ pub enum ServiceClientError {
     /// The server reported one or more failed points; the batch's
     /// metrics are incomplete.
     PointsFailed(Vec<(usize, String)>),
-    /// The server sent an `error` event for this request.
+    /// The server refused the request with an id-less `error` event.
     Server(String),
 }
 
@@ -86,6 +88,9 @@ pub struct BatchResult {
     pub points: Vec<ManifestPoint>,
     /// The batch's `done` summary.
     pub summary: BatchSummary,
+    /// Advisory `error` messages the server sent for this batch before
+    /// `done` (a failed cache append, say); the batch itself completed.
+    pub notes: Vec<String>,
 }
 
 /// A JSONL connection to a `noc-serve` daemon.
@@ -127,20 +132,30 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
         }
     }
 
+    /// Sends `req` and reads one answer, which `pick` accepts or hands
+    /// back as the wrong event.
+    fn call<T>(
+        &mut self,
+        req: &ServiceRequest,
+        expected: &str,
+        pick: impl FnOnce(ServiceResponse) -> Result<T, Box<ServiceResponse>>,
+    ) -> Result<T, ServiceClientError> {
+        self.send(req)?;
+        pick(self.read_event()?).map_err(|other| {
+            ServiceClientError::Protocol(format!(
+                "expected {expected}, got {}",
+                other.to_json_line()
+            ))
+        })
+    }
+
     /// Round-trips a `ping`.
     ///
     /// # Errors
     ///
     /// Transport failure, or anything but `pong` coming back.
     pub fn ping(&mut self) -> Result<(), ServiceClientError> {
-        self.send(&ServiceRequest::Ping)?;
-        match self.read_event()? {
-            ServiceResponse::Pong { .. } => Ok(()),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected pong, got {}",
-                other.to_json_line()
-            ))),
-        }
+        self.ping_identity().map(|_| ())
     }
 
     /// Round-trips a `ping` and returns the daemon's identity:
@@ -150,18 +165,14 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
     ///
     /// Transport failure, or anything but `pong` coming back.
     pub fn ping_identity(&mut self) -> Result<(String, String, f64), ServiceClientError> {
-        self.send(&ServiceRequest::Ping)?;
-        match self.read_event()? {
+        self.call(&ServiceRequest::Ping, "pong", |ev| match ev {
             ServiceResponse::Pong {
                 uptime_ms,
                 code_version,
                 engine,
             } => Ok((engine, code_version, uptime_ms)),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected pong, got {}",
-                other.to_json_line()
-            ))),
-        }
+            other => Err(Box::new(other)),
+        })
     }
 
     /// Requests a live-metrics snapshot (`stats` verb).
@@ -170,14 +181,10 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
     ///
     /// Transport failure, or anything but `stats` coming back.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServiceClientError> {
-        self.send(&ServiceRequest::Stats)?;
-        match self.read_event()? {
+        self.call(&ServiceRequest::Stats, "stats", |ev| match ev {
             ServiceResponse::Stats { snapshot } => Ok(snapshot),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected stats, got {}",
-                other.to_json_line()
-            ))),
-        }
+            other => Err(Box::new(other)),
+        })
     }
 
     /// Asks the daemon to exit cleanly (no response is read).
@@ -199,163 +206,223 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
     ///
     /// Transport failure, or anything but `cancelled` coming back.
     pub fn cancel(&mut self, id: &str) -> Result<bool, ServiceClientError> {
-        self.send(&ServiceRequest::Cancel { id: id.to_string() })?;
-        match self.read_event()? {
+        let req = ServiceRequest::Cancel { id: id.to_string() };
+        self.call(&req, "cancelled", |ev| match ev {
             ServiceResponse::Cancelled { active, .. } => Ok(active),
-            other => Err(ServiceClientError::Protocol(format!(
-                "expected cancelled, got {}",
-                other.to_json_line()
-            ))),
-        }
+            other => Err(Box::new(other)),
+        })
     }
 
-    /// Submits one batch at priority 0; see
-    /// [`ServiceClient::submit_with_priority`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceClientError`]; `PointsFailed` carries the per-point
-    /// errors when the batch completed but some points failed.
-    pub fn submit(
-        &mut self,
-        label: &str,
-        jobs: &[SyntheticJob],
-    ) -> Result<BatchResult, ServiceClientError> {
-        self.submit_with_priority(label, jobs, 0)
-    }
-
-    /// Submits one batch and consumes its event stream through `done`,
-    /// validating the contract along the way: every event must echo this
-    /// request's id, `point` events must arrive in strict index order, and
-    /// the final metric vector must cover every job.
+    /// Submits one batch at priority 0 and reads its event stream through
+    /// `done`, checking every event against the wire contract.
     ///
     /// # Errors
     ///
     /// See [`ServiceClientError`]; `Busy` when the server rejected the
     /// batch under backpressure, `PointsFailed` with the per-point errors
     /// when the batch completed but some points failed.
-    pub fn submit_with_priority(
+    pub fn submit(
         &mut self,
         label: &str,
         jobs: &[SyntheticJob],
-        priority: i64,
     ) -> Result<BatchResult, ServiceClientError> {
-        let id = format!("req-{}", self.next_id);
+        let req = submit_request(format!("req-{}", self.next_id), label, jobs);
         self.next_id += 1;
-        self.send(&ServiceRequest::Submit(SubmitRequest {
-            id: id.clone(),
-            label: label.to_string(),
-            priority,
-            jobs: jobs.to_vec(),
-        }))?;
-        let mut points: Vec<ManifestPoint> = Vec::with_capacity(jobs.len());
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        let mut accepted = false;
-        loop {
-            let ev = self.read_event()?;
-            let check_id = |got: &str| -> Result<(), ServiceClientError> {
-                if got == id {
-                    Ok(())
-                } else {
-                    Err(ServiceClientError::Protocol(format!(
-                        "event for request {got:?} while awaiting {id:?}"
-                    )))
-                }
-            };
-            match ev {
-                ServiceResponse::Accepted { id: got, points } => {
-                    check_id(&got)?;
-                    if points != jobs.len() {
-                        return Err(ServiceClientError::Protocol(format!(
-                            "accepted {points} points for a {}-job batch",
-                            jobs.len()
-                        )));
-                    }
-                    accepted = true;
-                }
-                ServiceResponse::Progress { id: got, .. } => check_id(&got)?,
-                ServiceResponse::Point { id: got, point } => {
-                    check_id(&got)?;
-                    let expected = points.len() + failed.len();
-                    if point.index != expected {
-                        return Err(ServiceClientError::Protocol(format!(
-                            "point index {} out of order (expected {expected})",
-                            point.index
-                        )));
-                    }
-                    points.push(point);
-                }
-                ServiceResponse::PointFailed {
-                    id: got,
-                    index,
-                    error,
-                    ..
-                } => {
-                    check_id(&got)?;
-                    let expected = points.len() + failed.len();
-                    if index != expected {
-                        return Err(ServiceClientError::Protocol(format!(
-                            "point_failed index {index} out of order (expected {expected})"
-                        )));
-                    }
-                    failed.push((index, error));
-                }
-                ServiceResponse::Done { id: got, summary } => {
-                    check_id(&got)?;
-                    if !accepted {
-                        return Err(ServiceClientError::Protocol(
-                            "done before accepted".to_string(),
-                        ));
-                    }
-                    if !failed.is_empty() {
-                        return Err(ServiceClientError::PointsFailed(failed));
-                    }
-                    if points.len() != jobs.len() {
-                        return Err(ServiceClientError::Protocol(format!(
-                            "batch closed with {} of {} points",
-                            points.len(),
-                            jobs.len()
-                        )));
-                    }
-                    let metrics = points
-                        .iter()
-                        .map(|p| metrics_from_pairs(&p.metrics))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(ServiceClientError::Protocol)?;
-                    return Ok(BatchResult {
-                        metrics,
-                        points,
-                        summary,
-                    });
-                }
-                ServiceResponse::Busy {
-                    id: got,
-                    pending,
-                    limit,
-                } => {
-                    check_id(&got)?;
-                    return Err(ServiceClientError::Busy { pending, limit });
-                }
-                ServiceResponse::Cancelled { .. } => {
-                    return Err(ServiceClientError::Protocol(
-                        "unsolicited cancelled mid-batch".to_string(),
-                    ))
-                }
-                ServiceResponse::Pong { .. } => {
-                    return Err(ServiceClientError::Protocol(
-                        "unsolicited pong mid-batch".to_string(),
-                    ))
-                }
-                ServiceResponse::Stats { .. } => {
-                    return Err(ServiceClientError::Protocol(
-                        "unsolicited stats mid-batch".to_string(),
-                    ))
-                }
-                ServiceResponse::Error { message, .. } => {
-                    return Err(ServiceClientError::Server(message))
-                }
-            }
+        let mut batch = Collect::new(&req.id, jobs.len());
+        self.send(&ServiceRequest::Submit(req))?;
+        while !batch.check.is_done() {
+            batch.push(self.read_event()?)?;
         }
+        batch.finish()
+    }
+}
+
+fn submit_request(id: String, label: &str, jobs: &[SyntheticJob]) -> SubmitRequest {
+    SubmitRequest {
+        id,
+        label: label.to_string(),
+        priority: 0,
+        jobs: jobs.to_vec(),
+    }
+}
+
+/// The wire contract of one batch's event stream, checked one event at a
+/// time so a reader can act on each event as it arrives. It keeps no
+/// points; the caller keeps what it needs.
+///
+/// Rules: every event echoes the batch id; `accepted` comes first and
+/// counts every job; `point` and `point_failed` indices run 0, 1, 2, …
+/// inside the batch; `done` comes after every point and ends the stream;
+/// `busy` ends it too. An `error` carrying the batch id is advisory (the
+/// daemon could not persist the batch, say) and reading goes on to
+/// `done`; an `error` without an id is the server refusing the request.
+/// `pong`, `stats` and `cancelled` do not belong in a batch.
+#[derive(Debug)]
+struct BatchCheck {
+    id: String,
+    jobs: usize,
+    accepted: bool,
+    delivered: usize,
+    done: bool,
+}
+
+impl BatchCheck {
+    /// A checker for batch `id` of `jobs` jobs.
+    fn new(id: &str, jobs: usize) -> Self {
+        BatchCheck {
+            id: id.to_string(),
+            jobs,
+            accepted: false,
+            delivered: 0,
+            done: false,
+        }
+    }
+
+    /// Points (ok or failed) checked so far.
+    fn delivered(&self) -> usize {
+        self.delivered
+    }
+
+    /// Whether `done` has been checked.
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Checks the stream's next event.
+    ///
+    /// # Errors
+    ///
+    /// `Busy` for a `busy` event, `Server` for an id-less `error`, and
+    /// `Protocol` for any event the contract does not allow here. Each
+    /// ends the batch.
+    fn on_event(&mut self, ev: &ServiceResponse) -> Result<(), ServiceClientError> {
+        use ServiceResponse as R;
+        let protocol = |m: String| Err(ServiceClientError::Protocol(m));
+        let id = match ev {
+            R::Accepted { id, .. }
+            | R::Progress { id, .. }
+            | R::Point { id, .. }
+            | R::PointFailed { id, .. }
+            | R::Done { id, .. }
+            | R::Busy { id, .. }
+            | R::Error { id: Some(id), .. } => id,
+            R::Error { id: None, message } => {
+                return Err(ServiceClientError::Server(message.clone()))
+            }
+            R::Cancelled { .. } | R::Pong { .. } | R::Stats { .. } => {
+                return protocol(format!("unsolicited {} mid-batch", ev.to_json_line()))
+            }
+        };
+        if *id != self.id {
+            return protocol(format!(
+                "event for request {id:?} while awaiting {:?}",
+                self.id
+            ));
+        }
+        if self.done {
+            return protocol(format!("{} after done", ev.to_json_line()));
+        }
+        match ev {
+            R::Busy { pending, limit, .. } => {
+                return Err(ServiceClientError::Busy {
+                    pending: *pending,
+                    limit: *limit,
+                })
+            }
+            R::Error { .. } => {}
+            R::Accepted { points, .. } if !self.accepted && *points == self.jobs => {
+                self.accepted = true;
+            }
+            R::Accepted { points, .. } => {
+                return protocol(format!(
+                    "accepted {points} points for a {}-job batch",
+                    self.jobs
+                ))
+            }
+            _ if !self.accepted => {
+                return protocol(format!("{} before accepted", ev.to_json_line()))
+            }
+            R::Point { point, .. } => self.advance("point", point.index)?,
+            R::PointFailed { index, .. } => self.advance("point_failed", *index)?,
+            R::Done { .. } if self.delivered == self.jobs => self.done = true,
+            R::Done { .. } => {
+                return protocol(format!(
+                    "batch closed with {} of {} points",
+                    self.delivered, self.jobs
+                ))
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn advance(&mut self, what: &str, index: usize) -> Result<(), ServiceClientError> {
+        if index >= self.jobs {
+            return Err(ServiceClientError::Protocol(format!(
+                "{what} index {index} outside a {}-job batch",
+                self.jobs
+            )));
+        }
+        if index != self.delivered {
+            return Err(ServiceClientError::Protocol(format!(
+                "{what} index {index} out of order (expected {})",
+                self.delivered
+            )));
+        }
+        self.delivered += 1;
+        Ok(())
+    }
+}
+
+/// One batch's checked event stream, collected into a [`BatchResult`].
+struct Collect {
+    check: BatchCheck,
+    points: Vec<ManifestPoint>,
+    failed: Vec<(usize, String)>,
+    notes: Vec<String>,
+    summary: Option<BatchSummary>,
+}
+
+impl Collect {
+    fn new(id: &str, jobs: usize) -> Self {
+        Collect {
+            check: BatchCheck::new(id, jobs),
+            points: Vec::with_capacity(jobs),
+            failed: Vec::new(),
+            notes: Vec::new(),
+            summary: None,
+        }
+    }
+
+    fn push(&mut self, ev: ServiceResponse) -> Result<(), ServiceClientError> {
+        self.check.on_event(&ev)?;
+        match ev {
+            ServiceResponse::Point { point, .. } => self.points.push(point),
+            ServiceResponse::PointFailed { index, error, .. } => self.failed.push((index, error)),
+            ServiceResponse::Error { message, .. } => self.notes.push(message),
+            ServiceResponse::Done { summary, .. } => self.summary = Some(summary),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<BatchResult, ServiceClientError> {
+        let summary = self.summary.ok_or(ServiceClientError::ConnectionClosed)?;
+        if !self.failed.is_empty() {
+            return Err(ServiceClientError::PointsFailed(self.failed));
+        }
+        let metrics = self
+            .points
+            .iter()
+            .map(|p| metrics_from_pairs(&p.metrics))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ServiceClientError::Protocol)?;
+        Ok(BatchResult {
+            metrics,
+            points: self.points,
+            summary,
+            notes: self.notes,
+        })
     }
 }
 
@@ -410,14 +477,11 @@ mod fleet_client {
             pending: usize,
             limit: usize,
         },
-        /// One point event, already translated to its original job index.
-        Point { point: ManifestPoint },
-        /// One failed point, translated to its original job index.
-        Failed {
+        /// One `point` or `point_failed` event, already carrying the fleet
+        /// batch's id and the original job index.
+        Point {
             index: usize,
-            config_hash: u64,
-            seed: u64,
-            error: String,
+            event: ServiceResponse,
         },
         /// The shard's sub-batch completed with this summary.
         Done { summary: BatchSummary },
@@ -429,16 +493,6 @@ mod fleet_client {
             shard: usize,
             delivered: usize,
             message: String,
-        },
-    }
-
-    /// What the reorder buffer holds for each original job index.
-    enum Outcome {
-        Point(ManifestPoint),
-        Failed {
-            config_hash: u64,
-            seed: u64,
-            error: String,
         },
     }
 
@@ -489,27 +543,13 @@ mod fleet_client {
             self.sockets.len()
         }
 
-        /// The shard socket paths, in shard order.
-        pub fn sockets(&self) -> &[PathBuf] {
-            &self.sockets
-        }
-
         /// Pings every shard; succeeds only if all answer.
         ///
         /// # Errors
         ///
         /// The first shard that cannot be reached or misanswers.
         pub fn ping(&self) -> Result<(), ServiceClientError> {
-            for socket in &self.sockets {
-                connect_unix(socket)?.ping()?;
-            }
-            Ok(())
-        }
-
-        /// Milliseconds since this coordinator (or its first clone
-        /// ancestor) was constructed.
-        pub fn uptime_ms(&self) -> f64 {
-            self.metrics.started.elapsed().as_secs_f64() * 1e3
+            self.ping_identity().map(|_| ())
         }
 
         /// Pings every shard and returns the fleet's identity for a
@@ -528,7 +568,7 @@ mod fleet_client {
                     version = v;
                 }
             }
-            Ok((version, self.uptime_ms()))
+            Ok((version, self.metrics.started.elapsed().as_secs_f64() * 1e3))
         }
 
         /// Polls every shard's `stats` and aggregates: counters and gauges
@@ -549,32 +589,31 @@ mod fleet_client {
                 let polled = connect_unix(socket)
                     .map_err(ServiceClientError::from)
                     .and_then(|mut c| c.stats());
-                match polled {
-                    Ok(s) => {
-                        alive += 1;
-                        if code_version.is_empty() {
-                            code_version = s.code_version.clone();
-                        }
-                        metrics.merge(&s.metrics);
-                        slow_points.extend(s.slow_points);
-                        shards.push(ShardHealth {
-                            shard,
-                            socket: socket.display().to_string(),
-                            alive: true,
-                            engine: s.engine,
-                            code_version: s.code_version,
-                            uptime_ms: s.uptime_ms,
-                        });
-                    }
-                    Err(_) => shards.push(ShardHealth {
-                        shard,
-                        socket: socket.display().to_string(),
-                        alive: false,
-                        engine: String::new(),
-                        code_version: String::new(),
-                        uptime_ms: 0.0,
-                    }),
+                let dead = ShardHealth {
+                    shard,
+                    socket: socket.display().to_string(),
+                    alive: false,
+                    engine: String::new(),
+                    code_version: String::new(),
+                    uptime_ms: 0.0,
+                };
+                let Ok(s) = polled else {
+                    shards.push(dead);
+                    continue;
+                };
+                alive += 1;
+                if code_version.is_empty() {
+                    code_version = s.code_version.clone();
                 }
+                metrics.merge(&s.metrics);
+                slow_points.extend(s.slow_points);
+                shards.push(ShardHealth {
+                    alive: true,
+                    engine: s.engine,
+                    code_version: s.code_version,
+                    uptime_ms: s.uptime_ms,
+                    ..dead
+                });
             }
             metrics.set_gauge("noc_fleet_shards", self.shards() as f64);
             metrics.set_gauge("noc_fleet_shards_alive", alive as f64);
@@ -651,10 +690,10 @@ mod fleet_client {
             let (tx, rx) = mpsc::channel::<ShardMsg>();
             let mut summaries: Vec<BatchSummary> = Vec::new();
             let mut busy: Option<(usize, usize)> = None;
-            let mut reorder: FleetReorder<Outcome> = FleetReorder::new(total);
+            let mut reorder: FleetReorder<ServiceResponse> = FleetReorder::new(total);
             // Released outcomes wait here until every shard has accepted —
             // a late `busy` must leave the upward stream untouched.
-            let mut ready: Vec<(usize, Outcome)> = Vec::new();
+            let mut ready: Vec<(usize, ServiceResponse)> = Vec::new();
             let mut notes: Vec<String> = Vec::new();
             std::thread::scope(|s| {
                 for &shard in &active {
@@ -665,25 +704,21 @@ mod fleet_client {
                     });
                 }
                 drop(tx);
-                let mut awaiting_first = active.len();
+                // Shards that have answered with `accepted`, `busy` or a loss.
+                let mut answered = vec![false; self.shards()];
                 let mut terminal = 0usize;
                 let mut accepted_emitted = false;
                 let mut completed = 0usize;
                 let mut progress_emitted = 0usize;
-                let mut first_seen = vec![false; self.shards()];
                 for msg in rx.iter() {
                     match msg {
-                        ShardMsg::Accepted { shard } => {
-                            first_seen[shard] = true;
-                            awaiting_first -= 1;
-                        }
+                        ShardMsg::Accepted { shard } => answered[shard] = true,
                         ShardMsg::Busy {
                             shard,
                             pending,
                             limit,
                         } => {
-                            first_seen[shard] = true;
-                            awaiting_first -= 1;
+                            answered[shard] = true;
                             terminal += 1;
                             if busy.is_none() {
                                 busy = Some((pending, limit));
@@ -697,26 +732,9 @@ mod fleet_client {
                                 }
                             }
                         }
-                        ShardMsg::Point { point } => {
+                        ShardMsg::Point { index, event } => {
                             completed += 1;
-                            let index = point.index;
-                            ready.extend(reorder.push(index, Outcome::Point(point)));
-                        }
-                        ShardMsg::Failed {
-                            index,
-                            config_hash,
-                            seed,
-                            error,
-                        } => {
-                            completed += 1;
-                            ready.extend(reorder.push(
-                                index,
-                                Outcome::Failed {
-                                    config_hash,
-                                    seed,
-                                    error,
-                                },
-                            ));
+                            ready.extend(reorder.push(index, event));
                         }
                         ShardMsg::Done { summary } => {
                             terminal += 1;
@@ -732,10 +750,7 @@ mod fleet_client {
                                 .registry
                                 .counter("noc_fleet_shard_loss_total")
                                 .inc();
-                            if !first_seen[shard] {
-                                first_seen[shard] = true;
-                                awaiting_first -= 1;
-                            }
+                            answered[shard] = true;
                             terminal += 1;
                             // The dead shard's undelivered points become
                             // failures; delivery is in sub-index order, so
@@ -745,7 +760,9 @@ mod fleet_client {
                                 let job = &req.jobs[orig];
                                 ready.extend(reorder.push(
                                     orig,
-                                    Outcome::Failed {
+                                    ServiceResponse::PointFailed {
+                                        id: req.id.clone(),
+                                        index: orig,
                                         config_hash: job.cache_key(),
                                         seed: job.seed,
                                         error: format!("shard {shard} lost: {message}"),
@@ -755,7 +772,7 @@ mod fleet_client {
                         }
                     }
                     if busy.is_none() {
-                        if !accepted_emitted && awaiting_first == 0 {
+                        if !accepted_emitted && active.iter().all(|&s| answered[s]) {
                             accepted_emitted = true;
                             emit(ServiceResponse::Accepted {
                                 id: req.id.clone(),
@@ -779,8 +796,8 @@ mod fleet_client {
                                     eta_ms,
                                 });
                             }
-                            for (index, outcome) in ready.drain(..) {
-                                emit(release_event(&req.id, index, outcome));
+                            for (_, event) in ready.drain(..) {
+                                emit(event);
                             }
                             for message in notes.drain(..) {
                                 emit(ServiceResponse::Error {
@@ -827,8 +844,8 @@ mod fleet_client {
             Some(summary)
         }
 
-        /// Submits one batch at priority 0 and collects it into a
-        /// [`BatchResult`], mirroring [`ServiceClient::submit`].
+        /// Submits one batch at priority 0 and collects the merged stream
+        /// through the same checks as [`ServiceClient::submit`].
         ///
         /// # Errors
         ///
@@ -840,71 +857,25 @@ mod fleet_client {
             label: &str,
             jobs: &[SyntheticJob],
         ) -> Result<BatchResult, ServiceClientError> {
-            let id = format!("fleet-{}", self.next_id);
+            let req = submit_request(format!("fleet-{}", self.next_id), label, jobs);
             self.next_id += 1;
-            let req = SubmitRequest {
-                id,
-                label: label.to_string(),
-                priority: 0,
-                jobs: jobs.to_vec(),
-            };
-            let mut points = Vec::new();
-            let mut failed = Vec::new();
-            let mut busy = None;
-            let mut summary = None;
-            self.run_submit(&req, &mut |ev| match ev {
-                ServiceResponse::Point { point, .. } => points.push(point),
-                ServiceResponse::PointFailed { index, error, .. } => failed.push((index, error)),
-                ServiceResponse::Busy { pending, limit, .. } => busy = Some((pending, limit)),
-                ServiceResponse::Done { summary: s, .. } => summary = Some(s),
-                _ => {}
+            let mut batch = Collect::new(&req.id, jobs.len());
+            let mut checked = Ok(());
+            self.run_submit(&req, &mut |ev| {
+                if checked.is_ok() {
+                    checked = batch.push(ev);
+                }
             });
-            if let Some((pending, limit)) = busy {
-                return Err(ServiceClientError::Busy { pending, limit });
-            }
-            if !failed.is_empty() {
-                return Err(ServiceClientError::PointsFailed(failed));
-            }
-            let summary = summary.ok_or_else(|| {
-                ServiceClientError::Protocol("fleet batch ended without done".to_string())
-            })?;
-            let metrics = points
-                .iter()
-                .map(|p| metrics_from_pairs(&p.metrics))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(ServiceClientError::Protocol)?;
-            Ok(BatchResult {
-                metrics,
-                points,
-                summary,
-            })
+            checked?;
+            batch.finish()
         }
     }
 
-    fn release_event(id: &str, index: usize, outcome: Outcome) -> ServiceResponse {
-        match outcome {
-            Outcome::Point(point) => ServiceResponse::Point {
-                id: id.to_string(),
-                point,
-            },
-            Outcome::Failed {
-                config_hash,
-                seed,
-                error,
-            } => ServiceResponse::PointFailed {
-                id: id.to_string(),
-                index,
-                config_hash,
-                seed,
-                error,
-            },
-        }
-    }
-
-    /// Drives one shard's sub-batch: submits it, translates the shard's
-    /// event stream to original job indices, and reports a terminal
-    /// `Done`/`Busy`/`Lost` message. Never panics the coordinator — every
-    /// failure mode degrades to `Lost`.
+    /// Drives one shard's sub-batch: submits it, checks the shard's event
+    /// stream with a [`BatchCheck`], and forwards each event as it arrives,
+    /// translated to original job indices, ending with a `Done`, `Busy` or
+    /// `Lost` message. Never panics the coordinator — every failure,
+    /// including any break of the wire contract, degrades to `Lost`.
     fn drive_shard(
         socket: &std::path::Path,
         shard: usize,
@@ -912,115 +883,82 @@ mod fleet_client {
         plan: &ShardPlan,
         tx: &mpsc::Sender<ShardMsg>,
     ) {
-        let lost = |delivered: usize, message: String| ShardMsg::Lost {
-            shard,
-            delivered,
-            message,
-        };
-        let sub_id = sub_batch_id(&req.id, shard);
-        let mut client = match connect_unix(socket) {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = tx.send(lost(0, format!("connect failed: {e}")));
-                return;
-            }
-        };
-        let submit = ServiceRequest::Submit(SubmitRequest {
-            id: sub_id.clone(),
+        let sub = SubmitRequest {
+            id: sub_batch_id(&req.id, shard),
             label: req.label.clone(),
             priority: req.priority,
             jobs: plan.sub_jobs(shard, &req.jobs),
-        });
-        if let Err(e) = client.send(&submit) {
-            let _ = tx.send(lost(0, format!("submit failed: {e}")));
-            return;
-        }
-        let mut delivered = 0usize;
+        };
+        let mut check = BatchCheck::new(&sub.id, sub.jobs.len());
+        let mut client = match connect_unix(socket) {
+            Ok(c) => c,
+            Err(e) => {
+                let _ = tx.send(ShardMsg::Lost {
+                    shard,
+                    delivered: 0,
+                    message: format!("connect failed: {e}"),
+                });
+                return;
+            }
+        };
+        let mut next = client
+            .send(&ServiceRequest::Submit(sub))
+            .and_then(|()| client.read_event());
         loop {
-            let ev = match client.read_event() {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let _ = tx.send(lost(delivered, e.to_string()));
-                    return;
+            let msg = match next.and_then(|ev| check.on_event(&ev).map(|()| ev)) {
+                Err(ServiceClientError::Busy { pending, limit }) => ShardMsg::Busy {
+                    shard,
+                    pending,
+                    limit,
+                },
+                Err(e) => ShardMsg::Lost {
+                    shard,
+                    delivered: check.delivered(),
+                    message: e.to_string(),
+                },
+                Ok(ServiceResponse::Accepted { .. }) => ShardMsg::Accepted { shard },
+                Ok(ServiceResponse::Point { mut point, .. }) => {
+                    point.index = plan.indices(shard)[point.index];
+                    let (index, id) = (point.index, req.id.clone());
+                    let event = ServiceResponse::Point { id, point };
+                    ShardMsg::Point { index, event }
                 }
-            };
-            let msg = match ev {
-                ServiceResponse::Accepted { id, .. } if id == sub_id => {
-                    ShardMsg::Accepted { shard }
-                }
-                ServiceResponse::Busy { id, pending, limit } if id == sub_id => {
-                    let _ = tx.send(ShardMsg::Busy {
-                        shard,
-                        pending,
-                        limit,
-                    });
-                    return;
-                }
-                ServiceResponse::Progress { id, .. } if id == sub_id => continue,
-                ServiceResponse::Point { id, mut point } if id == sub_id => {
-                    let Some(orig) = plan.original_index(shard, point.index) else {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point index {} outside sub-batch", point.index),
-                        ));
-                        return;
-                    };
-                    if point.index != delivered {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point index {} out of order", point.index),
-                        ));
-                        return;
-                    }
-                    delivered += 1;
-                    point.index = orig;
-                    ShardMsg::Point { point }
-                }
-                ServiceResponse::PointFailed {
-                    id,
+                Ok(ServiceResponse::PointFailed {
                     index,
                     config_hash,
                     seed,
                     error,
-                } if id == sub_id => {
-                    let Some(orig) = plan.original_index(shard, index) else {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point_failed index {index} outside sub-batch"),
-                        ));
-                        return;
-                    };
-                    if index != delivered {
-                        let _ = tx.send(lost(
-                            delivered,
-                            format!("point_failed index {index} out of order"),
-                        ));
-                        return;
-                    }
-                    delivered += 1;
-                    ShardMsg::Failed {
-                        index: orig,
+                    ..
+                }) => {
+                    let index = plan.indices(shard)[index];
+                    let event = ServiceResponse::PointFailed {
+                        id: req.id.clone(),
+                        index,
                         config_hash,
                         seed,
                         error,
-                    }
+                    };
+                    ShardMsg::Point { index, event }
                 }
-                ServiceResponse::Done { id, summary } if id == sub_id => {
-                    let _ = tx.send(ShardMsg::Done { summary });
-                    return;
-                }
-                ServiceResponse::Error { message, .. } => ShardMsg::Note {
+                Ok(ServiceResponse::Done { summary, .. }) => ShardMsg::Done { summary },
+                Ok(ServiceResponse::Error { message, .. }) => ShardMsg::Note {
                     message: format!("shard {shard}: {message}"),
                 },
-                other => {
-                    let _ = tx.send(lost(
-                        delivered,
-                        format!("unexpected event {}", other.to_json_line()),
-                    ));
-                    return;
+                Ok(_) => {
+                    // `progress`: the coordinator reports its own.
+                    next = client.read_event();
+                    continue;
                 }
             };
+            let last = matches!(
+                msg,
+                ShardMsg::Busy { .. } | ShardMsg::Lost { .. } | ShardMsg::Done { .. }
+            );
             let _ = tx.send(msg);
+            if last {
+                return;
+            }
+            next = client.read_event();
         }
     }
 }
@@ -1120,6 +1058,98 @@ mod tests {
         match client.submit("bad", &jobs()) {
             Err(ServiceClientError::Protocol(m)) => assert!(m.contains("out of order"), "{m}"),
             other => panic!("expected protocol error, got {other:?}"),
+        }
+    }
+
+    /// Wire lines of one well-formed two-point batch `id`, with `extra`
+    /// lines just before its `done`.
+    fn batch_lines(id: &str, extra: &[String]) -> Vec<String> {
+        let point = |i| {
+            format!(
+                r#"{{"type":"point","id":"{id}","index":{i},"seed":"0x2","config_hash":"0x2","cache_hit":false,"duration_ms":1,"metrics":{{"avg_packet_latency":1,"avg_network_latency":1,"network_power":1,"accepted_throughput":1,"saturated":0}}}}"#
+            )
+        };
+        let done = ServiceResponse::Done {
+            id: id.to_string(),
+            summary: BatchSummary {
+                points: 2,
+                ok: 2,
+                failed: 0,
+                cancelled: 0,
+                cache_hits: 0,
+                cache_misses: 2,
+                config_hash: 0,
+                wall_ms: 1.0,
+            },
+        };
+        let mut lines = vec![format!(r#"{{"type":"accepted","id":"{id}","points":2}}"#)];
+        lines.extend([point(0), point(1)]);
+        lines.extend_from_slice(extra);
+        lines.push(done.to_json_line());
+        lines
+    }
+
+    /// An `error` carrying the batch id (the daemon's failed cache append)
+    /// is advisory: the batch completes with the message surfaced, and the
+    /// next batch on the same connection reads cleanly.
+    #[test]
+    fn advisory_error_reads_through_to_done() {
+        let note = r#"{"type":"error","id":"req-0","message":"cache persist failed: disk full"}"#;
+        let mut lines = batch_lines("req-0", &[note.to_string()]);
+        lines.extend(batch_lines("req-1", &[]));
+        let stream = lines.join("\n");
+        let mut client = ServiceClient::over(stream.as_bytes(), std::io::sink());
+        let first = client
+            .submit("a", &jobs())
+            .expect("advisory error is not fatal");
+        assert_eq!(first.notes, ["cache persist failed: disk full"]);
+        assert_eq!(first.metrics.len(), 2);
+        let second = client
+            .submit("b", &jobs())
+            .expect("connection still in step");
+        assert!(second.notes.is_empty());
+    }
+
+    /// The checker's fatal cases, one event stream each.
+    #[test]
+    fn batch_check_rejects_contract_breaks() {
+        let accepted = r#"{"type":"accepted","id":"b","points":2}"#;
+        let cases: [(&[&str], &str); 6] = [
+            (
+                &[r#"{"type":"error","message":"bad request: x"}"#],
+                "service error: bad request: x",
+            ),
+            (
+                &[r#"{"type":"accepted","id":"b","points":3}"#],
+                "accepted 3 points for a 2-job",
+            ),
+            (
+                &[r#"{"type":"accepted","id":"c","points":2}"#],
+                "while awaiting \"b\"",
+            ),
+            (
+                &[
+                    r#"{"type":"done","id":"b","points":0,"ok":0,"failed":0,"cancelled":0,"cache_hits":0,"cache_misses":0,"config_hash":"0x0","wall_ms":0}"#,
+                ],
+                "before accepted",
+            ),
+            (&[accepted, r#"{"type":"pong"}"#], "unsolicited"),
+            (
+                &[
+                    accepted,
+                    r#"{"type":"busy","id":"b","pending":1,"limit":1}"#,
+                ],
+                "service busy",
+            ),
+        ];
+        for (events, expected) in cases {
+            let mut check = BatchCheck::new("b", 2);
+            let err = events
+                .iter()
+                .map(|l| check.on_event(&ServiceResponse::from_json_line(l).unwrap()))
+                .find_map(Result::err)
+                .unwrap_or_else(|| panic!("{events:?} passed"));
+            assert!(err.to_string().contains(expected), "{events:?}: {err}");
         }
     }
 

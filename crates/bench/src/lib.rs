@@ -4,8 +4,9 @@
 //! paper's evaluation artifacts; `all_figures` runs everything and is used
 //! to refresh EXPERIMENTS.md. The helpers here keep the output format
 //! uniform (markdown tables, percent deltas) across binaries, and
-//! [`FigureHarness`] gives every binary the same parallel, cached,
-//! deterministic execution path over the `ExperimentRunner`.
+//! [`FigureHarness`] gives every binary that runs `SyntheticJob` batches
+//! the same parallel, cached, deterministic execution path — in-process
+//! over the `ExperimentRunner`, or through a `noc-serve` socket.
 
 #![warn(missing_docs)]
 
@@ -20,11 +21,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use client::BatchResult;
 use flags::{exit_usage, Flags};
 use noc_sim::error::SimError;
+use noc_sim::probe::Probe;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
 use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticJob};
-use noc_sprinting::service::metric_pairs;
+use noc_sprinting::service::{metric_pairs, BatchSummary};
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
 
 /// Worker-count override for the figure binaries: `NOC_BENCH_WORKERS=1`
@@ -95,37 +98,38 @@ pub fn progress_from_env() -> bool {
 }
 
 /// Telemetry state accumulated across a harness's batches.
-#[derive(Debug)]
 struct Telemetry {
     dir: PathBuf,
     spans: Arc<SpanRecorder>,
     points: Mutex<Vec<ManifestPoint>>,
 }
 
-/// A `ServiceClient` with its transport erased, so the harness does not
-/// care whether it talks to a socket, a pipe, or a test buffer.
+/// A `ServiceClient` with its transport erased.
 type BoxedClient =
     client::ServiceClient<Box<dyn std::io::BufRead + Send>, Box<dyn std::io::Write + Send>>;
 
-/// Remote-execution state when the harness submits through `noc-serve`.
+/// The `noc-serve` (or `noc-fleet`) socket the harness submits to.
 struct Remote {
     socket: PathBuf,
     client: Mutex<BoxedClient>,
-    /// `(points, cache hits)` as reported by the daemon's point stream.
-    stats: Mutex<(u64, u64)>,
 }
 
-impl std::fmt::Debug for Remote {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Remote")
-            .field("socket", &self.socket)
-            .finish_non_exhaustive()
-    }
-}
+/// Stands in for "no probe" in the harness's one batch path.
+enum NoProbe {}
 
-/// The execution context shared by the figure/ablation binaries: a
-/// deterministic parallel [`ExperimentRunner`] plus a [`ResultCache`] so a
-/// point that several tables share is simulated once.
+impl Probe for NoProbe {}
+
+/// A probe factory, as the harness's batch path takes it.
+type MakeProbe<'a, P> = &'a (dyn Fn(usize) -> P + Sync);
+
+/// The one execution path of the bench binaries that run
+/// [`SyntheticJob`] batches: a deterministic parallel [`ExperimentRunner`]
+/// plus a [`ResultCache`] so a point that several tables share is
+/// simulated once — or, with a `noc-serve` socket configured (`--service
+/// <path>` / `NOC_SERVE_SOCKET`), the daemon or fleet behind it, whose
+/// persistent cache makes repeated runs skip already-simulated points.
+/// Either way a batch comes back as the same [`BatchResult`], bit-identical
+/// metrics included. See `SERVICE.md` for the wire contract.
 ///
 /// Results are bit-identical at any worker count — per-point seeds are
 /// derived from configuration, never from execution order.
@@ -136,19 +140,15 @@ impl std::fmt::Debug for Remote {
 /// [`FigureHarness::finish`] writes `<dir>/<figure>.manifest.jsonl` plus
 /// `<dir>/<figure>.trace.json` (Chrome Trace Event Format). Telemetry only
 /// *observes* the run — results are byte-identical with it on or off.
-///
-/// With a `noc-serve` socket configured (`--service <path>` /
-/// `NOC_SERVE_SOCKET`), batches are submitted to the daemon instead of
-/// simulated in-process; the daemon's persistent cache then makes repeated
-/// figure runs skip already-simulated points bit-identically. See
-/// `SERVICE.md` for the wire contract.
-#[derive(Debug)]
 pub struct FigureHarness {
+    label: String,
     runner: ExperimentRunner,
     cache: ResultCache<NetworkMetrics>,
     started: Instant,
     telemetry: Option<Telemetry>,
     remote: Option<Remote>,
+    /// `(points, cache hits)` over every batch, wherever it ran.
+    tally: Mutex<(u64, u64)>,
 }
 
 impl Default for FigureHarness {
@@ -160,47 +160,83 @@ impl Default for FigureHarness {
 impl FigureHarness {
     /// A harness honoring the `NOC_BENCH_WORKERS`, `NOC_BENCH_TELEMETRY`
     /// (or `--telemetry <dir>`), `NOC_BENCH_PROGRESS` and `--service
-    /// <path>` / `NOC_SERVE_SOCKET` overrides. A configured service socket
-    /// that cannot be dialed aborts the process with a diagnostic — a
-    /// silent fall-back to local execution would defeat the cache the user
-    /// asked for.
+    /// <path>` / `NOC_SERVE_SOCKET` overrides; see
+    /// [`FigureHarness::configured`].
     pub fn new() -> Self {
         // The binary owns argv: read only this harness's flags from it.
         let mut flags = Flags::from_env();
         let usage = |e| -> Option<PathBuf> { exit_usage("error", e) };
         let telemetry = telemetry_dir_from_env(&mut flags).unwrap_or_else(usage);
-        let mut harness = Self::with_telemetry_dir(telemetry);
-        if progress_from_env() {
-            // Label progress lines with the binary name (e.g. "fig11").
-            let label = std::env::args()
-                .next()
-                .as_deref()
-                .and_then(|a| Path::new(a).file_stem()?.to_str().map(String::from))
-                .unwrap_or_else(|| "progress".to_string());
-            harness.runner = harness.runner.with_echo(label);
-        }
-        if let Some(socket) = service_socket_from_env(&mut flags).unwrap_or_else(usage) {
-            harness = harness.connect_service(&socket).unwrap_or_else(|e| {
-                eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
-                std::process::exit(2);
-            });
-        }
-        harness
+        let service = service_socket_from_env(&mut flags).unwrap_or_else(usage);
+        Self::configured(None, telemetry, service.as_deref())
     }
 
-    /// Routes this harness's batches to the `noc-serve` daemon listening
-    /// on the Unix socket at `socket` (see `SERVICE.md`).
+    /// A harness from values the binary parsed itself: `workers` (else
+    /// `NOC_BENCH_WORKERS`, else one per hardware thread), the telemetry
+    /// directory and the service socket. Progress lines follow
+    /// `NOC_BENCH_PROGRESS`, labelled with the binary's name. A service
+    /// socket that cannot be dialed exits the process with status 2 — a
+    /// silent fall-back to local execution would defeat the cache the user
+    /// asked for.
+    pub fn configured(
+        workers: Option<usize>,
+        telemetry: Option<PathBuf>,
+        service: Option<&Path>,
+    ) -> Self {
+        let label = std::env::args()
+            .next()
+            .as_deref()
+            .and_then(|a| Path::new(a).file_stem()?.to_str().map(String::from))
+            .unwrap_or_else(|| "bench".to_string());
+        let mut runner = match workers.or_else(workers_from_env) {
+            Some(w) => ExperimentRunner::with_workers(w),
+            None => ExperimentRunner::new(),
+        };
+        if progress_from_env() {
+            runner = runner.with_echo(label.clone());
+        }
+        let telemetry = telemetry.map(|dir| Telemetry {
+            dir,
+            spans: Arc::new(SpanRecorder::new()),
+            points: Mutex::default(),
+        });
+        if let Some(t) = &telemetry {
+            runner = runner.with_span_recorder(Arc::clone(&t.spans));
+        }
+        let harness = FigureHarness {
+            label,
+            runner,
+            cache: ResultCache::new(),
+            started: Instant::now(),
+            telemetry,
+            remote: None,
+            tally: Mutex::default(),
+        };
+        match service {
+            None => harness,
+            Some(socket) => harness.connect_service(socket).unwrap_or_else(|e| {
+                eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
+                std::process::exit(2);
+            }),
+        }
+    }
+
+    /// Routes this harness's batches to the `noc-serve` daemon (or
+    /// `noc-fleet` coordinator) listening on the Unix socket at `socket`.
     ///
     /// # Errors
     ///
     /// Socket connection failure.
     #[cfg(unix)]
-    pub fn connect_service(self, socket: &Path) -> std::io::Result<Self> {
+    pub fn connect_service(mut self, socket: &Path) -> std::io::Result<Self> {
         let stream = std::os::unix::net::UnixStream::connect(socket)?;
         let reader: Box<dyn std::io::BufRead + Send> =
             Box::new(std::io::BufReader::new(stream.try_clone()?));
-        let writer: Box<dyn std::io::Write + Send> = Box::new(stream);
-        Ok(self.with_service_transport(socket.to_path_buf(), reader, writer))
+        self.remote = Some(Remote {
+            socket: socket.to_path_buf(),
+            client: Mutex::new(client::ServiceClient::over(reader, Box::new(stream))),
+        });
+        Ok(self)
     }
 
     /// Unix-socket service mode is unavailable on this platform.
@@ -217,179 +253,183 @@ impl FigureHarness {
         ))
     }
 
-    /// Routes this harness's batches through an already-open service
-    /// transport (any `BufRead`/`Write` pair speaking the `SERVICE.md`
-    /// protocol — a socket, a child daemon's stdio, or test buffers).
-    /// `socket` is only used for reporting.
-    pub fn with_service_transport(
-        mut self,
-        socket: PathBuf,
-        reader: Box<dyn std::io::BufRead + Send>,
-        writer: Box<dyn std::io::Write + Send>,
-    ) -> Self {
-        self.remote = Some(Remote {
-            socket,
-            client: Mutex::new(client::ServiceClient::over(reader, writer)),
-            stats: Mutex::new((0, 0)),
-        });
-        self
-    }
-
-    /// A harness writing telemetry to `dir` (or none for `None`),
-    /// independent of command line and environment.
-    pub fn with_telemetry_dir(dir: Option<PathBuf>) -> Self {
-        let runner = match workers_from_env() {
-            Some(w) => ExperimentRunner::with_workers(w),
-            None => ExperimentRunner::new(),
-        };
-        let (runner, telemetry) = match dir {
-            Some(dir) => {
-                let spans = Arc::new(SpanRecorder::new());
-                let telemetry = Telemetry {
-                    dir,
-                    spans: Arc::clone(&spans),
-                    points: Mutex::new(Vec::new()),
-                };
-                (runner.with_span_recorder(spans), Some(telemetry))
-            }
-            None => (runner, None),
-        };
-        FigureHarness {
-            runner,
-            cache: ResultCache::new(),
-            started: Instant::now(),
-            telemetry,
-            remote: None,
-        }
-    }
-
-    /// The underlying runner (for generic [`ExperimentRunner::run`]
-    /// fan-outs).
-    pub fn runner(&self) -> &ExperimentRunner {
-        &self.runner
-    }
-
     /// The telemetry directory, when telemetry is enabled.
     pub fn telemetry_dir(&self) -> Option<&Path> {
         self.telemetry.as_ref().map(|t| t.dir.as_path())
     }
 
-    /// Runs a batch of synthetic operating points through the pool and the
-    /// cache — or, in service mode, submits it to the `noc-serve` daemon —
-    /// results come back in job order either way, bit-identically.
+    /// Runs a batch of synthetic operating points on `experiment` through
+    /// the pool and the cache — or, with a service socket, submits it to
+    /// the daemon, which runs it on its own experiment — and returns it as
+    /// the wire does: metrics and [`ManifestPoint`]s in job order, and the
+    /// batch summary.
     ///
     /// # Errors
     ///
-    /// The lowest-indexed failing job's simulator error.
-    ///
-    /// # Panics
-    ///
-    /// In service mode, on transport/protocol failures or daemon-side
-    /// point failures (the simulator error does not survive the wire as a
-    /// typed value).
+    /// The lowest-indexed failing job's simulator error, or why the
+    /// service failed the batch.
     pub fn run(
         &self,
         experiment: &Experiment,
         jobs: &[SyntheticJob],
-    ) -> Result<Vec<NetworkMetrics>, SimError> {
-        if let Some(remote) = &self.remote {
-            let batch = remote
-                .client
-                .lock()
-                .expect("service client poisoned")
-                .submit("bench", jobs)
-                .unwrap_or_else(|e| panic!("noc-serve at {}: {e}", remote.socket.display()));
-            {
-                let mut stats = remote.stats.lock().expect("remote stats poisoned");
-                stats.0 += batch.points.len() as u64;
-                stats.1 += batch.points.iter().filter(|p| p.cache_hit).count() as u64;
-            }
-            if let Some(t) = &self.telemetry {
-                let mut pts = t.points.lock().expect("telemetry points poisoned");
-                for point in &batch.points {
-                    // Re-index into this harness's cross-batch sequence.
-                    let mut point = point.clone();
-                    point.index = pts.len();
-                    pts.push(point);
+    ) -> Result<BatchResult, String> {
+        Ok(self.execute::<NoProbe>(experiment, jobs, None)?.0)
+    }
+
+    /// [`FigureHarness::run`], attaching a probe from `make_probe(i)` to
+    /// every point while telemetry is on and the batch runs in-process;
+    /// probed points bypass the cache. Otherwise no probes come back.
+    /// Probes only observe: the metrics are the same either way.
+    ///
+    /// # Errors
+    ///
+    /// As [`FigureHarness::run`].
+    pub fn run_observed<P: Probe + Send>(
+        &self,
+        experiment: &Experiment,
+        jobs: &[SyntheticJob],
+        make_probe: impl Fn(usize) -> P + Sync,
+    ) -> Result<(BatchResult, Vec<P>), String> {
+        let make: MakeProbe<'_, P> = &make_probe;
+        self.execute(experiment, jobs, self.telemetry.as_ref().map(|_| make))
+    }
+
+    fn execute<P: Probe + Send>(
+        &self,
+        experiment: &Experiment,
+        jobs: &[SyntheticJob],
+        make_probe: Option<MakeProbe<'_, P>>,
+    ) -> Result<(BatchResult, Vec<P>), String> {
+        let (batch, probes) = match &self.remote {
+            Some(remote) => {
+                let socket = remote.socket.display();
+                let batch = (remote.client.lock().expect("service client poisoned"))
+                    .submit(&self.label, jobs)
+                    .map_err(|e| format!("noc-serve at {socket}: {e}"))?;
+                for note in &batch.notes {
+                    eprintln!("warning: noc-serve at {socket}: {note}");
                 }
+                (batch, Vec::new())
             }
-            return Ok(batch.metrics);
-        }
-        let detailed =
-            self.runner
-                .run_synthetic_jobs_detailed(experiment, jobs, Some(&self.cache))?;
+            None => self
+                .run_local(experiment, jobs, make_probe)
+                .map_err(|e| e.to_string())?,
+        };
+        let mut tally = self.tally.lock().expect("tally poisoned");
+        tally.0 += batch.points.len() as u64;
+        tally.1 += batch.summary.cache_hits;
         if let Some(t) = &self.telemetry {
             let mut pts = t.points.lock().expect("telemetry points poisoned");
-            for (job, (m, d)) in jobs.iter().zip(&detailed) {
+            for point in &batch.points {
+                // Re-index into this harness's cross-batch sequence.
                 let index = pts.len();
                 pts.push(ManifestPoint {
+                    index,
+                    ..point.clone()
+                });
+            }
+        }
+        Ok((batch, probes))
+    }
+
+    fn run_local<P: Probe + Send>(
+        &self,
+        experiment: &Experiment,
+        jobs: &[SyntheticJob],
+        make_probe: Option<MakeProbe<'_, P>>,
+    ) -> Result<(BatchResult, Vec<P>), SimError> {
+        let started = Instant::now();
+        let detailed = self.runner.run_jobs(jobs, |i, job| match make_probe {
+            Some(make) => {
+                let mut probe = make(i);
+                let (m, _) = experiment.run_job(job, Some(&mut probe))?;
+                Ok(((m, Some(probe)), false))
+            }
+            None => self
+                .cache
+                .get_or_try_insert_with_stats(job.cache_key(), || job.run(experiment))
+                .map(|(m, hit)| ((m, None), hit)),
+        })?;
+        let mut probes = Vec::new();
+        let (metrics, points): (Vec<_>, Vec<_>) = (jobs.iter().zip(detailed).enumerate())
+            .map(|(index, (job, ((m, probe), d)))| {
+                probes.extend(probe);
+                let point = ManifestPoint {
                     index,
                     seed: job.seed,
                     config_hash: job.cache_key(),
                     cache_hit: d.cache_hit,
                     duration_ms: d.duration.as_secs_f64() * 1e3,
-                    metrics: metric_pairs(m),
-                });
-            }
-        }
-        Ok(detailed.into_iter().map(|(m, _)| m).collect())
+                    metrics: metric_pairs(&m),
+                };
+                (m, point)
+            })
+            .unzip();
+        let cache_hits = points.iter().filter(|p| p.cache_hit).count() as u64;
+        let summary = BatchSummary {
+            points: jobs.len(),
+            ok: jobs.len(),
+            failed: 0,
+            cancelled: 0,
+            cache_hits,
+            cache_misses: jobs.len() as u64 - cache_hits,
+            config_hash: RunManifest::combine_hashes(jobs.iter().map(SyntheticJob::cache_key)),
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        };
+        let notes = Vec::new();
+        Ok((
+            BatchResult {
+                metrics,
+                points,
+                summary,
+                notes,
+            },
+            probes,
+        ))
     }
 
-    /// One-line execution report (point count, cache hits, workers, wall
-    /// and busy time) for the binary to print on stderr.
-    pub fn summary(&self) -> String {
-        if let Some(remote) = &self.remote {
-            let (points, hits) = *remote.stats.lock().expect("remote stats poisoned");
-            return format!(
-                "[{points} points via noc-serve at {} ({hits} daemon cache hits): wall {:.2?}]",
-                remote.socket.display(),
-                self.started.elapsed(),
-            );
-        }
-        let snap = self.runner.progress().snapshot();
-        format!(
-            "[{} points ({} cache hits) on {} workers: wall {:.2?}, busy {:.2?}]",
-            snap.completed,
-            self.cache.hits(),
-            self.runner.workers(),
-            self.started.elapsed(),
-            snap.busy,
-        )
-    }
-
-    /// Prints the execution summary to stderr and — when telemetry is
-    /// enabled — writes `<dir>/<figure>.manifest.jsonl` (run manifest:
+    /// Prints a one-line execution report (points, cache hits, workers,
+    /// wall and busy time) to stderr and — when telemetry is enabled —
+    /// writes `<dir>/<figure>.manifest.jsonl` (run manifest:
     /// config hash, seed schedule, worker count, wall time, per-point
     /// metrics) and `<dir>/<figure>.trace.json` (Chrome trace of the
-    /// parallel run). Every figure binary calls this once before exiting.
+    /// parallel run). Every binary that runs batches through the harness
+    /// calls this once before exiting.
     ///
     /// # Errors
     ///
     /// I/O errors creating the telemetry directory or writing its files.
     pub fn finish(&self, figure: &str) -> std::io::Result<()> {
-        eprintln!("{}", self.summary());
+        // In service mode the cache lives in the daemon; these are its hits.
+        let (total, cache_hits) = *self.tally.lock().expect("tally poisoned");
+        let wall = self.started.elapsed();
+        match &self.remote {
+            Some(remote) => eprintln!(
+                "[{total} points via noc-serve at {} ({cache_hits} daemon cache hits): \
+                 wall {wall:.2?}]",
+                remote.socket.display(),
+            ),
+            None => eprintln!(
+                "[{total} points ({cache_hits} cache hits) on {} workers: wall {wall:.2?}, \
+                 busy {:.2?}]",
+                self.runner.workers(),
+                self.runner.progress().snapshot().busy,
+            ),
+        }
         let Some(t) = &self.telemetry else {
             return Ok(());
         };
         std::fs::create_dir_all(&t.dir)?;
         let points = t.points.lock().expect("telemetry points poisoned").clone();
-        // In service mode the cache lives in the daemon; report its hits.
-        let (cache_hits, cache_misses) = match &self.remote {
-            Some(remote) => {
-                let (pts, hits) = *remote.stats.lock().expect("remote stats poisoned");
-                (hits, pts - hits)
-            }
-            None => (self.cache.hits(), self.cache.misses()),
-        };
         let manifest = RunManifest {
             figure: figure.to_string(),
             config_hash: RunManifest::combine_hashes(points.iter().map(|p| p.config_hash)),
             workers: self.runner.workers(),
             base_seed: points.first().map_or(0, |p| p.seed),
             seed_schedule: points.iter().map(|p| p.seed).collect(),
-            wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
+            wall_ms: wall.as_secs_f64() * 1e3,
             cache_hits,
-            cache_misses,
+            cache_misses: total - cache_hits,
             points,
             faults: vec![],
         };

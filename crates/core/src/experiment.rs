@@ -241,8 +241,7 @@ impl Experiment {
     ///   amount of traffic** among a fixed fully-functional network" — all
     ///   `N` nodes inject at `rate * level / N`.
     ///
-    /// `bursts` restricts generation to an on/off schedule; `probe`
-    /// observes the run without perturbing it.
+    /// `probe` observes the run without perturbing it.
     ///
     /// # Errors
     ///
@@ -252,7 +251,6 @@ impl Experiment {
     pub fn run_job(
         &self,
         job: &SyntheticJob,
-        bursts: Option<BurstSchedule>,
         probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<(NetworkMetrics, SimOutcome), SimError> {
         let mesh = self.mesh_spec();
@@ -292,16 +290,13 @@ impl Experiment {
                 (Placement::full(topo.as_dyn()), None, rate)
             }
         };
-        let mut traffic = TrafficGen::new(
+        let traffic = TrafficGen::new(
             job.pattern,
             placement,
             rate,
             self.system.packet_len,
             job.seed,
         )?;
-        if let Some(b) = bursts {
-            traffic = traffic.with_bursts(b);
-        }
         self.simulate(topo, region.as_ref(), traffic, probe)
     }
 
@@ -406,32 +401,6 @@ impl Experiment {
             &outcome,
             self.network_power_reactive(&outcome),
         ))
-    }
-
-    /// Runs the NoC-sprinting configuration (CDOR + structural gating) with
-    /// an on/off burst schedule — the apples-to-apples counterpart of
-    /// [`Experiment::run_network_reactive`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_network_bursty(
-        &self,
-        level: usize,
-        pattern: TrafficPattern,
-        rate: f64,
-        bursts: BurstSchedule,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let job = SyntheticJob {
-            topology: self.mesh_spec(),
-            level,
-            pattern,
-            rate,
-            seed,
-            baseline: SyntheticBaseline::NocSprinting,
-        };
-        Ok(self.run_job(&job, Some(bursts), None)?.0)
     }
 
     /// Prices a reactive-gating outcome: dynamic power from activity,

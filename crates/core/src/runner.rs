@@ -311,33 +311,14 @@ impl ExperimentRunner {
         jobs: &[SyntheticJob],
         cache: Option<&ResultCache<NetworkMetrics>>,
     ) -> Result<Vec<NetworkMetrics>, SimError> {
-        Ok(self
-            .run_synthetic_jobs_detailed(experiment, jobs, cache)?
-            .into_iter()
-            .map(|(m, _)| m)
-            .collect())
-    }
-
-    /// [`ExperimentRunner::run_synthetic_jobs`], additionally reporting each
-    /// point's execution detail (cache hit, worker wall time) so callers can
-    /// write per-point telemetry without re-deriving it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed job's simulator error.
-    pub fn run_synthetic_jobs_detailed(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        cache: Option<&ResultCache<NetworkMetrics>>,
-    ) -> Result<Vec<(NetworkMetrics, PointDetail)>, SimError> {
-        self.run_jobs(jobs, |_, job| {
+        let detailed = self.run_jobs(jobs, |_, job| {
             let compute = || job.run(experiment);
             match cache {
                 Some(c) => c.get_or_try_insert_with_stats(job.cache_key(), compute),
                 None => compute().map(|v| (v, false)),
             }
-        })
+        })?;
+        Ok(detailed.into_iter().map(|(m, _)| m).collect())
     }
 
     /// [`ExperimentRunner::run_synthetic_jobs`] with one probe attached per
@@ -363,18 +344,23 @@ impl ExperimentRunner {
     {
         let observed = self.run_jobs(jobs, |i, job| {
             let mut probe = make_probe(i);
-            let (m, _) = experiment.run_job(job, None, Some(&mut probe))?;
+            let (m, _) = experiment.run_job(job, Some(&mut probe))?;
             Ok(((m, probe), false))
         })?;
         Ok(observed.into_iter().map(|(v, _)| v).collect())
     }
 
-    /// The job fan-out under [`ExperimentRunner::try_run`]: `point(i, job)`
-    /// yields a value and whether it was a cache hit; each point gets a
-    /// span (when a recorder is attached) or, on failure, a structured
+    /// The job fan-out under [`ExperimentRunner::try_run`] that the other
+    /// job entry points share: `point(i, job)` yields a value and whether
+    /// it was a cache hit; each point gets a span (when a recorder is
+    /// attached) and a [`PointDetail`] or, on failure, a structured
     /// point-failure event on stderr carrying its index, config hash and
     /// seed.
-    fn run_jobs<O, F>(
+    ///
+    /// # Errors
+    ///
+    /// Propagates the lowest-indexed job's simulator error.
+    pub fn run_jobs<O, F>(
         &self,
         jobs: &[SyntheticJob],
         point: F,
@@ -426,8 +412,7 @@ impl ExperimentRunner {
     }
 }
 
-/// Per-point execution detail from
-/// [`ExperimentRunner::run_synthetic_jobs_detailed`].
+/// Per-point execution detail from [`ExperimentRunner::run_jobs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointDetail {
     /// Whether the point was served from the result cache.
@@ -475,7 +460,7 @@ impl SyntheticJob {
     ///
     /// Propagates simulator errors.
     pub fn run(&self, experiment: &Experiment) -> Result<NetworkMetrics, SimError> {
-        Ok(experiment.run_job(self, None, None)?.0)
+        Ok(experiment.run_job(self, None)?.0)
     }
 
     /// Stable 64-bit key over the full point configuration. Floats are
