@@ -467,6 +467,11 @@ mod fleet_client {
         started: Instant,
     }
 
+    /// What the reorder buffer holds for one original job index: the
+    /// point, or the whole `point_failed` event for the fleet batch
+    /// (boxed: failures are rare, and points are what queue up).
+    type Outcome = Result<ManifestPoint, Box<ServiceResponse>>;
+
     /// One message from a shard-driver thread to the fleet coordinator.
     enum ShardMsg {
         /// The shard accepted its sub-batch.
@@ -477,12 +482,8 @@ mod fleet_client {
             pending: usize,
             limit: usize,
         },
-        /// One `point` or `point_failed` event, already carrying the fleet
-        /// batch's id and the original job index.
-        Point {
-            index: usize,
-            event: ServiceResponse,
-        },
+        /// One point, already translated to its original job index.
+        Point { index: usize, outcome: Outcome },
         /// The shard's sub-batch completed with this summary.
         Done { summary: BatchSummary },
         /// An advisory error event from the shard (e.g. persist failure).
@@ -690,10 +691,10 @@ mod fleet_client {
             let (tx, rx) = mpsc::channel::<ShardMsg>();
             let mut summaries: Vec<BatchSummary> = Vec::new();
             let mut busy: Option<(usize, usize)> = None;
-            let mut reorder: FleetReorder<ServiceResponse> = FleetReorder::new(total);
+            let mut reorder: FleetReorder<Outcome> = FleetReorder::new(total);
             // Released outcomes wait here until every shard has accepted —
             // a late `busy` must leave the upward stream untouched.
-            let mut ready: Vec<(usize, ServiceResponse)> = Vec::new();
+            let mut ready: Vec<(usize, Outcome)> = Vec::new();
             let mut notes: Vec<String> = Vec::new();
             std::thread::scope(|s| {
                 for &shard in &active {
@@ -732,9 +733,9 @@ mod fleet_client {
                                 }
                             }
                         }
-                        ShardMsg::Point { index, event } => {
+                        ShardMsg::Point { index, outcome } => {
                             completed += 1;
-                            ready.extend(reorder.push(index, event));
+                            ready.extend(reorder.push(index, outcome));
                         }
                         ShardMsg::Done { summary } => {
                             terminal += 1;
@@ -758,16 +759,14 @@ mod fleet_client {
                             for &orig in &plan.indices(shard)[delivered..] {
                                 completed += 1;
                                 let job = &req.jobs[orig];
-                                ready.extend(reorder.push(
-                                    orig,
-                                    ServiceResponse::PointFailed {
-                                        id: req.id.clone(),
-                                        index: orig,
-                                        config_hash: job.cache_key(),
-                                        seed: job.seed,
-                                        error: format!("shard {shard} lost: {message}"),
-                                    },
-                                ));
+                                let failed = ServiceResponse::PointFailed {
+                                    id: req.id.clone(),
+                                    index: orig,
+                                    config_hash: job.cache_key(),
+                                    seed: job.seed,
+                                    error: format!("shard {shard} lost: {message}"),
+                                };
+                                ready.extend(reorder.push(orig, Err(Box::new(failed))));
                             }
                         }
                     }
@@ -796,8 +795,14 @@ mod fleet_client {
                                     eta_ms,
                                 });
                             }
-                            for (_, event) in ready.drain(..) {
-                                emit(event);
+                            for (_, outcome) in ready.drain(..) {
+                                emit(match outcome {
+                                    Ok(point) => ServiceResponse::Point {
+                                        id: req.id.clone(),
+                                        point,
+                                    },
+                                    Err(failed) => *failed,
+                                });
                             }
                             for message in notes.drain(..) {
                                 emit(ServiceResponse::Error {
@@ -919,9 +924,11 @@ mod fleet_client {
                 Ok(ServiceResponse::Accepted { .. }) => ShardMsg::Accepted { shard },
                 Ok(ServiceResponse::Point { mut point, .. }) => {
                     point.index = plan.indices(shard)[point.index];
-                    let (index, id) = (point.index, req.id.clone());
-                    let event = ServiceResponse::Point { id, point };
-                    ShardMsg::Point { index, event }
+                    let index = point.index;
+                    ShardMsg::Point {
+                        index,
+                        outcome: Ok(point),
+                    }
                 }
                 Ok(ServiceResponse::PointFailed {
                     index,
@@ -931,14 +938,17 @@ mod fleet_client {
                     ..
                 }) => {
                     let index = plan.indices(shard)[index];
-                    let event = ServiceResponse::PointFailed {
+                    let failed = ServiceResponse::PointFailed {
                         id: req.id.clone(),
                         index,
                         config_hash,
                         seed,
                         error,
                     };
-                    ShardMsg::Point { index, event }
+                    ShardMsg::Point {
+                        index,
+                        outcome: Err(Box::new(failed)),
+                    }
                 }
                 Ok(ServiceResponse::Done { summary, .. }) => ShardMsg::Done { summary },
                 Ok(ServiceResponse::Error { message, .. }) => ShardMsg::Note {
