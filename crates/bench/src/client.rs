@@ -230,7 +230,7 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
         self.next_id += 1;
         let mut batch = Collect::new(&req.id, jobs.len());
         self.send(&ServiceRequest::Submit(req))?;
-        while !batch.check.is_done() {
+        while batch.summary.is_none() {
             batch.push(self.read_event()?)?;
         }
         batch.finish()
@@ -262,6 +262,7 @@ struct BatchCheck {
     id: String,
     jobs: usize,
     accepted: bool,
+    /// Points (ok or failed) checked so far.
     delivered: usize,
     done: bool,
 }
@@ -276,16 +277,6 @@ impl BatchCheck {
             delivered: 0,
             done: false,
         }
-    }
-
-    /// Points (ok or failed) checked so far.
-    fn delivered(&self) -> usize {
-        self.delivered
-    }
-
-    /// Whether `done` has been checked.
-    fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Checks the stream's next event.
@@ -918,7 +909,7 @@ mod fleet_client {
                 },
                 Err(e) => ShardMsg::Lost {
                     shard,
-                    delivered: check.delivered(),
+                    delivered: check.delivered,
                     message: e.to_string(),
                 },
                 Ok(ServiceResponse::Accepted { .. }) => ShardMsg::Accepted { shard },
