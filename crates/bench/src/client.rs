@@ -581,31 +581,32 @@ mod fleet_client {
                 let polled = connect_unix(socket)
                     .map_err(ServiceClientError::from)
                     .and_then(|mut c| c.stats());
-                let dead = ShardHealth {
-                    shard,
-                    socket: socket.display().to_string(),
-                    alive: false,
-                    engine: String::new(),
-                    code_version: String::new(),
-                    uptime_ms: 0.0,
-                };
-                let Ok(s) = polled else {
-                    shards.push(dead);
-                    continue;
-                };
-                alive += 1;
-                if code_version.is_empty() {
-                    code_version = s.code_version.clone();
+                match polled {
+                    Ok(s) => {
+                        alive += 1;
+                        if code_version.is_empty() {
+                            code_version = s.code_version.clone();
+                        }
+                        metrics.merge(&s.metrics);
+                        slow_points.extend(s.slow_points);
+                        shards.push(ShardHealth {
+                            shard,
+                            socket: socket.display().to_string(),
+                            alive: true,
+                            engine: s.engine,
+                            code_version: s.code_version,
+                            uptime_ms: s.uptime_ms,
+                        });
+                    }
+                    Err(_) => shards.push(ShardHealth {
+                        shard,
+                        socket: socket.display().to_string(),
+                        alive: false,
+                        engine: String::new(),
+                        code_version: String::new(),
+                        uptime_ms: 0.0,
+                    }),
                 }
-                metrics.merge(&s.metrics);
-                slow_points.extend(s.slow_points);
-                shards.push(ShardHealth {
-                    alive: true,
-                    engine: s.engine,
-                    code_version: s.code_version,
-                    uptime_ms: s.uptime_ms,
-                    ..dead
-                });
             }
             metrics.set_gauge("noc_fleet_shards", self.shards() as f64);
             metrics.set_gauge("noc_fleet_shards_alive", alive as f64);
