@@ -222,7 +222,7 @@ fn main() {
         .collect();
     mark_front(&mut cands);
 
-    if let Err(e) = write_outputs(&args, &cands, &summary) {
+    if let Err(e) = write_outputs(&args, &cands, &summary, harness.workers()) {
         eprintln!("cannot write {}: {e}", args.out.display());
         std::process::exit(1);
     }
@@ -269,7 +269,12 @@ fn print_front(cands: &[Candidate]) {
     }
 }
 
-fn write_outputs(args: &Args, cands: &[Candidate], summary: &BatchSummary) -> std::io::Result<()> {
+fn write_outputs(
+    args: &Args,
+    cands: &[Candidate],
+    summary: &BatchSummary,
+    workers: usize,
+) -> std::io::Result<()> {
     std::fs::create_dir_all(&args.out)?;
 
     let mut csv = std::fs::File::create(args.out.join("pareto.csv"))?;
@@ -321,7 +326,7 @@ fn write_outputs(args: &Args, cands: &[Candidate], summary: &BatchSummary) -> st
     let manifest = RunManifest {
         figure: "pareto_explore".to_string(),
         config_hash: summary.config_hash,
-        workers: std::thread::available_parallelism().map_or(1, usize::from),
+        workers,
         base_seed: args.seed,
         seed_schedule: cands.iter().map(|c| c.job.seed).collect(),
         wall_ms: summary.wall_ms,

@@ -253,6 +253,11 @@ impl FigureHarness {
         ))
     }
 
+    /// The worker count of the in-process runner.
+    pub fn workers(&self) -> usize {
+        self.runner.workers()
+    }
+
     /// The telemetry directory, when telemetry is enabled.
     pub fn telemetry_dir(&self) -> Option<&Path> {
         self.telemetry.as_ref().map(|t| t.dir.as_path())
@@ -339,21 +344,19 @@ impl FigureHarness {
         make_probe: Option<MakeProbe<'_, P>>,
     ) -> Result<(BatchResult, Vec<P>), SimError> {
         let started = Instant::now();
-        let detailed = self.runner.run_jobs(jobs, |i, job| match make_probe {
-            Some(make) => {
-                let mut probe = make(i);
-                let (m, _) = experiment.run_job(job, Some(&mut probe))?;
-                Ok(((m, Some(probe)), false))
-            }
-            None => self
-                .cache
-                .get_or_try_insert_with_stats(job.cache_key(), || job.run(experiment))
-                .map(|(m, hit)| ((m, None), hit)),
-        })?;
-        let mut probes = Vec::new();
+        let runner = &self.runner;
+        let (detailed, probes): (Vec<_>, Vec<P>) = match make_probe {
+            Some(make) => (runner.run_synthetic_jobs_observed(experiment, jobs, make)?)
+                .into_iter()
+                .map(|(m, p, d)| ((m, d), p))
+                .unzip(),
+            None => (
+                runner.run_synthetic_jobs(experiment, jobs, Some(&self.cache))?,
+                Vec::new(),
+            ),
+        };
         let (metrics, points): (Vec<_>, Vec<_>) = (jobs.iter().zip(detailed).enumerate())
-            .map(|(index, (job, ((m, probe), d)))| {
-                probes.extend(probe);
+            .map(|(index, (job, (m, d)))| {
                 let point = ManifestPoint {
                     index,
                     seed: job.seed,
@@ -376,16 +379,13 @@ impl FigureHarness {
             config_hash: RunManifest::combine_hashes(jobs.iter().map(SyntheticJob::cache_key)),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         };
-        let notes = Vec::new();
-        Ok((
-            BatchResult {
-                metrics,
-                points,
-                summary,
-                notes,
-            },
-            probes,
-        ))
+        let batch = BatchResult {
+            metrics,
+            points,
+            summary,
+            notes: Vec::new(),
+        };
+        Ok((batch, probes))
     }
 
     /// Prints a one-line execution report (points, cache hits, workers,

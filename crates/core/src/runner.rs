@@ -300,7 +300,9 @@ impl ExperimentRunner {
 
     /// Runs a batch of synthetic operating points through the pool,
     /// optionally consulting `cache` so repeated figure runs skip
-    /// already-simulated points.
+    /// already-simulated points. Each point's metrics come back in job
+    /// order beside its [`PointDetail`] (cache hit, worker wall time), so
+    /// callers can write per-point telemetry without re-deriving it.
     ///
     /// # Errors
     ///
@@ -310,20 +312,20 @@ impl ExperimentRunner {
         experiment: &Experiment,
         jobs: &[SyntheticJob],
         cache: Option<&ResultCache<NetworkMetrics>>,
-    ) -> Result<Vec<NetworkMetrics>, SimError> {
-        let detailed = self.run_jobs(jobs, |_, job| {
+    ) -> Result<Vec<(NetworkMetrics, PointDetail)>, SimError> {
+        self.run_jobs(jobs, |_, job| {
             let compute = || job.run(experiment);
             match cache {
                 Some(c) => c.get_or_try_insert_with_stats(job.cache_key(), compute),
                 None => compute().map(|v| (v, false)),
             }
-        })?;
-        Ok(detailed.into_iter().map(|(m, _)| m).collect())
+        })
     }
 
     /// [`ExperimentRunner::run_synthetic_jobs`] with one probe attached per
     /// point and no cache: `make_probe(i)` builds job `i`'s observer, and
-    /// the filled probes come back in job order beside the metrics.
+    /// the filled probes come back in job order between the metrics and
+    /// the [`PointDetail`].
     ///
     /// Probes observe without mutating simulation state, so the metrics are
     /// bit-identical to the probe-less run at any worker count (pinned by
@@ -337,7 +339,7 @@ impl ExperimentRunner {
         experiment: &Experiment,
         jobs: &[SyntheticJob],
         make_probe: M,
-    ) -> Result<Vec<(NetworkMetrics, P)>, SimError>
+    ) -> Result<Vec<(NetworkMetrics, P, PointDetail)>, SimError>
     where
         P: Probe + Send,
         M: Fn(usize) -> P + Sync,
@@ -347,20 +349,16 @@ impl ExperimentRunner {
             let (m, _) = experiment.run_job(job, Some(&mut probe))?;
             Ok(((m, probe), false))
         })?;
-        Ok(observed.into_iter().map(|(v, _)| v).collect())
+        Ok(observed.into_iter().map(|((m, p), d)| (m, p, d)).collect())
     }
 
-    /// The job fan-out under [`ExperimentRunner::try_run`] that the other
-    /// job entry points share: `point(i, job)` yields a value and whether
-    /// it was a cache hit; each point gets a span (when a recorder is
+    /// The job fan-out under [`ExperimentRunner::try_run`] that both job
+    /// entry points share: `point(i, job)` yields a value and whether it
+    /// was a cache hit; each point gets a span (when a recorder is
     /// attached) and a [`PointDetail`] or, on failure, a structured
     /// point-failure event on stderr carrying its index, config hash and
     /// seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed job's simulator error.
-    pub fn run_jobs<O, F>(
+    fn run_jobs<O, F>(
         &self,
         jobs: &[SyntheticJob],
         point: F,
@@ -412,7 +410,8 @@ impl ExperimentRunner {
     }
 }
 
-/// Per-point execution detail from [`ExperimentRunner::run_jobs`].
+/// Per-point execution detail from [`ExperimentRunner::run_synthetic_jobs`]
+/// and [`ExperimentRunner::run_synthetic_jobs_observed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointDetail {
     /// Whether the point was served from the result cache.

@@ -10,7 +10,9 @@ use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{
+    ExperimentRunner, PointDetail, ResultCache, SyntheticBaseline, SyntheticJob,
+};
 use noc_sprinting::telemetry::SpanRecorder;
 
 /// A uniform load sweep from 4% in 8% steps as `n` jobs: `level` 16 with
@@ -28,6 +30,11 @@ fn quick_sweep(level: usize, baseline: SyntheticBaseline, n: usize) -> Vec<Synth
         .collect()
 }
 
+/// The metrics of a runner batch, without the per-point detail.
+fn metrics(detailed: Vec<(NetworkMetrics, PointDetail)>) -> Vec<NetworkMetrics> {
+    detailed.into_iter().map(|(m, _)| m).collect()
+}
+
 /// The jobs run one after another on the calling thread, outside the pool.
 fn serial(e: &Experiment, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
     jobs.iter()
@@ -42,9 +49,11 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let serial = serial(&e, &jobs);
     for workers in [1, 2, 3, 8] {
         let runner = ExperimentRunner::with_workers(workers);
-        let parallel = runner
-            .run_synthetic_jobs(&e, &jobs, None)
-            .expect("parallel sweep");
+        let parallel = metrics(
+            runner
+                .run_synthetic_jobs(&e, &jobs, None)
+                .expect("parallel sweep"),
+        );
         // NetworkMetrics is PartialEq over f64 fields: equality here is
         // bit-level, not approximate.
         assert_eq!(
@@ -59,9 +68,11 @@ fn parallel_cdor_sweep_matches_serial() {
     let e = Experiment::quick();
     let jobs = quick_sweep(4, SyntheticBaseline::NocSprinting, 4);
     let serial = serial(&e, &jobs);
-    let parallel = ExperimentRunner::with_workers(4)
-        .run_synthetic_jobs(&e, &jobs, None)
-        .expect("parallel sweep");
+    let parallel = metrics(
+        ExperimentRunner::with_workers(4)
+            .run_synthetic_jobs(&e, &jobs, None)
+            .expect("parallel sweep"),
+    );
     assert_eq!(parallel, serial);
 }
 
@@ -80,6 +91,7 @@ fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
             .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(250))
             .expect("observed sweep")
             .into_iter()
+            .map(|(m, p, _)| (m, p))
             .unzip();
         assert_eq!(
             observed, baseline,
@@ -107,6 +119,7 @@ fn span_recorder_and_event_counters_do_not_perturb_results() {
             .run_synthetic_jobs_observed(&e, &jobs, |_| EventCounts::default())
             .expect("observed sweep")
             .into_iter()
+            .map(|(m, p, _)| (m, p))
             .unzip();
         assert_eq!(observed, baseline, "{workers} workers");
         assert_eq!(rec.spans().len(), jobs.len());
@@ -154,14 +167,18 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
             })
         })
         .collect();
-    let serial = ExperimentRunner::with_workers(1)
-        .run_synthetic_jobs(&e, &jobs, None)
-        .expect("serial jobs");
+    let serial = metrics(
+        ExperimentRunner::with_workers(1)
+            .run_synthetic_jobs(&e, &jobs, None)
+            .expect("serial jobs"),
+    );
     let cache = ResultCache::new();
     let runner = ExperimentRunner::with_workers(4);
-    let parallel = runner
-        .run_synthetic_jobs(&e, &jobs, Some(&cache))
-        .expect("parallel jobs");
+    let parallel = metrics(
+        runner
+            .run_synthetic_jobs(&e, &jobs, Some(&cache))
+            .expect("parallel jobs"),
+    );
     for (p, s) in parallel.iter().zip(&serial) {
         assert_eq!(
             p.avg_packet_latency.to_bits(),
@@ -181,9 +198,11 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
     // A second pass over the same jobs is served from the cache and still
     // returns the identical metrics.
     assert_eq!(cache.misses(), jobs.len() as u64);
-    let cached = runner
-        .run_synthetic_jobs(&e, &jobs, Some(&cache))
-        .expect("cached jobs");
+    let cached = metrics(
+        runner
+            .run_synthetic_jobs(&e, &jobs, Some(&cache))
+            .expect("cached jobs"),
+    );
     assert_eq!(cache.misses(), jobs.len() as u64, "no recomputation");
     assert!(cache.hits() >= jobs.len() as u64);
     for (c, s) in cached.iter().zip(&serial) {

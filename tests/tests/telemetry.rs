@@ -125,9 +125,12 @@ fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
         })
         .collect();
 
-    let unprobed = ExperimentRunner::with_workers(1)
+    let unprobed: Vec<_> = ExperimentRunner::with_workers(1)
         .run_synthetic_jobs(&e, &jobs, None)
-        .expect("unprobed sweep");
+        .expect("unprobed sweep")
+        .into_iter()
+        .map(|(m, _)| m)
+        .collect();
 
     let rec = Arc::new(SpanRecorder::new());
     let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
@@ -135,6 +138,7 @@ fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
         .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(500))
         .expect("probed sweep")
         .into_iter()
+        .map(|(m, p, _)| (m, p))
         .unzip();
 
     // Bit-identical metrics (NetworkMetrics is PartialEq over raw f64s).
