@@ -39,8 +39,7 @@ fn main() {
             "the spread-aggregate baseline reproduces the earlier-saturation claim"
         )
     );
-    let e = Experiment::paper();
-    let harness = FigureHarness::new();
+    let harness = FigureHarness::new(Experiment::paper());
     for level in [4usize, 8] {
         println!("--- {level}-core sprinting ---");
         // Per rate: one NoC-sprinting point, then SAMPLES random-endpoints
@@ -64,7 +63,7 @@ fn main() {
             }
         }
         let metrics = harness
-            .run(&e, &jobs)
+            .run(&jobs)
             .expect("baseline ablation points")
             .metrics;
 

@@ -23,8 +23,7 @@ fn main() {
              uniform random"
         )
     );
-    let e = Experiment::paper();
-    let harness = FigureHarness::new();
+    let harness = FigureHarness::new(Experiment::paper());
     let rate = 0.15;
     for level in [4usize, 8, 16] {
         println!("--- {level}-core sprinting at {rate} flits/cyc/node ---");
@@ -62,10 +61,7 @@ fn main() {
                 })
             })
             .collect();
-        let metrics = harness
-            .run(&e, &jobs)
-            .expect("pattern ablation points")
-            .metrics;
+        let metrics = harness.run(&jobs).expect("pattern ablation points").metrics;
         let mut results = valid.iter().zip(metrics.chunks(2));
 
         let mut rows = Vec::new();

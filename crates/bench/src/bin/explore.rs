@@ -15,15 +15,16 @@
 //! latency-vs-load table. Every mode describes its points as
 //! `SyntheticJob`s, the same cache-keyed form the figures and the daemon
 //! run, and the table runs them through [`FigureHarness`]: in-process on
-//! the parallel runner (`--workers 1` forces the serial path; the curve is
-//! bit-identical at any worker count), or on a `noc_serve` daemon.
+//! the daemon's executor (`--workers 1` forces the serial path; the curve
+//! is bit-identical at any worker count), or on a `noc_serve` daemon.
 //!
-//! `--telemetry DIR` (or `NOC_BENCH_TELEMETRY=DIR`) additionally attaches a
-//! [`TimeSeriesObserver`] to every locally run table point and writes
+//! `--telemetry DIR` (or `NOC_BENCH_TELEMETRY=DIR`) additionally writes
 //! `explore.manifest.jsonl`, `explore.trace.json` (Chrome Trace Event
-//! Format — load in `chrome://tracing`) and one
-//! `explore.point<N>.timeseries.csv` per operating point. Telemetry only
-//! observes: the printed curve is bit-identical with it on or off.
+//! Format — load in `chrome://tracing`) and, for a table run locally, one
+//! `explore.point<N>.timeseries.csv` per operating point: after the table,
+//! every point is simulated once more with a [`TimeSeriesObserver`]
+//! attached. Telemetry only observes: the printed curve is bit-identical
+//! with it on or off.
 //!
 //! `--service SOCKET` (or `NOC_SERVE_SOCKET=PATH`) submits the jobs to a
 //! running `noc_serve` daemon instead of simulating locally, so repeated
@@ -33,7 +34,7 @@
 //! this mode requires the mesh and master it serves: paper 4x4 mesh,
 //! master 0. See `SERVICE.md`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use noc_bench::flags::{exit_usage, Flags};
 use noc_bench::FigureHarness;
@@ -46,7 +47,7 @@ use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::config::SystemConfig;
 use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
+use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
 
 /// Per-epoch sampling interval for `--telemetry` sweep observers, in
 /// cycles. `SimConfig::sweep` runs 12k measured cycles, so this yields a
@@ -155,19 +156,11 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let mut experiment = Experiment::paper();
-    experiment.system = SystemConfig {
-        core_count: mesh.len() as u32,
-        mesh_width: args.width,
-        mesh_height: args.height,
-        ..SystemConfig::paper()
-    };
-    experiment.controller = SprintController::new(mesh, NodeId(args.master));
     if args.loads.is_some() || args.service.is_some() {
-        run_table_mode(&args, &experiment, &jobs);
+        run_table_mode(&args, mesh, &jobs);
         return;
     }
-    match experiment.run_job(&jobs[0], None) {
+    match experiment(&args, mesh).run_job(&jobs[0], None) {
         Ok((_, out)) => {
             println!(
                 "packets delivered: {} ({} flits); saturated: {}",
@@ -196,6 +189,19 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// The paper experiment on the `mesh` the arguments name, with its master.
+fn experiment(args: &Args, mesh: Mesh2D) -> Experiment {
+    let mut experiment = Experiment::paper();
+    experiment.system = SystemConfig {
+        core_count: mesh.len() as u32,
+        mesh_width: args.width,
+        mesh_height: args.height,
+        ..SystemConfig::paper()
+    };
+    experiment.controller = SprintController::new(mesh, NodeId(args.master));
+    experiment
 }
 
 /// The operating points every mode runs: one per `--loads` entry (point
@@ -239,23 +245,19 @@ fn saturated(m: &NetworkMetrics) -> bool {
 }
 
 /// `--loads` or `--service` mode: a latency-vs-load table over the jobs,
-/// run by the bench harness — in-process on the parallel runner, with a
-/// [`TimeSeriesObserver`] per point under `--telemetry DIR`, or through
-/// the `noc_serve` socket.
-fn run_table_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
+/// run by the bench harness — in-process, or through the `noc_serve`
+/// socket.
+fn run_table_mode(args: &Args, mesh: Mesh2D, jobs: &[SyntheticJob]) {
     let harness = FigureHarness::configured(
+        experiment(args, mesh),
         args.workers,
         args.telemetry.clone(),
         args.service.as_deref(),
     );
-    let (batch, observers) = harness
-        .run_observed(experiment, jobs, |_| {
-            TimeSeriesObserver::new(EPOCH_INTERVAL)
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(1);
-        });
+    let batch = harness.run(jobs).unwrap_or_else(|e| {
+        eprintln!("sweep failed: {e}");
+        std::process::exit(1);
+    });
     let metrics = &batch.metrics;
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>5}",
@@ -294,23 +296,44 @@ fn run_table_mode(args: &Args, experiment: &Experiment, jobs: &[SyntheticJob]) {
             .reduce(f64::max)
             .map_or("-".to_string(), |v| format!("{v:.3} flits/cyc/node"))
     );
-    let written = harness.finish("explore").and_then(|()| {
-        let Some(dir) = harness.telemetry_dir() else {
-            return Ok(());
-        };
-        for (i, obs) in observers.iter().enumerate() {
-            let csv = dir.join(format!("explore.point{i}.timeseries.csv"));
-            std::fs::write(csv, obs.to_csv())?;
-        }
-        eprintln!(
-            "[telemetry: {} per-point time-series written to {}]",
-            observers.len(),
-            dir.display()
-        );
-        Ok(())
-    });
+    let written = harness
+        .finish("explore")
+        .and_then(|()| match harness.telemetry_dir() {
+            Some(dir) if args.service.is_none() => {
+                write_time_series(&experiment(args, mesh), harness.workers(), jobs, dir)
+            }
+            _ => Ok(()),
+        });
     if let Err(e) = written {
         eprintln!("telemetry write failed: {e}");
         std::process::exit(1);
     }
+}
+
+/// Simulates every table point again with a [`TimeSeriesObserver`]
+/// attached, on `workers` workers, and writes each observer as
+/// `explore.point<N>.timeseries.csv` in `dir`.
+fn write_time_series(
+    experiment: &Experiment,
+    workers: usize,
+    jobs: &[SyntheticJob],
+    dir: &Path,
+) -> std::io::Result<()> {
+    let observers = ExperimentRunner::with_workers(workers)
+        .try_run(jobs, |_, job| {
+            let mut observer = TimeSeriesObserver::new(EPOCH_INTERVAL);
+            experiment.run_job(job, Some(&mut observer))?;
+            Ok::<_, SimError>(observer)
+        })
+        .map_err(std::io::Error::other)?;
+    for (i, obs) in observers.iter().enumerate() {
+        let csv = dir.join(format!("explore.point{i}.timeseries.csv"));
+        std::fs::write(csv, obs.to_csv())?;
+    }
+    eprintln!(
+        "[telemetry: {} per-point time-series written to {}]",
+        observers.len(),
+        dir.display()
+    );
+    Ok(())
 }

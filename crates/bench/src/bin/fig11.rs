@@ -40,8 +40,7 @@ fn main() {
              sprinting before saturation; NoC-sprinting saturates earlier"
         )
     );
-    let e = Experiment::paper();
-    let harness = FigureHarness::new();
+    let harness = FigureHarness::new(Experiment::paper());
     for level in [4usize, 8] {
         println!("--- {level}-core sprinting ---");
         // One NoC-sprinting point plus SAMPLES spread samples per rate, as a
@@ -67,7 +66,7 @@ fn main() {
                 });
             }
         }
-        let metrics = harness.run(&e, &jobs).expect("Fig. 11 points").metrics;
+        let metrics = harness.run(&jobs).expect("Fig. 11 points").metrics;
 
         let mut rows = Vec::new();
         let mut lat_cuts = Vec::new();

@@ -18,8 +18,8 @@
 //! submitted to a running `noc_serve`/`noc_fleet` daemon, so repeated
 //! explorations are served from its persistent result cache — a repeat
 //! sweep is pure cache hits and near-free. Without a socket the grid runs
-//! in-process on the parallel runner; [`FigureHarness`] makes that choice,
-//! and the points are bit-identical either way.
+//! in-process on the same executor the daemon uses; [`FigureHarness`]
+//! makes that choice, and the points are bit-identical either way.
 //!
 //! Output: `pareto.csv` (every candidate, with an `on_front` column),
 //! `pareto_explore.manifest.jsonl` (a [`RunManifest`] validated by
@@ -204,8 +204,8 @@ fn main() {
     } else {
         Experiment::paper()
     };
-    let harness = FigureHarness::configured(None, None, args.service.as_deref());
-    let batch = harness.run(&experiment, &jobs).unwrap_or_else(|e| {
+    let harness = FigureHarness::configured(experiment, None, None, args.service.as_deref());
+    let batch = harness.run(&jobs).unwrap_or_else(|e| {
         eprintln!("evaluation failed: {e}");
         std::process::exit(1);
     });

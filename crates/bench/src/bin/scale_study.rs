@@ -14,15 +14,24 @@
 //! - Fig. 9/10-style latency and power for intermediate sprint levels,
 //! - convexity/deadlock guarantees (already property-tested to 8x8).
 //!
-//! Usage: `scale_study [--mesh 8|16|32|64] [--quick] [--validate-sets N]`.
-//! `--quick` trims the level sweep and uses the short simulation phases,
-//! suitable as a CI smoke of the many-node path through the parallel
-//! runner. `--validate-sets N` re-checks the cycle engine's work-lists and
-//! struct-of-arrays mirrors against ground truth every N cycles of every
-//! run, aborting on divergence.
+//! Usage: `scale_study [--mesh 8|16|32|64] [--quick] [--validate-sets N]
+//! [--telemetry DIR]`. `--quick` trims the level sweep and uses the short
+//! simulation phases, suitable as a CI smoke of the many-node path through
+//! the parallel runner. `--validate-sets N` re-checks the cycle engine's
+//! work-lists and struct-of-arrays mirrors against ground truth every N
+//! cycles of every run, aborting on divergence. `--telemetry DIR` (or
+//! `NOC_BENCH_TELEMETRY`) writes the run manifest and trace.
+//!
+//! The study always runs in-process: no `noc_serve` daemon serves its 8x8
+//! and larger meshes (a daemon runs its one configured experiment), so it
+//! takes no `--service` flag and ignores `NOC_SERVE_SOCKET`.
+
+use std::path::PathBuf;
 
 use noc_bench::flags::{exit_usage, Flags};
-use noc_bench::{banner, markdown_table, pct, reduction, watts, FigureHarness};
+use noc_bench::{
+    banner, markdown_table, pct, reduction, telemetry_dir_from_env, watts, FigureHarness,
+};
 use noc_sim::geometry::NodeId;
 use noc_sim::sim::SimConfig;
 use noc_sim::topology::TopologySpec;
@@ -48,12 +57,16 @@ fn experiment(mesh: u16, quick: bool, validate_every: Option<u64>) -> Experiment
     e
 }
 
-/// `(mesh side, quick, validate-sets interval)` from the command line.
-fn parse_args() -> Result<(u16, bool, Option<u64>), String> {
+/// `(mesh side, quick, validate-sets interval, telemetry directory)` from
+/// the command line.
+type Args = (u16, bool, Option<u64>, Option<PathBuf>);
+
+fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     let mesh = flags.value("--mesh", str::parse)?.unwrap_or(8);
     let validate_every = flags.value("--validate-sets", str::parse)?;
     let quick = flags.switch("--quick");
+    let telemetry = telemetry_dir_from_env(&mut flags)?;
     flags.finish()?;
     if ![8, 16, 32, 64].contains(&mesh) {
         return Err(format!("--mesh must be 8, 16, 32 or 64, got {mesh}"));
@@ -61,11 +74,11 @@ fn parse_args() -> Result<(u16, bool, Option<u64>), String> {
     if validate_every == Some(0) {
         return Err("--validate-sets requires a positive cycle count, got 0".to_string());
     }
-    Ok((mesh, quick, validate_every))
+    Ok((mesh, quick, validate_every, telemetry))
 }
 
 fn main() {
-    let (mesh, quick, validate_every) =
+    let (mesh, quick, validate_every, telemetry) =
         parse_args().unwrap_or_else(|e| exit_usage("scale_study", e));
     let cores = usize::from(mesh) * usize::from(mesh);
     print!(
@@ -78,7 +91,7 @@ fn main() {
     );
     let e = experiment(mesh, quick, validate_every);
     assert!(e.system.is_consistent());
-    let harness = FigureHarness::new();
+    let harness = FigureHarness::configured(e, None, telemetry, None);
     let rate = 0.15;
     let levels: Vec<usize> = match (mesh, quick) {
         (8, false) => vec![4, 8, 16, 32, 64],
@@ -110,7 +123,7 @@ fn main() {
             })
         })
         .collect();
-    let metrics = harness.run(&e, &jobs).expect("scale-study points").metrics;
+    let metrics = harness.run(&jobs).expect("scale-study points").metrics;
     let mut rows = Vec::new();
     for (level, chunk) in levels.iter().zip(metrics.chunks(2)) {
         let (ns, full) = (chunk[0], chunk[1]);

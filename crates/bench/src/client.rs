@@ -5,8 +5,9 @@
 //! buffers in tests — and turns one `submit` request into a validated
 //! [`BatchResult`]: metrics in job order, the daemon's per-point manifest
 //! records, and the end-of-batch summary. Every reader of a batch stream
-//! — [`ServiceClient::submit`], [`FleetClient::submit`] and the fleet's
-//! per-shard driver — goes through one `BatchCheck`, which *checks* the
+//! — [`ServiceClient::submit`], [`FleetClient::submit`], the fleet's
+//! per-shard driver and [`submit_in_process`], which reads an in-process
+//! `SweepService` — goes through one `BatchCheck`, which *checks* the
 //! contract (ids, counts, strict index order, `done` last) rather than
 //! repairing it, so a misbehaving server is an error, not silently
 //! repaired data.
@@ -17,7 +18,7 @@ use noc_sprinting::experiment::NetworkMetrics;
 use noc_sprinting::metrics::StatsSnapshot;
 use noc_sprinting::runner::SyntheticJob;
 use noc_sprinting::service::{
-    metrics_from_pairs, BatchSummary, ServiceRequest, ServiceResponse, SubmitRequest,
+    metrics_from_pairs, BatchSummary, ServiceRequest, ServiceResponse, SubmitRequest, SweepService,
 };
 use noc_sprinting::telemetry::ManifestPoint;
 
@@ -244,6 +245,40 @@ fn submit_request(id: String, label: &str, jobs: &[SyntheticJob]) -> SubmitReque
         priority: 0,
         jobs: jobs.to_vec(),
     }
+}
+
+/// Runs `req` on an executor that streams the batch's events into an
+/// `emit` sink — a [`SweepService`] or a [`FleetClient`] — and collects
+/// them through the same checks as [`ServiceClient::submit`].
+fn collect_submit(
+    req: &SubmitRequest,
+    run_submit: impl FnOnce(&SubmitRequest, &mut dyn FnMut(ServiceResponse)) -> Option<BatchSummary>,
+) -> Result<BatchResult, ServiceClientError> {
+    let mut batch = Collect::new(&req.id, req.jobs.len());
+    let mut checked = Ok(());
+    run_submit(req, &mut |ev| {
+        if checked.is_ok() {
+            checked = batch.push(ev);
+        }
+    });
+    checked?;
+    batch.finish()
+}
+
+/// Runs one batch at priority 0 on an in-process `service` — the daemon's
+/// executor without the socket — and collects its event stream through
+/// the same checks as [`ServiceClient::submit`].
+///
+/// # Errors
+///
+/// As [`ServiceClient::submit`]: `PointsFailed` names every failed point.
+pub fn submit_in_process(
+    service: &SweepService,
+    label: &str,
+    jobs: &[SyntheticJob],
+) -> Result<BatchResult, ServiceClientError> {
+    let req = submit_request("local".to_string(), label, jobs);
+    collect_submit(&req, |req, emit| service.run_submit(req, emit))
 }
 
 /// The wire contract of one batch's event stream, checked one event at a
@@ -856,15 +891,7 @@ mod fleet_client {
         ) -> Result<BatchResult, ServiceClientError> {
             let req = submit_request(format!("fleet-{}", self.next_id), label, jobs);
             self.next_id += 1;
-            let mut batch = Collect::new(&req.id, jobs.len());
-            let mut checked = Ok(());
-            self.run_submit(&req, &mut |ev| {
-                if checked.is_ok() {
-                    checked = batch.push(ev);
-                }
-            });
-            checked?;
-            batch.finish()
+            collect_submit(&req, |req, emit| self.run_submit(req, emit))
         }
     }
 
@@ -971,7 +998,7 @@ mod tests {
     use noc_sim::topology::TopologySpec;
     use noc_sim::traffic::TrafficPattern;
     use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline};
-    use noc_sprinting::service::{code_version, DiskResultCache, SweepService};
+    use noc_sprinting::service::{code_version, DiskResultCache};
     use noc_sprinting::Experiment;
 
     fn jobs() -> Vec<SyntheticJob> {

@@ -5,8 +5,8 @@
 //! to refresh EXPERIMENTS.md. The helpers here keep the output format
 //! uniform (markdown tables, percent deltas) across binaries, and
 //! [`FigureHarness`] gives every binary that runs `SyntheticJob` batches
-//! the same parallel, cached, deterministic execution path — in-process
-//! over the `ExperimentRunner`, or through a `noc-serve` socket.
+//! the same parallel, cached, deterministic execution path — the daemon's
+//! `SweepService`, in-process or through a `noc-serve` socket.
 
 #![warn(missing_docs)]
 
@@ -23,11 +23,9 @@ use std::time::Instant;
 
 use client::BatchResult;
 use flags::{exit_usage, Flags};
-use noc_sim::error::SimError;
-use noc_sim::probe::Probe;
-use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{ExperimentRunner, ResultCache, SyntheticJob};
-use noc_sprinting::service::{metric_pairs, BatchSummary};
+use noc_sprinting::experiment::Experiment;
+use noc_sprinting::runner::{ExperimentRunner, RunnerProgress, SyntheticJob};
+use noc_sprinting::service::{code_version, DiskResultCache, SweepService};
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest, SpanRecorder};
 
 /// Worker-count override for the figure binaries: `NOC_BENCH_WORKERS=1`
@@ -108,77 +106,75 @@ struct Telemetry {
 type BoxedClient =
     client::ServiceClient<Box<dyn std::io::BufRead + Send>, Box<dyn std::io::Write + Send>>;
 
-/// The `noc-serve` (or `noc-fleet`) socket the harness submits to.
-struct Remote {
-    socket: PathBuf,
-    client: Mutex<BoxedClient>,
+/// Where a harness's batches run.
+enum Executor {
+    /// The daemon's executor, in-process, on the binary's experiment.
+    Local {
+        service: Box<SweepService>,
+        progress: Arc<RunnerProgress>,
+    },
+    /// The `noc-serve` daemon (or `noc-fleet` coordinator) on `socket`.
+    Remote {
+        socket: PathBuf,
+        client: Mutex<BoxedClient>,
+    },
 }
 
-/// Stands in for "no probe" in the harness's one batch path.
-enum NoProbe {}
-
-impl Probe for NoProbe {}
-
-/// A probe factory, as the harness's batch path takes it.
-type MakeProbe<'a, P> = &'a (dyn Fn(usize) -> P + Sync);
-
 /// The one execution path of the bench binaries that run
-/// [`SyntheticJob`] batches: a deterministic parallel [`ExperimentRunner`]
-/// plus a [`ResultCache`] so a point that several tables share is
-/// simulated once — or, with a `noc-serve` socket configured (`--service
-/// <path>` / `NOC_SERVE_SOCKET`), the daemon or fleet behind it, whose
-/// persistent cache makes repeated runs skip already-simulated points.
-/// Either way a batch comes back as the same [`BatchResult`], bit-identical
-/// metrics included. See `SERVICE.md` for the wire contract.
+/// [`SyntheticJob`] batches: a [`SweepService`] — the daemon's executor —
+/// on the binary's [`Experiment`], whose deterministic parallel runner and
+/// in-memory result cache simulate a point that several tables share once;
+/// or, with a `noc-serve` socket configured (`--service <path>` /
+/// `NOC_SERVE_SOCKET`), the daemon or fleet behind it, whose persistent
+/// cache makes repeated runs skip already-simulated points. Either way a
+/// batch's event stream is checked by the same client-side reader and
+/// comes back as the same [`BatchResult`], bit-identical metrics included.
+/// See `SERVICE.md` for the wire contract.
 ///
 /// Results are bit-identical at any worker count — per-point seeds are
 /// derived from configuration, never from execution order.
 ///
 /// With a telemetry directory configured (`--telemetry <dir>` /
 /// `NOC_BENCH_TELEMETRY`), the harness additionally records one
-/// [`ManifestPoint`] and one span per operating point, and
+/// [`ManifestPoint`] and (in-process) one span per operating point, and
 /// [`FigureHarness::finish`] writes `<dir>/<figure>.manifest.jsonl` plus
 /// `<dir>/<figure>.trace.json` (Chrome Trace Event Format). Telemetry only
 /// *observes* the run — results are byte-identical with it on or off.
 pub struct FigureHarness {
     label: String,
-    runner: ExperimentRunner,
-    cache: ResultCache<NetworkMetrics>,
+    executor: Executor,
+    /// The in-process runner's worker count, or the daemon's.
+    workers: usize,
     started: Instant,
     telemetry: Option<Telemetry>,
-    remote: Option<Remote>,
     /// `(points, cache hits)` over every batch, wherever it ran.
     tally: Mutex<(u64, u64)>,
 }
 
-impl Default for FigureHarness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FigureHarness {
-    /// A harness honoring the `NOC_BENCH_WORKERS`, `NOC_BENCH_TELEMETRY`
-    /// (or `--telemetry <dir>`), `NOC_BENCH_PROGRESS` and `--service
-    /// <path>` / `NOC_SERVE_SOCKET` overrides; see
+    /// A harness on `experiment` honoring the `NOC_BENCH_WORKERS`,
+    /// `NOC_BENCH_TELEMETRY` (or `--telemetry <dir>`), `NOC_BENCH_PROGRESS`
+    /// and `--service <path>` / `NOC_SERVE_SOCKET` overrides; see
     /// [`FigureHarness::configured`].
-    pub fn new() -> Self {
+    pub fn new(experiment: Experiment) -> Self {
         // The binary owns argv: read only this harness's flags from it.
         let mut flags = Flags::from_env();
         let usage = |e| -> Option<PathBuf> { exit_usage("error", e) };
         let telemetry = telemetry_dir_from_env(&mut flags).unwrap_or_else(usage);
         let service = service_socket_from_env(&mut flags).unwrap_or_else(usage);
-        Self::configured(None, telemetry, service.as_deref())
+        Self::configured(experiment, None, telemetry, service.as_deref())
     }
 
-    /// A harness from values the binary parsed itself: `workers` (else
-    /// `NOC_BENCH_WORKERS`, else one per hardware thread), the telemetry
-    /// directory and the service socket. Progress lines follow
-    /// `NOC_BENCH_PROGRESS`, labelled with the binary's name. A service
-    /// socket that cannot be dialed exits the process with status 2 — a
-    /// silent fall-back to local execution would defeat the cache the user
-    /// asked for.
+    /// A harness on `experiment` from values the binary parsed itself:
+    /// `workers` (else `NOC_BENCH_WORKERS`, else one per hardware thread),
+    /// the telemetry directory and the service socket. Progress lines
+    /// follow `NOC_BENCH_PROGRESS`, labelled with the binary's name. With a
+    /// service socket the daemon runs every batch on *its* experiment and
+    /// `experiment` goes unused; a socket that cannot be dialed exits the
+    /// process with status 2 — a silent fall-back to local execution would
+    /// defeat the cache the user asked for.
     pub fn configured(
+        experiment: Experiment,
         workers: Option<usize>,
         telemetry: Option<PathBuf>,
         service: Option<&Path>,
@@ -188,74 +184,50 @@ impl FigureHarness {
             .as_deref()
             .and_then(|a| Path::new(a).file_stem()?.to_str().map(String::from))
             .unwrap_or_else(|| "bench".to_string());
-        let mut runner = match workers.or_else(workers_from_env) {
-            Some(w) => ExperimentRunner::with_workers(w),
-            None => ExperimentRunner::new(),
-        };
-        if progress_from_env() {
-            runner = runner.with_echo(label.clone());
-        }
         let telemetry = telemetry.map(|dir| Telemetry {
             dir,
             spans: Arc::new(SpanRecorder::new()),
             points: Mutex::default(),
         });
-        if let Some(t) = &telemetry {
-            runner = runner.with_span_recorder(Arc::clone(&t.spans));
-        }
-        let harness = FigureHarness {
-            label,
-            runner,
-            cache: ResultCache::new(),
-            started: Instant::now(),
-            telemetry,
-            remote: None,
-            tally: Mutex::default(),
-        };
-        match service {
-            None => harness,
-            Some(socket) => harness.connect_service(socket).unwrap_or_else(|e| {
+        // Read even in service mode, so a malformed value is always an error.
+        let workers = workers.or_else(workers_from_env);
+        let (executor, workers) = match service {
+            Some(socket) => connect(socket).unwrap_or_else(|e| {
                 eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
                 std::process::exit(2);
             }),
+            None => {
+                let mut runner = match workers {
+                    Some(w) => ExperimentRunner::with_workers(w),
+                    None => ExperimentRunner::new(),
+                };
+                if progress_from_env() {
+                    runner = runner.with_echo(label.clone());
+                }
+                if let Some(t) = &telemetry {
+                    runner = runner.with_span_recorder(Arc::clone(&t.spans));
+                }
+                let workers = runner.workers();
+                let progress = Arc::clone(runner.progress());
+                let cache = DiskResultCache::in_memory(code_version(&label));
+                let service = Box::new(SweepService::new(experiment, runner, cache));
+                (Executor::Local { service, progress }, workers)
+            }
+        };
+        FigureHarness {
+            label,
+            executor,
+            workers,
+            started: Instant::now(),
+            telemetry,
+            tally: Mutex::default(),
         }
     }
 
-    /// Routes this harness's batches to the `noc-serve` daemon (or
-    /// `noc-fleet` coordinator) listening on the Unix socket at `socket`.
-    ///
-    /// # Errors
-    ///
-    /// Socket connection failure.
-    #[cfg(unix)]
-    pub fn connect_service(mut self, socket: &Path) -> std::io::Result<Self> {
-        let stream = std::os::unix::net::UnixStream::connect(socket)?;
-        let reader: Box<dyn std::io::BufRead + Send> =
-            Box::new(std::io::BufReader::new(stream.try_clone()?));
-        self.remote = Some(Remote {
-            socket: socket.to_path_buf(),
-            client: Mutex::new(client::ServiceClient::over(reader, Box::new(stream))),
-        });
-        Ok(self)
-    }
-
-    /// Unix-socket service mode is unavailable on this platform.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    #[cfg(not(unix))]
-    pub fn connect_service(self, socket: &Path) -> std::io::Result<Self> {
-        let _ = socket;
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "noc-serve sockets require a Unix platform",
-        ))
-    }
-
-    /// The worker count of the in-process runner.
+    /// The worker count that runs the batches: the in-process runner's,
+    /// or in service mode the daemon's (a fleet's summed over its shards).
     pub fn workers(&self) -> usize {
-        self.runner.workers()
+        self.workers
     }
 
     /// The telemetry directory, when telemetry is enabled.
@@ -263,62 +235,30 @@ impl FigureHarness {
         self.telemetry.as_ref().map(|t| t.dir.as_path())
     }
 
-    /// Runs a batch of synthetic operating points on `experiment` through
-    /// the pool and the cache — or, with a service socket, submits it to
-    /// the daemon, which runs it on its own experiment — and returns it as
-    /// the wire does: metrics and [`ManifestPoint`]s in job order, and the
+    /// Runs a batch of synthetic operating points — in-process on the
+    /// harness's experiment, or on the daemon's — and returns it as the
+    /// wire does: metrics and [`ManifestPoint`]s in job order, and the
     /// batch summary.
     ///
     /// # Errors
     ///
-    /// The lowest-indexed failing job's simulator error, or why the
-    /// service failed the batch.
-    pub fn run(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-    ) -> Result<BatchResult, String> {
-        Ok(self.execute::<NoProbe>(experiment, jobs, None)?.0)
-    }
-
-    /// [`FigureHarness::run`], attaching a probe from `make_probe(i)` to
-    /// every point while telemetry is on and the batch runs in-process;
-    /// probed points bypass the cache. Otherwise no probes come back.
-    /// Probes only observe: the metrics are the same either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`FigureHarness::run`].
-    pub fn run_observed<P: Probe + Send>(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        make_probe: impl Fn(usize) -> P + Sync,
-    ) -> Result<(BatchResult, Vec<P>), String> {
-        let make: MakeProbe<'_, P> = &make_probe;
-        self.execute(experiment, jobs, self.telemetry.as_ref().map(|_| make))
-    }
-
-    fn execute<P: Probe + Send>(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        make_probe: Option<MakeProbe<'_, P>>,
-    ) -> Result<(BatchResult, Vec<P>), String> {
-        let (batch, probes) = match &self.remote {
-            Some(remote) => {
-                let socket = remote.socket.display();
-                let batch = (remote.client.lock().expect("service client poisoned"))
+    /// Every failed point with its simulator error, or why the service
+    /// failed the batch.
+    pub fn run(&self, jobs: &[SyntheticJob]) -> Result<BatchResult, String> {
+        let batch = match &self.executor {
+            Executor::Local { service, .. } => {
+                client::submit_in_process(service, &self.label, jobs).map_err(|e| e.to_string())?
+            }
+            Executor::Remote { socket, client } => {
+                let socket = socket.display();
+                let batch = (client.lock().expect("service client poisoned"))
                     .submit(&self.label, jobs)
                     .map_err(|e| format!("noc-serve at {socket}: {e}"))?;
                 for note in &batch.notes {
                     eprintln!("warning: noc-serve at {socket}: {note}");
                 }
-                (batch, Vec::new())
+                batch
             }
-            None => self
-                .run_local(experiment, jobs, make_probe)
-                .map_err(|e| e.to_string())?,
         };
         let mut tally = self.tally.lock().expect("tally poisoned");
         tally.0 += batch.points.len() as u64;
@@ -334,58 +274,7 @@ impl FigureHarness {
                 });
             }
         }
-        Ok((batch, probes))
-    }
-
-    fn run_local<P: Probe + Send>(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        make_probe: Option<MakeProbe<'_, P>>,
-    ) -> Result<(BatchResult, Vec<P>), SimError> {
-        let started = Instant::now();
-        let runner = &self.runner;
-        let (detailed, probes): (Vec<_>, Vec<P>) = match make_probe {
-            Some(make) => (runner.run_synthetic_jobs_observed(experiment, jobs, make)?)
-                .into_iter()
-                .map(|(m, p, d)| ((m, d), p))
-                .unzip(),
-            None => (
-                runner.run_synthetic_jobs(experiment, jobs, Some(&self.cache))?,
-                Vec::new(),
-            ),
-        };
-        let (metrics, points): (Vec<_>, Vec<_>) = (jobs.iter().zip(detailed).enumerate())
-            .map(|(index, (job, (m, d)))| {
-                let point = ManifestPoint {
-                    index,
-                    seed: job.seed,
-                    config_hash: job.cache_key(),
-                    cache_hit: d.cache_hit,
-                    duration_ms: d.duration.as_secs_f64() * 1e3,
-                    metrics: metric_pairs(&m),
-                };
-                (m, point)
-            })
-            .unzip();
-        let cache_hits = points.iter().filter(|p| p.cache_hit).count() as u64;
-        let summary = BatchSummary {
-            points: jobs.len(),
-            ok: jobs.len(),
-            failed: 0,
-            cancelled: 0,
-            cache_hits,
-            cache_misses: jobs.len() as u64 - cache_hits,
-            config_hash: RunManifest::combine_hashes(jobs.iter().map(SyntheticJob::cache_key)),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        };
-        let batch = BatchResult {
-            metrics,
-            points,
-            summary,
-            notes: Vec::new(),
-        };
-        Ok((batch, probes))
+        Ok(batch)
     }
 
     /// Prints a one-line execution report (points, cache hits, workers,
@@ -403,17 +292,17 @@ impl FigureHarness {
         // In service mode the cache lives in the daemon; these are its hits.
         let (total, cache_hits) = *self.tally.lock().expect("tally poisoned");
         let wall = self.started.elapsed();
-        match &self.remote {
-            Some(remote) => eprintln!(
+        match &self.executor {
+            Executor::Remote { socket, .. } => eprintln!(
                 "[{total} points via noc-serve at {} ({cache_hits} daemon cache hits): \
                  wall {wall:.2?}]",
-                remote.socket.display(),
+                socket.display(),
             ),
-            None => eprintln!(
+            Executor::Local { progress, .. } => eprintln!(
                 "[{total} points ({cache_hits} cache hits) on {} workers: wall {wall:.2?}, \
                  busy {:.2?}]",
-                self.runner.workers(),
-                self.runner.progress().snapshot().busy,
+                self.workers,
+                progress.snapshot().busy,
             ),
         }
         let Some(t) = &self.telemetry else {
@@ -424,7 +313,7 @@ impl FigureHarness {
         let manifest = RunManifest {
             figure: figure.to_string(),
             config_hash: RunManifest::combine_hashes(points.iter().map(|p| p.config_hash)),
-            workers: self.runner.workers(),
+            workers: self.workers,
             base_seed: points.first().map_or(0, |p| p.seed),
             seed_schedule: points.iter().map(|p| p.seed).collect(),
             wall_ms: wall.as_secs_f64() * 1e3,
@@ -444,6 +333,44 @@ impl FigureHarness {
         );
         Ok(())
     }
+}
+
+/// Dials the `noc-serve` daemon (or `noc-fleet` coordinator) listening on
+/// the Unix socket at `socket` and reads its worker count — the
+/// `noc_runner_workers` gauge, which a fleet sums over its shards — from
+/// one `stats` round trip.
+///
+/// # Errors
+///
+/// Socket connection failure, or a `stats` answer without the gauge.
+#[cfg(unix)]
+fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
+    let stream = std::os::unix::net::UnixStream::connect(socket)?;
+    let reader: Box<dyn std::io::BufRead + Send> =
+        Box::new(std::io::BufReader::new(stream.try_clone()?));
+    let mut client = client::ServiceClient::over(reader, Box::new(stream) as Box<_>);
+    let stats = client.stats().map_err(std::io::Error::other)?;
+    let workers = (stats.metrics.gauge("noc_runner_workers"))
+        .ok_or_else(|| std::io::Error::other("stats carry no noc_runner_workers gauge"))?;
+    let executor = Executor::Remote {
+        socket: socket.to_path_buf(),
+        client: Mutex::new(client),
+    };
+    Ok((executor, workers as usize))
+}
+
+/// Unix-socket service mode is unavailable on this platform.
+///
+/// # Errors
+///
+/// Always `Unsupported`.
+#[cfg(not(unix))]
+fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
+    let _ = socket;
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "noc-serve sockets require a Unix platform",
+    ))
 }
 
 /// Renders a markdown table.
@@ -515,6 +442,42 @@ mod tests {
         assert_eq!(dir(&["--telemetryx=d", "--service", "s"]), fallback);
         assert_eq!(socket(&["--service", "s"]), Some(PathBuf::from("s")));
         assert!(telemetry_dir_from_env(&mut flags(&["--telemetry"])).is_err());
+    }
+
+    /// In-process batches follow the daemon's failure rules: every failed
+    /// point is reported, not just the first, and the harness keeps
+    /// serving afterwards.
+    #[test]
+    fn local_batch_reports_every_failed_point_and_keeps_serving() {
+        use noc_sim::topology::TopologySpec;
+        use noc_sim::traffic::TrafficPattern;
+        use noc_sprinting::runner::SyntheticBaseline;
+
+        let job = |level, seed| SyntheticJob {
+            topology: TopologySpec::default(),
+            level,
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.05,
+            seed,
+            baseline: SyntheticBaseline::NocSprinting,
+        };
+        let harness = FigureHarness::configured(Experiment::quick(), Some(2), None, None);
+        let bad: Vec<_> = [4, 99, 4, 99]
+            .into_iter()
+            .zip(1..)
+            .map(|(l, s)| job(l, s))
+            .collect();
+        let err = harness.run(&bad).expect_err("levels past the mesh fail");
+        assert!(err.starts_with("2 point(s) failed:"), "{err}");
+        assert!(err.contains(" [1] ") && err.contains(" [3] "), "{err}");
+        let good = harness
+            .run(&[job(4, 1)])
+            .expect("good batch after a failed one");
+        assert_eq!(good.metrics.len(), 1);
+        assert!(
+            good.points[0].cache_hit,
+            "the failed batch's good point was cached"
+        );
     }
 
     #[test]

@@ -94,15 +94,19 @@ fn harness_service_path_matches_local_and_records_daemon_hits() {
     let sock = dir.join("serve.sock");
     let daemon = spawn_daemon(&sock);
     let jobs = jobs(6);
-    let experiment = Experiment::quick();
 
-    let local = FigureHarness::configured(Some(2), None, None)
-        .run(&experiment, &jobs)
+    let local = FigureHarness::configured(Experiment::quick(), Some(2), None, None)
+        .run(&jobs)
         .expect("local batch");
     let telemetry = dir.join("telemetry");
-    let remote = FigureHarness::configured(Some(2), Some(telemetry.clone()), Some(&sock));
-    let first = remote.run(&experiment, &jobs).expect("remote batch");
-    let second = remote.run(&experiment, &jobs).expect("repeat remote batch");
+    let remote = FigureHarness::configured(
+        Experiment::quick(),
+        Some(1),
+        Some(telemetry.clone()),
+        Some(&sock),
+    );
+    let first = remote.run(&jobs).expect("remote batch");
+    let second = remote.run(&jobs).expect("repeat remote batch");
     assert_eq!(bits(&first.metrics), bits(&local.metrics), "bit-identical");
     assert_eq!(bits(&second.metrics), bits(&local.metrics));
     assert_eq!(local.summary.cache_hits, 0);
@@ -116,6 +120,7 @@ fn harness_service_path_matches_local_and_records_daemon_hits() {
     remote.finish("harness").expect("telemetry written");
     let text = std::fs::read_to_string(telemetry.join("harness.manifest.jsonl")).expect("manifest");
     let manifest = RunManifest::from_jsonl(&text).expect("manifest parses");
+    assert_eq!(manifest.workers, 2, "the daemon's workers ran the points");
     assert_eq!(manifest.points.len(), 2 * jobs.len());
     assert_eq!(manifest.cache_hits, jobs.len() as u64);
     assert_eq!(manifest.cache_misses, jobs.len() as u64);

@@ -6,6 +6,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use noc_sprinting::telemetry::RunManifest;
+
 /// An empty working directory, so a run that writes files shows it.
 fn scratch_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("noc-cli-flags-{label}-{}", std::process::id()));
@@ -140,12 +142,20 @@ fn pareto_quick_keeps_explicit_lists() {
 }
 
 /// `scale_study` runs on the mesh `--mesh` names: its jobs carry that mesh,
-/// not the paper's 4x4 default.
+/// not the paper's 4x4 default. It always runs in-process — no daemon
+/// serves its meshes, so a `NOC_SERVE_SOCKET` nothing listens on is
+/// ignored — and takes `--telemetry DIR` as a flag.
 #[test]
 fn scale_study_runs_on_the_requested_mesh() {
     let dir = scratch_dir("scale");
     let scale = env!("CARGO_BIN_EXE_scale_study");
-    let out = run_in(&dir, scale, &["--mesh=8", "--quick"]);
+    let out = Command::new(scale)
+        .args(["--mesh=8", "--quick", "--telemetry", "tel"])
+        .current_dir(&dir)
+        .env_remove("NOC_BENCH_TELEMETRY")
+        .env("NOC_SERVE_SOCKET", dir.join("nothing-listens.sock"))
+        .output()
+        .expect("run scale_study");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -153,5 +163,8 @@ fn scale_study_runs_on_the_requested_mesh() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("| 64/64 cores |"), "{stdout}");
+    let manifest = std::fs::read_to_string(dir.join("tel/scale_study.manifest.jsonl"))
+        .expect("manifest written");
+    RunManifest::from_jsonl(&manifest).expect("manifest parses");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -105,9 +105,7 @@ pub use metrics::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ServiceMetrics, ShardHealth, SlowPoint,
     StageBusyTotals, StatsSnapshot,
 };
-pub use runner::{
-    ExperimentRunner, PointDetail, ResultCache, RunnerProgress, SyntheticBaseline, SyntheticJob,
-};
+pub use runner::{ExperimentRunner, ResultCache, RunnerProgress, SyntheticBaseline, SyntheticJob};
 pub use runtime::{JobRecord, SprintJob, SprintRuntime};
 pub use service::{
     BatchSummary, CacheLoadReport, CacheRecord, DiskResultCache, ServiceControl, ServiceRequest,
@@ -115,6 +113,6 @@ pub use service::{
 };
 pub use sprint_topology::{sprint_order, SprintSet};
 pub use telemetry::{
-    progress_line, validate_chrome_trace, FaultRecord, JsonValue, ManifestPoint, RunManifest,
-    RunnerEvent, Span, SpanRecorder,
+    progress_line, validate_chrome_trace, FaultRecord, JsonValue, ManifestPoint, RunManifest, Span,
+    SpanRecorder,
 };

@@ -9,15 +9,12 @@
 //! workers — and reassembles results **in input order**, so parallel output
 //! is bit-identical to the serial path at any worker count.
 //!
-//! Two layers:
-//!
-//! - [`ExperimentRunner::run`] / [`ExperimentRunner::try_run`] — generic
-//!   order-preserving parallel map over a slice,
-//! - [`ExperimentRunner::run_synthetic_jobs`] — the fan-out over
-//!   [`SyntheticJob`] operating points (every figure, ablation, load sweep
-//!   and daemon batch), with an optional [`ResultCache`] so repeated runs
-//!   skip already-simulated points, or a probe per point
-//!   ([`ExperimentRunner::run_synthetic_jobs_observed`]).
+//! [`ExperimentRunner::run`] / [`ExperimentRunner::try_run`] are that
+//! order-preserving parallel map over a slice. A batch of [`SyntheticJob`]
+//! operating points — every figure, ablation, load sweep and daemon
+//! batch — fans out through it in one place,
+//! [`crate::service::SweepService::run_submit`], whose result cache lets
+//! repeated points skip the simulation.
 //!
 //! Progress is observable through [`RunnerProgress`]: completed/total
 //! counters and accumulated per-point busy time, readable from another
@@ -31,12 +28,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use noc_sim::error::SimError;
-use noc_sim::probe::Probe;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 
 use crate::experiment::{Experiment, NetworkMetrics};
-use crate::telemetry::{progress_line, RunnerEvent, SpanRecorder};
+use crate::telemetry::{progress_line, SpanRecorder};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -190,7 +186,8 @@ impl ExperimentRunner {
         self
     }
 
-    /// Records a [`crate::telemetry::Span`] per completed point into `rec`
+    /// Attaches `rec`, into which [`crate::service::SweepService::run_submit`]
+    /// records a [`crate::telemetry::Span`] per point it runs on this runner
     /// (start/end wall time, worker thread, cache hit, seed, config hash),
     /// exportable as a Chrome trace for the whole parallel run.
     #[must_use]
@@ -297,127 +294,6 @@ impl ExperimentRunner {
         }
         Ok(out)
     }
-
-    /// Runs a batch of synthetic operating points through the pool,
-    /// optionally consulting `cache` so repeated figure runs skip
-    /// already-simulated points. Each point's metrics come back in job
-    /// order beside its [`PointDetail`] (cache hit, worker wall time), so
-    /// callers can write per-point telemetry without re-deriving it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed job's simulator error.
-    pub fn run_synthetic_jobs(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        cache: Option<&ResultCache<NetworkMetrics>>,
-    ) -> Result<Vec<(NetworkMetrics, PointDetail)>, SimError> {
-        self.run_jobs(jobs, |_, job| {
-            let compute = || job.run(experiment);
-            match cache {
-                Some(c) => c.get_or_try_insert_with_stats(job.cache_key(), compute),
-                None => compute().map(|v| (v, false)),
-            }
-        })
-    }
-
-    /// [`ExperimentRunner::run_synthetic_jobs`] with one probe attached per
-    /// point and no cache: `make_probe(i)` builds job `i`'s observer, and
-    /// the filled probes come back in job order between the metrics and
-    /// the [`PointDetail`].
-    ///
-    /// Probes observe without mutating simulation state, so the metrics are
-    /// bit-identical to the probe-less run at any worker count (pinned by
-    /// the determinism suite).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-indexed job's simulator error.
-    pub fn run_synthetic_jobs_observed<P, M>(
-        &self,
-        experiment: &Experiment,
-        jobs: &[SyntheticJob],
-        make_probe: M,
-    ) -> Result<Vec<(NetworkMetrics, P, PointDetail)>, SimError>
-    where
-        P: Probe + Send,
-        M: Fn(usize) -> P + Sync,
-    {
-        let observed = self.run_jobs(jobs, |i, job| {
-            let mut probe = make_probe(i);
-            let (m, _) = experiment.run_job(job, Some(&mut probe))?;
-            Ok(((m, probe), false))
-        })?;
-        Ok(observed.into_iter().map(|((m, p), d)| (m, p, d)).collect())
-    }
-
-    /// The job fan-out under [`ExperimentRunner::try_run`] that both job
-    /// entry points share: `point(i, job)` yields a value and whether it
-    /// was a cache hit; each point gets a span (when a recorder is
-    /// attached) and a [`PointDetail`] or, on failure, a structured
-    /// point-failure event on stderr carrying its index, config hash and
-    /// seed.
-    fn run_jobs<O, F>(
-        &self,
-        jobs: &[SyntheticJob],
-        point: F,
-    ) -> Result<Vec<(O, PointDetail)>, SimError>
-    where
-        O: Send,
-        F: Fn(usize, &SyntheticJob) -> Result<(O, bool), SimError> + Sync,
-    {
-        let label = || self.echo.clone().unwrap_or_else(|| "jobs".to_string());
-        self.try_run(jobs, |i, job| {
-            let start = Instant::now();
-            let key = job.cache_key();
-            match point(i, job) {
-                Ok((v, cache_hit)) => {
-                    if let Some(rec) = &self.spans {
-                        let seed = Some(job.seed);
-                        rec.record(
-                            &label(),
-                            i,
-                            start,
-                            Instant::now(),
-                            cache_hit,
-                            seed,
-                            Some(key),
-                        );
-                    }
-                    let detail = PointDetail {
-                        cache_hit,
-                        duration: start.elapsed(),
-                    };
-                    if cache_hit {
-                        self.progress.note_cached(detail.duration);
-                    }
-                    Ok((v, detail))
-                }
-                Err(e) => {
-                    let event = RunnerEvent::PointFailed {
-                        label: label(),
-                        index: i,
-                        config_hash: Some(key),
-                        seed: Some(job.seed),
-                        error: e.to_string(),
-                    };
-                    eprintln!("{}", event.to_json_line());
-                    Err(e)
-                }
-            }
-        })
-    }
-}
-
-/// Per-point execution detail from [`ExperimentRunner::run_synthetic_jobs`]
-/// and [`ExperimentRunner::run_synthetic_jobs_observed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointDetail {
-    /// Whether the point was served from the result cache.
-    pub cache_hit: bool,
-    /// Wall time the worker spent on the point (near zero for cache hits).
-    pub duration: Duration,
 }
 
 /// Which configuration a [`SyntheticJob`] measures.
@@ -434,7 +310,7 @@ pub enum SyntheticBaseline {
 }
 
 /// One synthetic-traffic operating point: the unit of work fanned out by
-/// [`ExperimentRunner::run_synthetic_jobs`] and the key of the result
+/// [`crate::service::SweepService::run_submit`] and the key of the result
 /// cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticJob {
@@ -723,36 +599,6 @@ mod tests {
         assert_eq!(cache.get_or_try_insert_with_stats(9, ok(5)), Ok((5, true)));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn sweep_records_spans_when_recorder_attached() {
-        use crate::telemetry::validate_chrome_trace;
-        use noc_sim::sweep::point_seed;
-
-        let rec = Arc::new(SpanRecorder::new());
-        let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-        let jobs: Vec<SyntheticJob> = [0.04, 0.12]
-            .iter()
-            .enumerate()
-            .map(|(i, &rate)| SyntheticJob {
-                topology: TopologySpec::default(),
-                level: 16,
-                pattern: TrafficPattern::UniformRandom,
-                rate,
-                seed: point_seed(7, i),
-                baseline: SyntheticBaseline::SpreadAggregate,
-            })
-            .collect();
-        let metrics = runner
-            .run_synthetic_jobs(&Experiment::quick(), &jobs, None)
-            .unwrap();
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(rec.len(), 2, "one span per operating point");
-        let spans = rec.spans();
-        assert!(spans.iter().any(|s| s.seed == Some(point_seed(7, 0))));
-        assert!(spans.iter().all(|s| !s.cache_hit));
-        assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);
     }
 
     #[test]

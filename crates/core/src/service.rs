@@ -549,7 +549,8 @@ struct CancelEntry {
 /// deterministic parallel [`ExperimentRunner`] and a [`DiskResultCache`].
 ///
 /// `SweepService` is transport-agnostic — front-ends (the `noc_serve`
-/// binary's stdin and Unix-socket modes, or tests) feed it request lines
+/// binary's stdin and Unix-socket modes, the bench harness's in-process
+/// mode, or tests) feed it request lines (or submit requests directly)
 /// and an `emit` sink for response events. It is `Sync`: concurrent
 /// requests from multiple connections share the cache and each stream
 /// their own strictly-ordered results.
@@ -762,7 +763,9 @@ impl SweepService {
     /// emitted and nothing else).
     ///
     /// Per-point failures do not abort the batch — every job is attempted
-    /// and failures surface as `point_failed` events. A cancellation
+    /// and failures surface as `point_failed` events. When the runner has
+    /// a [`crate::telemetry::SpanRecorder`] attached, every point also
+    /// records a span labelled with the request's label. A cancellation
     /// ([`SweepService::cancel`]) skips the not-yet-started points, which
     /// surface as `point_failed` with error `"cancelled"`; already-computed
     /// points still stream normally.
@@ -809,22 +812,34 @@ impl SweepService {
                 let tx = Mutex::new(tx);
                 self.runner.run(jobs, |i, job| {
                     let point_start = Instant::now();
+                    let key = job.cache_key();
                     let outcome = if cancel.load(Ordering::SeqCst) {
                         Err(PointFailure::Cancelled)
                     } else {
                         self.cache
                             .memory()
-                            .get_or_try_insert_with_stats(job.cache_key(), || {
-                                job.run(&self.experiment)
-                            })
+                            .get_or_try_insert_with_stats(key, || job.run(&self.experiment))
                             .map_err(|e| PointFailure::Failed(e.to_string()))
                     };
                     let elapsed = point_start.elapsed();
-                    if matches!(&outcome, Ok((_, true))) {
+                    let cache_hit = matches!(&outcome, Ok((_, true)));
+                    if cache_hit {
                         // Tag the hit for ETA math (two relaxed atomic
                         // adds — same cost class as the runner's own
                         // progress accounting).
                         self.runner.progress().note_cached(elapsed);
+                    }
+                    if let Some(rec) = self.runner.span_recorder() {
+                        let end = point_start + elapsed;
+                        rec.record(
+                            &req.label,
+                            i,
+                            point_start,
+                            end,
+                            cache_hit,
+                            Some(job.seed),
+                            Some(key),
+                        );
                     }
                     let ms = elapsed.as_secs_f64() * 1e3;
                     lock_recover(&tx)
@@ -1301,6 +1316,47 @@ mod tests {
             assert!(!a.cache_hit);
             assert!(b.cache_hit);
         }
+    }
+
+    #[test]
+    fn sweep_records_spans_when_recorder_attached() {
+        use crate::telemetry::{validate_chrome_trace, SpanRecorder};
+        use noc_sim::sweep::point_seed;
+
+        let rec = Arc::new(SpanRecorder::new());
+        let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
+        let service = SweepService::new(
+            Experiment::quick(),
+            runner,
+            DiskResultCache::in_memory(code_version("quick")),
+        );
+        let jobs: Vec<SyntheticJob> = [0.04, 0.12]
+            .iter()
+            .enumerate()
+            .map(|(i, &rate)| SyntheticJob {
+                topology: TopologySpec::default(),
+                level: 16,
+                pattern: TrafficPattern::UniformRandom,
+                rate,
+                seed: point_seed(7, i),
+                baseline: SyntheticBaseline::SpreadAggregate,
+            })
+            .collect();
+        let req = SubmitRequest {
+            id: "spans".to_string(),
+            label: "sweep".to_string(),
+            priority: 0,
+            jobs,
+        };
+        let summary = service
+            .run_submit(&req, &mut |_| {})
+            .expect("no queue limit configured");
+        assert_eq!(summary.ok, 2);
+        assert_eq!(rec.len(), 2, "one span per operating point");
+        let spans = rec.spans();
+        assert!(spans.iter().any(|s| s.seed == Some(point_seed(7, 0))));
+        assert!(spans.iter().all(|s| !s.cache_hit && s.label == "sweep"));
+        assert_eq!(validate_chrome_trace(&rec.chrome_trace()).unwrap(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Structured run telemetry: JSON encoding, per-point spans, Chrome Trace
-//! Event export, JSONL run manifests, runner events and progress lines.
+//! Event export, JSONL run manifests and progress lines.
 //!
 //! The workspace builds offline with no registry access, so this module
 //! carries its own small JSON value type ([`JsonValue`]) with a writer and
@@ -18,12 +18,11 @@
 //! `chrome://tracing` / `ui.perfetto.dev`.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-pub use crate::wire::{FaultRecord, ManifestPoint, RunnerEvent};
+pub use crate::wire::{FaultRecord, ManifestPoint};
 
 // ---------------------------------------------------------------------------
 // JSON value, writer, parser
@@ -672,24 +671,8 @@ impl RunManifest {
 }
 
 // ---------------------------------------------------------------------------
-// Runner events and progress lines
+// Progress lines
 // ---------------------------------------------------------------------------
-
-impl fmt::Display for RunnerEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunnerEvent::PointFailed {
-                label, index, seed, ..
-            } => {
-                write!(f, "{label}: point {index} failed")?;
-                if let Some(s) = seed {
-                    write!(f, " (seed {s:#x})")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
 
 /// Formats a live progress line: completed/total, percent, throughput and
 /// ETA, e.g. `fig11: 12/48 (25%), 3.4 pt/s, ETA 11s`.
@@ -909,23 +892,6 @@ mod tests {
         let b = RunManifest::combine_hashes([3, 2, 1]);
         assert_ne!(a, b);
         assert_eq!(a, RunManifest::combine_hashes([1, 2, 3]));
-    }
-
-    #[test]
-    fn runner_event_json_carries_identity() {
-        let e = RunnerEvent::PointFailed {
-            label: "fig11".to_string(),
-            index: 7,
-            config_hash: Some(u64::MAX),
-            seed: Some(0xabc),
-            error: "deadlock at cycle 12".to_string(),
-        };
-        let v = JsonValue::parse(&e.to_json_line()).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("point_failed"));
-        assert_eq!(v.get("index").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("config_hash").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(v.get("seed").unwrap().as_u64(), Some(0xabc));
-        assert!(e.to_string().contains("point 7"));
     }
 
     #[test]

@@ -785,7 +785,7 @@ fn validate_cache_record(rec: &CacheRecord) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Run manifests and runner events
+// Run manifests
 // ---------------------------------------------------------------------------
 
 message! {
@@ -827,21 +827,6 @@ message! {
         cache_hits: u64 as Int<u64> = req, "result-cache hits during the run";
         cache_misses: u64 as Int<u64> = req, "result-cache misses during the run";
         ..Default::default()
-    }
-}
-
-message! {
-    /// A structured event the parallel runner prints to stderr, one JSON
-    /// object per line, so failures stay machine-attributable to a point.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum RunnerEvent {
-        "point_failed" => PointFailed {
-            label: String as Str = req, "batch label";
-            index: usize as Int<usize> = req, "failing point's index";
-            config_hash: Option<u64> as Hex = opt, "failing point's configuration hash, when known";
-            seed: Option<u64> as Hex = opt, "failing point's RNG seed, when known";
-            error: String as Str = req, "the error's display form";
-        }, "an operating point failed; carries everything needed to re-run it";
     }
 }
 

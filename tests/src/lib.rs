@@ -6,6 +6,11 @@ use noc_sim::routing::RoutingFunction;
 use noc_sim::sim::{SimConfig, SimOutcome, Simulation};
 use noc_sim::topology::Mesh2D;
 use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
+use noc_sprinting::experiment::{Experiment, NetworkMetrics};
+use noc_sprinting::runner::{ExperimentRunner, SyntheticJob};
+use noc_sprinting::service::{
+    code_version, metrics_from_pairs, DiskResultCache, ServiceResponse, SubmitRequest, SweepService,
+};
 
 /// Runs a short simulation on a fully powered mesh and returns the outcome.
 ///
@@ -46,4 +51,39 @@ pub fn run_masked(
     Simulation::new(net, traffic, SimConfig::quick())
         .run()
         .expect("simulation")
+}
+
+/// An in-process [`SweepService`] — the one executor of a `SyntheticJob`
+/// batch — on `experiment` and `runner`, with an in-memory result cache.
+pub fn in_process_service(experiment: Experiment, runner: ExperimentRunner) -> SweepService {
+    SweepService::new(
+        experiment,
+        runner,
+        DiskResultCache::in_memory(code_version("test")),
+    )
+}
+
+/// Runs `jobs` as one batch on `service` and collects its metrics in job
+/// order.
+///
+/// # Panics
+///
+/// Panics unless every point succeeds.
+pub fn service_batch(service: &SweepService, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
+    let req = SubmitRequest {
+        id: "test".to_string(),
+        label: "test".to_string(),
+        priority: 0,
+        jobs: jobs.to_vec(),
+    };
+    let mut metrics = Vec::with_capacity(jobs.len());
+    let summary = service
+        .run_submit(&req, &mut |ev| {
+            if let ServiceResponse::Point { point, .. } = ev {
+                metrics.push(metrics_from_pairs(&point.metrics).expect("every metric"));
+            }
+        })
+        .expect("no queue limit configured");
+    assert_eq!(summary.ok, jobs.len(), "every point succeeds");
+    metrics
 }

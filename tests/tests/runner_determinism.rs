@@ -1,18 +1,19 @@
 //! The load-bearing guarantee of the parallel pipeline: the
 //! `ExperimentRunner` produces **bit-identical** results to the serial
 //! path, at any worker count, because every operating point's seed is a
-//! pure function of `(base_seed, point_index)`.
+//! pure function of `(base_seed, point_index)`. Batches run on an
+//! in-process `SweepService`, the one executor of a `SyntheticJob` batch;
+//! probed points run the way `explore --telemetry` runs them.
 
 use std::sync::Arc;
 
-use noc_sim::probe::{EventCounts, TimeSeriesObserver};
+use integration::{in_process_service, service_batch};
+use noc_sim::probe::{EventCounts, Probe, TimeSeriesObserver};
 use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::{Experiment, NetworkMetrics};
-use noc_sprinting::runner::{
-    ExperimentRunner, PointDetail, ResultCache, SyntheticBaseline, SyntheticJob,
-};
+use noc_sprinting::runner::{ExperimentRunner, SyntheticBaseline, SyntheticJob};
 use noc_sprinting::telemetry::SpanRecorder;
 
 /// A uniform load sweep from 4% in 8% steps as `n` jobs: `level` 16 with
@@ -30,9 +31,12 @@ fn quick_sweep(level: usize, baseline: SyntheticBaseline, n: usize) -> Vec<Synth
         .collect()
 }
 
-/// The metrics of a runner batch, without the per-point detail.
-fn metrics(detailed: Vec<(NetworkMetrics, PointDetail)>) -> Vec<NetworkMetrics> {
-    detailed.into_iter().map(|(m, _)| m).collect()
+/// The metrics of `jobs` as one batch on a fresh service over `workers`.
+fn parallel(e: Experiment, workers: usize, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
+    service_batch(
+        &in_process_service(e, ExperimentRunner::with_workers(workers)),
+        jobs,
+    )
 }
 
 /// The jobs run one after another on the calling thread, outside the pool.
@@ -42,18 +46,31 @@ fn serial(e: &Experiment, jobs: &[SyntheticJob]) -> Vec<NetworkMetrics> {
         .collect()
 }
 
+/// Every job run on `workers` with its own probe from `make`, through
+/// `ExperimentRunner::run` and `Experiment::run_job`; metrics and probes in
+/// job order.
+fn probed<P: Probe + Send>(
+    e: &Experiment,
+    workers: usize,
+    jobs: &[SyntheticJob],
+    make: impl Fn() -> P + Sync,
+) -> (Vec<NetworkMetrics>, Vec<P>) {
+    ExperimentRunner::with_workers(workers)
+        .run(jobs, |_, job| {
+            let mut probe = make();
+            let (m, _) = e.run_job(job, Some(&mut probe)).expect("probed point");
+            (m, probe)
+        })
+        .into_iter()
+        .unzip()
+}
+
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let e = Experiment::quick();
     let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
-    let serial = serial(&e, &jobs);
+    let serial = serial(&Experiment::quick(), &jobs);
     for workers in [1, 2, 3, 8] {
-        let runner = ExperimentRunner::with_workers(workers);
-        let parallel = metrics(
-            runner
-                .run_synthetic_jobs(&e, &jobs, None)
-                .expect("parallel sweep"),
-        );
+        let parallel = parallel(Experiment::quick(), workers, &jobs);
         // NetworkMetrics is PartialEq over f64 fields: equality here is
         // bit-level, not approximate.
         assert_eq!(
@@ -65,14 +82,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 
 #[test]
 fn parallel_cdor_sweep_matches_serial() {
-    let e = Experiment::quick();
     let jobs = quick_sweep(4, SyntheticBaseline::NocSprinting, 4);
-    let serial = serial(&e, &jobs);
-    let parallel = metrics(
-        ExperimentRunner::with_workers(4)
-            .run_synthetic_jobs(&e, &jobs, None)
-            .expect("parallel sweep"),
-    );
+    let serial = serial(&Experiment::quick(), &jobs);
+    let parallel = parallel(Experiment::quick(), 4, &jobs);
     assert_eq!(parallel, serial);
 }
 
@@ -86,13 +98,7 @@ fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
     let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
     let baseline = serial(&e, &jobs);
     for workers in [1, 2, 4] {
-        let runner = ExperimentRunner::with_workers(workers);
-        let (observed, probes): (Vec<_>, Vec<_>) = runner
-            .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(250))
-            .expect("observed sweep")
-            .into_iter()
-            .map(|(m, p, _)| (m, p))
-            .unzip();
+        let (observed, probes) = probed(&e, workers, &jobs, || TimeSeriesObserver::new(250));
         assert_eq!(
             observed, baseline,
             "observation must not perturb results ({workers} workers)"
@@ -106,23 +112,20 @@ fn observed_sweep_is_bit_identical_to_unobserved_at_any_worker_count() {
 
 #[test]
 fn span_recorder_and_event_counters_do_not_perturb_results() {
-    // Layering the runner-side SpanRecorder on top of per-point EventCounts
-    // probes still leaves the metrics bit-identical, at 1, 2 and 4 workers,
-    // and both telemetry sinks actually see the run.
+    // Neither telemetry sink perturbs the metrics, at 1, 2 and 4 workers:
+    // the service's per-point spans nor per-point EventCounts probes, and
+    // both sinks actually see the run.
     let e = Experiment::quick();
     let jobs = quick_sweep(16, SyntheticBaseline::SpreadAggregate, 6);
     let baseline = serial(&e, &jobs);
     for workers in [1, 2, 4] {
         let rec = Arc::new(SpanRecorder::new());
         let runner = ExperimentRunner::with_workers(workers).with_span_recorder(Arc::clone(&rec));
-        let (observed, counters): (Vec<_>, Vec<_>) = runner
-            .run_synthetic_jobs_observed(&e, &jobs, |_| EventCounts::default())
-            .expect("observed sweep")
-            .into_iter()
-            .map(|(m, p, _)| (m, p))
-            .unzip();
-        assert_eq!(observed, baseline, "{workers} workers");
+        let traced = service_batch(&in_process_service(Experiment::quick(), runner), &jobs);
+        assert_eq!(traced, baseline, "{workers} workers");
         assert_eq!(rec.spans().len(), jobs.len());
+        let (observed, counters) = probed(&e, workers, &jobs, EventCounts::default);
+        assert_eq!(observed, baseline, "{workers} workers");
         for c in &counters {
             assert!(c.injections > 0, "counter probe saw no injections");
             assert!(
@@ -149,7 +152,6 @@ fn seed_derivation_is_independent_of_execution() {
 
 #[test]
 fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
-    let e = Experiment::paper();
     let jobs: Vec<SyntheticJob> = [0.05, 0.15]
         .iter()
         .flat_map(|&rate| {
@@ -167,18 +169,10 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
             })
         })
         .collect();
-    let serial = metrics(
-        ExperimentRunner::with_workers(1)
-            .run_synthetic_jobs(&e, &jobs, None)
-            .expect("serial jobs"),
-    );
-    let cache = ResultCache::new();
-    let runner = ExperimentRunner::with_workers(4);
-    let parallel = metrics(
-        runner
-            .run_synthetic_jobs(&e, &jobs, Some(&cache))
-            .expect("parallel jobs"),
-    );
+    let serial = parallel(Experiment::paper(), 1, &jobs);
+    let service = in_process_service(Experiment::paper(), ExperimentRunner::with_workers(4));
+    let cache = service.cache().memory();
+    let parallel = service_batch(&service, &jobs);
     for (p, s) in parallel.iter().zip(&serial) {
         assert_eq!(
             p.avg_packet_latency.to_bits(),
@@ -198,11 +192,7 @@ fn synthetic_jobs_are_reproducible_across_worker_counts_and_caching() {
     // A second pass over the same jobs is served from the cache and still
     // returns the identical metrics.
     assert_eq!(cache.misses(), jobs.len() as u64);
-    let cached = metrics(
-        runner
-            .run_synthetic_jobs(&e, &jobs, Some(&cache))
-            .expect("cached jobs"),
-    );
+    let cached = service_batch(&service, &jobs);
     assert_eq!(cache.misses(), jobs.len() as u64, "no recomputation");
     assert!(cache.hits() >= jobs.len() as u64);
     for (c, s) in cached.iter().zip(&serial) {

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use integration::{in_process_service, service_batch};
 use noc_sim::probe::TimeSeriesObserver;
 use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
@@ -125,20 +126,20 @@ fn paper_preset_sweep_with_probe_yields_time_series_and_identical_report() {
         })
         .collect();
 
-    let unprobed: Vec<_> = ExperimentRunner::with_workers(1)
-        .run_synthetic_jobs(&e, &jobs, None)
-        .expect("unprobed sweep")
-        .into_iter()
-        .map(|(m, _)| m)
-        .collect();
-
+    // The unprobed sweep is one batch on the in-process service, which
+    // records the spans; the probed one runs the way `explore --telemetry`
+    // runs its points.
     let rec = Arc::new(SpanRecorder::new());
-    let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
-    let (probed, observers): (Vec<_>, Vec<_>) = runner
-        .run_synthetic_jobs_observed(&e, &jobs, |_| TimeSeriesObserver::new(500))
-        .expect("probed sweep")
+    let runner = ExperimentRunner::with_workers(1).with_span_recorder(Arc::clone(&rec));
+    let unprobed = service_batch(&in_process_service(Experiment::quick(), runner), &jobs);
+
+    let (probed, observers): (Vec<_>, Vec<_>) = ExperimentRunner::with_workers(2)
+        .run(&jobs, |_, job| {
+            let mut observer = TimeSeriesObserver::new(500);
+            let (m, _) = e.run_job(job, Some(&mut observer)).expect("probed point");
+            (m, observer)
+        })
         .into_iter()
-        .map(|(m, p, _)| (m, p))
         .unzip();
 
     // Bit-identical metrics (NetworkMetrics is PartialEq over raw f64s).

@@ -27,7 +27,7 @@ use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{
     BatchSummary, CacheRecord, DiskResultCache, ServiceRequest, ServiceResponse, SubmitRequest,
 };
-use noc_sprinting::telemetry::{FaultRecord, JsonValue, ManifestPoint, RunManifest, RunnerEvent};
+use noc_sprinting::telemetry::{FaultRecord, JsonValue, ManifestPoint, RunManifest};
 
 const JOB: &str =
     r#"{"level":4,"pattern":"uniform","rate":0.1,"seed":"0x1","baseline":"noc_sprinting"}"#;
@@ -643,14 +643,13 @@ proptest! {
     }
 
     #[test]
-    fn manifests_and_runner_events_round_trip(
-        (figure, label) in (text(), text()),
+    fn manifests_round_trip(
+        figure in text(),
         (config_hash, base_seed, seed_schedule) in
             (any_u64(), any_u64(), prop::collection::vec(any_u64(), 0..4)),
         (workers, wall_ms, hits, misses) in (0usize..64, finite(), count(), count()),
         points in prop::collection::vec(point(), 0..3),
         faults in prop::collection::vec((index(), count(), text(), index(), (any::<bool>(), index())), 0..3),
-        (hash, seed) in ((any::<bool>(), any_u64()), (any::<bool>(), any_u64())),
     ) {
         let manifest = RunManifest {
             figure,
@@ -674,14 +673,5 @@ proptest! {
                 .collect(),
         };
         round_trip(&manifest, &manifest.to_jsonl(), RunManifest::from_jsonl, RunManifest::to_jsonl)?;
-        let event = RunnerEvent::PointFailed {
-            label,
-            index: workers,
-            config_hash: hash.0.then_some(hash.1),
-            seed: seed.0.then_some(seed.1),
-            error: manifest.figure.clone(),
-        };
-        let line = event.to_json_line();
-        round_trip(&event, &line, RunnerEvent::from_json_line, RunnerEvent::to_json_line)?;
     }
 }
