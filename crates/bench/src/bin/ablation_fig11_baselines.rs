@@ -15,10 +15,9 @@
 //! than 4 random endpoints, so it actually saturates later than the
 //! random-endpoints baseline). Latency/power benefits appear under both.
 
-use noc_bench::{banner, markdown_table, mean, FigureHarness};
+use noc_bench::{banner, markdown_table, mean, served_experiment, FigureHarness};
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
-use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 const SAMPLES: u64 = 6;
@@ -39,7 +38,8 @@ fn main() {
             "the spread-aggregate baseline reproduces the earlier-saturation claim"
         )
     );
-    let harness = FigureHarness::new(Experiment::paper());
+    let (experiment, tag) = served_experiment(false);
+    let harness = FigureHarness::new(experiment, tag);
     for level in [4usize, 8] {
         println!("--- {level}-core sprinting ---");
         // Per rate: one NoC-sprinting point, then SAMPLES random-endpoints

@@ -7,10 +7,9 @@
 //! CDOR's latency advantage and deadlock freedom are not
 //! uniform-random artifacts.
 
-use noc_bench::{banner, markdown_table, FigureHarness};
+use noc_bench::{banner, markdown_table, served_experiment, FigureHarness};
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
-use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 fn main() {
@@ -23,7 +22,8 @@ fn main() {
              uniform random"
         )
     );
-    let harness = FigureHarness::new(Experiment::paper());
+    let (experiment, tag) = served_experiment(false);
+    let harness = FigureHarness::new(experiment, tag);
     let rate = 0.15;
     for level in [4usize, 8, 16] {
         println!("--- {level}-core sprinting at {rate} flits/cyc/node ---");

@@ -248,8 +248,12 @@ fn saturated(m: &NetworkMetrics) -> bool {
 /// run by the bench harness — in-process, or through the `noc_serve`
 /// socket.
 fn run_table_mode(args: &Args, mesh: Mesh2D, jobs: &[SyntheticJob]) {
+    // The paper's tag: `--service` is refused unless the mesh and master
+    // are the paper's, and in-process the tag only stamps the cache.
+    let (_, tag) = noc_bench::served_experiment(false);
     let harness = FigureHarness::configured(
         experiment(args, mesh),
+        tag,
         args.workers,
         args.telemetry.clone(),
         args.service.as_deref(),

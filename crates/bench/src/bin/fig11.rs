@@ -18,10 +18,9 @@
 //! power cut 62.1% / 25.9%; NoC-sprinting saturates earlier, which is
 //! irrelevant at PARSEC's < 0.3 flits/cycle loads.
 
-use noc_bench::{banner, markdown_table, mean, pct, reduction, FigureHarness};
+use noc_bench::{banner, markdown_table, mean, pct, reduction, served_experiment, FigureHarness};
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
-use noc_sprinting::experiment::Experiment;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 
 const SAMPLES: u64 = 10;
@@ -40,7 +39,8 @@ fn main() {
              sprinting before saturation; NoC-sprinting saturates earlier"
         )
     );
-    let harness = FigureHarness::new(Experiment::paper());
+    let (experiment, tag) = served_experiment(false);
+    let harness = FigureHarness::new(experiment, tag);
     for level in [4usize, 8] {
         println!("--- {level}-core sprinting ---");
         // One NoC-sprinting point plus SAMPLES spread samples per rate, as a

@@ -42,9 +42,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use noc_bench::flags::{exit_usage, Flags};
+use noc_bench::served_experiment;
 use noc_sprinting::runner::ExperimentRunner;
 use noc_sprinting::service::{code_version, schema_reference, DiskResultCache, SweepService};
-use noc_sprinting::Experiment;
 
 struct Args {
     cache: Option<PathBuf>,
@@ -92,11 +92,7 @@ fn main() -> ExitCode {
         println!("{}", schema_reference());
         return ExitCode::SUCCESS;
     }
-    let (experiment, tag) = if args.quick {
-        (Experiment::quick(), "quick")
-    } else {
-        (Experiment::paper(), "paper")
-    };
+    let (experiment, tag) = served_experiment(args.quick);
     let version = code_version(tag);
     let cache = match &args.cache {
         Some(dir) => match DiskResultCache::open(dir, &version) {

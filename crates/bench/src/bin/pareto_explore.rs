@@ -38,11 +38,11 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use noc_bench::flags::{exit_usage, Flags};
-use noc_bench::FigureHarness;
+use noc_bench::{served_experiment, FigureHarness};
 use noc_sim::sweep::point_seed;
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
-use noc_sprinting::experiment::{Experiment, NetworkMetrics};
+use noc_sprinting::experiment::NetworkMetrics;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::BatchSummary;
 use noc_sprinting::telemetry::{ManifestPoint, RunManifest};
@@ -199,12 +199,8 @@ fn main() {
         args.loads.len()
     );
 
-    let experiment = if args.quick {
-        Experiment::quick()
-    } else {
-        Experiment::paper()
-    };
-    let harness = FigureHarness::configured(experiment, None, None, args.service.as_deref());
+    let (experiment, tag) = served_experiment(args.quick);
+    let harness = FigureHarness::configured(experiment, tag, None, None, args.service.as_deref());
     let batch = harness.run(&jobs).unwrap_or_else(|e| {
         eprintln!("evaluation failed: {e}");
         std::process::exit(1);

@@ -91,7 +91,8 @@ fn main() {
     );
     let e = experiment(mesh, quick, validate_every);
     assert!(e.system.is_consistent());
-    let harness = FigureHarness::configured(e, None, telemetry, None);
+    // Never served by a daemon: the tag only stamps the in-process cache.
+    let harness = FigureHarness::configured(e, "scale_study", None, telemetry, None);
     let rate = 0.15;
     let levels: Vec<usize> = match (mesh, quick) {
         (8, false) => vec![4, 8, 16, 32, 64],

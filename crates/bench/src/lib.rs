@@ -80,6 +80,18 @@ pub fn service_socket_from_env(flags: &mut Flags) -> Result<Option<PathBuf>, Str
     flag_or_env(flags, "--service", "NOC_SERVE_SOCKET")
 }
 
+/// The experiment `noc_serve` serves, with the tag that names it in the
+/// daemon's [`code_version`]: `Experiment::quick()` as `"quick"`, else
+/// `Experiment::paper()` as `"paper"`. A [`FigureHarness`] in service mode
+/// refuses a daemon whose code version carries another experiment's tag.
+pub fn served_experiment(quick: bool) -> (Experiment, &'static str) {
+    if quick {
+        (Experiment::quick(), "quick")
+    } else {
+        (Experiment::paper(), "paper")
+    }
+}
+
 fn flag_or_env(flags: &mut Flags, flag: &str, var: &str) -> Result<Option<PathBuf>, String> {
     let value = flags.value(flag, str::parse)?;
     Ok(value.or_else(|| std::env::var_os(var).map(PathBuf::from)))
@@ -152,29 +164,35 @@ pub struct FigureHarness {
 }
 
 impl FigureHarness {
-    /// A harness on `experiment` honoring the `NOC_BENCH_WORKERS`,
-    /// `NOC_BENCH_TELEMETRY` (or `--telemetry <dir>`), `NOC_BENCH_PROGRESS`
-    /// and `--service <path>` / `NOC_SERVE_SOCKET` overrides; see
-    /// [`FigureHarness::configured`].
-    pub fn new(experiment: Experiment) -> Self {
+    /// A harness on `experiment`, named `tag`, honoring the
+    /// `NOC_BENCH_WORKERS`, `NOC_BENCH_TELEMETRY` (or `--telemetry <dir>`),
+    /// `NOC_BENCH_PROGRESS` and `--service <path>` / `NOC_SERVE_SOCKET`
+    /// overrides; see [`FigureHarness::configured`].
+    pub fn new(experiment: Experiment, tag: &str) -> Self {
         // The binary owns argv: read only this harness's flags from it.
         let mut flags = Flags::from_env();
         let usage = |e| -> Option<PathBuf> { exit_usage("error", e) };
         let telemetry = telemetry_dir_from_env(&mut flags).unwrap_or_else(usage);
         let service = service_socket_from_env(&mut flags).unwrap_or_else(usage);
-        Self::configured(experiment, None, telemetry, service.as_deref())
+        Self::configured(experiment, tag, None, telemetry, service.as_deref())
     }
 
     /// A harness on `experiment` from values the binary parsed itself:
     /// `workers` (else `NOC_BENCH_WORKERS`, else one per hardware thread),
     /// the telemetry directory and the service socket. Progress lines
-    /// follow `NOC_BENCH_PROGRESS`, labelled with the binary's name. With a
-    /// service socket the daemon runs every batch on *its* experiment and
-    /// `experiment` goes unused; a socket that cannot be dialed exits the
-    /// process with status 2 — a silent fall-back to local execution would
-    /// defeat the cache the user asked for.
+    /// follow `NOC_BENCH_PROGRESS`, labelled with the binary's name.
+    /// `tag` names the experiment in [`code_version`] (see
+    /// [`served_experiment`]) and stamps the in-process cache.
+    ///
+    /// With a service socket the daemon runs every batch on *its*
+    /// experiment and `experiment` goes unused. The process exits with
+    /// status 2 when the socket cannot be dialed — a silent fall-back to
+    /// local execution would defeat the cache the user asked for — or when
+    /// the daemon's code version is not `code_version(tag)`: its numbers
+    /// would belong to another experiment.
     pub fn configured(
         experiment: Experiment,
+        tag: &str,
         workers: Option<usize>,
         telemetry: Option<PathBuf>,
         service: Option<&Path>,
@@ -191,11 +209,23 @@ impl FigureHarness {
         });
         // Read even in service mode, so a malformed value is always an error.
         let workers = workers.or_else(workers_from_env);
+        let version = code_version(tag);
         let (executor, workers) = match service {
-            Some(socket) => connect(socket).unwrap_or_else(|e| {
-                eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
-                std::process::exit(2);
-            }),
+            Some(socket) => {
+                let (executor, workers, served) = connect(socket).unwrap_or_else(|e| {
+                    eprintln!("error: cannot reach noc-serve at {}: {e}", socket.display());
+                    std::process::exit(2);
+                });
+                if served != version {
+                    eprintln!(
+                        "error: noc-serve at {} runs code version {served}, but {label} runs \
+                         {version}: its points would come from another experiment",
+                        socket.display()
+                    );
+                    std::process::exit(2);
+                }
+                (executor, workers)
+            }
             None => {
                 let mut runner = match workers {
                     Some(w) => ExperimentRunner::with_workers(w),
@@ -209,7 +239,7 @@ impl FigureHarness {
                 }
                 let workers = runner.workers();
                 let progress = Arc::clone(runner.progress());
-                let cache = DiskResultCache::in_memory(code_version(&label));
+                let cache = DiskResultCache::in_memory(version);
                 let service = Box::new(SweepService::new(experiment, runner, cache));
                 (Executor::Local { service, progress }, workers)
             }
@@ -337,14 +367,14 @@ impl FigureHarness {
 
 /// Dials the `noc-serve` daemon (or `noc-fleet` coordinator) listening on
 /// the Unix socket at `socket` and reads its worker count — the
-/// `noc_runner_workers` gauge, which a fleet sums over its shards — from
-/// one `stats` round trip.
+/// `noc_runner_workers` gauge, which a fleet sums over its shards — and
+/// its code version from one `stats` round trip.
 ///
 /// # Errors
 ///
 /// Socket connection failure, or a `stats` answer without the gauge.
 #[cfg(unix)]
-fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
+fn connect(socket: &Path) -> std::io::Result<(Executor, usize, String)> {
     let stream = std::os::unix::net::UnixStream::connect(socket)?;
     let reader: Box<dyn std::io::BufRead + Send> =
         Box::new(std::io::BufReader::new(stream.try_clone()?));
@@ -356,7 +386,7 @@ fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
         socket: socket.to_path_buf(),
         client: Mutex::new(client),
     };
-    Ok((executor, workers as usize))
+    Ok((executor, workers as usize, stats.code_version))
 }
 
 /// Unix-socket service mode is unavailable on this platform.
@@ -365,7 +395,7 @@ fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
 ///
 /// Always `Unsupported`.
 #[cfg(not(unix))]
-fn connect(socket: &Path) -> std::io::Result<(Executor, usize)> {
+fn connect(socket: &Path) -> std::io::Result<(Executor, usize, String)> {
     let _ = socket;
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
@@ -461,7 +491,8 @@ mod tests {
             seed,
             baseline: SyntheticBaseline::NocSprinting,
         };
-        let harness = FigureHarness::configured(Experiment::quick(), Some(2), None, None);
+        let (experiment, tag) = served_experiment(true);
+        let harness = FigureHarness::configured(experiment, tag, Some(2), None, None);
         let bad: Vec<_> = [4, 99, 4, 99]
             .into_iter()
             .zip(1..)

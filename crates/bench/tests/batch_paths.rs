@@ -3,7 +3,8 @@
 //! (with the daemon's cache hits in its manifest); a fleet shard that
 //! breaks the batch contract — refusing its sub-batch, or accepting the
 //! wrong point count — costs only its own points and never stalls the
-//! coordinator; and `explore`'s header names the level it runs.
+//! coordinator; a harness refuses a daemon that serves another
+//! experiment; and `explore`'s header names the level it runs.
 
 #![cfg(unix)]
 
@@ -15,14 +16,13 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use noc_bench::client::{connect_unix, FleetClient};
-use noc_bench::FigureHarness;
+use noc_bench::{served_experiment, FigureHarness};
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::fleet::shard_of;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{ServiceResponse, SubmitRequest};
 use noc_sprinting::telemetry::RunManifest;
-use noc_sprinting::Experiment;
 
 fn scratch_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("noc-batch-paths-{label}-{}", std::process::id()));
@@ -47,8 +47,15 @@ fn jobs(count: usize) -> Vec<SyntheticJob> {
 /// Spawns one `noc_serve --quick` daemon on a Unix socket and waits for
 /// the bind.
 fn spawn_daemon(socket: &Path) -> Child {
+    spawn_daemon_with(socket, &["--quick"])
+}
+
+/// Spawns one `noc_serve` daemon with `extra` flags on a Unix socket and
+/// waits for the bind.
+fn spawn_daemon_with(socket: &Path, extra: &[&str]) -> Child {
     let child = Command::new(env!("CARGO_BIN_EXE_noc_serve"))
-        .args(["--quick", "--workers", "2", "--socket"])
+        .args(extra)
+        .args(["--workers", "2", "--socket"])
         .arg(socket)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
@@ -95,12 +102,15 @@ fn harness_service_path_matches_local_and_records_daemon_hits() {
     let daemon = spawn_daemon(&sock);
     let jobs = jobs(6);
 
-    let local = FigureHarness::configured(Experiment::quick(), Some(2), None, None)
+    let (experiment, tag) = served_experiment(true);
+    let local = FigureHarness::configured(experiment, tag, Some(2), None, None)
         .run(&jobs)
         .expect("local batch");
     let telemetry = dir.join("telemetry");
+    let (experiment, tag) = served_experiment(true);
     let remote = FigureHarness::configured(
-        Experiment::quick(),
+        experiment,
+        tag,
         Some(1),
         Some(telemetry.clone()),
         Some(&sock),
@@ -259,6 +269,34 @@ fn shard_accepting_the_wrong_count_is_lost() {
         );
     }
     assert_eq!(ok, jobs.len() - owned.len());
+}
+
+/// `pareto_explore --quick` against a daemon serving the paper experiment
+/// exits 2 naming both code versions instead of printing the paper
+/// experiment's front as its own.
+#[test]
+fn quick_harness_refuses_a_paper_daemon() {
+    let dir = scratch_dir("mismatch");
+    let sock = dir.join("paper.sock");
+    let daemon = spawn_daemon_with(&sock, &[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_pareto_explore"))
+        .args(["--quick", "--service"])
+        .arg(&sock)
+        .arg("--out")
+        .arg(dir.join("front"))
+        .output()
+        .expect("run pareto_explore");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing evaluated: {stderr}");
+    let version = noc_sprinting::service::code_version;
+    assert!(
+        stderr.contains(&version("paper")) && stderr.contains(&version("quick")),
+        "names both versions: {stderr}"
+    );
+    assert!(!dir.join("front").exists(), "no output written");
+    shutdown(&sock, daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `explore --full` runs `SpreadAggregate` at level N with every router

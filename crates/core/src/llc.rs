@@ -22,8 +22,9 @@ use noc_sim::geometry::NodeId;
 use noc_sim::packet::{Packet, PacketId};
 use noc_sim::stats::LatencySample;
 
-/// Id offset distinguishing responses from their requests.
-const RESPONSE_BIT: u64 = 1 << 62;
+/// Id bit distinguishing responses from their requests: the top bit of the
+/// 32 bits a flit keeps of a packet id, so request ids stay below it.
+const RESPONSE_BIT: u64 = 1 << 31;
 
 /// The LLC read-flow agent.
 #[derive(Debug)]
@@ -91,6 +92,7 @@ impl ProtocolAgent for LlcAgent {
                 let src = self.cores[i];
                 // Address hash: uniform over home banks.
                 let bank = self.banks[self.rng.gen_range(0..self.banks.len())];
+                assert!(self.next_id < RESPONSE_BIT, "request ids exhausted");
                 let id = PacketId(self.next_id);
                 self.next_id += 1;
                 self.outstanding.insert(id, now);

@@ -161,16 +161,17 @@ impl<A: ProtocolAgent> ClosedLoopSim<A> {
 
             // Reassemble ej->packet: the tail flit carries everything we
             // need (packets are delivered in order per (src, id)).
+            let after = self.net.now();
             for e in self.net.drain_ejections() {
-                if !e.flit.kind.is_tail() {
+                if !e.flit.kind().is_tail() {
                     continue;
                 }
                 let d = Delivered {
-                    id: e.flit.packet,
-                    src: e.flit.src,
-                    dst: e.flit.dst,
-                    vnet: e.flit.vnet,
-                    created: e.flit.created,
+                    id: e.flit.packet(),
+                    src: e.flit.src(),
+                    dst: e.flit.dst(),
+                    vnet: e.flit.vnet(),
+                    created: e.flit.created(),
                     at: e.at,
                 };
                 let v = usize::from(d.vnet);
@@ -178,7 +179,7 @@ impl<A: ProtocolAgent> ClosedLoopSim<A> {
                     stats.delivered_per_vnet.resize(v + 1, 0);
                 }
                 stats.delivered_per_vnet[v] += 1;
-                for (at, p) in self.agent.on_packet(&d, e.at.max(self.net.now())) {
+                for (at, p) in self.agent.on_packet(&d, e.at.max(after)) {
                     self.seq += 1;
                     self.pending.push(Reverse((at, self.seq, PendingPacket(p))));
                 }

@@ -89,6 +89,14 @@ pub enum SimError {
     },
     /// A router parameter was invalid (zero VCs, zero buffer depth, ...).
     InvalidConfig(String),
+    /// A run would pass a limit of the compact flit layout, which keeps
+    /// cycles and packet ids in 32 bits.
+    LimitExceeded {
+        /// What passed its limit (`"cycle"`, `"packet id"`).
+        what: &'static str,
+        /// The largest value that fits.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -114,6 +122,9 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            SimError::LimitExceeded { what, limit } => {
+                write!(f, "{what} would pass {limit}, the largest a flit stores")
+            }
         }
     }
 }

@@ -44,7 +44,7 @@ use std::collections::{BTreeSet, VecDeque};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, FaultStats};
 use crate::geometry::{NodeId, Port};
-use crate::packet::{Flit, Packet, PacketId};
+use crate::packet::{Flit, Packet, PacketId, MAX_PACKET_FLITS};
 use crate::probe::Probe;
 use crate::router::{Router, RouterActivity, RouterParams, SleepState};
 use crate::routing::{RouteDecision, RoutingFunction};
@@ -74,17 +74,19 @@ pub enum GatingMode {
 /// A flit in transit on a link, addressed to `(node, in_port, vc)`.
 #[derive(Debug, Clone)]
 struct TimedFlit {
-    flit: Flit,
-    vc: usize,
     arrive: u64,
+    flit: Flit,
+    vc: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<TimedFlit>() == 40);
 
 /// A credit in transit back to a router's output port.
 #[derive(Debug, Clone, Copy)]
 struct TimedCredit {
-    port: usize,
-    vc: usize,
     arrive: u64,
+    port: u8,
+    vc: u8,
 }
 
 /// A credit produced this cycle, awaiting the end-of-step flush into the
@@ -105,11 +107,11 @@ const NI_PORT: u8 = u8::MAX;
 /// destination's `link_in` queue.
 #[derive(Debug, Clone)]
 struct PendingLink {
+    arrive: u64,
+    flit: Flit,
     node: u32,
     port: u8,
     vc: u8,
-    arrive: u64,
-    flit: Flit,
 }
 
 /// Cycles in which each pipeline stage had non-empty work (at least one
@@ -147,26 +149,27 @@ pub struct Ejection {
 const MEASURED: u32 = 1 << 31;
 
 /// A packet waiting in a source queue, without the fields its queue
-/// implies: `src` is the queue's node and `vnet` its index. 24 bytes
+/// implies: `src` is the queue's node and `vnet` its index, and with the
+/// id and creation cycle in the 32 bits a [`Flit`] keeps of them. 16 bytes
 /// against [`Packet`]'s 40, which matters at saturated points where
 /// thousands of packets wait per node.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
-    id: u64,
-    created: u64,
+    id: u32,
+    created: u32,
     dst: u32,
     /// Flit count in the low 31 bits, [`MEASURED`] in the top bit.
     len_measured: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Queued>() == 24);
+const _: () = assert!(std::mem::size_of::<Queued>() == 16);
 
 impl Queued {
-    /// Packs `p`; `enqueue_packet` has checked that `dst` and `len` fit.
+    /// Packs `p`; `enqueue_packet` has checked that every field fits.
     fn pack(p: &Packet) -> Self {
         Queued {
-            id: p.id.0,
-            created: p.created,
+            id: p.id.0 as u32,
+            created: p.created as u32,
             dst: p.dst.0 as u32,
             len_measured: p.len | if p.measured { MEASURED } else { 0 },
         }
@@ -175,11 +178,11 @@ impl Queued {
     /// Rebuilds the packet queued at `node` on virtual network `vnet`.
     fn unpack(self, node: usize, vnet: usize) -> Packet {
         Packet {
-            id: PacketId(self.id),
+            id: PacketId(u64::from(self.id)),
             src: NodeId(node),
             dst: NodeId(self.dst as usize),
             len: self.len_measured & !MEASURED,
-            created: self.created,
+            created: u64::from(self.created),
             measured: self.len_measured & MEASURED != 0,
             vnet: vnet as u8,
         }
@@ -810,7 +813,9 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the source node is dark (traffic generators must only drive
-    /// powered-on nodes) or out of range.
+    /// powered-on nodes) or out of range, or if the packet does not fit a
+    /// [`Flit`]: an id or creation cycle past `u32::MAX`, or more than
+    /// [`MAX_PACKET_FLITS`] flits.
     pub fn enqueue_packet(&mut self, p: Packet) {
         assert!(p.src.0 < self.routers.len(), "packet source out of range");
         assert!(
@@ -834,9 +839,19 @@ impl Network {
             p.dst
         );
         assert!(
-            p.len < MEASURED,
-            "packet length {} does not fit 31 bits",
+            (1..=MAX_PACKET_FLITS).contains(&p.len),
+            "packet length {} outside 1..={MAX_PACKET_FLITS} flits",
             p.len
+        );
+        assert!(
+            u32::try_from(p.id.0).is_ok(),
+            "packet id {} does not fit 32 bits",
+            p.id.0
+        );
+        assert!(
+            u32::try_from(p.created).is_ok(),
+            "packet creation cycle {} does not fit 32 bits",
+            p.created
         );
         let vnet = usize::from(p.vnet);
         let node = p.src.0;
@@ -849,9 +864,11 @@ impl Network {
         self.active.ni.insert(node);
     }
 
-    /// Flits delivered to NIs since the last call.
-    pub fn drain_ejections(&mut self) -> Vec<Ejection> {
-        std::mem::take(&mut self.ejected)
+    /// Flits delivered to NIs since the last call. The buffer behind the
+    /// iterator is kept for the next cycle's ejections, so draining every
+    /// cycle allocates nothing once it has grown to the busiest cycle.
+    pub fn drain_ejections(&mut self) -> std::vec::Drain<'_, Ejection> {
+        self.ejected.drain(..)
     }
 
     /// Flits currently inside the network (router buffers + links);
@@ -964,6 +981,11 @@ impl Network {
                 for vc in 0..self.params.vcs_per_port {
                     let id = pid * self.params.vcs_per_port + vc;
                     let occ = self.store.occupancy(id);
+                    assert!(
+                        occ <= self.params.buffer_depth,
+                        "input VC {id} holds {occ} flits, past buffer_depth {}",
+                        self.params.buffer_depth
+                    );
                     b += occ;
                     let bit = self.store.occ_mask[pid] & (1 << vc) != 0;
                     assert_eq!(bit, occ > 0, "occ_mask bit for vc id {id}");
@@ -983,15 +1005,16 @@ impl Network {
                     active += u32::from(active_bit);
                     if let Some(front) = self.store.front(id) {
                         assert_eq!(
-                            self.store.head_arrived[id], front.arrived,
+                            u64::from(self.store.head_arrived[id]),
+                            front.arrived(),
                             "head mirror {id}"
                         );
                         assert_eq!(
                             self.store.head_is_head[id],
-                            front.kind.is_head(),
+                            front.kind().is_head(),
                             "head-kind mirror {id}"
                         );
-                        assert_eq!(self.store.head_vnet[id], front.vnet, "vnet mirror {id}");
+                        assert_eq!(self.store.head_vnet[id], front.vnet(), "vnet mirror {id}");
                     }
                     let holder = self.store.out_alloc[id];
                     let alloc_bit = self.store.alloc_mask[pid] & (1 << vc) != 0;
@@ -1072,7 +1095,9 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`SimError::DarkRouterEntered`] if a flit reaches a
-    /// power-gated router, which indicates a routing-function bug.
+    /// power-gated router, which indicates a routing-function bug, and
+    /// [`SimError::LimitExceeded`] once the cycle passes `u32::MAX`, the
+    /// largest a flit stores.
     pub fn step(&mut self) -> Result<StepReport, SimError> {
         self.step_observed(None)
     }
@@ -1087,13 +1112,19 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DarkRouterEntered`] if a flit reaches a
-    /// power-gated router, which indicates a routing-function bug.
+    /// Same failure modes as [`Network::step`].
     pub fn step_observed(
         &mut self,
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<StepReport, SimError> {
         let now = self.now;
+        // Flits keep their cycle stamps in 32 bits.
+        if now > u64::from(u32::MAX) {
+            return Err(SimError::LimitExceeded {
+                what: "cycle",
+                limit: u64::from(u32::MAX),
+            });
+        }
         let mut events = 0usize;
 
         // The reference trusts no work-list: every stage visits every node.
@@ -1177,9 +1208,9 @@ impl Network {
                     .push_back((pc.arrive, pc.vc as usize));
             } else {
                 self.credit_in[node].push_back(TimedCredit {
-                    port: pc.port as usize,
-                    vc: pc.vc as usize,
                     arrive: pc.arrive,
+                    port: pc.port,
+                    vc: pc.vc,
                 });
             }
             self.active.credit_pending[node] += 1;
@@ -1191,9 +1222,9 @@ impl Network {
         for pl in links.drain(..) {
             let node = pl.node as usize;
             self.link_in[node][pl.port as usize].push_back(TimedFlit {
-                flit: pl.flit,
-                vc: pl.vc as usize,
                 arrive: pl.arrive,
+                flit: pl.flit,
+                vc: pl.vc,
             });
             self.active.link_pending[node] += 1;
             self.active.total_links += 1;
@@ -1441,7 +1472,9 @@ impl Network {
                 break;
             }
             let c = self.credit_in[node].pop_front().expect("checked front");
-            let out_id = self.store.vc_id(node, c.port, c.vc);
+            let out_id = self
+                .store
+                .vc_id(node, usize::from(c.port), usize::from(c.vc));
             self.store.credits[out_id] += 1;
             debug_assert!(
                 self.store.credits[out_id] <= self.params.buffer_depth as u32,
@@ -1530,7 +1563,7 @@ impl Network {
                 self.buffer_write(
                     node,
                     Port::from_index(port_idx),
-                    tf.vc,
+                    usize::from(tf.vc),
                     tf.flit,
                     now,
                     probe.as_deref_mut(),
@@ -1556,17 +1589,17 @@ impl Network {
     ) {
         debug_assert_eq!(
             self.params.vc_vnet(vc),
-            flit.vnet,
+            flit.vnet(),
             "flit on vnet {} written into VC {vc} of another partition",
-            flit.vnet
+            flit.vnet()
         );
-        flit.arrived = now;
+        flit.set_arrived(now);
         self.routers[node].last_activity = now;
         let id = self.store.vc_id(node, port.index(), vc);
         if self.store.phase[id] == VcPhase::Dropping {
-            debug_assert!(!flit.kind.is_head(), "head flit arrived on a dropping VC");
+            debug_assert!(!flit.kind().is_head(), "head flit arrived on a dropping VC");
             self.fault_stats.flits_dropped += 1;
-            if flit.kind.is_tail() {
+            if flit.kind().is_tail() {
                 self.store.set_phase(id, VcPhase::Idle);
             }
             self.return_credit(node, port, vc, now);
@@ -1577,7 +1610,7 @@ impl Network {
             "buffer overflow at node {node} {port} vc {vc}: credit protocol violated"
         );
         let was_empty = self.store.occupancy(id) == 0;
-        let is_head = flit.kind.is_head();
+        let is_head = flit.kind().is_head();
         self.store.push_flit(id, flit);
         self.active.buffered[node] += 1;
         self.active.total_buffered += 1;
@@ -1640,10 +1673,10 @@ impl Network {
                 }
                 Some(head) => {
                     assert!(
-                        head.kind.is_head(),
+                        head.kind().is_head(),
                         "non-head flit {head:?} at the front of an unrouted VC"
                     );
-                    head.dst
+                    head.dst()
                 }
             };
             match self.compute_route(node, dst, now) {
@@ -1685,8 +1718,8 @@ impl Network {
                 .store
                 .front(id)
                 .expect("drop target has a buffered head flit");
-            debug_assert!(head.kind.is_head());
-            (head.packet, head.measured)
+            debug_assert!(head.kind().is_head());
+            (head.packet(), head.measured())
         };
         self.fault_stats.packets_dropped += 1;
         if measured {
@@ -1714,7 +1747,7 @@ impl Network {
             self.active.total_buffered -= 1;
             self.fault_stats.flits_dropped += 1;
             self.return_credit(node, port, vc, now);
-            if flit.kind.is_tail() {
+            if flit.kind().is_tail() {
                 self.store.set_phase(id, VcPhase::Idle);
                 return true;
             }
@@ -1770,7 +1803,7 @@ impl Network {
                         let Some(front) = self.store.front(id) else {
                             continue;
                         };
-                        (front.packet, front.dst, front.kind.is_head())
+                        (front.packet(), front.dst(), front.kind().is_head())
                     };
                     if !is_head {
                         continue; // packet already crossing; let it finish
@@ -2017,8 +2050,8 @@ impl Network {
                     let id = self.store.vc_id(node, in_port, in_vc);
                     if let VcState::RouteComputed { out_port } = self.store.state(id) {
                         if let Some(head) = self.store.front(id) {
-                            debug_assert!(head.kind.is_head());
-                            if head.arrived + self.params.va_delay <= now {
+                            debug_assert!(head.kind().is_head());
+                            if head.arrived() + self.params.va_delay <= now {
                                 requests.push((
                                     in_port * vcs + in_vc,
                                     in_port,
@@ -2056,7 +2089,7 @@ impl Network {
                         .store
                         .front(self.store.vc_id(node, in_port, in_vc))
                         .expect("VA requester has a buffered head flit");
-                    let (vnet, dst) = (front.vnet, front.dst);
+                    let (vnet, dst) = (front.vnet(), front.dst());
                     let range = self.class_range(node, out_idx, dst, self.params.vnet_vcs(vnet));
                     let out_vc = range
                         .clone()
@@ -2118,7 +2151,7 @@ impl Network {
                 let in_vc = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let id = in_pid * vcs + in_vc;
-                if self.store.head_arrived[id] + self.params.va_delay <= now {
+                if u64::from(self.store.head_arrived[id]) + self.params.va_delay <= now {
                     self.va_scratch[in_port * vcs + in_vc] = self.store.route_port[id];
                     any = true;
                 }
@@ -2147,7 +2180,7 @@ impl Network {
                         .store
                         .front(id)
                         .expect("VA requester has a buffered head flit")
-                        .dst;
+                        .dst();
                     range = self.class_range(node, out_idx, dst, range);
                 }
                 let Some(out_vc) = self.store.first_free_out_vc(out_pid, range) else {
@@ -2251,7 +2284,7 @@ impl Network {
                     let Some(head) = self.store.front(id) else {
                         continue;
                     };
-                    if head.arrived + self.params.sa_delay > now {
+                    if head.arrived() + self.params.sa_delay > now {
                         continue;
                     }
                     // Ejection has an ideal sink: no credit check.
@@ -2260,7 +2293,7 @@ impl Network {
                     {
                         continue;
                     }
-                    if !self.sa_fault_ok(node, head.kind.is_head(), out_port, now) {
+                    if !self.sa_fault_ok(node, head.kind().is_head(), out_port, now) {
                         continue;
                     }
                     let rank = (in_vc + vcs - ptr) % vcs;
@@ -2380,7 +2413,7 @@ impl Network {
                 rot &= rot - 1;
                 let in_vc = (ptr + k) & 63;
                 let id = in_pid * vcs + in_vc;
-                if self.store.head_arrived[id] + self.params.sa_delay > now {
+                if u64::from(self.store.head_arrived[id]) + self.params.sa_delay > now {
                     continue;
                 }
                 let out_port_idx = self.store.route_port[id] as usize;
@@ -2473,7 +2506,7 @@ impl Network {
         self.return_credit(node, in_port_t, in_vc, now);
 
         // Downstream delivery.
-        let is_tail = flit.kind.is_tail();
+        let is_tail = flit.kind().is_tail();
         let ejected = match out_port {
             Port::Local => {
                 self.ejected.push(Ejection {
@@ -2500,11 +2533,11 @@ impl Network {
                 // are strictly after this cycle's stage 1, so batching is
                 // unobservable.
                 self.pending_links.push(PendingLink {
+                    arrive: now + latency,
+                    flit,
                     node: next.0 as u32,
                     port: next_in_port as u8,
                     vc: out_vc as u8,
-                    arrive: now + latency,
-                    flit,
                 });
                 if let Some(p) = probe.as_deref_mut() {
                     p.on_link_traversal(now, NodeId(node), next);
@@ -2569,21 +2602,51 @@ mod tests {
 
     #[test]
     fn queued_entry_rebuilds_the_packet() {
-        for (measured, len, vnet) in [(true, 5, 0), (false, 1, 1), (true, (1 << 31) - 1, 3)] {
+        for (measured, len, vnet) in [(true, 5, 0), (false, 1, 1), (true, MAX_PACKET_FLITS, 3)] {
             let p = Packet {
                 measured,
                 len,
                 vnet,
-                ..packet(u64::MAX, 6, 15, 1, u64::MAX - 1)
+                ..packet(u64::from(u32::MAX), 6, 15, 1, u64::from(u32::MAX) - 1)
             };
             assert_eq!(Queued::pack(&p).unpack(6, usize::from(vnet)), p);
         }
     }
 
     #[test]
-    #[should_panic(expected = "does not fit 31 bits")]
+    #[should_panic(expected = "outside 1..=65536 flits")]
     fn oversized_packet_length_is_rejected() {
-        net().enqueue_packet(packet(1, 0, 15, 1 << 31, 0));
+        net().enqueue_packet(packet(1, 0, 15, MAX_PACKET_FLITS + 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet id 4294967296 does not fit 32 bits")]
+    fn packet_id_past_32_bits_is_rejected() {
+        let mut net = net();
+        net.enqueue_packet(packet(u64::from(u32::MAX), 0, 15, 1, 0));
+        net.enqueue_packet(packet(u64::from(u32::MAX) + 1, 0, 15, 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "creation cycle 4294967296 does not fit 32 bits")]
+    fn creation_cycle_past_32_bits_is_rejected() {
+        net().enqueue_packet(packet(1, 0, 15, 1, u64::from(u32::MAX) + 1));
+    }
+
+    #[test]
+    fn stepping_past_the_32_bit_cycle_is_an_error() {
+        let mut net = net();
+        assert_eq!(
+            net.skip_idle_cycles(u64::from(u32::MAX)),
+            u64::from(u32::MAX)
+        );
+        net.step().expect("the last 32-bit cycle still steps");
+        match net.step() {
+            Err(SimError::LimitExceeded { what, limit }) => {
+                assert_eq!((what, limit), ("cycle", u64::from(u32::MAX)));
+            }
+            other => panic!("expected a cycle limit error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2592,12 +2655,12 @@ mod tests {
         net.enqueue_packet(packet(1, 0, 15, 5, 0));
         let ej = run_until_drained(&mut net, 500);
         assert_eq!(ej.len(), 5, "all 5 flits delivered");
-        assert!(ej.iter().all(|e| e.flit.dst == NodeId(15)));
-        let kinds: Vec<FlitKind> = ej.iter().map(|e| e.flit.kind).collect();
+        assert!(ej.iter().all(|e| e.flit.dst() == NodeId(15)));
+        let kinds: Vec<FlitKind> = ej.iter().map(|e| e.flit.kind()).collect();
         assert_eq!(kinds[0], FlitKind::Head);
         assert_eq!(kinds[4], FlitKind::Tail);
         // Flits of one packet arrive in order.
-        let seqs: Vec<u32> = ej.iter().map(|e| e.flit.seq).collect();
+        let seqs: Vec<u32> = ej.iter().map(|e| e.flit.seq()).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }
 
@@ -2609,7 +2672,7 @@ mod tests {
         assert_eq!(ej.len(), 5);
         assert!(ej
             .iter()
-            .all(|e| e.flit.src == NodeId(5) && e.flit.dst == NodeId(5)));
+            .all(|e| e.flit.src() == NodeId(5) && e.flit.dst() == NodeId(5)));
     }
 
     #[test]
@@ -2629,7 +2692,10 @@ mod tests {
         // No duplicated (packet, seq) pairs.
         let mut seen = std::collections::HashSet::new();
         for e in &ej {
-            assert!(seen.insert((e.flit.packet, e.flit.seq)), "duplicate flit");
+            assert!(
+                seen.insert((e.flit.packet(), e.flit.seq())),
+                "duplicate flit"
+            );
         }
     }
 
@@ -2757,8 +2823,13 @@ mod tests {
         let ej = run_until_drained(&mut net, 30_000);
         let mut next_seq: std::collections::HashMap<PacketId, u32> = Default::default();
         for e in &ej {
-            let want = next_seq.entry(e.flit.packet).or_insert(0);
-            assert_eq!(e.flit.seq, *want, "packet {:?} out of order", e.flit.packet);
+            let want = next_seq.entry(e.flit.packet()).or_insert(0);
+            assert_eq!(
+                e.flit.seq(),
+                *want,
+                "packet {:?} out of order",
+                e.flit.packet()
+            );
             *want += 1;
         }
         for (_, n) in next_seq {
@@ -2794,8 +2865,8 @@ mod tests {
         // Debug asserts inside buffer_write enforce the partitioning.
         let ej = run_until_drained(&mut net, 50_000);
         assert_eq!(ej.len(), 40 * 5);
-        assert!(ej.iter().any(|e| e.flit.vnet == 0));
-        assert!(ej.iter().any(|e| e.flit.vnet == 1));
+        assert!(ej.iter().any(|e| e.flit.vnet() == 0));
+        assert!(ej.iter().any(|e| e.flit.vnet() == 1));
     }
 
     #[test]
@@ -2828,7 +2899,7 @@ mod tests {
         for _ in 0..20_000 {
             net.step().unwrap();
             for e in net.drain_ejections() {
-                if e.flit.vnet == 1 && vnet1_at.is_none() {
+                if e.flit.vnet() == 1 && vnet1_at.is_none() {
                     vnet1_at = Some(e.at);
                 }
             }
@@ -2881,9 +2952,8 @@ mod tests {
             let mut last = 0;
             for _ in 0..2000 {
                 net.step().unwrap();
-                let ej = net.drain_ejections();
-                if let Some(e) = ej.last() {
-                    last = e.at - e.flit.created;
+                if let Some(e) = net.drain_ejections().next_back() {
+                    last = e.at - e.flit.created();
                     break;
                 }
                 if net.is_drained() {
@@ -3036,9 +3106,8 @@ mod tests {
             let a = active.step().unwrap();
             let o = oracle.step().unwrap();
             assert_eq!(a, o, "step reports diverged at cycle {cycle}");
-            assert_eq!(
-                active.drain_ejections(),
-                oracle.drain_ejections(),
+            assert!(
+                active.drain_ejections().eq(oracle.drain_ejections()),
                 "ejections diverged at cycle {cycle}"
             );
             assert_eq!(active.in_flight(), oracle.in_flight());

@@ -28,7 +28,7 @@ pub struct RouterParams {
     /// mechanism for breaking request/response protocol deadlock on a
     /// shared physical network (Garnet's "vnets").
     pub vnets: usize,
-    /// Flit slots per VC (Table 1: 4).
+    /// Flit slots per VC (Table 1: 4), at most 255.
     pub buffer_depth: usize,
     /// Cycles after buffer write before a head flit may request VC
     /// allocation (stage position of VA; 1 for the classic pipeline).
@@ -128,6 +128,11 @@ impl RouterParams {
         }
         if self.buffer_depth == 0 {
             return Err(SimError::InvalidConfig("buffer_depth must be > 0".into()));
+        }
+        if self.buffer_depth > usize::from(u8::MAX) {
+            return Err(SimError::InvalidConfig(
+                "buffer_depth must be <= 255 (per-VC ring indices are one byte)".into(),
+            ));
         }
         if self.sa_delay < self.va_delay {
             return Err(SimError::InvalidConfig(
@@ -283,6 +288,10 @@ mod tests {
         assert!(p.validate().is_err());
         let mut p = RouterParams::paper();
         p.buffer_depth = 0;
+        assert!(p.validate().is_err());
+        p.buffer_depth = 255;
+        p.validate().unwrap();
+        p.buffer_depth = 256;
         assert!(p.validate().is_err());
         let mut p = RouterParams::paper();
         p.sa_delay = 0; // below va_delay

@@ -58,6 +58,27 @@ impl SimConfig {
             validate_sets_every: None,
         }
     }
+
+    /// Checks that every cycle of a run fits the 32 bits a flit stores its
+    /// cycle stamps in: `warmup + measure + drain_max <= u32::MAX`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LimitExceeded`] when the phases add up past `u32::MAX`.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let limit = u64::from(u32::MAX);
+        let end = self
+            .warmup
+            .checked_add(self.measure)
+            .and_then(|c| c.checked_add(self.drain_max));
+        match end {
+            Some(end) if end <= limit => Ok(()),
+            _ => Err(SimError::LimitExceeded {
+                what: "cycle",
+                limit,
+            }),
+        }
+    }
 }
 
 impl Default for SimConfig {
@@ -146,8 +167,11 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError::DarkRouterEntered`] from the network and raises
-    /// [`SimError::Deadlock`] if the watchdog detects no forward progress.
+    /// Propagates [`SimError::DarkRouterEntered`] from the network, raises
+    /// [`SimError::Deadlock`] if the watchdog detects no forward progress,
+    /// and refuses with [`SimError::LimitExceeded`] a configuration whose
+    /// cycles pass `u32::MAX` ([`SimConfig::validate`]), up front, or a run
+    /// whose packet ids would, at the cycle that would pass it.
     pub fn run(self) -> Result<SimOutcome, SimError> {
         self.run_observed(None)
     }
@@ -169,6 +193,7 @@ impl Simulation {
         mut self,
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<SimOutcome, SimError> {
+        self.cfg.validate()?;
         let epoch = probe.as_deref_mut().map_or(0, |p| p.epoch_interval());
         let mut packet_latency = LatencySample::new();
         let mut network_latency = LatencySample::new();
@@ -252,6 +277,7 @@ impl Simulation {
 
             // Open-loop generation continues through drain (unmeasured).
             let in_measure = (warmup_end..measure_end).contains(&now);
+            self.traffic.check_id_room()?;
             for p in self.traffic.generate(now, in_measure) {
                 if p.measured {
                     measured_generated += 1;
@@ -270,18 +296,18 @@ impl Simulation {
                 if in_measure {
                     window_flits += 1;
                 }
-                if !f.measured {
+                if !f.measured() {
                     continue;
                 }
                 flits_delivered += 1;
-                if f.kind.is_head() {
-                    head_inject.insert(f.packet, f.injected);
+                if f.kind().is_head() {
+                    head_inject.insert(f.packet(), f.injected());
                 }
-                if f.kind.is_tail() {
+                if f.kind().is_tail() {
                     packets_delivered += 1;
                     measured_ejected += 1;
-                    let plat = e.at.saturating_sub(f.created);
-                    let head_at = head_inject.remove(&f.packet).unwrap_or(f.injected);
+                    let plat = e.at.saturating_sub(f.created());
+                    let head_at = head_inject.remove(&f.packet()).unwrap_or(f.injected());
                     let nlat = e.at.saturating_sub(head_at);
                     packet_latency.record(plat);
                     network_latency.record(nlat);
@@ -480,6 +506,33 @@ mod tests {
     fn network_latency_not_above_packet_latency() {
         let out = sim(0.1, SimConfig::quick()).run().unwrap();
         assert!(out.stats.avg_network_latency() <= out.stats.avg_packet_latency());
+    }
+
+    #[test]
+    fn run_cycles_must_fit_32_bits() {
+        let at_limit = SimConfig {
+            warmup: 1,
+            measure: 2,
+            drain_max: u64::from(u32::MAX) - 3,
+            ..SimConfig::quick()
+        };
+        at_limit.validate().unwrap();
+        let refused = Err(SimError::LimitExceeded {
+            what: "cycle",
+            limit: u64::from(u32::MAX),
+        });
+        let past = SimConfig {
+            drain_max: at_limit.drain_max + 1,
+            ..at_limit
+        };
+        assert_eq!(past.validate(), refused);
+        let wrapping = SimConfig {
+            drain_max: u64::MAX,
+            ..at_limit
+        };
+        assert_eq!(wrapping.validate(), refused);
+        // The run is refused before it simulates a cycle.
+        assert_eq!(sim(0.1, past).run().map(|_| ()), refused);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! with the flit payloads inline — so a VC-allocation sweep over a busy mesh
 //! dragged whole flit queues through the cache to read a one-byte state tag.
 //! [`VcStore`] flips the layout: every scalar a stage scans lives in a flat
-//! array indexed by a dense id, and the flit payloads sit apart in one
-//! [`FlitQueue`] per VC, touched only when a flit actually moves.
+//! array indexed by a dense id, and the flit payloads sit apart in one flat
+//! array of `buffer_depth`-slot rings, touched only when a flit actually
+//! moves.
 //!
 //! # Dense indexing
 //!
@@ -19,7 +20,7 @@
 //! ```
 //!
 //! Input and output VCs share the same id arithmetic but index different
-//! arrays (`phase`/`route_*`/`bufs` vs `out_alloc`/`credits`). Iterating ids
+//! arrays (`phase`/`route_*`/`flits` vs `out_alloc`/`credits`). Iterating ids
 //! in ascending order is exactly the `(node, port, vc)` lexicographic order
 //! the exhaustive engine has always used, which is what keeps the
 //! struct-of-arrays engine bit-identical to the oracle.
@@ -34,11 +35,22 @@
 //! candidates) instead of scanning per-VC phase tags, so a port with no
 //! eligible VC costs two loads (`vcs_per_port` is capped at 64 so a VC
 //! always fits its port word).
+//!
+//! # Flit rings
+//!
+//! Input VC `id` owns the slots `flits[id * D..(id + 1) * D]` with
+//! `D = buffer_depth`, used as a ring: `ring_head[id]` is the slot of the
+//! front flit and `ring_len[id]` the number buffered. Credit flow control
+//! never lets a VC hold more than `D` flits (the upstream router or NI
+//! spends one of `D` credits per flit it sends, and gets it back only when
+//! the flit leaves), so the ring never overflows; `VcStore::push_flit`
+//! asserts it and `Network::validate_active_sets` re-checks it. The paper
+//! configuration's 4 slots of 28-byte flits cost 112 bytes per VC.
 
 use crate::geometry::Port;
 use crate::packet::Flit;
 use crate::router::RouterParams;
-use crate::vc::{FlitQueue, VcState};
+use crate::vc::VcState;
 
 /// Sentinel in the output-allocation array for an unallocated output VC.
 pub const FREE_VC: u32 = u32::MAX;
@@ -68,6 +80,8 @@ pub enum VcPhase {
 pub struct VcStore {
     /// VCs per port (`V` in the indexing scheme).
     vcs: usize,
+    /// Flit slots per input VC (`D`, the router's `buffer_depth`).
+    depth: usize,
     // ---- input side, indexed by vc_id ----
     pub(crate) phase: Vec<VcPhase>,
     /// Output port requested/held ([`Port::index`]); valid in `Routed`/`Active`.
@@ -75,13 +89,18 @@ pub struct VcStore {
     /// Output VC held; valid in `Active`.
     pub(crate) route_vc: Vec<u8>,
     /// Mirror of the front flit's `arrived` stamp; valid while non-empty.
-    pub(crate) head_arrived: Vec<u64>,
+    pub(crate) head_arrived: Vec<u32>,
     /// Mirror of `front().kind.is_head()`; valid while non-empty.
     pub(crate) head_is_head: Vec<bool>,
     /// Mirror of the front flit's vnet; valid while non-empty.
     pub(crate) head_vnet: Vec<u8>,
-    /// Flit payload FIFOs, kept apart from the scalars the allocators scan.
-    pub(crate) bufs: Vec<FlitQueue>,
+    /// Flit payload rings, `depth` slots per input VC, kept apart from the
+    /// scalars the allocators scan.
+    flits: Vec<Flit>,
+    /// Ring slot of each input VC's front flit.
+    ring_head: Vec<u8>,
+    /// Flits buffered per input VC, at most `depth`.
+    ring_len: Vec<u8>,
     /// Per `port_id`: bit `v` set iff input VC `v` is non-empty.
     pub(crate) occ_mask: Vec<u64>,
     /// Per `port_id`: bit `v` set iff input VC `v` is in [`VcPhase::Routed`].
@@ -124,7 +143,12 @@ impl VcStore {
         connected: impl Fn(usize) -> [bool; Port::COUNT],
     ) -> Self {
         let vcs = params.vcs_per_port;
+        let depth = params.buffer_depth;
         debug_assert!(vcs <= 64, "validated by RouterParams::validate");
+        debug_assert!(
+            (1..=usize::from(u8::MAX)).contains(&depth),
+            "validated by RouterParams::validate"
+        );
         let ports = nodes * Port::COUNT;
         let ids = ports * vcs;
         let mut wired = Vec::with_capacity(ports);
@@ -133,13 +157,16 @@ impl VcStore {
         }
         VcStore {
             vcs,
+            depth,
             phase: vec![VcPhase::Idle; ids],
             route_port: vec![0; ids],
             route_vc: vec![0; ids],
             head_arrived: vec![0; ids],
             head_is_head: vec![false; ids],
             head_vnet: vec![0; ids],
-            bufs: (0..ids).map(|_| FlitQueue::new()).collect(),
+            flits: vec![Flit::VACANT; ids * depth],
+            ring_head: vec![0; ids],
+            ring_len: vec![0; ids],
             occ_mask: vec![0; ports],
             routed_mask: vec![0; ports],
             active_mask: vec![0; ports],
@@ -250,50 +277,79 @@ impl VcStore {
         }
     }
 
-    /// Front flit of an input VC's payload FIFO.
+    /// Index in `flits` of ring slot `slot` of input VC `id`.
+    #[inline]
+    fn slot(&self, id: usize, slot: usize) -> usize {
+        id * self.depth + slot
+    }
+
+    /// Front flit of an input VC's ring.
     #[inline]
     pub fn front(&self, id: usize) -> Option<&Flit> {
-        self.bufs[id].front()
+        (self.ring_len[id] > 0).then(|| &self.flits[self.slot(id, usize::from(self.ring_head[id]))])
     }
 
     /// Buffered flits in an input VC.
     #[inline]
     pub fn occupancy(&self, id: usize) -> usize {
-        self.bufs[id].len()
+        usize::from(self.ring_len[id])
     }
 
     /// Appends a flit to an input VC, maintaining the occupancy mask and
     /// head mirrors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC already holds `depth` flits, which credit flow
+    /// control rules out.
     pub(crate) fn push_flit(&mut self, id: usize, flit: Flit) {
-        let q = &mut self.bufs[id];
-        let was_empty = q.is_empty();
-        q.push_back(flit);
-        if was_empty {
+        let len = usize::from(self.ring_len[id]);
+        assert!(
+            len < self.depth,
+            "input VC {id} already holds {len} flits: credit flow control violated"
+        );
+        let mut slot = usize::from(self.ring_head[id]) + len;
+        if slot >= self.depth {
+            slot -= self.depth;
+        }
+        let at = self.slot(id, slot);
+        self.flits[at] = flit;
+        self.ring_len[id] = (len + 1) as u8;
+        if len == 0 {
             self.occ_mask[id / self.vcs] |= 1u64 << (id % self.vcs);
             self.refresh_head(id);
         }
     }
 
     /// Pops the front flit of an input VC, maintaining the occupancy mask
-    /// and head mirrors and releasing heap capacity a transient spill left
-    /// behind once the VC drains.
+    /// and head mirrors.
     pub(crate) fn pop_flit(&mut self, id: usize) -> Option<Flit> {
-        let flit = self.bufs[id].pop_front()?;
-        if self.bufs[id].is_empty() {
+        let len = self.ring_len[id];
+        if len == 0 {
+            return None;
+        }
+        let head = usize::from(self.ring_head[id]);
+        let flit = self.flits[self.slot(id, head)];
+        self.ring_head[id] = if head + 1 == self.depth {
+            0
+        } else {
+            head as u8 + 1
+        };
+        self.ring_len[id] = len - 1;
+        if len == 1 {
             self.occ_mask[id / self.vcs] &= !(1u64 << (id % self.vcs));
-            self.bufs[id].shrink_to_inline();
         } else {
             self.refresh_head(id);
         }
         Some(flit)
     }
 
-    /// Re-derives the head mirrors from the FIFO front.
+    /// Re-derives the head mirrors from the ring front.
     fn refresh_head(&mut self, id: usize) {
-        let f = self.bufs[id].front().expect("refresh_head on an empty VC");
-        self.head_arrived[id] = f.arrived;
-        self.head_is_head[id] = f.kind.is_head();
-        self.head_vnet[id] = f.vnet;
+        let f = *self.front(id).expect("refresh_head on an empty VC");
+        self.head_arrived[id] = f.arrived() as u32;
+        self.head_is_head[id] = f.kind().is_head();
+        self.head_vnet[id] = f.vnet();
     }
 
     /// Grants output VC `out_id` (on `node`) to the input VC `holder`.
@@ -405,19 +461,19 @@ mod tests {
             vnet: 0,
         };
         let mut head = pkt.flit(0, 0);
-        head.arrived = 11;
+        head.set_arrived(11);
         let mut tail = pkt.flit(1, 0);
-        tail.arrived = 12;
+        tail.set_arrived(12);
         s.push_flit(id, head);
         assert_eq!(s.occ_mask[id / 4] & (1 << 2), 1 << 2);
         assert_eq!(s.head_arrived[id], 11);
         assert!(s.head_is_head[id]);
         s.push_flit(id, tail);
         assert_eq!(s.head_arrived[id], 11, "head mirror tracks the front");
-        assert_eq!(s.pop_flit(id).unwrap().seq, 0);
+        assert_eq!(s.pop_flit(id).unwrap().seq(), 0);
         assert_eq!(s.head_arrived[id], 12);
         assert!(!s.head_is_head[id]);
-        assert_eq!(s.pop_flit(id).unwrap().seq, 1);
+        assert_eq!(s.pop_flit(id).unwrap().seq(), 1);
         assert_eq!(s.occ_mask[id / 4], 0);
         assert!(s.pop_flit(id).is_none());
     }

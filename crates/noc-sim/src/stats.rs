@@ -17,12 +17,13 @@ use std::collections::BTreeMap;
 ///
 /// Stores one count per distinct value, ascending, plus the observation
 /// count and the `u64` sum, so every answer is exact and the same as over
-/// the full list of observations.
+/// the full list of observations. Values are keyed in 32 bits, which holds
+/// any latency of a run whose cycles fit a flit's 32-bit stamps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySample {
     /// Observations per distinct value. Two samples are equal when they hold
     /// the same population, whatever the insertion order.
-    counts: BTreeMap<u64, u64>,
+    counts: BTreeMap<u32, u64>,
     /// Number of observations (the sum of `counts`).
     total: u64,
     /// Sum of the observations.
@@ -36,8 +37,15 @@ impl LatencySample {
     }
 
     /// Records one latency observation (cycles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` passes `u32::MAX`, which no run that
+    /// [`crate::sim::SimConfig::validate`] accepts can measure.
     pub fn record(&mut self, cycles: u64) {
-        *self.counts.entry(cycles).or_insert(0) += 1;
+        let key = u32::try_from(cycles)
+            .unwrap_or_else(|_| panic!("latency {cycles} does not fit 32 bits"));
+        *self.counts.entry(key).or_insert(0) += 1;
         self.total += 1;
         self.sum += cycles;
     }
@@ -54,12 +62,12 @@ impl LatencySample {
 
     /// Maximum observation.
     pub fn max(&self) -> Option<u64> {
-        self.counts.last_key_value().map(|(&v, _)| v)
+        self.counts.last_key_value().map(|(&v, _)| u64::from(v))
     }
 
     /// Minimum observation.
     pub fn min(&self) -> Option<u64> {
-        self.counts.first_key_value().map(|(&v, _)| v)
+        self.counts.first_key_value().map(|(&v, _)| u64::from(v))
     }
 
     /// `q`-quantile (0.0..=1.0) by nearest-rank over the sorted population.
@@ -77,7 +85,7 @@ impl LatencySample {
         for (&v, &c) in &self.counts {
             seen += c;
             if seen > rank {
-                return Some(v);
+                return Some(u64::from(v));
             }
         }
         unreachable!("rank {rank} below the total {}", self.total)
@@ -93,7 +101,7 @@ impl LatencySample {
         assert!(bucket > 0, "bucket width must be positive");
         let mut out: Vec<(u64, usize)> = Vec::new();
         for (&v, &c) in &self.counts {
-            let start = v / bucket * bucket;
+            let start = u64::from(v) / bucket * bucket;
             match out.last_mut() {
                 Some((s, n)) if *s == start => *n += c as usize,
                 _ => out.push((start, c as usize)),
@@ -107,7 +115,7 @@ impl LatencySample {
     pub fn to_streaming(&self) -> StreamingHistogram {
         let mut h = StreamingHistogram::new();
         for (&v, &c) in &self.counts {
-            h.record_n(v, c);
+            h.record_n(u64::from(v), c);
         }
         h
     }
@@ -424,6 +432,20 @@ mod tests {
         let mut s = LatencySample::new();
         s.record(1);
         let _ = s.quantile(1.5);
+    }
+
+    #[test]
+    fn latency_keys_hold_32_bits() {
+        let mut s = LatencySample::new();
+        s.record(u64::from(u32::MAX));
+        assert_eq!(s.max(), Some(u64::from(u32::MAX)));
+        assert_eq!(s.mean(), Some(f64::from(u32::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "latency 4294967296 does not fit 32 bits")]
+    fn latency_past_32_bits_panics() {
+        LatencySample::new().record(1 << 32);
     }
 
     #[test]

@@ -225,11 +225,7 @@ mod tests {
         let mut gen = sample_gen(5);
         let mut replay = trace.replayer();
         for c in 0..500 {
-            let a: Vec<(NodeId, NodeId)> = gen
-                .generate(c, false)
-                .iter()
-                .map(|p| (p.src, p.dst))
-                .collect();
+            let a: Vec<(NodeId, NodeId)> = gen.generate(c, false).map(|p| (p.src, p.dst)).collect();
             let b: Vec<(NodeId, NodeId)> = replay
                 .generate(c, false)
                 .iter()

@@ -272,6 +272,9 @@ pub struct TrafficGen {
     rng: SmallRng,
     next_id: u64,
     bursts: Option<BurstSchedule>,
+    /// This cycle's packets; kept so generating allocates nothing once it
+    /// has grown to the busiest cycle.
+    out: Vec<Packet>,
 }
 
 impl TrafficGen {
@@ -305,6 +308,7 @@ impl TrafficGen {
             rng: SmallRng::seed_from_u64(seed),
             next_id: 0,
             bursts: None,
+            out: Vec::new(),
         })
     }
 
@@ -336,16 +340,17 @@ impl TrafficGen {
         self.injection_rate
     }
 
-    /// Generates this cycle's packets.
-    pub fn generate(&mut self, now: u64, measured: bool) -> Vec<Packet> {
+    /// Generates this cycle's packets, at most one per node.
+    pub fn generate(&mut self, now: u64, measured: bool) -> std::vec::Drain<'_, Packet> {
+        let out = &mut self.out;
+        out.clear();
         if let Some(b) = self.bursts {
             if !b.is_on(now) {
-                return Vec::new();
+                return out.drain(..);
             }
         }
         let k = self.placement.len();
         let p = self.injection_rate / f64::from(self.packet_len);
-        let mut out = Vec::new();
         for src_logical in 0..k {
             if self.rng.gen_bool(p.min(1.0)) {
                 let dst_logical = self.pattern.destination(src_logical, k, &mut self.rng);
@@ -362,12 +367,30 @@ impl TrafficGen {
                 });
             }
         }
-        out
+        out.drain(..)
     }
 
     /// Total packets generated so far.
     pub fn generated(&self) -> u64 {
         self.next_id
+    }
+
+    /// Refuses a cycle whose packets could take an id past `u32::MAX`, the
+    /// largest a [`crate::packet::Flit`] stores. A cycle generates at most
+    /// one packet per node, so the check is exact to within one cycle.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::LimitExceeded`] when fewer ids than nodes are left.
+    pub(crate) fn check_id_room(&self) -> Result<(), SimError> {
+        let limit = u64::from(u32::MAX);
+        if self.next_id + self.placement.len() as u64 > limit + 1 {
+            return Err(SimError::LimitExceeded {
+                what: "packet id",
+                limit,
+            });
+        }
+        Ok(())
     }
 
     /// Earliest cycle `>= now` at which [`TrafficGen::generate`] may draw
@@ -527,7 +550,6 @@ mod tests {
         for c in 0..cycles {
             flits += gen
                 .generate(c, false)
-                .iter()
                 .map(|p| u64::from(p.len))
                 .sum::<u64>();
         }
@@ -612,7 +634,39 @@ mod tests {
         let mut a = mk();
         let mut b = mk();
         for c in 0..100 {
-            assert_eq!(a.generate(c, false), b.generate(c, false));
+            assert!(a.generate(c, false).eq(b.generate(c, false)));
         }
+    }
+
+    #[test]
+    fn packet_ids_stop_at_the_32_bit_limit() {
+        let mesh = Mesh2D::paper_4x4();
+        let mut gen = TrafficGen::new(
+            TrafficPattern::UniformRandom,
+            Placement::full(&mesh),
+            1.0,
+            1,
+            5,
+        )
+        .unwrap();
+        // Sixteen nodes need sixteen ids: the last cycle that fits starts
+        // sixteen below 2^32 and hands out ids up to u32::MAX.
+        gen.next_id = (1u64 << 32) - 16;
+        gen.check_id_room().expect("exactly enough ids left");
+        let ids: Vec<u64> = gen.generate(0, false).map(|p| p.id.0).collect();
+        assert_eq!(
+            ids.last(),
+            Some(&u64::from(u32::MAX)),
+            "rate 1.0 fills the cycle"
+        );
+        assert_eq!(
+            gen.check_id_room(),
+            Err(SimError::LimitExceeded {
+                what: "packet id",
+                limit: u64::from(u32::MAX),
+            })
+        );
+        gen.next_id = (1u64 << 32) - 15;
+        assert!(gen.check_id_room().is_err(), "one id short");
     }
 }

@@ -1,15 +1,12 @@
 //! Virtual-channel state tracking.
 //!
-//! [`VcState`] is the logical lifecycle of an input VC; [`FlitQueue`] is the
-//! payload FIFO. Since the struct-of-arrays refactor the scalar allocation
-//! state lives in [`crate::soa::VcStore`], packed into flat per-stage arrays,
-//! while the flit payloads stay in one `FlitQueue` per VC — the allocator
-//! loops scan the scalars without dragging payload cache lines in.
-
-use std::collections::VecDeque;
+//! [`VcState`] is the logical lifecycle of an input VC. Since the
+//! struct-of-arrays refactor the scalar allocation state lives in
+//! [`crate::soa::VcStore`], packed into flat per-stage arrays, and the flit
+//! payloads sit in one flat array of `buffer_depth`-slot rings there — the
+//! allocator loops scan the scalars without dragging payload cache lines in.
 
 use crate::geometry::Port;
-use crate::packet::Flit;
 
 /// Lifecycle of an input virtual channel, following the classic
 /// wormhole-router state machine (Idle → RouteComputed → Active → Idle).
@@ -49,117 +46,36 @@ impl VcState {
     }
 }
 
-/// Flit slots stored inline in a [`FlitQueue`] before spilling to the heap.
-/// Matches the paper's Table 1 buffer depth, so the common case — a VC FIFO
-/// at or below its credit-bounded depth of 4 — never allocates.
-pub const INLINE_FLITS: usize = 4;
-
-/// A FIFO of flits with fixed-capacity inline storage.
-///
-/// The first [`INLINE_FLITS`] flits live in an inline ring buffer; anything
-/// beyond spills to a heap [`VecDeque`]. Deeper-buffer configurations
-/// (`buffer_depth > 4`) still work — they just pay the spill. The API
-/// mirrors the `VecDeque` subset the router pipeline uses, and FIFO order is
-/// preserved across the spill boundary in both directions.
-#[derive(Debug, Clone, Default)]
-pub struct FlitQueue {
-    /// Inline ring; `None` slots are free.
-    inline: [Option<Flit>; INLINE_FLITS],
-    /// Ring index of the front flit.
-    head: usize,
-    /// Flits currently held inline.
-    inline_len: usize,
-    /// Overflow beyond the inline capacity, oldest first. Invariant: empty
-    /// unless the inline ring is full.
-    spill: VecDeque<Flit>,
-}
-
-impl FlitQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of buffered flits.
-    pub fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inline_len == 0
-    }
-
-    /// Flit at the front of the FIFO.
-    pub fn front(&self) -> Option<&Flit> {
-        if self.inline_len == 0 {
-            None
-        } else {
-            self.inline[self.head].as_ref()
-        }
-    }
-
-    /// Appends a flit at the back.
-    pub fn push_back(&mut self, flit: Flit) {
-        if self.inline_len < INLINE_FLITS && self.spill.is_empty() {
-            let slot = (self.head + self.inline_len) % INLINE_FLITS;
-            debug_assert!(self.inline[slot].is_none(), "inline slot occupied");
-            self.inline[slot] = Some(flit);
-            self.inline_len += 1;
-        } else {
-            self.spill.push_back(flit);
-        }
-    }
-
-    /// Removes and returns the front flit.
-    pub fn pop_front(&mut self) -> Option<Flit> {
-        if self.inline_len == 0 {
-            debug_assert!(self.spill.is_empty(), "spill populated under empty ring");
-            return None;
-        }
-        let flit = self.inline[self.head].take().expect("front slot occupied");
-        self.head = (self.head + 1) % INLINE_FLITS;
-        self.inline_len -= 1;
-        // Refill the freed slot from the spill so the inline ring always
-        // holds the oldest flits.
-        if let Some(promoted) = self.spill.pop_front() {
-            let slot = (self.head + self.inline_len) % INLINE_FLITS;
-            self.inline[slot] = Some(promoted);
-            self.inline_len += 1;
-        }
-        Some(flit)
-    }
-
-    /// Number of flits currently spilled to the heap (diagnostics/tests).
-    pub fn spilled(&self) -> usize {
-        self.spill.len()
-    }
-
-    /// Releases heap capacity held by a drained spill. A transient burst
-    /// past [`INLINE_FLITS`] (deep-buffer configs, congestion spikes) grows
-    /// the spill `VecDeque`; once those flits have been promoted back into
-    /// the inline ring the allocation would otherwise pin heap for the rest
-    /// of the run. No-op (and allocation-free) when the spill never grew or
-    /// still holds flits.
-    pub fn shrink_to_inline(&mut self) {
-        if self.spill.is_empty() && self.spill.capacity() > 0 {
-            self.spill = VecDeque::new();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::{Direction, NodeId};
     use crate::packet::{Packet, PacketId};
+    use crate::router::RouterParams;
+    use crate::soa::VcStore;
+
+    /// One paper router's input VCs (depth 4); tests use VC id 0.
+    fn store() -> VcStore {
+        VcStore::new(1, &RouterParams::paper(), |_| [true; Port::COUNT])
+    }
+
+    fn test_packet(len: u32) -> Packet {
+        Packet {
+            id: PacketId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            len,
+            created: 0,
+            measured: false,
+            vnet: 0,
+        }
+    }
 
     #[test]
     fn new_queue_is_empty() {
-        let q = FlitQueue::new();
-        assert_eq!(q.len(), 0);
-        assert!(q.front().is_none());
-        assert!(q.is_empty());
+        let s = store();
+        assert_eq!(s.occupancy(0), 0);
+        assert!(s.front(0).is_none());
     }
 
     #[test]
@@ -177,189 +93,72 @@ mod tests {
         );
     }
 
-    fn test_packet(len: u32) -> Packet {
-        Packet {
-            id: PacketId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            len,
-            created: 0,
-            measured: false,
-            vnet: 0,
-        }
-    }
-
     #[test]
     fn fifo_order_is_preserved() {
-        let mut q = FlitQueue::new();
+        let mut s = store();
         let p = test_packet(3);
         for seq in 0..3 {
-            q.push_back(p.flit(seq, 0));
+            s.push_flit(0, p.flit(seq, 0));
         }
-        assert_eq!(q.front().unwrap().seq, 0);
-        q.pop_front();
-        assert_eq!(q.front().unwrap().seq, 1);
-    }
-
-    #[test]
-    fn shrink_is_noop_when_never_spilled() {
-        let mut q = FlitQueue::new();
-        let p = test_packet(INLINE_FLITS as u32);
-        for seq in 0..INLINE_FLITS as u32 {
-            q.push_back(p.flit(seq, 0));
-        }
-        assert_eq!(q.spill.capacity(), 0, "inline-only use must not allocate");
-        q.shrink_to_inline();
-        assert_eq!(q.spill.capacity(), 0);
-        assert_eq!(q.len(), INLINE_FLITS);
-    }
-
-    #[test]
-    fn shrink_releases_capacity_after_spill_drains() {
-        let total = 2 * INLINE_FLITS as u32 + 1;
-        let mut q = FlitQueue::new();
-        let p = test_packet(total);
-        for seq in 0..total {
-            q.push_back(p.flit(seq, 0));
-        }
-        assert!(q.spill.capacity() > 0, "spill must have allocated");
-        // Drain back to the inline threshold: the spill is empty but its
-        // heap capacity lingers until shrunk.
-        for seq in 0..total - INLINE_FLITS as u32 {
-            assert_eq!(q.pop_front().unwrap().seq, seq);
-        }
-        assert_eq!(q.spilled(), 0);
-        assert!(q.spill.capacity() > 0, "drained spill still pins capacity");
-        q.shrink_to_inline();
-        assert_eq!(q.spill.capacity(), 0, "shrink must release the heap");
-        // Remaining inline flits are untouched and in order.
-        assert_eq!(q.len(), INLINE_FLITS);
-        for seq in total - INLINE_FLITS as u32..total {
-            assert_eq!(q.pop_front().unwrap().seq, seq);
-        }
-    }
-
-    #[test]
-    fn shrink_keeps_occupied_spill() {
-        let total = INLINE_FLITS as u32 + 2;
-        let mut q = FlitQueue::new();
-        let p = test_packet(total);
-        for seq in 0..total {
-            q.push_back(p.flit(seq, 0));
-        }
-        assert_eq!(q.spilled(), 2);
-        q.shrink_to_inline();
-        assert_eq!(q.spilled(), 2, "occupied spill must not be touched");
-        for seq in 0..total {
-            assert_eq!(q.pop_front().unwrap().seq, seq);
-        }
-    }
-
-    #[test]
-    fn queue_reusable_after_shrink() {
-        // One flit past the threshold, drain fully, shrink, then reuse.
-        let mut q = FlitQueue::new();
-        let p = test_packet(32);
-        for seq in 0..=INLINE_FLITS as u32 {
-            q.push_back(p.flit(seq, 0));
-        }
-        while q.pop_front().is_some() {}
-        q.shrink_to_inline();
-        assert!(q.is_empty());
-        for seq in 0..2 * INLINE_FLITS as u32 {
-            q.push_back(p.flit(seq, 0));
-        }
-        for seq in 0..2 * INLINE_FLITS as u32 {
-            assert_eq!(q.pop_front().unwrap().seq, seq);
-        }
+        assert_eq!(s.front(0).unwrap().seq(), 0);
+        s.pop_flit(0);
+        assert_eq!(s.front(0).unwrap().seq(), 1);
     }
 
     #[test]
     fn queue_stays_inline_at_capacity() {
-        let mut q = FlitQueue::new();
-        let p = test_packet(INLINE_FLITS as u32);
-        for seq in 0..INLINE_FLITS as u32 {
-            q.push_back(p.flit(seq, 0));
+        // A VC's ring holds exactly `buffer_depth` flits, in place.
+        let mut s = store();
+        let depth = RouterParams::paper().buffer_depth as u32;
+        let p = test_packet(depth);
+        for seq in 0..depth {
+            s.push_flit(0, p.flit(seq, 0));
         }
-        assert_eq!(q.len(), INLINE_FLITS);
-        assert_eq!(q.spilled(), 0, "at capacity must not spill");
-        assert!(!q.is_empty());
+        assert_eq!(s.occupancy(0), depth as usize);
+        assert_eq!(s.occupancy(1), 0, "a full ring leaves its neighbour alone");
+        for seq in 0..depth {
+            assert_eq!(s.pop_flit(0).unwrap().seq(), seq);
+        }
+        assert!(s.pop_flit(0).is_none());
     }
 
     #[test]
-    fn queue_spills_past_capacity_and_preserves_order() {
-        let total = 3 * INLINE_FLITS as u32;
-        let mut q = FlitQueue::new();
-        let p = test_packet(total);
-        for seq in 0..total {
-            q.push_back(p.flit(seq, 0));
+    #[should_panic(expected = "credit flow control violated")]
+    fn push_past_depth_is_refused() {
+        let mut s = store();
+        let depth = RouterParams::paper().buffer_depth as u32;
+        let p = test_packet(depth + 1);
+        for seq in 0..=depth {
+            s.push_flit(0, p.flit(seq, 0));
         }
-        assert_eq!(q.len(), total as usize);
-        assert_eq!(q.spilled(), total as usize - INLINE_FLITS);
-        for seq in 0..total {
-            assert_eq!(q.front().unwrap().seq, seq);
-            assert_eq!(q.pop_front().unwrap().seq, seq);
-        }
-        assert!(q.is_empty());
-        assert!(q.pop_front().is_none());
-    }
-
-    #[test]
-    fn spill_boundary_round_trips() {
-        // Alternate pushes and pops around the boundary: the queue must
-        // promote spilled flits in order and keep the inline ring full (the
-        // spill only ever carries the overflow past INLINE_FLITS).
-        let mut q = FlitQueue::new();
-        let p = test_packet(64);
-        let mut next_push = 0u32;
-        let mut next_pop = 0u32;
-        for round in 0..8 {
-            // Push one past the inline capacity, pop most of it back; each
-            // round nets +1 occupancy, walking the fill level across the
-            // spill boundary.
-            for _ in 0..=INLINE_FLITS {
-                q.push_back(p.flit(next_push, 0));
-                next_push += 1;
-            }
-            assert!(q.spilled() > 0, "round {round} should have spilled");
-            for _ in 0..INLINE_FLITS {
-                assert_eq!(q.pop_front().unwrap().seq, next_pop);
-                next_pop += 1;
-            }
-            assert_eq!(
-                q.spilled(),
-                q.len().saturating_sub(INLINE_FLITS),
-                "round {round}: spill must only hold the overflow"
-            );
-        }
-        while let Some(f) = q.pop_front() {
-            assert_eq!(f.seq, next_pop);
-            next_pop += 1;
-        }
-        assert_eq!(next_push, next_pop, "every pushed flit popped exactly once");
     }
 
     #[test]
     fn interleaved_push_pop_never_reorders() {
-        // Wrap the ring many times with a drifting head index.
-        let mut q = FlitQueue::new();
+        // Wrap the ring many times with a drifting head index, never
+        // holding more than the credit-bounded depth.
+        let mut s = store();
+        let depth = RouterParams::paper().buffer_depth;
         let p = test_packet(1000);
         let mut next_push = 0u32;
         let mut next_pop = 0u32;
         for i in 0..300u32 {
             let pushes = 1 + (i % 3);
             for _ in 0..pushes {
-                q.push_back(p.flit(next_push, 0));
-                next_push += 1;
+                if s.occupancy(0) < depth {
+                    s.push_flit(0, p.flit(next_push, 0));
+                    next_push += 1;
+                }
             }
             let pops = 1 + (i % 2);
             for _ in 0..pops {
-                if let Some(f) = q.pop_front() {
-                    assert_eq!(f.seq, next_pop);
+                if let Some(f) = s.pop_flit(0) {
+                    assert_eq!(f.seq(), next_pop);
                     next_pop += 1;
                 }
             }
         }
-        assert_eq!(q.len() as u32, next_push - next_pop);
+        assert_eq!(s.occupancy(0) as u32, next_push - next_pop);
+        assert!(next_push > 300, "the ring wrapped many times");
     }
 }

@@ -232,7 +232,7 @@ fn four_vnets_partition_down_to_single_vcs() {
     let ej = drain_all(&mut net, 100_000);
     assert_eq!(ej.len(), 80);
     for v in 0..4u8 {
-        assert!(ej.iter().any(|e| e.flit.vnet == v), "vnet {v} silent");
+        assert!(ej.iter().any(|e| e.flit.vnet() == v), "vnet {v} silent");
     }
 }
 

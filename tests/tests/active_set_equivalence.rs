@@ -132,8 +132,8 @@ fn assert_lockstep(
         let ra = active.step_observed(Some(&mut trace_a)).unwrap();
         let ro = oracle.step_observed(Some(&mut trace_o)).unwrap();
         assert_eq!(ra, ro, "step report diverged at cycle {now} ({pattern:?})");
-        let ea = active.drain_ejections();
-        let eo = oracle.drain_ejections();
+        let ea = active.drain_ejections().collect::<Vec<_>>();
+        let eo = oracle.drain_ejections().collect::<Vec<_>>();
         assert_eq!(ea, eo, "ejections diverged at cycle {now} ({pattern:?})");
         if now.is_multiple_of(17) {
             active.validate_active_sets();
@@ -254,7 +254,10 @@ fn engines_bit_identical_under_bursty_reactive_traffic() {
             oracle.step().unwrap(),
             "cycle {now}"
         );
-        assert_eq!(active.drain_ejections(), oracle.drain_ejections());
+        assert_eq!(
+            active.drain_ejections().collect::<Vec<_>>(),
+            oracle.drain_ejections().collect::<Vec<_>>()
+        );
     }
     assert_eq!(active.sleep_stats(), oracle.sleep_stats());
     assert_eq!(active.fault_stats(), oracle.fault_stats());
@@ -296,7 +299,10 @@ fn engines_bit_identical_on_sprint_region() {
             oracle.step().unwrap(),
             "cycle {now}"
         );
-        assert_eq!(active.drain_ejections(), oracle.drain_ejections());
+        assert_eq!(
+            active.drain_ejections().collect::<Vec<_>>(),
+            oracle.drain_ejections().collect::<Vec<_>>()
+        );
     }
     active.validate_active_sets();
 }
@@ -355,8 +361,8 @@ fn engines_bit_identical_on_fully_lit_32x32_with_midrun_switches() {
         let rb = b.step_observed(Some(&mut trace_b)).unwrap();
         assert_eq!(ra, rb, "step report diverged at cycle {now}");
         assert_eq!(
-            a.drain_ejections(),
-            b.drain_ejections(),
+            a.drain_ejections().collect::<Vec<_>>(),
+            b.drain_ejections().collect::<Vec<_>>(),
             "ejections diverged at cycle {now}"
         );
         if now.is_multiple_of(97) {

@@ -58,7 +58,7 @@ fn drive(net: &mut Network, max_cycles: u64) -> Vec<(noc_sim::packet::Flit, u64)
     let mut ej = Vec::new();
     for _ in 0..max_cycles {
         net.step().expect("no dark routers in this test");
-        ej.extend(net.drain_ejections().into_iter().map(|e| (e.flit, e.at)));
+        ej.extend(net.drain_ejections().map(|e| (e.flit, e.at)));
         if net.is_drained() {
             return ej;
         }
@@ -90,16 +90,8 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
         let ra = plain.step().unwrap();
         let rb = planned.step().unwrap();
         assert_eq!(ra, rb, "step report diverged at cycle {now}");
-        let ea: Vec<_> = plain
-            .drain_ejections()
-            .into_iter()
-            .map(|e| (e.flit, e.at))
-            .collect();
-        let eb: Vec<_> = planned
-            .drain_ejections()
-            .into_iter()
-            .map(|e| (e.flit, e.at))
-            .collect();
+        let ea: Vec<_> = plain.drain_ejections().map(|e| (e.flit, e.at)).collect();
+        let eb: Vec<_> = planned.drain_ejections().map(|e| (e.flit, e.at)).collect();
         assert_eq!(ea, eb, "ejections diverged at cycle {now}");
     }
     assert_eq!(planned.fault_stats(), Default::default());
@@ -175,7 +167,7 @@ fn cdor_drops_without_a_legal_detour_and_reroutes_with_one() {
     assert_eq!(stats.packets_dropped, 1);
     assert_eq!(stats.measured_packets_dropped, 1);
     assert_eq!(stats.flits_dropped, 5);
-    let delivered: Vec<_> = ej.iter().map(|(f, _)| f.packet).collect();
+    let delivered: Vec<_> = ej.iter().map(|(f, _)| f.packet()).collect();
     assert!(
         !delivered.contains(&PacketId(0)),
         "dropped packet must not eject"
@@ -197,7 +189,7 @@ fn killed_router_isolates_only_itself() {
     let ej = drive(&mut net, 10_000);
 
     assert_eq!(net.fault_stats().packets_dropped, 1);
-    let delivered: Vec<_> = ej.iter().map(|(f, _)| f.packet).collect();
+    let delivered: Vec<_> = ej.iter().map(|(f, _)| f.packet()).collect();
     assert!(!delivered.contains(&PacketId(0)));
     assert_eq!(delivered.iter().filter(|&&p| p == PacketId(1)).count(), 5);
     assert_eq!(delivered.iter().filter(|&&p| p == PacketId(2)).count(), 5);

@@ -169,7 +169,7 @@ fn lone_packet_head_tail(net: &mut Network, src: NodeId, dst: NodeId, len: u32) 
     let mut at = Vec::new();
     for _ in 0..1_000 {
         net.step().unwrap();
-        at.extend(net.drain_ejections().iter().map(|e| e.at));
+        at.extend(net.drain_ejections().map(|e| e.at));
         if net.is_drained() {
             break;
         }

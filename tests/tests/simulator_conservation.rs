@@ -56,8 +56,8 @@ proptest! {
         // No duplicates; per-packet sequence order strictly increasing.
         let mut seen = std::collections::HashMap::<PacketId, u32>::new();
         for e in &ej {
-            let next = seen.entry(e.flit.packet).or_insert(0);
-            prop_assert_eq!(e.flit.seq, *next);
+            let next = seen.entry(e.flit.packet()).or_insert(0);
+            prop_assert_eq!(e.flit.seq(), *next);
             *next += 1;
         }
 
@@ -91,9 +91,9 @@ proptest! {
         }
         let ej = drive_to_drain(&mut net, 100_000);
         for e in &ej {
-            let (src, dst) = pairs[e.flit.packet.0 as usize];
-            prop_assert_eq!(e.flit.src, NodeId(src));
-            prop_assert_eq!(e.flit.dst, NodeId(dst));
+            let (src, dst) = pairs[e.flit.packet().0 as usize];
+            prop_assert_eq!(e.flit.src(), NodeId(src));
+            prop_assert_eq!(e.flit.dst(), NodeId(dst));
         }
     }
 

@@ -536,8 +536,8 @@ fn circulant_engines_run_lockstep() {
         let ro = oracle.step().unwrap();
         assert_eq!(ra, ro, "step report diverged at cycle {now}");
         assert_eq!(
-            active.drain_ejections(),
-            oracle.drain_ejections(),
+            active.drain_ejections().collect::<Vec<_>>(),
+            oracle.drain_ejections().collect::<Vec<_>>(),
             "ejections diverged at cycle {now}"
         );
         if now % 17 == 0 {
