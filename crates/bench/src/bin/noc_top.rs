@@ -132,20 +132,11 @@ mod imp {
                 Ok(snapshot) => {
                     // Inject the target so multi-engine dumps stay
                     // attributable; parsers ignore unknown fields.
-                    let mut obj = match snapshot.to_json() {
-                        JsonValue::Obj(fields) => fields,
-                        other => {
-                            vec![("snapshot".to_string(), other)]
-                        }
-                    };
-                    obj.insert(
-                        0,
-                        (
-                            "target".to_string(),
-                            JsonValue::Str(target.display().to_string()),
-                        ),
-                    );
-                    println!("{}", JsonValue::Obj(obj).to_json());
+                    let target = JsonValue::Str(target.display().to_string()).to_json();
+                    let snapshot = snapshot.to_json_line();
+                    // The snapshot's line is an object with its own fields:
+                    // the target goes in front of them.
+                    println!("{{\"target\":{target},{}", &snapshot[1..]);
                 }
                 Err(e) => {
                     any_down = true;

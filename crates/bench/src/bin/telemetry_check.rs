@@ -345,7 +345,7 @@ fn check_stats(file: &str) -> i32 {
                     .and_then(JsonValue::as_str)
                     .unwrap_or_default()
                     .to_string();
-                StatsSnapshot::from_json(&v).map(|s| (target, s))
+                StatsSnapshot::from_json_line(line).map(|s| (target, s))
             })
             .and_then(|(target, s)| {
                 check_snapshot(&s)?;

@@ -100,6 +100,8 @@ pub struct ServiceClient<R, W> {
     reader: R,
     writer: W,
     next_id: u64,
+    /// The line being sent or read: one buffer for the connection's life.
+    line: String,
 }
 
 impl<R: BufRead, W: Write> ServiceClient<R, W> {
@@ -109,26 +111,29 @@ impl<R: BufRead, W: Write> ServiceClient<R, W> {
             reader,
             writer,
             next_id: 0,
+            line: String::new(),
         }
     }
 
     fn send(&mut self, req: &ServiceRequest) -> Result<(), ServiceClientError> {
-        self.writer.write_all(req.to_json_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.line.clear();
+        req.write_json_line(&mut self.line);
+        self.line.push('\n');
+        self.writer.write_all(self.line.as_bytes())?;
         self.writer.flush()?;
         Ok(())
     }
 
     fn read_event(&mut self) -> Result<ServiceResponse, ServiceClientError> {
         loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
                 return Err(ServiceClientError::ConnectionClosed);
             }
-            if line.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
             }
-            return ServiceResponse::from_json_line(line.trim_end())
+            return ServiceResponse::from_json_line(self.line.trim_end())
                 .map_err(ServiceClientError::Protocol);
         }
     }

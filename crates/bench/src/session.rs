@@ -2,11 +2,11 @@
 //! in, response events out (wire contract and framing rules in
 //! `SERVICE.md`, "Running the daemon").
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use noc_sprinting::service::{ServiceControl, ServiceResponse};
+use noc_sprinting::service::{read_capped_line, ServiceControl, ServiceResponse};
 
 /// The longest request line a session reads, in bytes (16 MiB, room for
 /// over 100k jobs). A longer line is answered with an `error` event and
@@ -37,51 +37,55 @@ pub fn serve(name: &str, socket: Option<&Path>, handler: &Handler<'_>) -> ExitCo
     }
 }
 
+/// The line buffer a session keeps between requests, in bytes: a longer
+/// line's buffer is given back once it has been served.
+const KEPT_LINE: usize = 64 << 10;
+
 /// Serves the request lines of `reader` until end of input, or until a
 /// `shutdown`, which it then returns. Every event is written to `writer`
 /// and flushed at once: clients block on the stream mid-batch. Blank lines
 /// are skipped; a line that is too long or not UTF-8 gets an `error` event.
-/// Fails only on I/O failure on either stream.
+/// One line buffer and one event buffer serve the whole session. Fails
+/// only on I/O failure on either stream.
 fn serve_lines(
     mut reader: impl BufRead,
     mut writer: impl Write,
     handler: &Handler<'_>,
 ) -> std::io::Result<ServiceControl> {
+    let mut line = Vec::new();
+    let mut event = String::new();
     loop {
-        // Grows with the line as it is read, never past the cap.
-        let mut line = Vec::new();
-        let limit = MAX_REQUEST_LINE as u64 + 1;
-        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
+        line.clear();
+        line.shrink_to(KEPT_LINE);
+        let (consumed, too_long) = read_capped_line(&mut reader, &mut line, MAX_REQUEST_LINE)?;
+        if consumed == 0 {
             return Ok(ServiceControl::Continue);
         }
-        let line = if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
-            drop(line);
-            skip_line(&mut reader)?;
+        let text = if too_long {
             Err(format!(
                 "bad request: line longer than MAX_REQUEST_LINE ({MAX_REQUEST_LINE} bytes)"
             ))
         } else {
-            if line.last() == Some(&b'\n') {
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-            }
-            String::from_utf8(line)
-                .map_err(|e| format!("bad request: line is not valid UTF-8 ({})", e.utf8_error()))
+            let text = match line.strip_suffix(b"\n") {
+                Some(text) => text.strip_suffix(b"\r").unwrap_or(text),
+                None => &line,
+            };
+            std::str::from_utf8(text)
+                .map_err(|e| format!("bad request: line is not valid UTF-8 ({e})"))
         };
-        let line = match line {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => line,
+        let text = match text {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => text,
             Err(message) => {
-                write_event(&mut writer, &ServiceResponse::Error { id: None, message })?;
+                let error = ServiceResponse::Error { id: None, message };
+                write_event(&mut writer, &mut event, &error)?;
                 continue;
             }
         };
         let mut io_err = None;
-        let control = handler(&line, &mut |ev: ServiceResponse| {
+        let control = handler(text, &mut |ev: ServiceResponse| {
             if io_err.is_none() {
-                io_err = write_event(&mut writer, &ev).err();
+                io_err = write_event(&mut writer, &mut event, &ev).err();
             }
         });
         if let Some(e) = io_err {
@@ -93,24 +97,16 @@ fn serve_lines(
     }
 }
 
-/// Discards input up to and including the next `\n`, without buffering.
-fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
-    loop {
-        let chunk = reader.fill_buf()?;
-        let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(end) => (end + 1, true),
-            None => (chunk.len(), chunk.is_empty()),
-        };
-        reader.consume(used);
-        if done {
-            return Ok(());
-        }
-    }
-}
-
-fn write_event(out: &mut impl Write, ev: &ServiceResponse) -> std::io::Result<()> {
-    out.write_all(ev.to_json_line().as_bytes())?;
-    out.write_all(b"\n")?;
+/// Writes `ev` as one line through `buf`, which is reused for every event.
+fn write_event(
+    out: &mut impl Write,
+    buf: &mut String,
+    ev: &ServiceResponse,
+) -> std::io::Result<()> {
+    buf.clear();
+    ev.write_json_line(buf);
+    buf.push('\n');
+    out.write_all(buf.as_bytes())?;
     out.flush()
 }
 

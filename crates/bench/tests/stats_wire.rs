@@ -421,7 +421,7 @@ fn noc_top_json_feeds_telemetry_check_stats() {
             sock.to_str(),
             "snapshot carries the injected target"
         );
-        let snapshot = StatsSnapshot::from_json(&v).expect("snapshot decodes");
+        let snapshot = StatsSnapshot::from_json_line(line).expect("snapshot decodes");
         assert_eq!(snapshot.engine, "noc-serve");
         assert_identity(&snapshot);
     }

@@ -886,7 +886,6 @@ fn parse_sample_name(line: &str) -> Result<(String, &str), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::JsonValue;
 
     #[test]
     fn counters_and_gauges_are_atomic_and_monotone() {
@@ -969,9 +968,7 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        let parsed =
-            HistogramSnapshot::from_json(&JsonValue::parse(&snap.to_json().to_json()).unwrap())
-                .unwrap();
+        let parsed = HistogramSnapshot::from_json_line(&snap.to_json_line()).unwrap();
         assert_eq!(parsed, snap);
     }
 
@@ -1029,8 +1026,8 @@ mod tests {
             code_version: "1.2.3".into(),
             uptime_ms: 12.5,
         });
-        let line = snap.to_json().to_json();
-        let parsed = StatsSnapshot::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
+        let line = snap.to_json_line();
+        let parsed = StatsSnapshot::from_json_line(&line).unwrap();
         assert_eq!(parsed, snap);
         assert_eq!(parsed.slow_points.len(), 1);
         assert_eq!(parsed.slow_points[0].config_hash, 0xdead);
@@ -1052,11 +1049,9 @@ mod tests {
         let in_flight = parsed.metrics.gauge("noc_points_in_flight").unwrap();
         assert_eq!(submitted, done + in_flight as u64);
 
-        let mut bad = snap.to_json();
-        if let JsonValue::Obj(pairs) = &mut bad {
-            pairs[0].1 = JsonValue::Num(99.0);
-        }
-        assert!(StatsSnapshot::from_json(&bad).is_err());
+        let bad = line.replacen("\"schema\":1,", "\"schema\":99,", 1);
+        assert_ne!(bad, line);
+        assert!(StatsSnapshot::from_json_line(&bad).is_err());
     }
 
     #[test]

@@ -223,6 +223,47 @@ pub struct CacheStats {
     pub segment_bytes: u64,
 }
 
+/// The longest cache segment line [`DiskResultCache::open`] reads, in
+/// bytes. A record is about 300 bytes; a longer line is corrupt, and is
+/// skipped without being buffered, so a garbled or newline-free segment of
+/// any size costs one line buffer.
+pub const MAX_CACHE_LINE: usize = 16 << 10;
+
+/// Reads the next line of `reader`, its `\n` included, into `line`
+/// (cleared first), buffering at most `cap` bytes of it: the rest of a
+/// longer line is read past without being buffered, and `line` is left
+/// empty. Returns the bytes consumed (0 at end of input) and whether the
+/// line was longer than `cap`.
+///
+/// # Errors
+///
+/// I/O errors reading `reader`.
+pub fn read_capped_line(
+    reader: &mut impl io::BufRead,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<(u64, bool)> {
+    use io::{BufRead as _, Read as _};
+    line.clear();
+    let mut consumed = reader.take(cap as u64 + 1).read_until(b'\n', line)? as u64;
+    if line.len() <= cap || line.last() == Some(&b'\n') {
+        return Ok((consumed, false));
+    }
+    line.clear();
+    loop {
+        let chunk = reader.fill_buf()?;
+        let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(end) => (end + 1, true),
+            None => (chunk.len(), chunk.is_empty()),
+        };
+        reader.consume(used);
+        consumed += used as u64;
+        if done {
+            return Ok((consumed, true));
+        }
+    }
+}
+
 fn segment_name(index: usize) -> String {
     format!("seg-{index:06}.cache.jsonl")
 }
@@ -272,30 +313,34 @@ impl DiskResultCache {
         let mut persisted = HashMap::new();
         let mut next_segment = 0usize;
         let mut segment_bytes = 0u64;
+        let mut line = Vec::new();
         for name in &names {
             report.segments += 1;
             // Saturating: past a segment at the largest index, new records
             // append to that segment and compaction rewrites it in place.
             let index = parse_segment_index(name).expect("filtered above");
             next_segment = next_segment.max(index.saturating_add(1));
-            let bytes = fs::read(dir.join(name))?;
-            segment_bytes += bytes.len() as u64;
-            // Lines are decoded one at a time, so a torn or garbled line
-            // costs that line alone, whatever its bytes.
-            for (lineno, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-                let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-                let Ok(line) = std::str::from_utf8(raw) else {
-                    report.corrupt += 1;
-                    report.warnings.push(format!(
-                        "{name}:{}: corrupt cache line skipped (not UTF-8)",
-                        lineno + 1
-                    ));
-                    continue;
-                };
-                if line.trim().is_empty() {
-                    continue;
+            let mut reader = io::BufReader::new(fs::File::open(dir.join(name))?);
+            // Lines are decoded one at a time, so a torn, garbled or
+            // over-long line costs that line alone, whatever its bytes.
+            for lineno in 1.. {
+                let (consumed, too_long) =
+                    read_capped_line(&mut reader, &mut line, MAX_CACHE_LINE)?;
+                if consumed == 0 {
+                    break;
                 }
-                match CacheRecord::from_json_line(line) {
+                segment_bytes += consumed;
+                let raw = line.strip_suffix(b"\n").unwrap_or(&line);
+                let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+                let record = match std::str::from_utf8(raw) {
+                    _ if too_long => Err(format!(
+                        "longer than MAX_CACHE_LINE ({MAX_CACHE_LINE} bytes)"
+                    )),
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => CacheRecord::from_json_line(text),
+                    Err(_) => Err("not UTF-8".to_string()),
+                };
+                match record {
                     Ok(rec) if rec.version == version => {
                         memory.insert(rec.key, rec.value);
                         persisted.insert(rec.key, rec.seed);
@@ -304,17 +349,15 @@ impl DiskResultCache {
                     Ok(rec) => {
                         report.stale += 1;
                         report.warnings.push(format!(
-                            "{name}:{}: version {:?} != {version:?}, entry ignored",
-                            lineno + 1,
+                            "{name}:{lineno}: version {:?} != {version:?}, entry ignored",
                             rec.version
                         ));
                     }
                     Err(e) => {
                         report.corrupt += 1;
-                        report.warnings.push(format!(
-                            "{name}:{}: corrupt cache line skipped ({e})",
-                            lineno + 1
-                        ));
+                        report
+                            .warnings
+                            .push(format!("{name}:{lineno}: corrupt cache line skipped ({e})"));
                     }
                 }
             }
@@ -388,6 +431,7 @@ impl DiskResultCache {
         };
         let mut state = lock_recover(disk);
         let mut written = 0usize;
+        let mut line = String::new();
         for job in jobs {
             let key = job.cache_key();
             if state.persisted.contains_key(&key) {
@@ -412,11 +456,12 @@ impl DiskResultCache {
                 value,
             };
             let seg = state.open_segment.as_mut().expect("opened above");
-            let line = record.to_json_line();
+            line.clear();
+            record.write_json_line(&mut line);
+            line.push('\n');
             seg.write_all(line.as_bytes())?;
-            seg.write_all(b"\n")?;
             self.segment_bytes
-                .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
+                .fetch_add(line.len() as u64, Ordering::Relaxed);
             state.persisted.insert(key, job.seed);
             written += 1;
         }
@@ -451,6 +496,7 @@ impl DiskResultCache {
         let mut compacted_bytes = 0u64;
         {
             let mut out = io::BufWriter::new(fs::File::create(&tmp_path)?);
+            let mut line = String::new();
             for &(key, seed) in &live {
                 let value = self.memory.get(key).expect("persisted key in memory");
                 let record = CacheRecord {
@@ -459,10 +505,11 @@ impl DiskResultCache {
                     version: self.version.clone(),
                     value,
                 };
-                let line = record.to_json_line();
+                line.clear();
+                record.write_json_line(&mut line);
+                line.push('\n');
                 out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
-                compacted_bytes += line.len() as u64 + 1;
+                compacted_bytes += line.len() as u64;
             }
             out.flush()?;
             out.get_ref().sync_all()?;

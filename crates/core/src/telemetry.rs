@@ -2,9 +2,10 @@
 //! Event export, JSONL run manifests and progress lines.
 //!
 //! The workspace builds offline with no registry access, so this module
-//! carries its own small JSON value type ([`JsonValue`]) with a writer and
-//! a recursive-descent parser instead of depending on `serde`. Two format
-//! details matter:
+//! carries its own small JSON value type ([`JsonValue`]) with a writer, and
+//! one JSON lexer ([`JsonCursor`]) instead of depending on `serde`: the
+//! tree parser and the wire codec ([`crate::wire`]) both read through it.
+//! Two format details matter:
 //!
 //! - 64-bit identities (config hashes, seeds) are serialized as `"0x…"` hex
 //!   **strings**, never JSON numbers — JSON numbers are f64 and silently
@@ -17,7 +18,9 @@
 //! Chrome traces ([`SpanRecorder::chrome_trace`]) load directly into
 //! `chrome://tracing` / `ui.perfetto.dev`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -25,7 +28,7 @@ use std::time::{Duration, Instant};
 pub use crate::wire::{FaultRecord, ManifestPoint};
 
 // ---------------------------------------------------------------------------
-// JSON value, writer, parser
+// JSON value, writer, lexer
 // ---------------------------------------------------------------------------
 
 /// A JSON document node. Objects preserve insertion order.
@@ -95,17 +98,8 @@ impl JsonValue {
     /// non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Str(s) => {
-                let hex = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X"))?;
-                // `from_str_radix` alone would also accept a sign: "0x+ff".
-                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return None;
-                }
-                u64::from_str_radix(hex, 16).ok()
-            }
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            JsonValue::Str(s) => hex_u64(s),
+            JsonValue::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -121,12 +115,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) if n.is_finite() => {
-                // `{}` prints integral f64s without an exponent and uses the
-                // shortest round-trippable form otherwise.
-                out.push_str(&format!("{n}"));
-            }
-            JsonValue::Num(_) => out.push_str("null"),
+            JsonValue::Num(n) => write_json_number(*n, out),
             JsonValue::Str(s) => write_json_string(s, out),
             JsonValue::Arr(xs) => {
                 out.push('[');
@@ -161,23 +150,44 @@ impl JsonValue {
     ///
     /// A human-readable description of the first syntax error.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            src: input,
-            s: input.as_bytes(),
-            i: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
+        let mut cur = JsonCursor::new(input);
+        cur.skip_ws();
+        let v = tree(&mut cur).map_err(|e| e.0)?;
+        cur.end().map_err(|e| e.0)?;
         Ok(v)
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
+/// Builds the tree of the value at `cur`.
+fn tree(cur: &mut JsonCursor<'_>) -> Result<JsonValue, SyntaxError> {
+    match cur.peek() {
+        Some(b'[') => {
+            let mut xs = Vec::new();
+            cur.array(&mut |c, _| {
+                xs.push(tree(c)?);
+                Ok(())
+            })?;
+            Ok(JsonValue::Arr(xs))
+        }
+        Some(b'{') => {
+            let mut pairs = Vec::new();
+            cur.object(&mut |c, k| {
+                pairs.push((k.into_owned(), tree(c)?));
+                Ok(())
+            })?;
+            Ok(JsonValue::Obj(pairs))
+        }
+        _ => Ok(match cur.atom()? {
+            Scalar::Null => JsonValue::Null,
+            Scalar::Bool(b) => JsonValue::Bool(b),
+            Scalar::Num(n) => JsonValue::Num(n),
+            Scalar::Str(s) => JsonValue::Str(s.into_owned()),
+        }),
+    }
+}
+
+/// Appends `s` as a JSON string literal.
+pub(crate) fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -186,228 +196,481 @@ fn write_json_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
 
-/// The deepest array/object nesting [`JsonValue::parse`] accepts; the
-/// deepest document the service emits (a stats snapshot) nests 6 deep.
+/// Appends `n` as a JSON number: `{}` prints integral values without an
+/// exponent and the shortest round-trippable form otherwise; non-finite
+/// values have no JSON form and are written as `null`.
+pub(crate) fn write_json_number(n: f64, out: &mut String) {
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A `"0x…"` hex string's value. Exactly hex digits after the prefix:
+/// `from_str_radix` alone would also accept a sign ("0x+ff").
+fn hex_u64(s: &str) -> Option<u64> {
+    let hex = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X"))?;
+    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// A JSON number's value as a `u64`, if it is an exact non-negative
+/// integer a JSON number carries (at most 2^53).
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
+/// The deepest array/object nesting [`JsonValue::parse`] and the wire
+/// codec accept; the deepest document the service emits (a stats
+/// snapshot) nests 6 deep.
 pub const MAX_JSON_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// A JSON syntax error: what was wrong, and at which byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyntaxError(pub String);
+
+/// A JSON scalar read by a [`JsonCursor`]; strings borrow from the input
+/// unless they contain escapes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string, escapes decoded.
+    Str(Cow<'a, str>),
+}
+
+impl Scalar<'_> {
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Scalar::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// A u64 identity, as [`JsonValue::as_u64`] reads it.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Str(s) => hex_u64(s),
+            Scalar::Num(n) => exact_u64(*n),
+            _ => None,
+        }
+    }
+}
+
+/// Reads one callback-driven object or array member.
+type Member<'s, 'a, K> = dyn FnMut(&mut JsonCursor<'a>, K) -> Result<(), SyntaxError> + 's;
+
+/// A borrowing cursor over one JSON text: the one implementation of JSON
+/// lexing. [`JsonValue::parse`] builds a tree with it, and the wire codec
+/// ([`crate::wire`]) decodes messages straight from the bytes with it, so
+/// both accept exactly the same syntax, with the same errors and the same
+/// [`MAX_JSON_DEPTH`] bound.
+///
+/// Containers are read by callback: [`JsonCursor::object`] and
+/// [`JsonCursor::array`] hand every member to a closure that must consume
+/// exactly one value, with [`JsonCursor::scalar`], a container call or
+/// [`JsonCursor::skip_value`] (which checks a value's syntax and builds
+/// nothing).
+#[derive(Debug, Clone)]
+pub struct JsonCursor<'a> {
     src: &'a str,
-    s: &'a [u8],
     i: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
+impl<'a> JsonCursor<'a> {
+    /// A cursor at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        JsonCursor {
+            src,
+            i: 0,
+            depth: 0,
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    /// Skips JSON whitespace.
+    pub fn skip_ws(&mut self) {
+        let s = self.bytes();
+        while self.i < s.len() && matches!(s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
             self.i += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
+    /// The next byte, if any.
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.i).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Fails unless only whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// Trailing garbage, and where it starts.
+    pub fn end(&mut self) -> Result<(), SyntaxError> {
+        self.skip_ws();
+        if self.i == self.src.len() {
+            Ok(())
+        } else {
+            Err(SyntaxError(format!("trailing garbage at byte {}", self.i)))
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), SyntaxError> {
         if self.peek() == Some(b) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!(
+            Err(SyntaxError(format!(
                 "expected '{}' at byte {}, found {:?}",
                 b as char,
                 self.i,
                 self.peek().map(|c| c as char)
-            ))
+            )))
         }
     }
 
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, v: Scalar<'a>) -> Result<Scalar<'a>, SyntaxError> {
+        if self.bytes()[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.i))
+            Err(SyntaxError(format!("invalid literal at byte {}", self.i)))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Reads the scalar at the cursor; an array, an object or anything else
+    /// is a syntax error.
+    fn atom(&mut self) -> Result<Scalar<'a>, SyntaxError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
+            Some(b'n') => self.literal("null", Scalar::Null),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Scalar::Num),
+            other => Err(SyntaxError(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
                 self.i
-            )),
+            ))),
         }
     }
 
-    fn nested(
-        &mut self,
-        f: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
+    /// Reads the value at the cursor: `Some` scalar, or `None` for an array
+    /// or an object, which is skipped.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error in the value.
+    // Out of line: one copy serves every kind's decoder.
+    #[inline(never)]
+    pub fn scalar(&mut self) -> Result<Option<Scalar<'a>>, SyntaxError> {
+        match self.peek() {
+            Some(b'[' | b'{') => self.skip_value().map(|()| None),
+            _ => self.atom().map(Some),
+        }
+    }
+
+    /// Checks the syntax of the value at the cursor and moves past it,
+    /// building nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error in the value.
+    pub fn skip_value(&mut self) -> Result<(), SyntaxError> {
+        match self.peek() {
+            Some(b'[') => self.array(&mut |c, _| c.skip_value()),
+            Some(b'{') => self.object(&mut |c, _| c.skip_value()),
+            Some(b'"') => self.scan_string(None),
+            _ => self.atom().map(drop),
+        }
+    }
+
+    /// Opens a container, bounding the depth.
+    fn open(&mut self, b: u8) -> Result<(), SyntaxError> {
         if self.depth == MAX_JSON_DEPTH {
-            return Err(format!(
+            return Err(SyntaxError(format!(
                 "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
                 self.i
-            ));
+            )));
         }
+        self.expect(b)?;
         self.depth += 1;
-        let v = f(self);
-        self.depth -= 1;
-        v
+        self.skip_ws();
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err("unterminated string".into());
-            };
+    /// After a member: `true` at the next one, `false` past the closing
+    /// `close`.
+    fn next_member(&mut self, close: u8) -> Result<bool, SyntaxError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.i += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.i += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(SyntaxError(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.i
+            ))),
+        }
+    }
+
+    /// Reads the array at the cursor, handing each element's index to
+    /// `each`, which must consume the element.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, `each`'s included.
+    pub fn array(&mut self, each: &mut Member<'_, 'a, usize>) -> Result<(), SyntaxError> {
+        self.open(b'[')?;
+        if self.peek() == Some(b']') {
             self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
+            self.depth -= 1;
+            return Ok(());
+        }
+        let mut index = 0;
+        loop {
+            each(self, index)?;
+            index += 1;
+            if !self.next_member(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads the object at the cursor, handing each key to `each`, which
+    /// must consume the key's value.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, `each`'s included.
+    pub fn object(&mut self, each: &mut Member<'_, 'a, Cow<'a, str>>) -> Result<(), SyntaxError> {
+        self.open(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.i += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            each(self, key)?;
+            if !self.next_member(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The first `key` member of the object at the cursor, if it is a
+    /// scalar, without moving the cursor. When `key` is not the object's
+    /// first key the whole object is read, and its syntax checked, to find
+    /// it; `None` when the value is not an object.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error met on the way.
+    pub fn lookup(&self, key: &str) -> Result<Option<Scalar<'a>>, SyntaxError> {
+        let mut probe = self.clone();
+        if probe.peek() != Some(b'{') {
+            return Ok(None);
+        }
+        // The common case: the key leads the object.
+        let mut first = probe.clone();
+        first.open(b'{')?;
+        if first.peek() == Some(b'"') && first.string()? == key {
+            first.skip_ws();
+            first.expect(b':')?;
+            first.skip_ws();
+            return first.scalar();
+        }
+        let mut found = None;
+        probe.object(&mut |c, k| {
+            if found.is_none() && k == key {
+                found = Some(c.scalar()?);
+                Ok(())
+            } else {
+                c.skip_value()
+            }
+        })?;
+        Ok(found.flatten())
+    }
+
+    /// Reads a string, escapes decoded: borrowed from the input unless it
+    /// holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, SyntaxError> {
+        self.expect(b'"')?;
+        let start = self.i;
+        self.run();
+        if self.peek() == Some(b'"') {
+            self.i += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.i - 1]));
+        }
+        let mut out = self.src[start..self.i].to_string();
+        self.scan_rest(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Checks a string, appending its decoded text to `out` when given.
+    fn scan_string(&mut self, mut out: Option<&mut String>) -> Result<(), SyntaxError> {
+        self.expect(b'"')?;
+        let start = self.i;
+        self.run();
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str(&self.src[start..self.i]);
+        }
+        self.scan_rest(out)
+    }
+
+    /// Moves past a run of bytes that are neither a quote nor an escape.
+    /// The input is a `str` and both delimiters are ASCII, so a run is
+    /// whole UTF-8.
+    fn run(&mut self) {
+        let s = self.bytes();
+        while self.i < s.len() && !matches!(s[self.i], b'"' | b'\\') {
+            self.i += 1;
+        }
+    }
+
+    /// Reads the rest of a string from an escape or its closing quote.
+    fn scan_rest(&mut self, mut out: Option<&mut String>) -> Result<(), SyntaxError> {
+        loop {
+            match self.peek() {
+                None => return Err(SyntaxError("unterminated string".into())),
+                Some(b'"') => {
                     self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.i + 4 > self.s.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = &self.s[self.i..self.i + 4];
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would also accept a sign ("\\u+041").
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.i += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
+                    return Ok(());
                 }
-                _ => {
-                    // Copy the run up to the next quote or escape at once:
-                    // the input is a `str` and both delimiters are ASCII, so
-                    // the run is whole UTF-8.
-                    let start = self.i - 1;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.i += 1;
+                Some(_) => {
+                    // An escape.
+                    self.i += 1;
+                    let c = self.escape()?;
+                    let start = self.i;
+                    self.run();
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
+                        out.push_str(&self.src[start..self.i]);
                     }
-                    out.push_str(&self.src[start..self.i]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Decodes the escape after a backslash. A `\u` high surrogate followed
+    /// by a `\u` low surrogate is one astral character, as JSON writers
+    /// such as Python's `json.dumps` send it; a lone surrogate becomes
+    /// U+FFFD.
+    fn escape(&mut self) -> Result<char, SyntaxError> {
+        let Some(esc) = self.peek() else {
+            return Err(SyntaxError("unterminated escape".into()));
+        };
+        self.i += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let code = self.hex4()?;
+                if (0xd800..0xdc00).contains(&code) && self.bytes()[self.i..].starts_with(b"\\u") {
+                    let mut low = self.clone();
+                    low.i += 2;
+                    if let Ok(lo @ 0xdc00..=0xdfff) = low.hex4() {
+                        *self = low;
+                        let astral = 0x10000 + ((code - 0xd800) << 10) + (lo - 0xdc00);
+                        return Ok(char::from_u32(astral).expect("a surrogate pair is a scalar"));
+                    }
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            other => return Err(SyntaxError(format!("bad escape '\\{}'", other as char))),
+        })
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, SyntaxError> {
+        let s = self.bytes();
+        if self.i + 4 > s.len() {
+            return Err(SyntaxError("truncated \\u escape".into()));
+        }
+        let hex = &s[self.i..self.i + 4];
+        // Exactly four hex digits: `from_str_radix` alone would also
+        // accept a sign ("\\u+041").
+        let code = std::str::from_utf8(hex)
+            .ok()
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| SyntaxError("bad \\u escape".into()))?;
+        self.i += 4;
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<f64, SyntaxError> {
         let start = self.i;
+        let digits = |c: &mut Self| {
+            while matches!(c.peek(), Some(b'0'..=b'9')) {
+                c.i += 1;
+            }
+        };
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-        }
+        digits(self);
         if self.peek() == Some(b'.') {
             self.i += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.s[start..self.i]).expect("ascii number");
+        let text = &self.src[start..self.i];
         text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut xs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JsonValue::Arr(xs));
-        }
-        loop {
-            self.skip_ws();
-            xs.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Arr(xs));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            pairs.push((k, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
+            .map_err(|_| SyntaxError(format!("bad number {text:?} at byte {start}")))
     }
 }
 
@@ -659,11 +922,15 @@ impl RunManifest {
         let mut manifest =
             RunManifest::from_json_line(header).map_err(|e| format!("header: {e}"))?;
         for (i, line) in lines.enumerate() {
-            let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
-            match v.get("type").and_then(JsonValue::as_str) {
-                Some("point") => manifest.points.push(ManifestPoint::from_json(&v)?),
-                Some("fault") => manifest.faults.push(FaultRecord::from_json(&v)?),
-                other => return Err(format!("line {}: unexpected type {other:?}", i + 2)),
+            let at = |e: String| format!("line {}: {e}", i + 2);
+            match crate::wire::line_tag(line).map_err(at)?.as_deref() {
+                Some("point") => manifest
+                    .points
+                    .push(ManifestPoint::from_json_line(line).map_err(at)?),
+                Some("fault") => manifest
+                    .faults
+                    .push(FaultRecord::from_json_line(line).map_err(at)?),
+                other => return Err(at(format!("unexpected type {other:?}"))),
             }
         }
         Ok(manifest)

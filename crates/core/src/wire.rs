@@ -10,6 +10,15 @@
 //! types are re-exported where they are used: [`crate::service`],
 //! [`crate::metrics`] and [`crate::telemetry`].
 //!
+//! The codec streams: no JSON tree is built on either side. A message's
+//! `write_json_line` appends its line straight to a caller's `String`, and
+//! `from_json_line` reads the fields straight out of the line's bytes in
+//! one pass, through the same lexer as [`JsonValue::parse`]
+//! ([`JsonCursor`]), so the codec accepts exactly the syntax the document
+//! parser accepts. A [`Kind`] reads one value at the cursor; a [`Group`]
+//! collects an object's fields key by key and checks them once the object
+//! has ended.
+//!
 //! A row's mode says what happens when the field is absent:
 //!
 //! - `req` — the field is required;
@@ -24,12 +33,19 @@
 //!
 //! The decode rule is the same for every field: an absent field takes its
 //! default, or is an error when it is required; a field that is present
-//! but of the wrong kind is always an error that names the field; unknown
-//! fields are ignored, because tools inject extra keys such as `target`.
-//! Semantic checks the kinds cannot express (`level ≥ 1`, `rate` in
-//! (0, 1], `hot_fraction` in [0, 1], the stats schema version, a non-empty
-//! cache version stamp) run once a message has decoded.
+//! but of the wrong kind is always an error that names the field; of two
+//! equal keys the first counts; unknown fields are ignored, because tools
+//! inject extra keys such as `target`, but their syntax and depth are
+//! checked like the rest. When several fields fail, the error is the
+//! first failing field in declaration order, and a syntax error anywhere
+//! in the line wins over any field error. Semantic checks the kinds cannot
+//! express (`level ≥ 1`, `rate` in (0, 1], `hot_fraction` in [0, 1], the
+//! stats schema version, a non-empty cache version stamp) run once a
+//! message has decoded.
+//!
+//! [`JsonValue::parse`]: crate::telemetry::JsonValue::parse
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 
@@ -40,11 +56,18 @@ use crate::experiment::NetworkMetrics;
 use crate::metrics::STATS_SCHEMA_VERSION;
 use crate::runner::{SyntheticBaseline, SyntheticJob};
 use crate::service::{metric_values, metrics_from_values, METRIC_FIELDS};
-use crate::telemetry::{JsonValue, RunManifest};
+use crate::telemetry::{
+    write_json_number, write_json_string, JsonCursor, RunManifest, Scalar, SyntaxError,
+};
 
 // ---------------------------------------------------------------------------
 // Kinds and field groups
 // ---------------------------------------------------------------------------
+
+/// One decoded value: the outer error is a syntax error, which ends the
+/// line; the inner one is a field error, after which the value has still
+/// been read, so the line can be checked to its end.
+pub type Decoded<T> = Result<Result<T, String>, SyntaxError>;
 
 /// How one field's value travels as one JSON value.
 pub trait Kind {
@@ -52,29 +75,47 @@ pub trait Kind {
     type T;
     /// The `Type` column of the SERVICE.md tables.
     const DOC: &'static str;
-    /// Encodes one value.
-    fn enc(v: &Self::T) -> JsonValue;
-    /// Decodes one value.
+    /// Appends one value.
+    fn enc(v: &Self::T, out: &mut String);
+    /// Reads the value at the cursor; a value of the wrong kind is read
+    /// past and reported as what was expected instead.
     ///
     /// # Errors
     ///
-    /// What was expected instead.
-    fn dec(v: &JsonValue) -> Result<Self::T, String>;
+    /// A syntax error in the value.
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<Self::T>;
+}
+
+/// The decoding half of a group of fields: collects an object's fields one
+/// key at a time, then builds the value once the object has ended.
+pub trait Group {
+    /// The Rust type the group decodes.
+    type T;
+    /// What the group has collected so far.
+    type Acc: Default;
+    /// Reads `key`'s value into `acc` when the key is one of the group's,
+    /// and says whether it was.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error in the value.
+    fn claim(acc: &mut Self::Acc, key: &str, cur: &mut JsonCursor<'_>)
+        -> Result<bool, SyntaxError>;
+    /// Builds the value.
+    ///
+    /// # Errors
+    ///
+    /// The first field, in declaration order, that is missing or failed to
+    /// decode, or a failed semantic check.
+    fn finish(acc: Self::Acc) -> Result<Self::T, String>;
 }
 
 /// A group of fields spliced into an enclosing JSON object: every declared
 /// message, plus the custom shapes that span more than one key.
-pub trait Fields {
-    /// The Rust type the group encodes.
-    type T;
-    /// Appends the group's fields to an object under construction.
-    fn write(v: &Self::T, out: &mut Vec<(String, JsonValue)>);
-    /// Reads the group's fields out of an object.
-    ///
-    /// # Errors
-    ///
-    /// The first missing or wrong-kind field, or a failed semantic check.
-    fn read(o: &JsonValue) -> Result<Self::T, String>;
+pub trait Fields: Group {
+    /// Appends the group's fields to an object under construction, each as
+    /// `"key":value,`.
+    fn write(v: &Self::T, out: &mut String);
     /// Appends the group's schema rows (an enum's rows are its variants).
     fn rows(out: &mut Vec<Row>);
 }
@@ -92,22 +133,174 @@ pub struct Row {
     pub optional: bool,
 }
 
-/// `key`'s value decoded as `K`: `None` when absent, an error naming the
-/// key when present but of the wrong kind.
-fn field<K: Kind>(o: &JsonValue, key: &str) -> Result<Option<K::T>, String> {
-    o.get(key)
-        .map(|v| K::dec(v).map_err(|e| format!("field {key:?}: {e}")))
-        .transpose()
+/// A group's first field error, with the declaration index of its row:
+/// the lowest index is the one reported.
+type Pending = Option<(usize, String)>;
+
+/// Keeps `error` for `row` unless an error of an earlier row (or an
+/// earlier error of the same row) is already pending.
+fn note(pending: &mut Pending, row: usize, error: impl FnOnce() -> String) {
+    if pending.as_ref().is_none_or(|&(r, _)| row < r) {
+        *pending = Some((row, error()));
+    }
 }
 
-/// `key`'s value decoded as `K`; the key must be present.
-fn required<K: Kind>(o: &JsonValue, key: &str) -> Result<K::T, String> {
-    field::<K>(o, key)?.ok_or_else(|| format!("missing field {key:?}"))
+/// Reads `key`'s value as `K` into `slot`; a later duplicate of the key is
+/// only checked, so the first one counts.
+#[inline(never)]
+fn take<K: Kind>(
+    slot: &mut Option<K::T>,
+    pending: &mut Pending,
+    row: usize,
+    key: &str,
+    cur: &mut JsonCursor<'_>,
+) -> Result<(), SyntaxError> {
+    if slot.is_some() {
+        return cur.skip_value();
+    }
+    match K::dec(cur)? {
+        Ok(v) => *slot = Some(v),
+        Err(e) => note_field(pending, row, key, e),
+    }
+    Ok(())
 }
 
-/// Declares a kind whose decoder is an `Option`-returning accessor.
+/// Keeps a field's decode error (see [`note`]), naming the field.
+#[cold]
+#[inline(never)]
+fn note_field(pending: &mut Pending, row: usize, key: &str, e: String) {
+    note(pending, row, || format!("field {key:?}: {e}"));
+}
+
+/// A group's error, if any: the pending error, unless a required field of
+/// an earlier row is missing (`missing[row]` names it).
+fn fault(pending: Pending, missing: &[Option<&str>]) -> Option<String> {
+    let before = pending.as_ref().map_or(missing.len(), |&(row, _)| row);
+    match missing.iter().take(before).flatten().next() {
+        Some(key) => Some(format!("missing field {key:?}")),
+        None => pending.map(|(_, e)| e),
+    }
+}
+
+/// Reads the object at the cursor, offering each key to `claim` and
+/// checking the values it leaves; `false` (the value read past) when the
+/// value is not an object.
+fn read_members(
+    cur: &mut JsonCursor<'_>,
+    claim: &mut dyn FnMut(&str, &mut JsonCursor<'_>) -> Result<bool, SyntaxError>,
+) -> Result<bool, SyntaxError> {
+    if cur.peek() != Some(b'{') {
+        cur.skip_value()?;
+        return Ok(false);
+    }
+    cur.object(&mut |c, key| {
+        if !claim(&key, c)? {
+            c.skip_value()?;
+        }
+        Ok(())
+    })?;
+    Ok(true)
+}
+
+/// Reads the object at the cursor into group `G`; anything else is read
+/// past and reported as not an object.
+fn read_group<G: Group>(cur: &mut JsonCursor<'_>) -> Decoded<G::T> {
+    let mut acc = G::Acc::default();
+    if !read_members(cur, &mut |key, c| G::claim(&mut acc, key, c))? {
+        return Ok(Err("expected an object".into()));
+    }
+    Ok(G::finish(acc))
+}
+
+/// Decodes a whole line with `dec`: a syntax error anywhere in it wins
+/// over a field error.
+fn read_line<T>(
+    line: &str,
+    dec: impl FnOnce(&mut JsonCursor<'_>) -> Decoded<T>,
+) -> Result<T, String> {
+    let mut cur = JsonCursor::new(line);
+    cur.skip_ws();
+    let value = dec(&mut cur).map_err(|e| e.0)?;
+    cur.end().map_err(|e| e.0)?;
+    value
+}
+
+/// The `"type"` tag of the object at the cursor, if it is a string.
+fn read_tag<'a>(cur: &JsonCursor<'a>) -> Result<Option<Cow<'a, str>>, SyntaxError> {
+    Ok(match cur.lookup("type")? {
+        Some(Scalar::Str(tag)) => Some(tag),
+        _ => None,
+    })
+}
+
+/// Reads the tagged object at the cursor into group `G`, failing unless
+/// its `"type"` is `tag`.
+fn read_tagged<G: Group>(cur: &mut JsonCursor<'_>, tag: &str) -> Decoded<G::T> {
+    match read_tag(cur)? {
+        Some(t) if t == tag => read_group::<G>(cur),
+        other => {
+            cur.skip_value()?;
+            Ok(Err(format!(
+                "expected type {tag:?}, found {:?}",
+                other.as_deref()
+            )))
+        }
+    }
+}
+
+/// The `"type"` of a JSON line, for readers that dispatch on it.
+///
+/// # Errors
+///
+/// A syntax error met on the way to the tag.
+pub(crate) fn line_tag(line: &str) -> Result<Option<String>, String> {
+    let mut cur = JsonCursor::new(line);
+    cur.skip_ws();
+    read_tag(&cur)
+        .map(|t| t.map(Cow::into_owned))
+        .map_err(|e| e.0)
+}
+
+/// Appends `"key":` to an object under construction.
+fn key(out: &mut String, key: &str) {
+    write_json_string(key, out);
+    out.push(':');
+}
+
+/// Appends one `"key":value,` member.
+#[inline(never)]
+fn put<K: Kind>(out: &mut String, name: &str, v: &K::T) {
+    key(out, name);
+    K::enc(v, out);
+    out.push(',');
+}
+
+/// Appends an object whose members `members` writes, each followed by a
+/// comma (the last one is dropped).
+fn object(out: &mut String, members: impl FnOnce(&mut String)) {
+    out.push('{');
+    members(out);
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push('}');
+}
+
+/// Appends a tagged object's `"type":"tag",` member.
+fn put_tag(out: &mut String, tag: &str) {
+    key(out, "type");
+    write_json_string(tag, out);
+    out.push(',');
+}
+
+fn write_hex(v: u64, out: &mut String) {
+    let _ = write!(out, "\"{v:#x}\"");
+}
+
+/// Declares a kind whose value is a JSON scalar, read by an
+/// `Option`-returning accessor.
 macro_rules! kind {
-    ($(#[$doc:meta])* $K:ident: $T:ty, $name:literal, |$v:ident| $enc:expr, |$w:ident| $dec:expr) => {
+    ($(#[$doc:meta])* $K:ident: $T:ty, $name:literal, |$v:ident, $out:ident| $enc:expr, |$s:ident| $dec:expr) => {
         $(#[$doc])*
         #[derive(Debug)]
         pub struct $K;
@@ -115,11 +308,12 @@ macro_rules! kind {
         impl Kind for $K {
             type T = $T;
             const DOC: &'static str = $name;
-            fn enc($v: &$T) -> JsonValue {
+            fn enc($v: &$T, $out: &mut String) {
                 $enc
             }
-            fn dec($w: &JsonValue) -> Result<$T, String> {
-                $dec.ok_or_else(|| concat!("expected a ", $name).to_string())
+            fn dec(cur: &mut JsonCursor<'_>) -> Decoded<$T> {
+                let $s = cur.scalar()?;
+                Ok($dec.ok_or_else(|| concat!("expected a ", $name).to_string()))
             }
         }
     };
@@ -127,24 +321,33 @@ macro_rules! kind {
 
 kind!(
     /// A string.
-    Str: String, "string", |v| JsonValue::Str(v.clone()), |v| v.as_str().map(str::to_string)
+    Str: String, "string", |v, out| write_json_string(v, out),
+    |s| match s { Some(Scalar::Str(s)) => Some(s.into_owned()), _ => None }
 );
 kind!(
     /// An `f64` as a JSON number (non-finite values encode as `null`).
-    Num: f64, "number", |v| JsonValue::Num(*v), |v| v.as_f64()
+    Num: f64, "number", |v, out| write_json_number(*v, out), |s| s.and_then(|s| s.as_f64())
 );
 kind!(
     /// A `u64` identity as a `"0x…"` hex string.
-    Hex: u64, "hex string", |v| JsonValue::hex(*v), |v| v.as_u64()
+    Hex: u64, "hex string", |v, out| write_hex(*v, out), |s| s.and_then(|s| s.as_u64())
 );
 kind!(
     /// An `f64` as the hex string of its bit pattern: exact, NaN and −0.0
     /// included.
-    Bits: f64, "hex string", |v| JsonValue::hex(v.to_bits()), |v| v.as_u64().map(f64::from_bits)
+    Bits: f64, "hex string", |v, out| write_hex(v.to_bits(), out),
+    |s| s.and_then(|s| s.as_u64()).map(f64::from_bits)
 );
 kind!(
     /// A boolean.
-    Bool: bool, "bool", |v| JsonValue::Bool(*v), |v| v.as_bool()
+    Bool: bool, "bool", |v, out| out.push_str(if *v { "true" } else { "false" }),
+    |s| s.and_then(|s| s.as_bool())
+);
+
+kind!(
+    /// A `0.0`/`1.0` flag as a boolean, such as a metric's `saturated`.
+    Flag: f64, "bool", |v, out| Bool::enc(&(*v != 0.0), out),
+    |s| s.and_then(|s| s.as_bool()).map(|b| f64::from(u8::from(b)))
 );
 
 /// An integer as a JSON number, exact up to 2^53 like every JSON number
@@ -155,14 +358,16 @@ pub struct Int<I>(PhantomData<I>);
 impl<I: Copy + TryFrom<i64> + TryInto<i64>> Kind for Int<I> {
     type T = I;
     const DOC: &'static str = "number";
-    fn enc(v: &I) -> JsonValue {
-        JsonValue::Num((*v).try_into().map_or(f64::NAN, |n: i64| n as f64))
+    fn enc(v: &I, out: &mut String) {
+        write_json_number((*v).try_into().map_or(f64::NAN, |n: i64| n as f64), out);
     }
-    fn dec(v: &JsonValue) -> Result<I, String> {
-        v.as_f64()
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<I> {
+        Ok(cur
+            .scalar()?
+            .and_then(|s| s.as_f64())
             .filter(|n| n.fract() == 0.0 && n.abs() <= 2f64.powi(53))
             .and_then(|n| I::try_from(n as i64).ok())
-            .ok_or_else(|| "expected an integer".to_string())
+            .ok_or_else(|| "expected an integer".to_string()))
     }
 }
 
@@ -173,15 +378,31 @@ pub struct List<K>(PhantomData<K>);
 impl<K: Kind> Kind for List<K> {
     type T = Vec<K::T>;
     const DOC: &'static str = "array";
-    fn enc(v: &Self::T) -> JsonValue {
-        JsonValue::Arr(v.iter().map(K::enc).collect())
+    fn enc(v: &Self::T, out: &mut String) {
+        out.push('[');
+        for (i, x) in v.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            K::enc(x, out);
+        }
+        out.push(']');
     }
-    fn dec(v: &JsonValue) -> Result<Self::T, String> {
-        let xs = v.as_array().ok_or("expected an array")?;
-        xs.iter()
-            .enumerate()
-            .map(|(i, x)| K::dec(x).map_err(|e| format!("[{i}]: {e}")))
-            .collect()
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<Self::T> {
+        if cur.peek() != Some(b'[') {
+            cur.skip_value()?;
+            return Ok(Err("expected an array".into()));
+        }
+        let mut xs = Ok(Vec::new());
+        cur.array(&mut |c, i| {
+            match (K::dec(c)?, &mut xs) {
+                (Ok(x), Ok(xs)) => xs.push(x),
+                (Err(e), Ok(_)) => xs = Err(format!("[{i}]: {e}")),
+                (_, Err(_)) => {}
+            }
+            Ok(())
+        })?;
+        Ok(xs)
     }
 }
 
@@ -193,17 +414,28 @@ pub struct Map<K>(PhantomData<K>);
 impl<K: Kind> Kind for Map<K> {
     type T = Vec<(String, K::T)>;
     const DOC: &'static str = "object";
-    fn enc(v: &Self::T) -> JsonValue {
-        JsonValue::Obj(v.iter().map(|(k, x)| (k.clone(), K::enc(x))).collect())
+    fn enc(v: &Self::T, out: &mut String) {
+        object(out, |out| {
+            for (k, x) in v {
+                put::<K>(out, k, x);
+            }
+        });
     }
-    fn dec(v: &JsonValue) -> Result<Self::T, String> {
-        let JsonValue::Obj(pairs) = v else {
-            return Err("expected an object".into());
-        };
-        pairs
-            .iter()
-            .map(|(k, x)| Ok((k.clone(), K::dec(x).map_err(|e| format!("{k:?}: {e}"))?)))
-            .collect()
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<Self::T> {
+        if cur.peek() != Some(b'{') {
+            cur.skip_value()?;
+            return Ok(Err("expected an object".into()));
+        }
+        let mut pairs = Ok(Vec::new());
+        cur.object(&mut |c, k| {
+            match (K::dec(c)?, &mut pairs) {
+                (Ok(x), Ok(pairs)) => pairs.push((k.into_owned(), x)),
+                (Err(e), Ok(_)) => pairs = Err(format!("{k:?}: {e}")),
+                (_, Err(_)) => {}
+            }
+            Ok(())
+        })?;
+        Ok(pairs)
     }
 }
 
@@ -214,16 +446,11 @@ pub struct Obj<M>(PhantomData<M>);
 impl<M: Fields> Kind for Obj<M> {
     type T = M::T;
     const DOC: &'static str = "object";
-    fn enc(v: &M::T) -> JsonValue {
-        let mut out = Vec::new();
-        M::write(v, &mut out);
-        JsonValue::Obj(out)
+    fn enc(v: &M::T, out: &mut String) {
+        object(out, |out| M::write(v, out));
     }
-    fn dec(v: &JsonValue) -> Result<M::T, String> {
-        match v {
-            JsonValue::Obj(_) => M::read(v),
-            _ => Err("expected an object".into()),
-        }
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<M::T> {
+        read_group::<M>(cur)
     }
 }
 
@@ -234,14 +461,17 @@ pub struct Nullable<K>(PhantomData<K>);
 impl<K: Kind> Kind for Nullable<K> {
     type T = Option<K::T>;
     const DOC: &'static str = K::DOC;
-    fn enc(v: &Self::T) -> JsonValue {
-        v.as_ref().map_or(JsonValue::Null, K::enc)
-    }
-    fn dec(v: &JsonValue) -> Result<Self::T, String> {
+    fn enc(v: &Self::T, out: &mut String) {
         match v {
-            JsonValue::Null => Ok(None),
-            v => K::dec(v).map(Some),
+            Some(x) => K::enc(x, out),
+            None => out.push_str("null"),
         }
+    }
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<Self::T> {
+        if cur.peek() == Some(b'n') {
+            return cur.skip_value().map(|()| Ok(None));
+        }
+        Ok(K::dec(cur)?.map(Some))
     }
 }
 
@@ -253,14 +483,32 @@ pub struct Pair<A, B>(PhantomData<(A, B)>);
 impl<A: Kind, B: Kind> Kind for Pair<A, B> {
     type T = (A::T, B::T);
     const DOC: &'static str = "array";
-    fn enc((a, b): &Self::T) -> JsonValue {
-        JsonValue::Arr(vec![A::enc(a), B::enc(b)])
+    fn enc((a, b): &Self::T, out: &mut String) {
+        out.push('[');
+        A::enc(a, out);
+        out.push(',');
+        B::enc(b, out);
+        out.push(']');
     }
-    fn dec(v: &JsonValue) -> Result<Self::T, String> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::dec(a)?, B::dec(b)?)),
-            _ => Err("expected a pair".into()),
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<Self::T> {
+        if cur.peek() != Some(b'[') {
+            cur.skip_value()?;
+            return Ok(Err("expected a pair".into()));
         }
+        let (mut a, mut b, mut len) = (None, None, 0);
+        cur.array(&mut |c, i| {
+            len = i + 1;
+            match i {
+                0 => a = Some(A::dec(c)?),
+                1 => b = Some(B::dec(c)?),
+                _ => c.skip_value()?,
+            }
+            Ok(())
+        })?;
+        Ok(match (a, b) {
+            (Some(a), Some(b)) if len == 2 => a.and_then(|a| Ok((a, b?))),
+            _ => Err("expected a pair".into()),
+        })
     }
 }
 
@@ -271,12 +519,16 @@ pub struct Topology;
 impl Kind for Topology {
     type T = TopologySpec;
     const DOC: &'static str = "string";
-    fn enc(v: &TopologySpec) -> JsonValue {
-        JsonValue::Str(v.wire_name())
+    fn enc(v: &TopologySpec, out: &mut String) {
+        write_json_string(&v.wire_name(), out);
     }
-    fn dec(v: &JsonValue) -> Result<TopologySpec, String> {
-        let name = v.as_str().ok_or("expected a string")?;
-        TopologySpec::from_wire_name(name).map_err(|e| e.to_string())
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<TopologySpec> {
+        Ok(match cur.scalar()? {
+            Some(Scalar::Str(name)) => {
+                TopologySpec::from_wire_name(&name).map_err(|e| e.to_string())
+            }
+            _ => Err("expected a string".into()),
+        })
     }
 }
 
@@ -295,19 +547,21 @@ pub struct Baseline;
 impl Kind for Baseline {
     type T = SyntheticBaseline;
     const DOC: &'static str = "string";
-    fn enc(v: &SyntheticBaseline) -> JsonValue {
-        JsonValue::Str(baseline_name(*v).to_string())
+    fn enc(v: &SyntheticBaseline, out: &mut String) {
+        write_json_string(baseline_name(*v), out);
     }
-    fn dec(v: &JsonValue) -> Result<SyntheticBaseline, String> {
-        let name = v.as_str().ok_or("expected a string")?;
-        [
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<SyntheticBaseline> {
+        let Some(Scalar::Str(name)) = cur.scalar()? else {
+            return Ok(Err("expected a string".into()));
+        };
+        Ok([
             SyntheticBaseline::NocSprinting,
             SyntheticBaseline::RandomEndpoints,
             SyntheticBaseline::SpreadAggregate,
         ]
         .into_iter()
         .find(|&b| baseline_name(b) == name)
-        .ok_or_else(|| format!("unknown baseline {name:?}"))
+        .ok_or_else(|| format!("unknown baseline {name:?}")))
     }
 }
 
@@ -328,35 +582,67 @@ fn pattern_name(p: TrafficPattern) -> &'static str {
 #[derive(Debug)]
 pub struct Pattern;
 
-impl Fields for Pattern {
+impl Group for Pattern {
     type T = TrafficPattern;
-    fn write(v: &TrafficPattern, out: &mut Vec<(String, JsonValue)>) {
-        out.push(("pattern".into(), JsonValue::Str(pattern_name(*v).into())));
-        if let TrafficPattern::Hotspot { hot_fraction } = v {
-            out.push(("hot_fraction".into(), JsonValue::Num(*hot_fraction)));
+    /// The pending error, the pattern (or the unknown name) and
+    /// `hot_fraction`.
+    type Acc = (Pending, Option<Result<TrafficPattern, String>>, Option<f64>);
+    fn claim(
+        (pending, name, hot_fraction): &mut Self::Acc,
+        key: &str,
+        cur: &mut JsonCursor<'_>,
+    ) -> Result<bool, SyntaxError> {
+        match key {
+            "pattern" if name.is_some() => cur.skip_value()?,
+            "pattern" => match cur.scalar()? {
+                Some(Scalar::Str(s)) => {
+                    let known = [
+                        TrafficPattern::UniformRandom,
+                        TrafficPattern::Transpose,
+                        TrafficPattern::BitComplement,
+                        TrafficPattern::Tornado,
+                        TrafficPattern::Shuffle,
+                        TrafficPattern::NearestNeighbor,
+                        TrafficPattern::Hotspot { hot_fraction: 0.0 },
+                    ]
+                    .into_iter()
+                    .find(|&p| pattern_name(p) == s);
+                    *name = Some(known.ok_or_else(|| s.into_owned()));
+                }
+                _ => note(pending, 0, || "field \"pattern\": expected a string".into()),
+            },
+            "hot_fraction" => take::<Num>(hot_fraction, pending, 1, key, cur)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+    fn finish((pending, name, hot_fraction): Self::Acc) -> Result<TrafficPattern, String> {
+        if let Some(e) = fault(pending, &[name.is_none().then_some("pattern")]) {
+            return Err(e);
+        }
+        match name.expect("checked present") {
+            Err(unknown) => Err(format!("unknown pattern {unknown:?}")),
+            Ok(TrafficPattern::Hotspot { .. }) => {
+                let hot_fraction =
+                    hot_fraction.ok_or("pattern \"hotspot\" requires hot_fraction")?;
+                if !(0.0..=1.0).contains(&hot_fraction) {
+                    return Err(format!("hot_fraction {hot_fraction} outside [0, 1]"));
+                }
+                Ok(TrafficPattern::Hotspot { hot_fraction })
+            }
+            Ok(p) => Ok(p),
         }
     }
-    fn read(o: &JsonValue) -> Result<TrafficPattern, String> {
-        let name = required::<Str>(o, "pattern")?;
-        let hot_fraction = field::<Num>(o, "hot_fraction")?;
-        if name != "hotspot" {
-            return [
-                TrafficPattern::UniformRandom,
-                TrafficPattern::Transpose,
-                TrafficPattern::BitComplement,
-                TrafficPattern::Tornado,
-                TrafficPattern::Shuffle,
-                TrafficPattern::NearestNeighbor,
-            ]
-            .into_iter()
-            .find(|&p| pattern_name(p) == name)
-            .ok_or_else(|| format!("unknown pattern {name:?}"));
+}
+
+impl Fields for Pattern {
+    fn write(v: &TrafficPattern, out: &mut String) {
+        key(out, "pattern");
+        write_json_string(pattern_name(*v), out);
+        out.push(',');
+        if let TrafficPattern::Hotspot { hot_fraction } = v {
+            put::<Num>(out, "hot_fraction", hot_fraction);
         }
-        let hot_fraction = hot_fraction.ok_or("pattern \"hotspot\" requires hot_fraction")?;
-        if !(0.0..=1.0).contains(&hot_fraction) {
-            return Err(format!("hot_fraction {hot_fraction} outside [0, 1]"));
-        }
-        Ok(TrafficPattern::Hotspot { hot_fraction })
     }
     fn rows(out: &mut Vec<Row>) {
         out.push(Row {
@@ -378,15 +664,38 @@ impl Fields for Pattern {
 #[derive(Debug)]
 pub struct SumHiLo;
 
-impl Fields for SumHiLo {
+impl Group for SumHiLo {
     type T = u128;
-    fn write(v: &u128, out: &mut Vec<(String, JsonValue)>) {
-        out.push(("sum_hi".into(), JsonValue::hex((v >> 64) as u64)));
-        out.push(("sum_lo".into(), JsonValue::hex(*v as u64)));
+    /// The pending error and the two halves.
+    type Acc = (Pending, Option<u64>, Option<u64>);
+    fn claim(
+        (pending, hi, lo): &mut Self::Acc,
+        key: &str,
+        cur: &mut JsonCursor<'_>,
+    ) -> Result<bool, SyntaxError> {
+        match key {
+            "sum_hi" => take::<Hex>(hi, pending, 0, key, cur)?,
+            "sum_lo" => take::<Hex>(lo, pending, 1, key, cur)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
-    fn read(o: &JsonValue) -> Result<u128, String> {
-        let (hi, lo) = (required::<Hex>(o, "sum_hi")?, required::<Hex>(o, "sum_lo")?);
-        Ok((u128::from(hi) << 64) | u128::from(lo))
+    fn finish((pending, hi, lo): Self::Acc) -> Result<u128, String> {
+        let missing = [
+            hi.is_none().then_some("sum_hi"),
+            lo.is_none().then_some("sum_lo"),
+        ];
+        match (fault(pending, &missing), hi, lo) {
+            (None, Some(hi), Some(lo)) => Ok((u128::from(hi) << 64) | u128::from(lo)),
+            (e, ..) => Err(e.expect("a missing half is a fault")),
+        }
+    }
+}
+
+impl Fields for SumHiLo {
+    fn write(v: &u128, out: &mut String) {
+        put::<Hex>(out, "sum_hi", &((v >> 64) as u64));
+        put::<Hex>(out, "sum_lo", &(*v as u64));
     }
     fn rows(out: &mut Vec<Row>) {
         for (name, doc) in [
@@ -411,30 +720,42 @@ pub struct CacheMetrics;
 impl Kind for CacheMetrics {
     type T = NetworkMetrics;
     const DOC: &'static str = "object";
-    fn enc(m: &NetworkMetrics) -> JsonValue {
-        let pairs = METRIC_FIELDS.iter().zip(metric_values(m)).map(|(&k, v)| {
-            let json = if k == "saturated" {
-                Bool::enc(&(v != 0.0))
-            } else {
-                Bits::enc(&v)
-            };
-            (k.to_string(), json)
+    fn enc(m: &NetworkMetrics, out: &mut String) {
+        object(out, |out| {
+            for (&k, v) in METRIC_FIELDS.iter().zip(metric_values(m)) {
+                if k == "saturated" {
+                    put::<Flag>(out, k, &v);
+                } else {
+                    put::<Bits>(out, k, &v);
+                }
+            }
         });
-        JsonValue::Obj(pairs.collect())
     }
-    fn dec(v: &JsonValue) -> Result<NetworkMetrics, String> {
-        if !matches!(v, JsonValue::Obj(_)) {
-            return Err("expected an object".into());
-        }
-        let mut values = [0.0; METRIC_FIELDS.len()];
-        for (slot, k) in values.iter_mut().zip(METRIC_FIELDS) {
-            *slot = if k == "saturated" {
-                f64::from(u8::from(required::<Bool>(v, k)?))
-            } else {
-                required::<Bits>(v, k)?
+    fn dec(cur: &mut JsonCursor<'_>) -> Decoded<NetworkMetrics> {
+        let mut slots = [None; METRIC_FIELDS.len()];
+        let mut pending = None;
+        let object = read_members(cur, &mut |k, c| {
+            let Some(row) = METRIC_FIELDS.iter().position(|&f| f == k) else {
+                return Ok(false);
             };
+            if k == "saturated" {
+                take::<Flag>(&mut slots[row], &mut pending, row, k, c)?;
+            } else {
+                take::<Bits>(&mut slots[row], &mut pending, row, k, c)?;
+            }
+            Ok(true)
+        })?;
+        if !object {
+            return Ok(Err("expected an object".into()));
         }
-        Ok(metrics_from_values(values))
+        let missing: [Option<&str>; METRIC_FIELDS.len()] =
+            std::array::from_fn(|row| slots[row].is_none().then_some(METRIC_FIELDS[row]));
+        Ok(match fault(pending, &missing) {
+            Some(e) => Err(e),
+            None => Ok(metrics_from_values(
+                slots.map(|v| v.expect("checked present")),
+            )),
+        })
     }
 }
 
@@ -457,19 +778,12 @@ trait Variants {
     fn variants() -> Vec<Variant>;
 }
 
-/// Fails unless `o`'s `"type"` is `tag`.
-fn check_tag(o: &JsonValue, tag: &str) -> Result<(), String> {
-    match o.get("type").and_then(JsonValue::as_str) {
-        Some(t) if t == tag => Ok(()),
-        other => Err(format!("expected type {tag:?}, found {other:?}")),
-    }
-}
-
-/// Declares a message and generates its type, its [`Fields`] impl and its
-/// inherent `to_json`/`from_json` methods (plus `to_json_line`/
-/// `from_json_line` for tagged messages). A row reads
-/// `field: RustType as Kind = mode, "meaning";` — `as Kind` may be left
-/// out when the Rust type is itself a message. Three forms:
+/// Declares a message and generates its type, its [`Group`] and [`Fields`]
+/// impls and its inherent `to_json_line`/`write_json_line`/
+/// `from_json_line` methods (a tagged message's line carries its
+/// `"type"`). A row reads `field: RustType as Kind = mode, "meaning";` —
+/// `as Kind` may be left out when the Rust type is itself a message. Three
+/// forms:
 ///
 /// - `pub struct Name: "tag" check f { rows }` — the tag and the semantic
 ///   check are optional;
@@ -477,32 +791,54 @@ fn check_tag(o: &JsonValue, tag: &str) -> Result<(), String> {
 ///   elsewhere; `..rest` fills the fields that are not on the wire;
 /// - `pub enum Name { "tag" => Variant(Message) | Variant { rows } | Variant, "meaning"; }`.
 macro_rules! message {
-    // One row: kind, encode, decode, schema.
+    // One row: kind, collected value, encode, decode, schema.
     (@kind $R:ty) => { $R };
     (@kind $R:ty, $K:ty) => { $K };
+    (@acc flat, $K:ty) => { <$K as Group>::Acc };
+    (@acc $mode:ident $(($d:expr))?, $K:ty) => { Option<<$K as Kind>::T> };
     (@enc flat, $out:ident, $v:expr, $K:ty, $f:ident) => {
         <$K as Fields>::write($v, $out)
     };
     (@enc opt, $out:ident, $v:expr, $K:ty, $f:ident) => {
         if let Some(x) = $v {
-            $out.push((stringify!($f).to_string(), <$K as Kind>::enc(x)));
+            put::<$K>($out, stringify!($f), x);
         }
     };
     (@enc $mode:ident $(($d:expr))?, $out:ident, $v:expr, $K:ty, $f:ident) => {
-        $out.push((stringify!($f).to_string(), <$K as Kind>::enc($v)))
+        put::<$K>($out, stringify!($f), $v)
     };
-    (@dec flat, $o:ident, $K:ty, $f:ident) => {
-        <$K as Fields>::read($o)?
+    (@claim flat, $f:ident, $pending:ident, $row:ident, $key:ident, $cur:ident, $K:ty) => {
+        if <$K as Group>::claim($f, $key, $cur)? {
+            return Ok(true);
+        }
     };
-    (@dec req, $o:ident, $K:ty, $f:ident) => {
-        required::<$K>($o, stringify!($f))?
+    (@claim $mode:ident $(($d:expr))?, $f:ident, $pending:ident, $row:ident, $key:ident, $cur:ident, $K:ty) => {
+        if $key == stringify!($f) {
+            take::<$K>($f, $pending, $row, $key, $cur)?;
+            return Ok(true);
+        }
     };
-    (@dec opt, $o:ident, $K:ty, $f:ident) => {
-        field::<$K>($o, stringify!($f))?
+    (@finish flat, $v:ident, $pending:ident, $row:ident, $K:ty) => {
+        match <$K as Group>::finish($v) {
+            Ok(v) => Some(v),
+            Err(e) => {
+                note(&mut $pending, $row, || e);
+                None
+            }
+        }
     };
-    (@dec $mode:ident($d:expr), $o:ident, $K:ty, $f:ident) => {
-        field::<$K>($o, stringify!($f))?.unwrap_or_else(|| $d)
+    (@finish $mode:ident $(($d:expr))?, $v:ident, $pending:ident, $row:ident, $K:ty) => {
+        $v
     };
+    (@missing req, $f:ident) => {
+        $f.is_none().then_some(stringify!($f))
+    };
+    (@missing $mode:ident $(($d:expr))?, $f:ident) => {
+        None
+    };
+    (@build opt, $v:ident) => { $v };
+    (@build $mode:ident($d:expr), $v:ident) => { $v.unwrap_or_else(|| $d) };
+    (@build $mode:ident, $v:ident) => { $v.expect("checked present") };
     (@row flat, $out:ident, $K:ty, $f:ident, $doc:literal) => {
         <$K as Fields>::rows($out)
     };
@@ -518,47 +854,94 @@ macro_rules! message {
     (@is_flat $mode:ident $(($d:expr))?) => { false };
     (@same $i:ident $($ignored:tt)*) => { $i };
 
-    // The inherent methods every message gets.
-    (@methods $T:ident $(, $tag:literal)?) => {
-        impl $T {
-            /// Encodes the value as its wire object (declared in
-            /// `crate::wire`).
-            pub fn to_json(&self) -> JsonValue {
-                let mut out = Vec::new();
-                $(out.push(("type".to_string(), JsonValue::Str($tag.to_string())));)?
-                <$T as Fields>::write(self, &mut out);
-                JsonValue::Obj(out)
+    // The decoding half of a set of rows: `$G` collects them and builds
+    // `$T` with the constructor `$ctor`.
+    (@group $G:ty => $T:ty, [$($ctor:tt)+] $(check $check:path)? {
+        $($f:ident: $R:ty $(as $K:ty)? = $mode:ident $(($d:expr))?, $doc:literal;)*
+    } $(..$rest:expr)?) => {
+        impl Group for $G {
+            type T = $T;
+            type Acc = (Pending, ($(message!(@acc $mode $(($d))?, message!(@kind $R $(, $K)?)),)*));
+            #[allow(unused_assignments, unused_variables)]
+            fn claim(
+                (pending, ($($f,)*)): &mut Self::Acc,
+                key: &str,
+                cur: &mut JsonCursor<'_>,
+            ) -> Result<bool, SyntaxError> {
+                let mut row = 0usize;
+                $(
+                    message!(@claim $mode $(($d))?, $f, pending, row, key, cur, message!(@kind $R $(, $K)?));
+                    row += 1;
+                )*
+                Ok(false)
             }
-
-            /// Decodes a wire object; unknown fields are ignored.
-            ///
-            /// # Errors
-            ///
-            /// The first missing or wrong-kind field, or a failed semantic
-            /// check.
-            pub fn from_json(v: &JsonValue) -> Result<$T, String> {
-                $(check_tag(v, $tag)?;)?
-                <$T as Fields>::read(v)
+            #[allow(unused_assignments, unused_mut, unused_variables)]
+            fn finish((mut pending, ($($f,)*)): Self::Acc) -> Result<$T, String> {
+                let mut row = 0usize;
+                $(
+                    let $f = message!(@finish $mode $(($d))?, $f, pending, row, message!(@kind $R $(, $K)?));
+                    row += 1;
+                )*
+                if let Some(e) = fault(pending, &[$(message!(@missing $mode $(($d))?, $f)),*]) {
+                    return Err(e);
+                }
+                let v = $($ctor)+ { $($f: message!(@build $mode $(($d))?, $f),)* $(..$rest)? };
+                $($check(&v)?;)?
+                Ok(v)
             }
         }
     };
+
+    // The line methods every message gets.
     (@lines $T:ident $(, $tag:literal)?) => {
         impl $T {
-            /// Encodes the value as a single JSON line (no trailing newline).
-            pub fn to_json_line(&self) -> String {
-                self.to_json().to_json()
+            message!(@to_json_line);
+
+            /// Appends the value's JSON line (no trailing newline) to `out`.
+            pub fn write_json_line(&self, out: &mut String) {
+                object(out, |out| {
+                    $(put_tag(out, $tag);)?
+                    <$T as Fields>::write(self, out);
+                });
             }
 
-            /// Parses one JSON line.
+            /// Parses one JSON line; unknown fields are ignored.
             ///
             /// # Errors
             ///
-            /// A syntax error, or whatever [`from_json`](Self::from_json)
-            /// rejects.
+            /// A syntax error, or else the first missing or wrong-kind
+            /// field, or a failed semantic check.
             pub fn from_json_line(line: &str) -> Result<$T, String> {
-                $T::from_json(&JsonValue::parse(line)?)
+                read_line(line, |cur| message!(@read cur, $T $(, $tag)?))
             }
         }
+    };
+    (@to_json_line) => {
+        /// Encodes the value as a single JSON line (no trailing newline).
+        pub fn to_json_line(&self) -> String {
+            let mut out = String::new();
+            self.write_json_line(&mut out);
+            out
+        }
+    };
+    (@read $cur:ident, $T:ident) => { read_group::<$T>($cur) };
+    (@read $cur:ident, $T:ident, $tag:literal) => { read_tagged::<$T>($cur, $tag) };
+
+    // Reads one variant's object.
+    (@variant $cur:ident, $E:ident, $V:ident($inner:ty)) => {
+        Ok(read_group::<$inner>($cur)?.map($E::$V))
+    };
+    (@variant $cur:ident, $E:ident, $V:ident {
+        $($f:ident: $R:ty $(as $K:ty)? = $mode:ident $(($d:expr))?, $doc:literal;)*
+    }) => {{
+        struct Rows;
+        message!(@group Rows => $E, [$E::$V] {
+            $($f: $R $(as $K)? = $mode $(($d))?, $doc;)*
+        });
+        read_group::<Rows>($cur)
+    }};
+    (@variant $cur:ident, $E:ident, $V:ident) => {
+        $cur.skip_value().map(|()| Ok($E::$V))
     };
 
     // A struct declared here: its type, then its codec.
@@ -577,25 +960,18 @@ macro_rules! message {
         $($f:ident: $R:ty $(as $K:ty)? = $mode:ident $(($d:expr))?, $doc:literal;)*
         $(..$rest:expr)?
     }) => {
+        message!(@group $T => $T, [$T] $(check $check)? {
+            $($f: $R $(as $K)? = $mode $(($d))?, $doc;)*
+        } $(..$rest)?);
         impl Fields for $T {
-            type T = $T;
-            fn write(v: &$T, out: &mut Vec<(String, JsonValue)>) {
+            fn write(v: &$T, out: &mut String) {
                 $(message!(@enc $mode $(($d))?, out, &v.$f, message!(@kind $R $(, $K)?), $f);)*
-            }
-            fn read(o: &JsonValue) -> Result<$T, String> {
-                let v = $T {
-                    $($f: message!(@dec $mode $(($d))?, o, message!(@kind $R $(, $K)?), $f),)*
-                    $(..$rest)?
-                };
-                $($check(&v)?;)?
-                Ok(v)
             }
             fn rows(out: &mut Vec<Row>) {
                 $(message!(@row $mode $(($d))?, out, message!(@kind $R $(, $K)?), $f, $doc);)*
             }
         }
-        message!(@methods $T $(, $tag)?);
-        $(message!(@lines $T, $tag);)?
+        message!(@lines $T $(, $tag)?);
     };
 
     // An enum: one `"type"` tag per variant.
@@ -608,27 +984,38 @@ macro_rules! message {
         pub enum $E {
             $(#[doc = $vdoc] $V $(($inner))? $({ $(#[doc = $doc] $f: $R,)* })?,)*
         }
-        impl Fields for $E {
-            type T = $E;
-            fn write(v: &$E, out: &mut Vec<(String, JsonValue)>) {
-                match v {
+        impl $E {
+            message!(@to_json_line);
+
+            /// Appends the value's JSON line (no trailing newline) to `out`.
+            pub fn write_json_line(&self, out: &mut String) {
+                object(out, |out| match self {
                     $($E::$V $((message!(@same inner $inner)))? $({ $($f),* })? => {
-                        out.push(("type".to_string(), JsonValue::Str($tag.to_string())));
+                        put_tag(out, $tag);
                         $(<$inner as Fields>::write(inner, out);)?
                         $($(message!(@enc $mode $(($d))?, out, $f, message!(@kind $R $(, $K)?), $f);)*)?
                     })*
-                }
+                });
             }
-            fn read(o: &JsonValue) -> Result<$E, String> {
-                match o.get("type").and_then(JsonValue::as_str) {
-                    $(Some($tag) => Ok($E::$V
-                        $((<$inner as Fields>::read(o)?))?
-                        $({ $($f: message!(@dec $mode $(($d))?, o, message!(@kind $R $(, $K)?), $f)),* })?),)*
-                    other => Err(format!("unknown type {other:?}")),
-                }
-            }
-            fn rows(out: &mut Vec<Row>) {
-                $(out.push(Row { name: $tag, kind: "object", doc: $vdoc, optional: false });)*
+
+            /// Parses one JSON line, dispatching on its `"type"`; unknown
+            /// fields are ignored.
+            ///
+            /// # Errors
+            ///
+            /// A syntax error, an unknown type, or else the first missing
+            /// or wrong-kind field, or a failed semantic check.
+            pub fn from_json_line(line: &str) -> Result<$E, String> {
+                read_line(line, |cur| match read_tag(cur)?.as_deref() {
+                    $(Some($tag) => message!(@variant cur, $E, $V $(($inner))? $({
+                        $($f: $R $(as $K)? = $mode $(($d))?, $doc;)*
+                    })?),)*
+                    other => {
+                        let error = format!("unknown type {other:?}");
+                        cur.skip_value()?;
+                        Ok(Err(error))
+                    }
+                })
             }
         }
         impl Variants for $E {
@@ -642,8 +1029,6 @@ macro_rules! message {
                 }),*]
             }
         }
-        message!(@methods $E);
-        message!(@lines $E);
     };
 }
 
@@ -998,4 +1383,44 @@ pub fn schema_reference() -> String {
         &mut out,
     );
     out.trim_end().to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A key is claimed by the first row that names it, spliced groups
+    /// included, and `"type"` is read apart from the rows: so no message
+    /// may declare a key twice, nor declare `type`.
+    #[test]
+    fn no_message_declares_a_key_twice() {
+        let mut messages = vec![
+            ("SubmitRequest", rows::<SubmitRequest>()),
+            ("SyntheticJob", rows::<SyntheticJob>()),
+            ("BatchSummary", rows::<BatchSummary>()),
+            ("CacheRecord", rows::<CacheRecord>()),
+            ("ManifestPoint", rows::<ManifestPoint>()),
+            ("FaultRecord", rows::<FaultRecord>()),
+            ("RunManifest", rows::<RunManifest>()),
+            ("HistogramSnapshot", rows::<HistogramSnapshot>()),
+            ("MetricsSnapshot", rows::<MetricsSnapshot>()),
+            ("SlowPoint", rows::<SlowPoint>()),
+            ("ShardHealth", rows::<ShardHealth>()),
+            ("StatsSnapshot", rows::<StatsSnapshot>()),
+        ];
+        for v in ServiceRequest::variants()
+            .into_iter()
+            .chain(ServiceResponse::variants())
+        {
+            messages.push((v.tag, v.rows));
+        }
+        for (message, rows) in messages {
+            let mut keys: Vec<&str> = rows.iter().map(|r| r.name).collect();
+            keys.sort_unstable();
+            let declared = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), declared, "{message} declares a key twice");
+            assert!(!keys.contains(&"type"), "{message} declares `type`");
+        }
+    }
 }

@@ -1,13 +1,17 @@
-//! Heap bounds on a simulated operating point and on a latency sample, and
-//! the simulation loop's allocator calls per cycle.
+//! Heap bounds on a simulated operating point, on a latency sample and on
+//! the wire codec, and allocator-call counts of the simulation loop and of
+//! decoding a job.
 //!
 //! A counting global allocator tracks live and peak heap bytes, and each
 //! thread's allocator calls. One point's peak live heap sets how much a
 //! simulating daemon holds per worker, so the heaviest points of the
 //! end-to-end sweeps are pinned below a bound: flits, source-queue entries
 //! and latency samples must stay compact and must not grow with the number
-//! of packets a point delivers. Every measurement holds one lock, so tests
-//! of this binary never overlap their windows.
+//! of packets a point delivers. A warm daemon's heap is the wire's: a
+//! decoded request and a loaded cache are pinned the same way, and so is
+//! decoding a job, which must allocate nothing for the bytes it reads
+//! past. Every measurement holds one lock, so tests of this binary never
+//! overlap their windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +27,9 @@ use noc_sim::sim::{SimConfig, Simulation};
 use noc_sim::stats::LatencySample;
 use noc_sim::topology::{Mesh2D, TopologySpec};
 use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
+use noc_sprinting::experiment::NetworkMetrics;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
+use noc_sprinting::service::{DiskResultCache, ServiceRequest, SubmitRequest};
 use noc_sprinting::Experiment;
 
 // A buffered flit, a paper router's per-VC ring (4 slots) and an ejection.
@@ -213,4 +219,119 @@ fn latency_sample_memory_follows_distinct_values() {
         held < 16 * KIB,
         "sample of 100 distinct values holds {held} bytes"
     );
+}
+
+/// The jobs of one full-sweep `replay_warm` batch: 256 points of the
+/// default `pareto_explore` grid, each with its own full 64-bit seed.
+fn sweep_jobs() -> Vec<SyntheticJob> {
+    let topologies = ["mesh4x4", "circ16s3", "circ16s5"];
+    (0..256u64)
+        .map(|i| SyntheticJob {
+            topology: TopologySpec::from_wire_name(topologies[i as usize % 3])
+                .expect("valid topology"),
+            level: [4, 8, 12, 16][i as usize / 3 % 4],
+            pattern: TrafficPattern::UniformRandom,
+            rate: 0.02 * (1 + i % 20) as f64,
+            seed: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            baseline: SyntheticBaseline::NocSprinting,
+        })
+        .collect()
+}
+
+/// Decoding a 256-job `submit` line (31,008 bytes) peaks at 12,305 bytes of
+/// live heap, the decoded request itself; bounded about 15% above. Built
+/// as a document tree first, the same line peaked at 159,999 bytes.
+#[test]
+fn decoding_a_full_sweep_submit_stays_under_the_heap_bound() {
+    let _guard = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let line = ServiceRequest::Submit(SubmitRequest {
+        id: "replay-256".to_string(),
+        label: "service".to_string(),
+        priority: 0,
+        jobs: sweep_jobs(),
+    })
+    .to_json_line();
+    let peak = peak_heap(|| {
+        let req = ServiceRequest::from_json_line(&line).expect("submit decodes");
+        assert!(matches!(req, ServiceRequest::Submit(ref s) if s.jobs.len() == 256));
+    });
+    assert!(
+        peak <= 14 * KIB,
+        "{}-byte submit: peak live heap {peak} bytes > 14 KiB",
+        line.len()
+    );
+}
+
+/// Opening a cache of one 256-record segment peaks at 50,870 bytes of live
+/// heap: the loaded tables, the reader's buffer and one line buffer, never
+/// the whole segment; bounded about 15% above. Reading the whole segment
+/// and a document tree per line, it peaked at 113,475 bytes.
+#[test]
+fn opening_a_cache_segment_stays_under_the_heap_bound() {
+    let _guard = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("noc-memory-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let jobs = sweep_jobs();
+    {
+        let (cache, _) = DiskResultCache::open(&dir, "v").expect("create");
+        for (i, job) in jobs.iter().enumerate() {
+            let x = i as f64;
+            cache.memory().insert(
+                job.cache_key(),
+                NetworkMetrics {
+                    avg_packet_latency: 20.0 + x / 7.0,
+                    avg_network_latency: 18.0 + x / 9.0,
+                    network_power: 0.01 + x / 1e5,
+                    accepted_throughput: 0.1 + x / 1e4,
+                    saturated: i % 5 == 0,
+                },
+            );
+        }
+        assert_eq!(cache.persist_jobs(&jobs).expect("persist"), 256);
+    }
+    let mut loaded = 0;
+    let peak = peak_heap(|| {
+        let (cache, report) = DiskResultCache::open(&dir, "v").expect("open");
+        loaded = report.loaded;
+        drop(cache);
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(loaded, 256);
+    assert!(
+        peak <= 57 * KIB,
+        "256-record segment: peak live heap {peak} bytes > 57 KiB"
+    );
+}
+
+/// Decoding a job makes exactly 0 allocator calls, however many bytes of
+/// unknown fields (long strings, escapes, nested arrays) it reads past.
+#[test]
+fn decoding_a_job_allocates_nothing_for_its_length() {
+    let _guard = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let job = r#""topology":"circ16s5","level":8,"pattern":"uniform","rate":0.25,"seed":"0x9e3779b97f4a7c15","baseline":"noc_sprinting""#;
+    let padding = format!(
+        r#""note":"{}","escaped":"{}","deep":{}0{}"#,
+        "x".repeat(4096),
+        "\\n\\u00e9\\\"".repeat(256),
+        "[1,".repeat(60),
+        "]".repeat(60)
+    );
+    let lines = [
+        format!("{{{job}}}"),
+        format!("{{{padding},{job}}}"),
+        format!("{{{job},{padding},{padding}}}"),
+    ];
+    for line in &lines {
+        let before = CALLS.with(Cell::get);
+        let decoded = SyntheticJob::from_json_line(line);
+        let calls = CALLS.with(Cell::get) - before;
+        assert_eq!(decoded.expect("job decodes").level, 8);
+        assert_eq!(calls, 0, "{}-byte job line", line.len());
+    }
 }

@@ -11,7 +11,14 @@
 //! - Round trips: `decode(encode(x)) == x` for generated values of every
 //!   message, with every `f64` compared by bit pattern (the decoded value
 //!   must re-encode to the same line).
+//! - One grammar: on generated and byte-mutated lines of every message,
+//!   a decoder fails whenever `JsonValue::parse` does, with the parser's
+//!   error (a syntax error wins over field errors), and decodes a line
+//!   and the document parser's re-serialization of it to the same result;
+//!   unknown keys, nested up to the depth bound, change nothing, and of
+//!   two equal keys the first counts.
 
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -25,9 +32,13 @@ use noc_sprinting::metrics::{
 };
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{
-    BatchSummary, CacheRecord, DiskResultCache, ServiceRequest, ServiceResponse, SubmitRequest,
+    code_version, BatchSummary, CacheRecord, DiskResultCache, ServiceControl, ServiceRequest,
+    ServiceResponse, SubmitRequest, SweepService, MAX_CACHE_LINE,
 };
-use noc_sprinting::telemetry::{FaultRecord, JsonValue, ManifestPoint, RunManifest};
+use noc_sprinting::telemetry::{
+    FaultRecord, JsonValue, ManifestPoint, RunManifest, MAX_JSON_DEPTH,
+};
+use noc_sprinting::{Experiment, ExperimentRunner};
 
 const JOB: &str =
     r#"{"level":4,"pattern":"uniform","rate":0.1,"seed":"0x1","baseline":"noc_sprinting"}"#;
@@ -290,6 +301,97 @@ fn cache_segments_load_whatever_their_index() {
     assert_eq!((report.segments, report.loaded, report.stale), (1, 2, 0));
 }
 
+#[test]
+fn an_over_long_segment_line_costs_that_line_alone() {
+    let dir = cache_dir();
+    let good = segment();
+    let good = std::str::from_utf8(&good).expect("utf8");
+    let first = good.lines().next().expect("a record");
+    let mut bytes = format!("{first}\n").into_bytes();
+    // A newline-free run past the cap, even one that starts like a record.
+    bytes.extend(first.bytes().cycle().take(3 * MAX_CACHE_LINE));
+    bytes.push(b'\n');
+    let second = first.replace("\"key\":\"0x1\"", "\"key\":\"0x2\"");
+    bytes.extend_from_slice(second.as_bytes());
+    std::fs::write(dir.join("seg-000000.cache.jsonl"), &bytes).expect("write segment");
+    let (cache, report) = DiskResultCache::open(&dir, "v").expect("open");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!((report.loaded, report.corrupt, report.stale), (2, 1, 0));
+    assert!(
+        report.warnings[0].contains(":2: corrupt cache line skipped (longer than MAX_CACHE_LINE")
+    );
+    assert!(cache.memory().get(1).is_some() && cache.memory().get(2).is_some());
+    assert_eq!(cache.stats().segment_bytes, bytes.len() as u64);
+}
+
+#[test]
+fn a_surrogate_pair_id_is_echoed_as_the_same_string() {
+    // `json.dumps` escapes every astral character as a surrogate pair.
+    let service = SweepService::new(
+        Experiment::quick(),
+        ExperimentRunner::with_workers(1),
+        DiskResultCache::in_memory(code_version("quick")),
+    );
+    let mut events = Vec::new();
+    let line = r#"{"type":"cancel","id":"run-\ud83d\ude00"}"#;
+    assert_eq!(
+        service.handle_line(line, &mut |e| events.push(e)),
+        ServiceControl::Continue
+    );
+    let echoed = events[0].to_json_line();
+    assert_eq!(
+        echoed,
+        r#"{"type":"cancelled","id":"run-😀","active":false}"#
+    );
+    let ServiceResponse::Cancelled { id, .. } = ServiceResponse::from_json_line(&echoed).unwrap()
+    else {
+        panic!("{echoed}");
+    };
+    assert_eq!(id, "run-😀");
+    // A lone or reversed half is still one replacement character each.
+    for (escaped, text) in [
+        (r#""\ud83d""#, "\u{fffd}"),
+        (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+        (r#""\ud83dx\ude00""#, "\u{fffd}x\u{fffd}"),
+        (r#""\ud83d\u0041""#, "\u{fffd}A"),
+    ] {
+        assert_eq!(
+            JsonValue::parse(escaped).unwrap().as_str(),
+            Some(text),
+            "{escaped}"
+        );
+    }
+}
+
+#[test]
+fn unknown_values_are_checked_like_the_rest() {
+    let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let ok = format!(r#"{{"type":"ping","x":{}}}"#, deep(MAX_JSON_DEPTH - 1));
+    assert_eq!(
+        ServiceRequest::from_json_line(&ok),
+        Ok(ServiceRequest::Ping)
+    );
+    for bad in [
+        format!(r#"{{"type":"ping","x":{}}}"#, deep(MAX_JSON_DEPTH)),
+        r#"{"type":"ping","x":[1,]}"#.to_string(),
+        r#"{"type":"ping","x":"\q"}"#.to_string(),
+        r#"{"x":tru,"type":"ping"}"#.to_string(),
+    ] {
+        assert!(JsonValue::parse(&bad).is_err(), "{bad}");
+        assert!(ServiceRequest::from_json_line(&bad).is_err(), "{bad}");
+    }
+    // A syntax error after a field error wins, as it does in the parser.
+    let err = ServiceRequest::from_json_line(r#"{"type":"cancel","id":7,"x":[}"#).unwrap_err();
+    assert!(err.contains("at byte"), "{err}");
+    // Of two equal keys the first counts, whatever the second holds.
+    assert_eq!(
+        ServiceRequest::from_json_line(r#"{"type":"ping","type":"shutdown"}"#),
+        Ok(ServiceRequest::Ping)
+    );
+    let err = ServiceRequest::from_json_line(r#"{"id":7,"type":"cancel","id":"r"}"#).unwrap_err();
+    assert!(err.contains("\"id\""), "{err}");
+}
+
 fn text() -> impl Strategy<Value = String> {
     prop::collection::vec(0u32..0x300, 0..12)
         .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
@@ -518,6 +620,107 @@ fn responses() -> impl Strategy<Value = Vec<ServiceResponse>> {
         )
 }
 
+/// Every message decoder applied to `line`, each result as the decoded
+/// value's debug form (which shows every `f64`, NaN included).
+fn decode_all(line: &str) -> Vec<Result<String, String>> {
+    fn shown<T: Debug>(r: Result<T, String>) -> Result<String, String> {
+        r.map(|v| format!("{v:?}"))
+    }
+    vec![
+        shown(ServiceRequest::from_json_line(line)),
+        shown(ServiceResponse::from_json_line(line)),
+        shown(CacheRecord::from_json_line(line)),
+        shown(StatsSnapshot::from_json_line(line)),
+        shown(SyntheticJob::from_json_line(line)),
+        shown(RunManifest::from_json_line(line)),
+        shown(FaultRecord::from_json_line(line)),
+        shown(HistogramSnapshot::from_json_line(line)),
+    ]
+}
+
+/// One line of every message type, from generated values.
+fn message_lines() -> impl Strategy<Value = Vec<String>> {
+    (
+        responses(),
+        prop::collection::vec(job(), 0..3),
+        (any_u64(), text()),
+    )
+        .prop_map(|(events, jobs, (key, version))| {
+            let mut lines: Vec<String> = events.iter().map(ServiceResponse::to_json_line).collect();
+            lines.extend(jobs.iter().map(SyntheticJob::to_json_line));
+            lines.push(
+                ServiceRequest::Submit(SubmitRequest {
+                    id: version.clone(),
+                    label: "l".to_string(),
+                    priority: -1,
+                    jobs,
+                })
+                .to_json_line(),
+            );
+            lines.push(
+                ServiceRequest::Cancel {
+                    id: version.clone(),
+                }
+                .to_json_line(),
+            );
+            lines.push(
+                CacheRecord {
+                    key,
+                    seed: key,
+                    version: format!("v{version}"),
+                    value: NetworkMetrics {
+                        avg_packet_latency: f64::from_bits(key),
+                        avg_network_latency: 1.5,
+                        network_power: -0.0,
+                        accepted_throughput: f64::NAN,
+                        saturated: key % 2 == 0,
+                    },
+                }
+                .to_json_line(),
+            );
+            lines.push(
+                FaultRecord {
+                    point: 1,
+                    cycle: key >> 12,
+                    kind: version,
+                    node: 3,
+                    peer: Some(4),
+                }
+                .to_json_line(),
+            );
+            lines
+        })
+}
+
+/// `line`'s top-level members, re-serialized one by one.
+fn members(line: &str) -> Vec<(String, String)> {
+    match JsonValue::parse(line) {
+        Ok(JsonValue::Obj(pairs)) => pairs.into_iter().map(|(k, v)| (k, v.to_json())).collect(),
+        other => panic!("{line}: not an object: {other:?}"),
+    }
+}
+
+/// An object of `members`, written as `{"k":v,...}`.
+fn object_of(members: &[(String, String)]) -> String {
+    let fields: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", JsonValue::Str(k.clone()).to_json()))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// A JSON value nested `depth` containers deep, mixing objects, arrays,
+/// escaped strings and numbers.
+fn nested(depth: usize) -> String {
+    (0..depth).fold(r#""\u00e9\n\ud83d\ude00""#.to_string(), |inner, d| {
+        if d % 2 == 0 {
+            format!(r#"[1.5e3,{inner},null]"#)
+        } else {
+            format!(r#"{{"k{d}":{inner},"t":true}}"#)
+        }
+    })
+}
+
 /// Decodes `line` and checks the value re-encodes to the same line (every
 /// `f64` by bit pattern) and equals `x`.
 fn round_trip<T: PartialEq + std::fmt::Debug>(
@@ -673,5 +876,87 @@ proptest! {
                 .collect(),
         };
         round_trip(&manifest, &manifest.to_jsonl(), RunManifest::from_jsonl, RunManifest::to_jsonl)?;
+    }
+
+    #[test]
+    fn decoders_are_never_more_lenient_than_the_parser(
+        lines in message_lines(),
+        which in 0usize..64,
+        edits in prop::collection::vec((0usize..4096, 0usize..MUTATIONS.len(), 0u8..3), 1..6),
+    ) {
+        let mut bytes = lines[which % lines.len()].clone().into_bytes();
+        mutate(&mut bytes, edits, MUTATIONS);
+        let line = String::from_utf8_lossy(&bytes);
+        let decoded = decode_all(&line);
+        match JsonValue::parse(&line) {
+            // The decoders read the bytes in the parser's order, so they
+            // meet the same first syntax error, whatever field errors
+            // come before it.
+            Err(e) => {
+                for result in &decoded {
+                    prop_assert_eq!(result, &Err(e.clone()), "{}", line);
+                }
+            }
+            // The same document written by the tree's writer decodes the
+            // same, errors included; unless a number overflowed to
+            // infinity, which the writer cannot write back.
+            Ok(tree) => {
+                let rewritten = tree.to_json();
+                if JsonValue::parse(&rewritten).as_ref() == Ok(&tree) {
+                    prop_assert_eq!(decode_all(&rewritten), decoded, "{}", line);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_keys_nested_to_the_depth_bound_are_ignored(
+        lines in message_lines(),
+        depth in 0usize..MAX_JSON_DEPTH,
+        front in any::<bool>(),
+    ) {
+        for line in &lines {
+            let mut fields = members(line);
+            let unknown = ("zz_unknown".to_string(), nested(depth));
+            if front {
+                fields.insert(0, unknown);
+            } else {
+                fields.push(unknown);
+            }
+            let padded = object_of(&fields);
+            prop_assert_eq!(decode_all(&padded), decode_all(line), "{}", padded);
+            // One level deeper is past the bound: an error everywhere.
+            let mut too_deep = members(line);
+            too_deep.push(("zz_unknown".to_string(), nested(MAX_JSON_DEPTH)));
+            let too_deep = object_of(&too_deep);
+            prop_assert!(decode_all(&too_deep).iter().all(Result::is_err));
+        }
+    }
+
+    #[test]
+    fn the_first_of_two_equal_keys_counts(lines in message_lines()) {
+        for line in &lines {
+            let fields = members(line);
+            // Every key again, holding a value no field accepts.
+            let mut doubled = fields.clone();
+            doubled.extend(fields.iter().map(|(k, _)| (k.clone(), "[{}]".to_string())));
+            let doubled = object_of(&doubled);
+            prop_assert_eq!(decode_all(&doubled), decode_all(line), "{}", doubled);
+        }
+    }
+
+    #[test]
+    fn every_message_round_trips_through_its_line(
+        snapshot in snapshot(),
+        job in job(),
+        histogram in histogram(),
+    ) {
+        round_trip(&snapshot, &snapshot.to_json_line(), StatsSnapshot::from_json_line, StatsSnapshot::to_json_line)?;
+        round_trip(&job, &job.to_json_line(), SyntheticJob::from_json_line, SyntheticJob::to_json_line)?;
+        round_trip(&histogram, &histogram.to_json_line(), HistogramSnapshot::from_json_line, HistogramSnapshot::to_json_line)?;
+        // `write_json_line` appends exactly the line.
+        let mut out = "prefix".to_string();
+        snapshot.write_json_line(&mut out);
+        prop_assert_eq!(&out["prefix".len()..], snapshot.to_json_line());
     }
 }
