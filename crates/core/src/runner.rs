@@ -13,8 +13,8 @@
 //! order-preserving parallel map over a slice. A batch of [`SyntheticJob`]
 //! operating points — every figure, ablation, load sweep and daemon
 //! batch — fans out through it in one place,
-//! [`crate::service::SweepService::run_submit`], whose result cache lets
-//! repeated points skip the simulation.
+//! [`crate::service::SweepService::run_submit`], which answers cache hits
+//! itself and hands the runner only the misses.
 //!
 //! Progress is observable through [`RunnerProgress`]: completed/total
 //! counters and accumulated per-point busy time, readable from another
@@ -187,8 +187,9 @@ impl ExperimentRunner {
     }
 
     /// Attaches `rec`, into which [`crate::service::SweepService::run_submit`]
-    /// records a [`crate::telemetry::Span`] per point it runs on this runner
-    /// (start/end wall time, worker thread, cache hit, seed, config hash),
+    /// records a [`crate::telemetry::Span`] per point of every batch it
+    /// serves with this runner (start/end wall time, the thread that
+    /// answered it, cache hit, seed, config hash),
     /// exportable as a Chrome trace for the whole parallel run.
     #[must_use]
     pub fn with_span_recorder(mut self, rec: Arc<SpanRecorder>) -> Self {
@@ -210,6 +211,28 @@ impl ExperimentRunner {
     /// thread).
     pub fn progress(&self) -> &Arc<RunnerProgress> {
         &self.progress
+    }
+
+    /// Counts a point its caller answered without the pool (a cache hit or
+    /// a cancelled point) as [`ExperimentRunner::run`] counts a pooled one:
+    /// scheduled, completed, busy time and the echo line, whose rate runs
+    /// from `since`.
+    pub fn record_served(&self, elapsed: Duration, since: Instant) {
+        self.progress.begin(1);
+        self.finish_point(elapsed, since);
+    }
+
+    /// The accounting of one finished point: the progress counters and,
+    /// with [`ExperimentRunner::with_echo`], the progress line.
+    fn finish_point(&self, elapsed: Duration, since: Instant) {
+        self.progress.record(elapsed);
+        if let Some(label) = &self.echo {
+            let snap = self.progress.snapshot();
+            eprintln!(
+                "{}",
+                progress_line(label, snap.completed, snap.scheduled, since.elapsed())
+            );
+        }
     }
 
     /// Parallel map: applies `f` to every item and returns outputs in input
@@ -259,14 +282,7 @@ impl ExperimentRunner {
             }
             let start = Instant::now();
             let out = f(i, &items[i]);
-            self.progress.record(start.elapsed());
-            if let Some(label) = &self.echo {
-                let snap = self.progress.snapshot();
-                eprintln!(
-                    "{}",
-                    progress_line(label, snap.completed, snap.scheduled, batch_start.elapsed())
-                );
-            }
+            self.finish_point(start.elapsed(), batch_start);
             *results[i].lock().expect("result cell poisoned") = Some(out);
         };
         // The caller is one of the workers: it spawns `workers - 1` helpers
@@ -414,9 +430,8 @@ impl<V: Clone> ResultCache<V> {
         key: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        if let Some(v) = lock_recover(&self.map).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((v.clone(), true));
+        if let Some(v) = self.lookup(key) {
+            return Ok((v, true));
         }
         let v = compute()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -424,7 +439,17 @@ impl<V: Clone> ResultCache<V> {
         Ok((v, false))
     }
 
-    /// Returns a clone of the cached value for `key`, if present.
+    /// Returns a clone of the cached value for `key`, counted as a hit, if
+    /// present. An absent key counts nothing: a miss is counted where its
+    /// value is computed, by [`ResultCache::get_or_try_insert_with_stats`].
+    pub fn lookup(&self, key: u64) -> Option<V> {
+        let v = lock_recover(&self.map).get(&key).cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
+    }
+
+    /// Returns a clone of the cached value for `key`, if present, without
+    /// touching the hit/miss counters.
     pub fn get(&self, key: u64) -> Option<V> {
         lock_recover(&self.map).get(&key).cloned()
     }

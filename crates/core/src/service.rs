@@ -45,6 +45,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use noc_sim::error::SimError;
+
 use crate::experiment::{Experiment, NetworkMetrics};
 use crate::fleet::FleetReorder;
 use crate::metrics::{ServiceMetrics, StatsSnapshot};
@@ -426,14 +428,19 @@ impl DiskResultCache {
     ///
     /// I/O errors opening or appending to the segment file.
     pub fn persist_jobs(&self, jobs: &[SyntheticJob]) -> io::Result<usize> {
+        self.persist_keyed(jobs.iter().map(|job| (job.cache_key(), job.seed)))
+    }
+
+    /// [`DiskResultCache::persist_jobs`] over `(cache key, seed)` pairs, for
+    /// a caller that already holds the jobs' keys.
+    fn persist_keyed(&self, jobs: impl IntoIterator<Item = (u64, u64)>) -> io::Result<usize> {
         let Some(disk) = &self.disk else {
             return Ok(0);
         };
         let mut state = lock_recover(disk);
         let mut written = 0usize;
         let mut line = String::new();
-        for job in jobs {
-            let key = job.cache_key();
+        for (key, seed) in jobs {
             if state.persisted.contains_key(&key) {
                 continue;
             }
@@ -451,7 +458,7 @@ impl DiskResultCache {
             }
             let record = CacheRecord {
                 key,
-                seed: job.seed,
+                seed,
                 version: self.version.clone(),
                 value,
             };
@@ -462,7 +469,7 @@ impl DiskResultCache {
             seg.write_all(line.as_bytes())?;
             self.segment_bytes
                 .fetch_add(line.len() as u64, Ordering::Relaxed);
-            state.persisted.insert(key, job.seed);
+            state.persisted.insert(key, seed);
             written += 1;
         }
         if written > 0 {
@@ -803,11 +810,49 @@ impl SweepService {
         Arc::clone(&entry.flag)
     }
 
+    /// Starts point `i` of `req`: checks the cancel flag, then `lookup`
+    /// (`None` leaves the point to the runner, unanswered), then does the
+    /// accounting every answered point gets wherever it runs — the hit tag
+    /// for ETA math and, with a recorder attached, its span.
+    fn start_point(
+        &self,
+        req: &SubmitRequest,
+        i: usize,
+        key: u64,
+        cancel: &AtomicBool,
+        lookup: impl FnOnce() -> Option<Result<(NetworkMetrics, bool), SimError>>,
+    ) -> Option<PointOutcome> {
+        let point_start = Instant::now();
+        let outcome = if cancel.load(Ordering::SeqCst) {
+            Err(PointFailure::Cancelled)
+        } else {
+            lookup()?.map_err(|e| PointFailure::Failed(e.to_string()))
+        };
+        let elapsed = point_start.elapsed();
+        let cache_hit = matches!(&outcome, Ok((_, true)));
+        if cache_hit {
+            // Tag the hit for ETA math (two relaxed atomic adds — same
+            // cost class as the runner's own progress accounting).
+            self.runner.progress().note_cached(elapsed);
+        }
+        if let Some(rec) = self.runner.span_recorder() {
+            let end = point_start + elapsed;
+            let seed = Some(req.jobs[i].seed);
+            rec.record(&req.label, i, point_start, end, cache_hit, seed, Some(key));
+        }
+        Some((outcome, elapsed.as_secs_f64() * 1e3))
+    }
+
     /// Evaluates one batch, streaming `accepted`, `progress`,
     /// `point`/`point_failed` (strict index order) and a final `done`
     /// event into `emit`; returns the batch summary — or `None` when the
     /// batch was rejected by backpressure (a single `busy` event is
     /// emitted and nothing else).
+    ///
+    /// Each point is looked up in the memory cache once, at admission, on
+    /// the calling thread: hits are answered there, and only misses run on
+    /// the runner, from a driver thread. A batch without a miss starts no
+    /// thread.
     ///
     /// Per-point failures do not abort the batch — every job is attempted
     /// and failures surface as `point_failed` events. When the runner has
@@ -847,58 +892,57 @@ impl SweepService {
             points: total,
         });
         let started = Instant::now();
+        let keys: Vec<u64> = req.jobs.iter().map(SyntheticJob::cache_key).collect();
+        // Admission: each point is looked up once, here, on the calling
+        // thread. Hits (and, under an armed cancel, every point) are
+        // answered at once; only misses go to the runner.
+        let mut answered = Vec::new();
+        let mut misses = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let point_start = Instant::now();
+            let lookup = || self.cache.memory().lookup(key).map(|m| Ok((m, true)));
+            match self.start_point(req, i, key, &cancel, lookup) {
+                Some(outcome) => {
+                    self.runner.record_served(point_start.elapsed(), started);
+                    answered.push((i, outcome));
+                }
+                None => misses.push(i),
+            }
+        }
         let (tx, rx) = mpsc::channel::<(usize, PointOutcome)>();
         let (mut ok, mut failed, mut cancelled, mut hits) = (0usize, 0usize, 0usize, 0u64);
         std::thread::scope(|s| {
-            let jobs = &req.jobs;
-            let cancel = &cancel;
-            let driver = s.spawn(move || {
-                // `Sender` is not `Sync`, so the worker closure reaches it
-                // through a mutex; dropping it here (when the runner is
-                // done) ends the collector loop below.
-                let tx = Mutex::new(tx);
-                self.runner.run(jobs, |i, job| {
-                    let point_start = Instant::now();
-                    let key = job.cache_key();
-                    let outcome = if cancel.load(Ordering::SeqCst) {
-                        Err(PointFailure::Cancelled)
-                    } else {
-                        self.cache
-                            .memory()
-                            .get_or_try_insert_with_stats(key, || job.run(&self.experiment))
-                            .map_err(|e| PointFailure::Failed(e.to_string()))
-                    };
-                    let elapsed = point_start.elapsed();
-                    let cache_hit = matches!(&outcome, Ok((_, true)));
-                    if cache_hit {
-                        // Tag the hit for ETA math (two relaxed atomic
-                        // adds — same cost class as the runner's own
-                        // progress accounting).
-                        self.runner.progress().note_cached(elapsed);
-                    }
-                    if let Some(rec) = self.runner.span_recorder() {
-                        let end = point_start + elapsed;
-                        rec.record(
-                            &req.label,
-                            i,
-                            point_start,
-                            end,
-                            cache_hit,
-                            Some(job.seed),
-                            Some(key),
-                        );
-                    }
-                    let ms = elapsed.as_secs_f64() * 1e3;
-                    lock_recover(&tx)
-                        .send((i, (outcome, ms)))
-                        .expect("collector alive while workers run");
-                });
+            let (keys, cancel) = (&keys, &cancel);
+            // The driver runs the misses, if any; without it `tx` drops
+            // here and the collector reads the answered points alone.
+            let driver = (!misses.is_empty()).then(|| {
+                s.spawn(move || {
+                    // `Sender` is not `Sync`, so the worker closure reaches
+                    // it through a mutex; dropping it here (when the runner
+                    // is done) ends the collector loop below. The worker's
+                    // lookup still serves a key inserted since admission
+                    // (a job repeated within the batch) as a hit.
+                    let tx = Mutex::new(tx);
+                    self.runner.run(&misses, |_, &i| {
+                        let (job, key) = (&req.jobs[i], keys[i]);
+                        let memory = self.cache.memory();
+                        let run = || job.run(&self.experiment);
+                        let lookup = || Some(memory.get_or_try_insert_with_stats(key, run));
+                        let outcome = self
+                            .start_point(req, i, key, cancel, lookup)
+                            .expect("a worker's lookup answers every point");
+                        lock_recover(&tx)
+                            .send((i, outcome))
+                            .expect("collector alive while workers run");
+                    });
+                })
             });
             // Collector: report completions as they happen, release the
             // point stream in strict index order.
             let mut reorder: FleetReorder<PointOutcome> = FleetReorder::new(total);
             let mut batch_hits = 0usize;
-            for (completed, (i, outcome)) in rx.iter().enumerate() {
+            let completions = answered.into_iter().chain(rx.iter());
+            for (completed, (i, outcome)) in completions.enumerate() {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 let received = completed + 1;
                 batch_hits += usize::from(matches!(&outcome.0, Ok((_, true))));
@@ -921,19 +965,19 @@ impl SweepService {
                     eta_ms,
                 });
                 for (index, (outcome, ms)) in reorder.push(i, outcome) {
-                    let job = &req.jobs[index];
+                    let (seed, config_hash) = (req.jobs[index].seed, keys[index]);
                     match outcome {
                         Ok((metrics, cache_hit)) => {
                             ok += 1;
                             hits += u64::from(cache_hit);
                             self.metrics
-                                .point_completed(job.cache_key(), job.seed, cache_hit, ms);
+                                .point_completed(config_hash, seed, cache_hit, ms);
                             emit(ServiceResponse::Point {
                                 id: req.id.clone(),
                                 point: ManifestPoint {
                                     index,
-                                    seed: job.seed,
-                                    config_hash: job.cache_key(),
+                                    seed,
+                                    config_hash,
                                     cache_hit,
                                     duration_ms: ms,
                                     metrics: metric_pairs(&metrics),
@@ -956,8 +1000,8 @@ impl SweepService {
                             emit(ServiceResponse::PointFailed {
                                 id: req.id.clone(),
                                 index,
-                                config_hash: job.cache_key(),
-                                seed: job.seed,
+                                config_hash,
+                                seed,
                                 error,
                             });
                         }
@@ -966,12 +1010,15 @@ impl SweepService {
             }
             // Joined so the thread has exited, and its malloc arena is free
             // for the next batch's threads, before `done` is sent.
-            if let Err(panic) = driver.join() {
+            if let Some(Err(panic)) = driver.map(std::thread::ScopedJoinHandle::join) {
                 std::panic::resume_unwind(panic);
             }
         });
         lock_recover(&self.cancels).remove(&req.id);
-        if let Err(e) = self.cache.persist_jobs(&req.jobs) {
+        let persisted = self
+            .cache
+            .persist_keyed(keys.iter().zip(&req.jobs).map(|(&k, j)| (k, j.seed)));
+        if let Err(e) = persisted {
             emit(ServiceResponse::Error {
                 id: Some(req.id.clone()),
                 message: format!("cache persist failed: {e}"),
@@ -984,7 +1031,7 @@ impl SweepService {
             cancelled,
             cache_hits: hits,
             cache_misses: ok as u64 - hits,
-            config_hash: RunManifest::combine_hashes(req.jobs.iter().map(SyntheticJob::cache_key)),
+            config_hash: RunManifest::combine_hashes(keys.iter().copied()),
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         };
         self.metrics.batch_done(summary.wall_ms);
@@ -1407,6 +1454,146 @@ mod tests {
     }
 
     #[test]
+    fn warm_batch_is_served_on_the_calling_thread() {
+        use crate::telemetry::SpanRecorder;
+
+        let rec = Arc::new(SpanRecorder::new());
+        let runner = ExperimentRunner::with_workers(2).with_span_recorder(Arc::clone(&rec));
+        let service = SweepService::new(
+            Experiment::quick(),
+            runner,
+            DiskResultCache::in_memory(code_version("quick")),
+        );
+        let jobs: Vec<SyntheticJob> = (0..64)
+            .map(|seed| SyntheticJob {
+                seed,
+                ..sample_jobs()[0]
+            })
+            .collect();
+        // Warm the memo table directly: where the hits run is under test,
+        // not their values.
+        let metrics = metrics_from_values([20.0, 15.0, 0.01, 0.05, 0.0]);
+        for job in &jobs {
+            service.cache().memory().insert(job.cache_key(), metrics);
+        }
+        // This thread records first, so the recorder names it tid 0.
+        let now = Instant::now();
+        rec.record("caller", 0, now, now, false, None, None);
+        let req = SubmitRequest {
+            id: "warm".to_string(),
+            label: "warm".to_string(),
+            priority: 0,
+            jobs,
+        };
+        let summary = service
+            .run_submit(&req, &mut |_| {})
+            .expect("no queue limit configured");
+        assert_eq!(summary.cache_hits, 64);
+        let spans: Vec<_> = rec
+            .spans()
+            .into_iter()
+            .filter(|s| s.label == "warm")
+            .collect();
+        assert_eq!(spans.len(), 64, "one span per operating point");
+        assert!(spans.iter().all(|s| s.cache_hit));
+        let tids: std::collections::BTreeSet<usize> = spans.iter().map(|s| s.tid).collect();
+        assert_eq!(
+            tids,
+            [0].into(),
+            "every hit is served on the thread that submitted the batch"
+        );
+        let progress = service.runner.progress().snapshot();
+        assert_eq!((progress.scheduled, progress.completed), (64, 64));
+    }
+
+    #[test]
+    fn mixed_batch_keeps_its_accounting() {
+        let service = SweepService::new(
+            Experiment::quick(),
+            // One worker, so the repeated job's second run deterministically
+            // follows its first.
+            ExperimentRunner::with_workers(1),
+            DiskResultCache::in_memory(code_version("quick")),
+        );
+        let [a, b] = <[SyntheticJob; 2]>::try_from(sample_jobs()).expect("two sample jobs");
+        let warm = SubmitRequest {
+            id: "warm".to_string(),
+            label: "unit".to_string(),
+            priority: 0,
+            jobs: vec![a, b],
+        };
+        service
+            .run_submit(&warm, &mut |_| {})
+            .expect("no queue limit configured");
+        let c = SyntheticJob { seed: 100, ..a };
+        let d = SyntheticJob { seed: 101, ..b };
+        // Transpose needs a square node count; two sprinting nodes are not.
+        let rejected = SyntheticJob {
+            level: 2,
+            pattern: TrafficPattern::Transpose,
+            ..a
+        };
+        let req = SubmitRequest {
+            id: "mixed".to_string(),
+            label: "unit".to_string(),
+            priority: 0,
+            jobs: vec![a, c, rejected, b, c, d],
+        };
+        let mut events = Vec::new();
+        let summary = service
+            .run_submit(&req, &mut |e| events.push(e))
+            .expect("no queue limit configured");
+        let outcomes: Vec<(usize, Option<bool>)> = events
+            .iter()
+            .filter_map(|e| match e {
+                ServiceResponse::Point { point, .. } => Some((point.index, Some(point.cache_hit))),
+                ServiceResponse::PointFailed { index, .. } => Some((*index, None)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                (0, Some(true)),
+                (1, Some(false)),
+                (2, None),
+                (3, Some(true)),
+                (4, Some(true)),
+                (5, Some(false)),
+            ]
+        );
+        let progress = events
+            .iter()
+            .filter(|e| matches!(e, ServiceResponse::Progress { .. }))
+            .count();
+        assert_eq!(progress, 6, "one progress event per point");
+        assert_eq!(
+            (summary.ok, summary.failed, summary.cancelled),
+            (5, 1, 0),
+            "{summary:?}"
+        );
+        assert_eq!((summary.cache_hits, summary.cache_misses), (3, 2));
+        assert_eq!(
+            summary.config_hash,
+            RunManifest::combine_hashes(req.jobs.iter().map(SyntheticJob::cache_key))
+        );
+        assert_eq!(service.pending_points(), 0);
+        let stats = service.stats_snapshot().metrics;
+        for (name, want) in [
+            // Warm batch: two misses. Mixed: three hits, two misses, and a
+            // failure that is neither.
+            ("noc_cache_hits_total", 3),
+            ("noc_cache_misses_total", 4),
+            ("noc_runner_points_scheduled_total", 8),
+            ("noc_runner_points_completed_total", 8),
+            ("noc_points_completed_total", 7),
+            ("noc_points_failed_total", 1),
+        ] {
+            assert_eq!(stats.counter(name), Some(want), "{name}");
+        }
+    }
+
+    #[test]
     fn stats_snapshot_exports_stage_busy_gauges() {
         let service = SweepService::new(
             Experiment::quick(),
@@ -1566,6 +1753,15 @@ mod tests {
             .expect("admitted");
         assert_eq!(summary.ok, summary.points);
         assert_eq!(summary.cancelled, 0);
+        // A warm batch is cancelled too, hits included, without a lookup.
+        let hits = service.cache().stats().hits;
+        assert!(!service.cancel("c1"));
+        let summary = service
+            .run_submit(&submit("c1", 0), &mut |_| {})
+            .expect("cancel does not reject admission");
+        assert_eq!((summary.ok, summary.cache_hits), (0, 0));
+        assert_eq!(summary.cancelled, summary.points);
+        assert_eq!(service.cache().stats().hits, hits);
     }
 
     #[test]
