@@ -646,29 +646,46 @@ impl<'a> JsonCursor<'a> {
         Ok(code)
     }
 
+    /// Reads a number by RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: no leading
+    /// zero, and a fraction or an exponent has at least one digit.
     fn number(&mut self) -> Result<f64, SyntaxError> {
         let start = self.i;
+        // Moves past a run of digits; `false` when there is none.
         let digits = |c: &mut Self| {
+            let from = c.i;
             while matches!(c.peek(), Some(b'0'..=b'9')) {
                 c.i += 1;
             }
+            c.i > from
         };
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        digits(self);
-        if self.peek() == Some(b'.') {
+        let mut valid = if self.peek() == Some(b'0') {
             self.i += 1;
-            digits(self);
+            !matches!(self.peek(), Some(b'0'..=b'9'))
+        } else {
+            digits(self)
+        };
+        if valid && self.peek() == Some(b'.') {
+            self.i += 1;
+            valid = digits(self);
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if valid && matches!(self.peek(), Some(b'e' | b'E')) {
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            digits(self);
+            valid = digits(self);
         }
         let text = &self.src[start..self.i];
+        if !valid {
+            return Err(SyntaxError(format!(
+                "bad number {text:?} then {:?} at byte {start}",
+                self.peek().map(|c| c as char)
+            )));
+        }
         text.parse::<f64>()
             .map_err(|_| SyntaxError(format!("bad number {text:?} at byte {start}")))
     }

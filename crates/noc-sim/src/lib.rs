@@ -52,6 +52,7 @@
 pub mod closed_loop;
 pub mod error;
 pub mod fault;
+mod fifo;
 pub mod geometry;
 pub mod network;
 pub mod packet;

@@ -43,6 +43,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, FaultStats};
+use crate::fifo::BlockFifos;
 use crate::geometry::{NodeId, Port};
 use crate::packet::{Flit, Packet, PacketId, MAX_PACKET_FLITS};
 use crate::probe::Probe;
@@ -145,24 +146,29 @@ pub struct Ejection {
     pub at: u64,
 }
 
-/// Marks a measured packet in [`Queued::len_measured`].
-const MEASURED: u32 = 1 << 31;
+/// Routers a network may hold: a source-queue entry keeps the
+/// destination in 24 bits.
+pub const MAX_NODES: usize = 1 << 24;
+
+/// Marks a measured packet in [`Queued::dst_len`].
+const MEASURED: u32 = 1 << 7;
 
 /// A packet waiting in a source queue, without the fields its queue
 /// implies: `src` is the queue's node and `vnet` its index, and with the
-/// id and creation cycle in the 32 bits a [`Flit`] keeps of them. 16 bytes
+/// id and creation cycle in the 32 bits a [`Flit`] keeps of them. 12 bytes
 /// against [`Packet`]'s 40, which matters at saturated points where
 /// thousands of packets wait per node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Queued {
     id: u32,
     created: u32,
-    dst: u32,
-    /// Flit count in the low 31 bits, [`MEASURED`] in the top bit.
-    len_measured: u32,
+    /// Destination in the top 24 bits, [`MEASURED`] in bit 7 and the flit
+    /// count (at most [`MAX_PACKET_FLITS`]) in bits 0-6.
+    dst_len: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Queued>() == 16);
+const _: () = assert!(std::mem::size_of::<Queued>() == 12);
+const _: () = assert!(MAX_PACKET_FLITS < MEASURED);
 
 impl Queued {
     /// Packs `p`; `enqueue_packet` has checked that every field fits.
@@ -170,8 +176,7 @@ impl Queued {
         Queued {
             id: p.id.0 as u32,
             created: p.created as u32,
-            dst: p.dst.0 as u32,
-            len_measured: p.len | if p.measured { MEASURED } else { 0 },
+            dst_len: (p.dst.0 as u32) << 8 | if p.measured { MEASURED } else { 0 } | p.len,
         }
     }
 
@@ -180,21 +185,22 @@ impl Queued {
         Packet {
             id: PacketId(u64::from(self.id)),
             src: NodeId(node),
-            dst: NodeId(self.dst as usize),
-            len: self.len_measured & !MEASURED,
+            dst: NodeId((self.dst_len >> 8) as usize),
+            len: self.dst_len & (MEASURED - 1),
             created: u64::from(self.created),
-            measured: self.len_measured & MEASURED != 0,
+            measured: self.dst_len & MEASURED != 0,
             vnet: vnet as u8,
         }
     }
 }
 
-/// Network interface: per-vnet source queues plus injection state.
+/// Network interface: injection state. Its source queues, one FIFO per
+/// virtual network (message classes must not block each other at the
+/// source either), live in the network's [`BlockFifos`].
 #[derive(Debug, Clone)]
 struct Ni {
-    /// Packets waiting to enter the network, one FIFO per virtual network
-    /// (message classes must not block each other at the source either).
-    source: Vec<VecDeque<Queued>>,
+    /// Packets waiting in this NI's source queues, all vnets.
+    queued: u32,
     /// Packet currently being injected, with the next flit index and the
     /// cycle its head flit was written (shared `injected` stamp).
     injecting: Option<(Packet, u32, u64)>,
@@ -213,7 +219,7 @@ struct Ni {
 impl Ni {
     fn new(params: &RouterParams) -> Self {
         Ni {
-            source: (0..params.vnets).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             injecting: None,
             inject_vc: 0,
             credits: vec![params.buffer_depth as u32; params.vcs_per_port],
@@ -223,12 +229,8 @@ impl Ni {
         }
     }
 
-    fn queued(&self) -> usize {
-        self.source.iter().map(|q| q.len()).sum()
-    }
-
     fn is_idle(&self) -> bool {
-        self.queued() == 0 && self.injecting.is_none()
+        self.queued == 0 && self.injecting.is_none()
     }
 }
 
@@ -421,6 +423,8 @@ pub struct Network {
     /// Struct-of-arrays storage for every router's pipeline state.
     store: VcStore,
     nis: Vec<Ni>,
+    /// NI source queues, `node * vnets + vnet`, sharing one block pool.
+    source: BlockFifos<Queued>,
     /// Incoming flit queues per node and input port.
     link_in: Vec<Vec<VecDeque<TimedFlit>>>,
     /// Incoming credit queues per node (addressed to output ports).
@@ -507,6 +511,11 @@ impl Network {
             }
         }
         let len = topo.len();
+        if len >= MAX_NODES {
+            return Err(SimError::InvalidConfig(format!(
+                "{len} routers: a network holds fewer than {MAX_NODES}"
+            )));
+        }
         let store = VcStore::new(len, &params, |n| {
             let mut connected = [true; Port::COUNT];
             for port in Port::ALL {
@@ -535,6 +544,7 @@ impl Network {
             routers: vec![Router::new(); len],
             store,
             nis: (0..len).map(|_| Ni::new(&params)).collect(),
+            source: BlockFifos::new(len * params.vnets),
             link_in: (0..len)
                 .map(|_| (0..Port::COUNT).map(|_| VecDeque::new()).collect())
                 .collect(),
@@ -814,8 +824,8 @@ impl Network {
     ///
     /// Panics if the source node is dark (traffic generators must only drive
     /// powered-on nodes) or out of range, or if the packet does not fit a
-    /// [`Flit`]: an id or creation cycle past `u32::MAX`, or more than
-    /// [`MAX_PACKET_FLITS`] flits.
+    /// source-queue entry: an id or creation cycle past `u32::MAX`, or more
+    /// than [`MAX_PACKET_FLITS`] flits.
     pub fn enqueue_packet(&mut self, p: Packet) {
         assert!(p.src.0 < self.routers.len(), "packet source out of range");
         assert!(
@@ -832,11 +842,6 @@ impl Network {
             "packet vnet {} out of {} vnets",
             p.vnet,
             self.params.vnets
-        );
-        assert!(
-            u32::try_from(p.dst.0).is_ok(),
-            "packet destination {} does not fit 32 bits",
-            p.dst
         );
         assert!(
             (1..=MAX_PACKET_FLITS).contains(&p.len),
@@ -856,7 +861,9 @@ impl Network {
         let vnet = usize::from(p.vnet);
         let node = p.src.0;
         let was_idle = self.nis[node].is_idle();
-        self.nis[node].source[vnet].push_back(Queued::pack(&p));
+        self.source
+            .push_back(node * self.params.vnets + vnet, Queued::pack(&p));
+        self.nis[node].queued += 1;
         self.active.queued_packets += 1;
         if was_idle {
             self.active.busy_nis += 1;
@@ -982,6 +989,11 @@ impl Network {
                     let id = pid * self.params.vcs_per_port + vc;
                     let occ = self.store.occupancy(id);
                     assert!(
+                        self.store.has_slots(node)
+                            || (occ == 0 && self.store.phase[id] == VcPhase::Idle),
+                        "router {node} holds no flit slots but input VC {id} is not idle and empty"
+                    );
+                    assert!(
                         occ <= self.params.buffer_depth,
                         "input VC {id} holds {occ} flits, past buffer_depth {}",
                         self.params.buffer_depth
@@ -1056,11 +1068,16 @@ impl Network {
             );
             let ni_busy = !self.nis[node].is_idle();
             assert!(!ni_busy || a.ni.contains(node), "ni set missing {node}");
+            let vnets = self.params.vnets;
+            let q: usize = (node * vnets..(node + 1) * vnets)
+                .map(|queue| self.source.len(queue))
+                .sum();
+            assert_eq!(self.nis[node].queued as usize, q, "queued at NI {node}");
             links += l;
             credits += c;
             buffered += b;
             busy += usize::from(ni_busy);
-            queued += self.nis[node].queued();
+            queued += q;
         }
         assert_eq!(a.total_links, links, "total_links");
         assert_eq!(a.total_credits, credits, "total_credits");
@@ -1924,10 +1941,11 @@ impl Network {
         if ni.injecting.is_none() {
             // Pick the next packet round-robin over vnet queues, then a
             // free VC within that packet's vnet partition.
-            let vnets = ni.source.len();
+            let vnets = self.params.vnets;
             'pick: for k in 0..vnets {
                 let vq = (ni.vnet_rr + k) % vnets;
-                let Some(pkt) = ni.source[vq].front().map(|q| q.unpack(node, vq)) else {
+                let queue = node * vnets + vq;
+                let Some(pkt) = self.source.front(queue).map(|q| q.unpack(node, vq)) else {
                     continue;
                 };
                 let range = self.params.vnet_vcs(pkt.vnet);
@@ -1939,7 +1957,8 @@ impl Network {
                         ni.vnet_rr = (vq + 1) % vnets;
                         ni.inject_vc = v;
                         ni.injecting = Some((pkt, 0, now));
-                        ni.source[vq].pop_front();
+                        ni.queued -= 1;
+                        self.source.pop_front(queue);
                         self.active.queued_packets -= 1;
                         break 'pick;
                     }
@@ -2614,7 +2633,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside 1..=65536 flits")]
+    #[should_panic(expected = "outside 1..=127 flits")]
     fn oversized_packet_length_is_rejected() {
         net().enqueue_packet(packet(1, 0, 15, MAX_PACKET_FLITS + 1, 0));
     }

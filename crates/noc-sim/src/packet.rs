@@ -66,8 +66,10 @@ pub struct Flit {
 
 const _: () = assert!(std::mem::size_of::<Flit>() == 28);
 
-/// Largest packet, in flits, that a flit's 16-bit `seq` can index.
-pub const MAX_PACKET_FLITS: u32 = 1 << 16;
+/// Largest packet, in flits: a source-queue entry keeps the length in 7
+/// bits. [`crate::traffic::TrafficGen::new`] refuses longer packets and
+/// [`crate::network::Network::enqueue_packet`] panics on them.
+pub const MAX_PACKET_FLITS: u32 = 127;
 
 /// Marks a flit of a measured packet in [`Flit`]'s flag byte.
 const MEASURED_BIT: u8 = 1 << 2;

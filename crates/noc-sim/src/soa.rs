@@ -38,14 +38,18 @@
 //!
 //! # Flit rings
 //!
-//! Input VC `id` owns the slots `flits[id * D..(id + 1) * D]` with
-//! `D = buffer_depth`, used as a ring: `ring_head[id]` is the slot of the
-//! front flit and `ring_len[id]` the number buffered. Credit flow control
-//! never lets a VC hold more than `D` flits (the upstream router or NI
-//! spends one of `D` credits per flit it sends, and gets it back only when
-//! the flit leaves), so the ring never overflows; `VcStore::push_flit`
-//! asserts it and `Network::validate_active_sets` re-checks it. The paper
-//! configuration's 4 slots of 28-byte flits cost 112 bytes per VC.
+//! Each router's flit slots are one block of `P * V * D` flits with
+//! `D = buffer_depth`, allocated when the router's first flit is written
+//! (`VcStore::push_flit`): a router that never carries a flit (a dark
+//! router, or a powered one off every route) holds no slots, and its VCs
+//! read empty. Input VC `id` owns `D` consecutive slots of its router's
+//! block, used as a ring: `ring_head[id]` is the slot of the front flit and
+//! `ring_len[id]` the number buffered. Credit flow control never lets a VC
+//! hold more than `D` flits (the upstream router or NI spends one of `D`
+//! credits per flit it sends, and gets it back only when the flit leaves),
+//! so the ring never overflows; `VcStore::push_flit` asserts it and
+//! `Network::validate_active_sets` re-checks it. The paper configuration's
+//! 4 slots of 28-byte flits cost 112 bytes per VC, 2,240 per router.
 
 use crate::geometry::Port;
 use crate::packet::Flit;
@@ -82,6 +86,8 @@ pub struct VcStore {
     vcs: usize,
     /// Flit slots per input VC (`D`, the router's `buffer_depth`).
     depth: usize,
+    /// Input VCs per router (`P * V`).
+    router_vcs: usize,
     // ---- input side, indexed by vc_id ----
     pub(crate) phase: Vec<VcPhase>,
     /// Output port requested/held ([`Port::index`]); valid in `Routed`/`Active`.
@@ -94,9 +100,10 @@ pub struct VcStore {
     pub(crate) head_is_head: Vec<bool>,
     /// Mirror of the front flit's vnet; valid while non-empty.
     pub(crate) head_vnet: Vec<u8>,
-    /// Flit payload rings, `depth` slots per input VC, kept apart from the
-    /// scalars the allocators scan.
-    flits: Vec<Flit>,
+    /// Flit payload rings per router, `depth` slots per input VC, kept
+    /// apart from the scalars the allocators scan; `None` until the
+    /// router's first flit is written.
+    flits: Vec<Option<Box<[Flit]>>>,
     /// Ring slot of each input VC's front flit.
     ring_head: Vec<u8>,
     /// Flits buffered per input VC, at most `depth`.
@@ -158,13 +165,14 @@ impl VcStore {
         VcStore {
             vcs,
             depth,
+            router_vcs: Port::COUNT * vcs,
             phase: vec![VcPhase::Idle; ids],
             route_port: vec![0; ids],
             route_vc: vec![0; ids],
             head_arrived: vec![0; ids],
             head_is_head: vec![false; ids],
             head_vnet: vec![0; ids],
-            flits: vec![Flit::VACANT; ids * depth],
+            flits: vec![None; nodes],
             ring_head: vec![0; ids],
             ring_len: vec![0; ids],
             occ_mask: vec![0; ports],
@@ -277,16 +285,31 @@ impl VcStore {
         }
     }
 
-    /// Index in `flits` of ring slot `slot` of input VC `id`.
+    /// Router of input VC `id` and the index in that router's block of
+    /// ring slot `slot`. The one division is by `V`, which the occupancy
+    /// mask's port id shares; the division by `P` is by a constant.
     #[inline]
-    fn slot(&self, id: usize, slot: usize) -> usize {
-        id * self.depth + slot
+    fn slot(&self, id: usize, slot: usize) -> (usize, usize) {
+        let node = id / self.vcs / Port::COUNT;
+        (node, (id - node * self.router_vcs) * self.depth + slot)
+    }
+
+    /// Whether `node`'s flit slots are allocated, which happens at its
+    /// first flit.
+    #[inline]
+    pub fn has_slots(&self, node: usize) -> bool {
+        self.flits[node].is_some()
     }
 
     /// Front flit of an input VC's ring.
     #[inline]
     pub fn front(&self, id: usize) -> Option<&Flit> {
-        (self.ring_len[id] > 0).then(|| &self.flits[self.slot(id, usize::from(self.ring_head[id]))])
+        if self.ring_len[id] == 0 {
+            return None;
+        }
+        let (node, at) = self.slot(id, usize::from(self.ring_head[id]));
+        let slots = self.flits[node].as_deref();
+        Some(&slots.expect("a non-empty VC's router has slots")[at])
     }
 
     /// Buffered flits in an input VC.
@@ -312,12 +335,14 @@ impl VcStore {
         if slot >= self.depth {
             slot -= self.depth;
         }
-        let at = self.slot(id, slot);
-        self.flits[at] = flit;
+        let (node, at) = self.slot(id, slot);
+        let block = self.router_vcs * self.depth;
+        let slots = self.flits[node].get_or_insert_with(|| vec![Flit::VACANT; block].into());
+        slots[at] = flit;
         self.ring_len[id] = (len + 1) as u8;
         if len == 0 {
             self.occ_mask[id / self.vcs] |= 1u64 << (id % self.vcs);
-            self.refresh_head(id);
+            self.mirror_head(id, &flit);
         }
     }
 
@@ -329,24 +354,23 @@ impl VcStore {
             return None;
         }
         let head = usize::from(self.ring_head[id]);
-        let flit = self.flits[self.slot(id, head)];
-        self.ring_head[id] = if head + 1 == self.depth {
-            0
-        } else {
-            head as u8 + 1
-        };
+        let next = if head + 1 == self.depth { 0 } else { head + 1 };
+        let (node, at) = self.slot(id, head);
+        let slots = self.flits[node].as_deref();
+        let slots = slots.expect("a non-empty VC's router has slots");
+        let (flit, following) = (slots[at], slots[at - head + next]);
+        self.ring_head[id] = next as u8;
         self.ring_len[id] = len - 1;
         if len == 1 {
             self.occ_mask[id / self.vcs] &= !(1u64 << (id % self.vcs));
         } else {
-            self.refresh_head(id);
+            self.mirror_head(id, &following);
         }
         Some(flit)
     }
 
-    /// Re-derives the head mirrors from the ring front.
-    fn refresh_head(&mut self, id: usize) {
-        let f = *self.front(id).expect("refresh_head on an empty VC");
+    /// Copies the front flit `f` of an input VC into its head mirrors.
+    fn mirror_head(&mut self, id: usize, f: &Flit) {
         self.head_arrived[id] = f.arrived() as u32;
         self.head_is_head[id] = f.kind().is_head();
         self.head_vnet[id] = f.vnet();
@@ -476,6 +500,39 @@ mod tests {
         assert_eq!(s.pop_flit(id).unwrap().seq(), 1);
         assert_eq!(s.occ_mask[id / 4], 0);
         assert!(s.pop_flit(id).is_none());
+    }
+
+    #[test]
+    fn a_router_holds_slots_from_its_first_flit() {
+        let mut s = store();
+        for node in 0..4 {
+            assert!(!s.has_slots(node));
+        }
+        let pkt = Packet {
+            id: PacketId(1),
+            src: NodeId(0),
+            dst: NodeId(3),
+            len: 1,
+            created: 0,
+            measured: false,
+            vnet: 0,
+        };
+        let id = s.vc_id(2, 1, 3);
+        s.push_flit(id, pkt.flit(0, 0));
+        assert!(s.has_slots(2));
+        assert_eq!(s.pop_flit(id).unwrap().seq(), 0);
+        assert!(s.has_slots(2), "slots stay once allocated");
+        for node in [0, 1, 3] {
+            assert!(!s.has_slots(node), "router {node} was never written");
+            for port in 0..Port::COUNT {
+                for vc in 0..4 {
+                    let id = s.vc_id(node, port, vc);
+                    assert!(s.front(id).is_none());
+                    assert_eq!(s.occupancy(id), 0);
+                    assert!(s.pop_flit(id).is_none());
+                }
+            }
+        }
     }
 
     #[test]

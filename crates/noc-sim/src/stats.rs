@@ -18,12 +18,14 @@ use std::collections::BTreeMap;
 /// Stores one count per distinct value, ascending, plus the observation
 /// count and the `u64` sum, so every answer is exact and the same as over
 /// the full list of observations. Values are keyed in 32 bits, which holds
-/// any latency of a run whose cycles fit a flit's 32-bit stamps.
+/// any latency of a run whose cycles fit a flit's 32-bit stamps, and each
+/// value is counted in 32 bits, which holds every packet of a run whose
+/// packet ids fit them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySample {
     /// Observations per distinct value. Two samples are equal when they hold
     /// the same population, whatever the insertion order.
-    counts: BTreeMap<u32, u64>,
+    counts: BTreeMap<u32, u32>,
     /// Number of observations (the sum of `counts`).
     total: u64,
     /// Sum of the observations.
@@ -41,11 +43,15 @@ impl LatencySample {
     /// # Panics
     ///
     /// Panics if `cycles` passes `u32::MAX`, which no run that
-    /// [`crate::sim::SimConfig::validate`] accepts can measure.
+    /// [`crate::sim::SimConfig::validate`] accepts can measure, or if one
+    /// value is observed more than `u32::MAX` times.
     pub fn record(&mut self, cycles: u64) {
         let key = u32::try_from(cycles)
             .unwrap_or_else(|_| panic!("latency {cycles} does not fit 32 bits"));
-        *self.counts.entry(key).or_insert(0) += 1;
+        let count = self.counts.entry(key).or_insert(0);
+        *count = count
+            .checked_add(1)
+            .unwrap_or_else(|| panic!("latency {cycles} observed more than 2^32 - 1 times"));
         self.total += 1;
         self.sum += cycles;
     }
@@ -83,7 +89,7 @@ impl LatencySample {
         let rank = ((q * (self.total as f64 - 1.0)).round() as u64).min(self.total - 1);
         let mut seen = 0u64;
         for (&v, &c) in &self.counts {
-            seen += c;
+            seen += u64::from(c);
             if seen > rank {
                 return Some(u64::from(v));
             }
@@ -115,7 +121,7 @@ impl LatencySample {
     pub fn to_streaming(&self) -> StreamingHistogram {
         let mut h = StreamingHistogram::new();
         for (&v, &c) in &self.counts {
-            h.record_n(u64::from(v), c);
+            h.record_n(u64::from(v), u64::from(c));
         }
         h
     }

@@ -8,7 +8,7 @@
 //! comparisons free of generator randomness.
 
 use crate::geometry::NodeId;
-use crate::packet::{Packet, PacketId};
+use crate::packet::{Packet, PacketId, MAX_PACKET_FLITS};
 use crate::traffic::TrafficGen;
 
 /// One recorded packet: generation cycle plus addressing.
@@ -56,9 +56,14 @@ impl PacketTrace {
     ///
     /// # Panics
     ///
-    /// Panics if entries are pushed out of cycle order or with zero length.
+    /// Panics if entries are pushed out of cycle order, or with a length
+    /// outside `1..=`[`MAX_PACKET_FLITS`].
     pub fn push(&mut self, entry: TraceEntry) {
-        assert!(entry.len > 0, "zero-length packet in trace");
+        assert!(
+            (1..=MAX_PACKET_FLITS).contains(&entry.len),
+            "packet length {} in trace outside 1..={MAX_PACKET_FLITS} flits",
+            entry.len
+        );
         if let Some(last) = self.entries.last() {
             assert!(last.cycle <= entry.cycle, "trace entries out of order");
         }
@@ -139,11 +144,18 @@ impl PacketTrace {
             let parse = |s: &str| -> Result<u64, String> {
                 s.parse().map_err(|e| format!("line {}: {e}", i + 1))
             };
+            let len = parse(fields[3])?;
+            if !(1..=u64::from(MAX_PACKET_FLITS)).contains(&len) {
+                return Err(format!(
+                    "line {}: packet length {len} outside 1..={MAX_PACKET_FLITS} flits",
+                    i + 1
+                ));
+            }
             trace.push(TraceEntry {
                 cycle: parse(fields[0])?,
                 src: NodeId(parse(fields[1])? as usize),
                 dst: NodeId(parse(fields[2])? as usize),
-                len: parse(fields[3])? as u32,
+                len: len as u32,
             });
         }
         Ok(trace)

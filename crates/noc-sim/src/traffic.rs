@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::SimError;
 use crate::geometry::NodeId;
-use crate::packet::{Packet, PacketId};
+use crate::packet::{Packet, PacketId, MAX_PACKET_FLITS};
 use crate::topology::{topo_nodes, Topology};
 
 /// Destination selection rule over a logical node space of size `k`.
@@ -282,8 +282,9 @@ impl TrafficGen {
     ///
     /// # Errors
     ///
-    /// Fails if the pattern is incompatible with the placement size or the
-    /// rate is outside `(0, packet capacity]`.
+    /// Fails if the pattern is incompatible with the placement size, the
+    /// rate is outside `(0, packet capacity]`, or `packet_len` is outside
+    /// `1..=`[`MAX_PACKET_FLITS`].
     pub fn new(
         pattern: TrafficPattern,
         placement: Placement,
@@ -294,6 +295,11 @@ impl TrafficGen {
         pattern.validate(placement.len())?;
         if packet_len == 0 {
             return Err(SimError::InvalidConfig("packet_len must be > 0".into()));
+        }
+        if packet_len > MAX_PACKET_FLITS {
+            return Err(SimError::InvalidConfig(format!(
+                "packet_len {packet_len} past {MAX_PACKET_FLITS} flits"
+            )));
         }
         if injection_rate <= 0.0 || injection_rate > 1.0 || injection_rate.is_nan() {
             return Err(SimError::InvalidConfig(format!(

@@ -18,6 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use noc_sim::geometry::NodeId;
 use noc_sim::network::{Ejection, Network};
 use noc_sim::packet::Flit;
 use noc_sim::probe::Probe;
@@ -27,6 +28,8 @@ use noc_sim::sim::{SimConfig, Simulation};
 use noc_sim::stats::LatencySample;
 use noc_sim::topology::{Mesh2D, TopologySpec};
 use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
+use noc_sprinting::config::SystemConfig;
+use noc_sprinting::controller::SprintController;
 use noc_sprinting::experiment::NetworkMetrics;
 use noc_sprinting::runner::{SyntheticBaseline, SyntheticJob};
 use noc_sprinting::service::{DiskResultCache, ServiceRequest, SubmitRequest};
@@ -115,29 +118,52 @@ fn point(topology: TopologySpec, level: usize, rate: f64) -> SyntheticJob {
     }
 }
 
+/// The paper experiment on a `side` x `side` mesh with the short
+/// simulation phases, as `scale_study --mesh side --quick` runs it.
+fn big_mesh_quick(side: u16) -> Experiment {
+    let mut e = Experiment::quick();
+    e.system = SystemConfig {
+        core_count: u32::from(side) * u32::from(side),
+        mesh_width: side,
+        mesh_height: side,
+        ..SystemConfig::paper()
+    };
+    e.controller = SprintController::new(e.system.mesh(), NodeId(0));
+    e
+}
+
 /// The end-to-end sweeps' heaviest points each peak below their bound of
 /// live heap, about 15% above the measured peak:
 /// - the fully lit 64-node circulant near its knee (the cold sweep's
-///   largest delivered-packet count), measured 290 KiB;
+///   largest delivered-packet count), measured 287 KiB;
 /// - the saturated 4x4 mesh (the cold sweep's longest source queues),
-///   measured 343 KiB;
+///   measured 223 KiB;
 /// - the 64-node circulant at level 16 past its knee (the fleet's heaviest
-///   point), measured 678 KiB.
+///   point), measured 382 KiB;
+/// - a level-16 sprint on a 32x32 mesh, measured 1,309 KiB: only the 16
+///   routers that carry flits hold flit slots (2,240 bytes each), where
+///   slots for all 1,024 routers would add 2.2 MiB.
 #[test]
 fn heaviest_points_stay_under_the_heap_bound() {
     let _guard = MEASURE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let experiment = Experiment::paper();
+    let paper = Experiment::paper();
+    let big = big_mesh_quick(32);
     let circulant = TopologySpec::Circulant { n: 64, skip: 9 };
+    let mesh32 = TopologySpec::Mesh {
+        width: 32,
+        height: 32,
+    };
     let bounds = [
-        (point(circulant, 64, 0.16), 335),
-        (point(TopologySpec::default(), 8, 0.95), 395),
-        (point(circulant, 16, 0.25), 780),
+        (&paper, point(circulant, 64, 0.16), 330),
+        (&paper, point(TopologySpec::default(), 8, 0.95), 257),
+        (&paper, point(circulant, 16, 0.25), 440),
+        (&big, point(mesh32, 16, 0.15), 1_505),
     ];
-    for (job, bound_kib) in bounds {
+    for (experiment, job, bound_kib) in bounds {
         let peak = peak_heap(|| {
-            job.run(&experiment).expect("point runs");
+            job.run(experiment).expect("point runs");
         });
         assert!(
             peak <= bound_kib * KIB,

@@ -392,6 +392,41 @@ fn unknown_values_are_checked_like_the_rest() {
     assert!(err.contains("\"id\""), "{err}");
 }
 
+/// Numbers follow RFC 8259: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]?
+/// [0-9]+)?`, in the parser and in every decoder alike.
+#[test]
+fn numbers_follow_the_json_grammar() {
+    let ping = |x: &str| format!(r#"{{"type":"ping","x":{x}}}"#);
+    for bad in [
+        "01", "-01", "00", "1.", "-.5", ".5", "1.e3", "1e", "1e+", "-", "+1", "0x1",
+    ] {
+        let line = ping(bad);
+        assert!(JsonValue::parse(&line).is_err(), "{line}");
+        assert!(ServiceRequest::from_json_line(&line).is_err(), "{line}");
+    }
+    for (good, value) in [
+        ("0", 0.0),
+        ("-0", -0.0),
+        ("0.5", 0.5),
+        ("1e5", 1e5),
+        ("1E+5", 1e5),
+        ("-1.25e-3", -1.25e-3),
+    ] {
+        let line = ping(good);
+        assert_eq!(
+            ServiceRequest::from_json_line(&line),
+            Ok(ServiceRequest::Ping),
+            "{line}"
+        );
+        let parsed = JsonValue::parse(&line).expect(good);
+        assert_eq!(
+            parsed.get("x").and_then(JsonValue::as_f64),
+            Some(value),
+            "{line}"
+        );
+    }
+}
+
 fn text() -> impl Strategy<Value = String> {
     prop::collection::vec(0u32..0x300, 0..12)
         .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
