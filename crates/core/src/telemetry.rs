@@ -681,9 +681,11 @@ impl<'a> JsonCursor<'a> {
         }
         let text = &self.src[start..self.i];
         if !valid {
+            let next = self
+                .peek()
+                .map_or_else(|| "the end".to_string(), |c| format!("{:?}", c as char));
             return Err(SyntaxError(format!(
-                "bad number {text:?} then {:?} at byte {start}",
-                self.peek().map(|c| c as char)
+                "bad number {text:?} followed by {next} at byte {start}"
             )));
         }
         text.parse::<f64>()

@@ -21,7 +21,7 @@
 /// Entries per block: a shallow queue costs no more than the smallest
 /// `VecDeque` allocation, and the one link per block is cheap next to a
 /// deep queue's entries.
-pub const BLOCK: usize = 4;
+const BLOCK: usize = 4;
 
 /// Blocks per pool slab.
 const SLAB: usize = 64;
@@ -30,7 +30,8 @@ const SLAB: usize = 64;
 const NIL: u32 = u32::MAX;
 
 /// One block: its entries and the block after it in its queue, or in the
-/// pool's free list.
+/// pool's free list. A tail block's link is stale until the next block is
+/// linked, and nothing reads it before then.
 #[derive(Debug, Clone, Copy)]
 struct Block<T> {
     items: [T; BLOCK],
@@ -102,11 +103,9 @@ impl<T: Copy + Default> BlockFifos<T> {
         if self.free != NIL {
             let b = self.free;
             self.free = self.block(b).next;
-            self.block_mut(b).next = NIL;
             return b;
         }
         let b = self.carved;
-        assert!(b != NIL, "block pool exhausted");
         if (b as usize).is_multiple_of(SLAB) {
             let fresh = Block {
                 items: [T::default(); BLOCK],
@@ -181,7 +180,7 @@ impl<T: Copy + Default> BlockFifos<T> {
         Some(item)
     }
 
-    /// Blocks queue `q` holds: `ceil((front + len) / BLOCK)`.
+    /// Blocks on queue `q`'s chain, counted by walking it.
     #[cfg(test)]
     fn blocks_held(&self, q: usize) -> usize {
         let mut n = 0;

@@ -86,8 +86,6 @@ pub struct VcStore {
     vcs: usize,
     /// Flit slots per input VC (`D`, the router's `buffer_depth`).
     depth: usize,
-    /// Input VCs per router (`P * V`).
-    router_vcs: usize,
     // ---- input side, indexed by vc_id ----
     pub(crate) phase: Vec<VcPhase>,
     /// Output port requested/held ([`Port::index`]); valid in `Routed`/`Active`.
@@ -165,7 +163,6 @@ impl VcStore {
         VcStore {
             vcs,
             depth,
-            router_vcs: Port::COUNT * vcs,
             phase: vec![VcPhase::Idle; ids],
             route_port: vec![0; ids],
             route_vc: vec![0; ids],
@@ -291,13 +288,16 @@ impl VcStore {
     #[inline]
     fn slot(&self, id: usize, slot: usize) -> (usize, usize) {
         let node = id / self.vcs / Port::COUNT;
-        (node, (id - node * self.router_vcs) * self.depth + slot)
+        (
+            node,
+            (id - node * Port::COUNT * self.vcs) * self.depth + slot,
+        )
     }
 
     /// Whether `node`'s flit slots are allocated, which happens at its
     /// first flit.
     #[inline]
-    pub fn has_slots(&self, node: usize) -> bool {
+    pub(crate) fn has_slots(&self, node: usize) -> bool {
         self.flits[node].is_some()
     }
 
@@ -336,7 +336,7 @@ impl VcStore {
             slot -= self.depth;
         }
         let (node, at) = self.slot(id, slot);
-        let block = self.router_vcs * self.depth;
+        let block = Port::COUNT * self.vcs * self.depth;
         let slots = self.flits[node].get_or_insert_with(|| vec![Flit::VACANT; block].into());
         slots[at] = flit;
         self.ring_len[id] = (len + 1) as u8;
@@ -356,8 +356,9 @@ impl VcStore {
         let head = usize::from(self.ring_head[id]);
         let next = if head + 1 == self.depth { 0 } else { head + 1 };
         let (node, at) = self.slot(id, head);
-        let slots = self.flits[node].as_deref();
-        let slots = slots.expect("a non-empty VC's router has slots");
+        let slots = self.flits[node]
+            .as_deref()
+            .expect("a non-empty VC's router has slots");
         let (flit, following) = (slots[at], slots[at - head + next]);
         self.ring_head[id] = next as u8;
         self.ring_len[id] = len - 1;
