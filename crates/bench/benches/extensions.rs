@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the extension subsystems: reactive gating,
-//! closed-loop protocol traffic, trace replay, and the sprint runtime.
+//! closed-loop protocol traffic and the sprint runtime.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noc_sim::closed_loop::ClosedLoopSim;
@@ -7,7 +7,6 @@ use noc_sim::network::{GatingMode, Network};
 use noc_sim::router::RouterParams;
 use noc_sim::routing::XyRouting;
 use noc_sim::topology::Mesh2D;
-use noc_sim::trace::PacketTrace;
 use noc_sim::traffic::{Placement, TrafficGen, TrafficPattern};
 use noc_sprinting::controller::SprintPolicy;
 use noc_sprinting::experiment::Experiment;
@@ -57,29 +56,6 @@ fn bench_llc_closed_loop(c: &mut Criterion) {
     });
 }
 
-fn bench_trace_capture_replay(c: &mut Criterion) {
-    let mesh = Mesh2D::paper_4x4();
-    let mut gen = TrafficGen::new(
-        TrafficPattern::UniformRandom,
-        Placement::full(&mesh),
-        0.3,
-        5,
-        5,
-    )
-    .unwrap();
-    let trace = PacketTrace::capture(&mut gen, 5_000);
-    c.bench_function("trace_replay_5k_cycles", |b| {
-        b.iter(|| {
-            let mut replay = trace.replayer();
-            let mut n = 0usize;
-            for c in 0..5_000u64 {
-                n += replay.generate(c, false).len();
-            }
-            n
-        })
-    });
-}
-
 fn bench_sprint_runtime_job(c: &mut Criterion) {
     let dedup = by_name("dedup").unwrap();
     c.bench_function("sprint_runtime_one_job", |b| {
@@ -98,6 +74,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
     targets = bench_reactive_gating_step, bench_llc_closed_loop,
-        bench_trace_capture_replay, bench_sprint_runtime_job
+        bench_sprint_runtime_job
 }
 criterion_main!(benches);

@@ -46,14 +46,9 @@ pub fn workers_from_env() -> Option<usize> {
     }
 }
 
-/// The fallible form of [`workers_from_env`], for callers that want to
-/// report the usage error themselves.
-///
-/// # Errors
-///
-/// A set-but-invalid `NOC_BENCH_WORKERS` value (not a positive integer),
-/// named in the message.
-pub fn try_workers_from_env() -> Result<Option<usize>, String> {
+/// The fallible form of [`workers_from_env`]: a set-but-invalid
+/// `NOC_BENCH_WORKERS` value (not a positive integer) is an error naming it.
+fn try_workers_from_env() -> Result<Option<usize>, String> {
     let Some(value) = std::env::var_os("NOC_BENCH_WORKERS") else {
         return Ok(None);
     };

@@ -1,13 +1,15 @@
 //! Minimal, `std`-only metrics exposition for the service binaries.
 //!
-//! [`serve_metrics`] binds a listener — TCP when the target contains a
+//! [`start_metrics`] binds a listener — TCP when the target contains a
 //! `:` (e.g. `127.0.0.1:9100`), a Unix domain socket otherwise — and
 //! answers every HTTP request on it with the Prometheus text exposition
 //! (version 0.0.4) produced by the caller's `render` closure. The
 //! listener runs on a detached thread so the daemon's serving loop never
-//! waits on a scraper; rendering a snapshot happens per scrape, on the
-//! scraper's connection, and never blocks the engine's hot paths (see
-//! `ARCHITECTURE.md`, "Observability").
+//! waits on a scraper, and answers each scrape on a thread of its own
+//! (at most `MAX_SCRAPES` at once), so a stalled client never delays
+//! another's scrape; rendering a snapshot happens per scrape and never
+//! blocks the engine's hot paths (see `ARCHITECTURE.md`,
+//! "Observability").
 //!
 //! This is deliberately not a web server: one response per connection,
 //! `HTTP/1.0`, `Connection: close` semantics, no routing — exactly what
@@ -15,11 +17,18 @@
 //! HTTP dependency enters the tree.
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How long a scraper may dawdle sending its request head before we
-/// answer anyway. Connections are handled serially, so a wedged client
-/// must not be able to hold the exposition endpoint hostage.
+/// answer anyway, so an idle client holds its scrape slot for at most
+/// this long.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// Most scrapes answered at once, each on its own thread. A connection
+/// accepted while every slot is taken is closed unanswered, so idle
+/// clients cost at most this many threads.
+const MAX_SCRAPES: usize = 8;
 
 /// Serves `render()` as Prometheus text exposition on `target`.
 ///
@@ -29,35 +38,32 @@ const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
 /// errors surface to the caller; the accept loop then runs on a detached
 /// thread for the life of the process. Returns the bound address — for
 /// TCP the *resolved* address, so a `:0` caller learns the port.
-///
-/// # Errors
-///
-/// Bind failure, or a Unix-path target on a non-Unix platform.
-pub fn serve_metrics<F>(target: &str, render: F) -> std::io::Result<String>
+fn serve_metrics<F>(target: &str, render: F) -> std::io::Result<String>
 where
-    F: Fn() -> String + Send + 'static,
+    F: Fn() -> String + Send + Sync + 'static,
 {
     if target.contains(':') {
         let listener = std::net::TcpListener::bind(target)?;
         let bound = listener.local_addr()?.to_string();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { continue };
-                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-                let _ = respond(&mut stream, &render());
-            }
-        });
+        spawn_accept_loop(
+            move || {
+                let (stream, _) = listener.accept()?;
+                stream.set_read_timeout(Some(READ_TIMEOUT))?;
+                Ok(stream)
+            },
+            render,
+        );
         return Ok(bound);
     }
     serve_metrics_unix(target, render)
 }
 
-/// [`serve_metrics`] for a daemon's `--metrics` flag: reports the bound
-/// address, or the failure, on stderr after the daemon's `name`, and
-/// returns whether the endpoint is up.
+/// Serves `render()` on `target` for a daemon's `--metrics` flag: reports
+/// the bound address, or the failure, on stderr after the daemon's `name`,
+/// and returns whether the endpoint is up.
 pub fn start_metrics<F>(name: &str, target: &str, render: F) -> bool
 where
-    F: Fn() -> String + Send + 'static,
+    F: Fn() -> String + Send + Sync + 'static,
 {
     match serve_metrics(target, render) {
         Ok(addr) => eprintln!("{name}: metrics on {addr}"),
@@ -72,7 +78,7 @@ where
 #[cfg(unix)]
 fn serve_metrics_unix<F>(target: &str, render: F) -> std::io::Result<String>
 where
-    F: Fn() -> String + Send + 'static,
+    F: Fn() -> String + Send + Sync + 'static,
 {
     let path = std::path::Path::new(target);
     // A leftover socket file from a dead daemon would fail the bind.
@@ -80,27 +86,65 @@ where
         std::fs::remove_file(path)?;
     }
     let listener = std::os::unix::net::UnixListener::bind(path)?;
-    let bound = target.to_string();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-            let _ = respond(&mut stream, &render());
-        }
-    });
-    Ok(bound)
+    spawn_accept_loop(
+        move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_read_timeout(Some(READ_TIMEOUT))?;
+            Ok(stream)
+        },
+        render,
+    );
+    Ok(target.to_string())
 }
 
 #[cfg(not(unix))]
 fn serve_metrics_unix<F>(target: &str, _render: F) -> std::io::Result<String>
 where
-    F: Fn() -> String + Send + 'static,
+    F: Fn() -> String + Send + Sync + 'static,
 {
     let _ = target;
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
         "Unix-socket metrics targets require a Unix platform; use host:port",
     ))
+}
+
+/// Runs the accept loop on a detached thread: each accepted connection is
+/// answered on a thread of its own while fewer than [`MAX_SCRAPES`] are in
+/// progress, and closed at once otherwise.
+fn spawn_accept_loop<S, F>(
+    mut accept: impl FnMut() -> std::io::Result<S> + Send + 'static,
+    render: F,
+) where
+    S: Read + Write + Send + 'static,
+    F: Fn() -> String + Send + Sync + 'static,
+{
+    let render = Arc::new(render);
+    let busy = Arc::new(AtomicUsize::new(0));
+    std::thread::spawn(move || loop {
+        let Ok(mut stream) = accept() else { continue };
+        if busy.fetch_add(1, Ordering::AcqRel) >= MAX_SCRAPES {
+            busy.fetch_sub(1, Ordering::AcqRel);
+            continue;
+        }
+        let slot = Slot(Arc::clone(&busy));
+        let render = Arc::clone(&render);
+        // A failed spawn drops the closure, and with it the slot and the
+        // connection.
+        let _ = std::thread::Builder::new().spawn(move || {
+            let _slot = slot;
+            let _ = respond(&mut stream, &render());
+        });
+    });
+}
+
+/// One taken scrape slot, given back when dropped.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Drains the request head (bounded, best-effort — a timeout or malformed
@@ -222,6 +266,42 @@ mod tests {
         assert!(head.contains("Content-Length: 9"), "{head}");
         assert_eq!(body, "noc_up 1\n");
         // The listener survives its first connection.
+        assert!(scrape_tcp(&addr).ends_with("noc_up 1\n"));
+    }
+
+    #[test]
+    fn an_idle_client_does_not_delay_another_scrape() {
+        let addr = serve_metrics("127.0.0.1:0", || "noc_up 1\n".to_string()).expect("bind");
+        let _idle = std::net::TcpStream::connect(&addr).expect("connect");
+        let started = std::time::Instant::now();
+        assert!(scrape_tcp(&addr).ends_with("noc_up 1\n"));
+        let waited = started.elapsed();
+        assert!(
+            waited < std::time::Duration::from_secs(1),
+            "scrape took {waited:?}"
+        );
+    }
+
+    #[test]
+    fn idle_clients_past_the_cap_are_closed_and_the_listener_recovers() {
+        let addr = serve_metrics("127.0.0.1:0", || "noc_up 1\n".to_string()).expect("bind");
+        let idle: Vec<_> = (0..32)
+            .map(|_| std::net::TcpStream::connect(&addr).expect("connect"))
+            .collect();
+        let mut answered = 0;
+        for mut stream in idle {
+            stream.set_read_timeout(Some(3 * READ_TIMEOUT)).unwrap();
+            let mut response = Vec::new();
+            stream
+                .read_to_end(&mut response)
+                .expect("answered or closed");
+            answered += usize::from(!response.is_empty());
+        }
+        // Each idle client in a slot is answered once its read times out;
+        // the rest were closed unanswered.
+        assert!((1..=MAX_SCRAPES).contains(&answered), "{answered} answered");
+        // A client sees end of stream only after its slot is given back, so
+        // every slot is free again.
         assert!(scrape_tcp(&addr).ends_with("noc_up 1\n"));
     }
 

@@ -67,7 +67,7 @@ impl CdorRouting {
     /// # Panics
     ///
     /// Panics if the mask is not convex or its length mismatches the mesh.
-    pub fn from_mask(mesh: &Mesh2D, active: &[bool]) -> Self {
+    fn from_mask(mesh: &Mesh2D, active: &[bool]) -> Self {
         assert_eq!(active.len(), mesh.len(), "mask length mismatch");
         assert!(
             is_convex(mesh, active),
@@ -86,11 +86,6 @@ impl CdorRouting {
     /// The `Ce` connectivity bit of a router.
     pub fn ce(&self, node: NodeId) -> bool {
         self.ce[node.0]
-    }
-
-    /// The `Cw` connectivity bit of a router.
-    pub fn cw(&self, node: NodeId) -> bool {
-        self.cw[node.0]
     }
 
     /// Whether a node is in the active region.
@@ -234,9 +229,9 @@ mod tests {
         let set = SprintSet::paper(8);
         let cdor = CdorRouting::new(&set);
         assert!(cdor.ce(NodeId(0)), "0 -> 1 inside region");
-        assert!(!cdor.cw(NodeId(0)), "0 has no western neighbor");
+        assert!(!cdor.cw[0], "0 has no western neighbor");
         assert!(!cdor.ce(NodeId(2)), "3 is dark in the 8-core region");
-        assert!(cdor.cw(NodeId(9)), "9 -> 8 inside region");
+        assert!(cdor.cw[9], "9 -> 8 inside region");
     }
 
     #[test]

@@ -155,194 +155,6 @@ impl Default for SprintController {
     }
 }
 
-/// Retry schedule for failed router wake-ups: exponential backoff starting
-/// at `base_cycles`, giving up after `max_attempts` tries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Cycles waited after the first failed attempt; doubles per retry.
-    pub base_cycles: u64,
-    /// Wake attempts per node before declaring it unwakeable.
-    pub max_attempts: u32,
-}
-
-impl BackoffPolicy {
-    /// Backoff delay after failed attempt `attempt` (0-based):
-    /// `base_cycles << attempt`, saturating.
-    pub fn delay(&self, attempt: u32) -> u64 {
-        self.base_cycles
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-    }
-}
-
-impl Default for BackoffPolicy {
-    /// 8 cycles base, 4 attempts (8 + 16 + 32 cycles of waiting at most).
-    fn default() -> Self {
-        BackoffPolicy {
-            base_cycles: 8,
-            max_attempts: 4,
-        }
-    }
-}
-
-/// Wake-up fault at one router, for [`SprintController::sprint_set_degraded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeupFault {
-    /// The router never wakes, no matter how often it is retried.
-    Permanent,
-    /// The first `n` wake attempts fail; the next succeeds (if the backoff
-    /// policy allows that many attempts).
-    Transient(u32),
-}
-
-/// Per-node wake-up faults injected into a sprint-up transition.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WakeupFaults {
-    faults: std::collections::BTreeMap<usize, WakeupFault>,
-}
-
-impl WakeupFaults {
-    /// No wake-up faults (every node wakes on the first attempt).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Adds a fault at `node` (replacing any previous one).
-    #[must_use]
-    pub fn with(mut self, node: NodeId, fault: WakeupFault) -> Self {
-        self.faults.insert(node.0, fault);
-        self
-    }
-
-    /// The fault at `node`, if any.
-    pub fn get(&self, node: NodeId) -> Option<WakeupFault> {
-        self.faults.get(&node.0).copied()
-    }
-}
-
-/// Why a degraded sprint-up could not produce any usable region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeupError {
-    /// The master node itself is unwakeable; no sprint region exists.
-    MasterFailed,
-}
-
-impl std::fmt::Display for WakeupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WakeupError::MasterFailed => write!(f, "master node failed to wake"),
-        }
-    }
-}
-
-impl std::error::Error for WakeupError {}
-
-/// Outcome of a sprint-up transition under wake-up faults: the largest
-/// achievable convex region plus the cost of getting there.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradedSprint {
-    /// The level originally requested.
-    pub requested_level: usize,
-    /// The region actually achieved (always a convex sprint-order prefix;
-    /// its level is at most `requested_level`).
-    pub set: SprintSet,
-    /// Requested nodes that were given up on, in sprint order: the first
-    /// unwakeable node and everything behind it (the region must stay a
-    /// prefix to remain convex).
-    pub abandoned: Vec<NodeId>,
-    /// Total wake attempts made across all nodes.
-    pub attempts: u64,
-    /// Wake-up transition cost in cycles: the worst per-node backoff wait
-    /// (nodes wake in parallel).
-    pub wake_cycles: u64,
-}
-
-impl DegradedSprint {
-    /// The achieved sprint level.
-    pub fn achieved_level(&self) -> usize {
-        self.set.level()
-    }
-
-    /// Whether the full requested level was reached.
-    pub fn is_full(&self) -> bool {
-        self.achieved_level() == self.requested_level
-    }
-}
-
-impl SprintController {
-    /// Sprint-up with retry-with-backoff under wake-up faults: walks the
-    /// sprint order up to `level`, retrying each node per `backoff`; on the
-    /// first unwakeable node it *degrades* to the largest achievable convex
-    /// region (the sprint-order prefix before that node) instead of
-    /// panicking or powering a broken region.
-    ///
-    /// ```
-    /// use noc_sim::geometry::NodeId;
-    /// use noc_sprinting::controller::{
-    ///     BackoffPolicy, SprintController, WakeupFault, WakeupFaults,
-    /// };
-    ///
-    /// let c = SprintController::paper();
-    /// // Node 4 (sprint position 2) never wakes: a requested level of 8
-    /// // degrades to the level-2 prefix {0, 1}.
-    /// let faults = WakeupFaults::none().with(NodeId(4), WakeupFault::Permanent);
-    /// let d = c.sprint_set_degraded(8, &faults, BackoffPolicy::default()).unwrap();
-    /// assert_eq!(d.achieved_level(), 2);
-    /// assert!(!d.is_full());
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`WakeupError::MasterFailed`] when the master itself cannot wake.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is zero or exceeds the mesh size.
-    pub fn sprint_set_degraded(
-        &self,
-        level: usize,
-        faults: &WakeupFaults,
-        backoff: BackoffPolicy,
-    ) -> Result<DegradedSprint, WakeupError> {
-        assert!(level >= 1, "sprint level must be at least 1");
-        assert!(level <= self.topo.len(), "sprint level exceeds mesh size");
-        let order = crate::sprint_topology::sprint_order(self.topo.as_dyn(), self.master);
-        let mut attempts = 0u64;
-        let mut wake_cycles = 0u64;
-        let mut achieved = 0usize;
-        let mut abandoned = Vec::new();
-        for (pos, &node) in order[..level].iter().enumerate() {
-            // Retry-with-backoff: attempt k failing costs delay(k) cycles
-            // of waiting before attempt k + 1.
-            let needed = match faults.get(node) {
-                None => Some(1),
-                Some(WakeupFault::Transient(n)) if n < backoff.max_attempts => Some(n + 1),
-                Some(WakeupFault::Transient(_)) | Some(WakeupFault::Permanent) => None,
-            };
-            let tried = needed.unwrap_or(backoff.max_attempts);
-            attempts += u64::from(tried);
-            let waited: u64 = (0..tried.saturating_sub(1)).map(|k| backoff.delay(k)).sum();
-            wake_cycles = wake_cycles.max(waited);
-            if needed.is_none() {
-                if pos == 0 {
-                    return Err(WakeupError::MasterFailed);
-                }
-                // The region must stay a sprint-order prefix to remain
-                // convex: give up on this node and everything behind it.
-                abandoned.extend_from_slice(&order[pos..level]);
-                break;
-            }
-            achieved = pos + 1;
-        }
-        Ok(DegradedSprint {
-            requested_level: level,
-            set: SprintSet::on(self.topo.clone(), self.master, achieved),
-            abandoned,
-            attempts,
-            wake_cycles,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,89 +238,5 @@ mod tests {
     #[should_panic(expected = "outside mesh")]
     fn master_out_of_range_rejected() {
         let _ = SprintController::new(Mesh2D::paper_4x4(), NodeId(16));
-    }
-
-    #[test]
-    fn degraded_sprint_without_faults_is_full() {
-        let c = ctl();
-        let d = c
-            .sprint_set_degraded(8, &WakeupFaults::none(), BackoffPolicy::default())
-            .unwrap();
-        assert!(d.is_full());
-        assert_eq!(d.achieved_level(), 8);
-        assert_eq!(d.set, SprintSet::paper(8));
-        assert!(d.abandoned.is_empty());
-        assert_eq!(d.attempts, 8, "one attempt per node");
-        assert_eq!(d.wake_cycles, 0, "no retries, no backoff waits");
-    }
-
-    #[test]
-    fn transient_faults_are_retried_through() {
-        let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
-        // Second node in sprint order fails twice, then wakes.
-        let faults = WakeupFaults::none().with(order[1], WakeupFault::Transient(2));
-        let backoff = BackoffPolicy {
-            base_cycles: 8,
-            max_attempts: 4,
-        };
-        let d = c.sprint_set_degraded(4, &faults, backoff).unwrap();
-        assert!(d.is_full(), "transient fault must not degrade the region");
-        assert_eq!(d.attempts, 3 + 3, "3 attempts there, 1 each elsewhere");
-        // Two failed attempts: waits of 8 then 16 cycles.
-        assert_eq!(d.wake_cycles, 8 + 16);
-    }
-
-    #[test]
-    fn permanent_fault_degrades_to_prefix_region() {
-        let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
-        let faults = WakeupFaults::none().with(order[2], WakeupFault::Permanent);
-        let d = c
-            .sprint_set_degraded(8, &faults, BackoffPolicy::default())
-            .unwrap();
-        assert_eq!(d.achieved_level(), 2, "capped before the dead node");
-        assert_eq!(d.abandoned, order[2..8].to_vec());
-        // The degraded region is still a valid convex sprint set.
-        assert!(crate::convex::is_convex(c.mesh(), d.set.mask()));
-        // Permanent failure burned the full retry budget on that node.
-        assert_eq!(d.attempts, 2 + 4);
-    }
-
-    #[test]
-    fn transient_fault_beyond_retry_budget_degrades() {
-        let c = ctl();
-        let order = crate::sprint_topology::sprint_order(c.mesh(), c.master());
-        let faults = WakeupFaults::none().with(order[1], WakeupFault::Transient(10));
-        let backoff = BackoffPolicy {
-            base_cycles: 4,
-            max_attempts: 3,
-        };
-        let d = c.sprint_set_degraded(4, &faults, backoff).unwrap();
-        assert_eq!(d.achieved_level(), 1, "10 failures > 3-attempt budget");
-        assert_eq!(d.abandoned, order[1..4].to_vec());
-    }
-
-    #[test]
-    fn master_failure_is_an_error() {
-        let c = ctl();
-        let faults = WakeupFaults::none().with(c.master(), WakeupFault::Permanent);
-        assert_eq!(
-            c.sprint_set_degraded(4, &faults, BackoffPolicy::default()),
-            Err(WakeupError::MasterFailed)
-        );
-    }
-
-    #[test]
-    fn backoff_delays_double_and_saturate() {
-        let b = BackoffPolicy {
-            base_cycles: 8,
-            max_attempts: 4,
-        };
-        assert_eq!(b.delay(0), 8);
-        assert_eq!(b.delay(1), 16);
-        assert_eq!(b.delay(2), 32);
-        assert_eq!(b.delay(63), u64::MAX, "shift overflow saturates");
-        assert_eq!(b.delay(100), u64::MAX);
     }
 }

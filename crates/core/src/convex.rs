@@ -18,7 +18,7 @@ use noc_sim::topology::{Mesh2D, Topology};
 use crate::sprint_topology::SprintSet;
 
 /// Whether each row's active cells form one contiguous interval.
-pub fn is_row_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
+fn is_row_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
     assert_eq!(active.len(), mesh.len(), "mask length mismatch");
     for y in 0..mesh.height() {
         let mut runs = 0;
@@ -38,7 +38,7 @@ pub fn is_row_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
 }
 
 /// Whether each column's active cells form one contiguous interval.
-pub fn is_column_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
+fn is_column_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
     assert_eq!(active.len(), mesh.len(), "mask length mismatch");
     for x in 0..mesh.width() {
         let mut runs = 0;
@@ -58,7 +58,7 @@ pub fn is_column_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
 }
 
 /// Whether the active region is 4-connected.
-pub fn is_connected(mesh: &Mesh2D, active: &[bool]) -> bool {
+fn is_connected(mesh: &Mesh2D, active: &[bool]) -> bool {
     assert_eq!(active.len(), mesh.len(), "mask length mismatch");
     let Some(start) = active.iter().position(|&a| a) else {
         return true; // the empty region is trivially connected
@@ -99,7 +99,7 @@ pub fn is_convex(mesh: &Mesh2D, active: &[bool]) -> bool {
 ///
 /// Panics if the mask length mismatches the topology, or the topology is
 /// neither a mesh nor a circulant.
-pub fn region_valid(topo: &dyn Topology, active: &[bool]) -> bool {
+fn region_valid(topo: &dyn Topology, active: &[bool]) -> bool {
     assert_eq!(active.len(), topo.len(), "mask length mismatch");
     if let Some(mesh) = topo.as_mesh() {
         return is_convex(mesh, active);
@@ -116,8 +116,8 @@ pub fn region_valid(topo: &dyn Topology, active: &[bool]) -> bool {
     internal == lit - 1
 }
 
-/// Convenience wrapper for sprint sets: dispatches to the topology's region
-/// rule via [`region_valid`].
+/// Whether a sprint set's region is valid for its topology: convex on a
+/// mesh, one contiguous arc on a circulant.
 pub fn sprint_set_is_convex(set: &SprintSet) -> bool {
     region_valid(set.topo().as_dyn(), set.mask())
 }

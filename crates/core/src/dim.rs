@@ -71,7 +71,7 @@ impl DimModel {
     /// Core power (W) of one core at a reduced operating point: dynamic
     /// scales as `V² f`, leakage linearly with `V`; the nominal split is
     /// taken as 70% dynamic / 30% leakage at (Vnom, fnom).
-    pub fn core_power_at(&self, op: &OperatingPoint) -> f64 {
+    fn core_power_at(&self, op: &OperatingPoint) -> f64 {
         let p_nom = self.chip.core_power(CoreState::Active);
         let dyn_frac = 0.7;
         let dynamic = p_nom * dyn_frac * op.dynamic_scale(&self.tech, self.fnom_ghz);

@@ -406,7 +406,7 @@ impl Experiment {
     /// Prices a reactive-gating outcome: dynamic power from activity,
     /// per-router static power scaled by awake fraction, plus wakeup
     /// energy; link leakage stays (wires are not parked).
-    pub fn network_power_reactive(&self, outcome: &SimOutcome) -> f64 {
+    fn network_power_reactive(&self, outcome: &SimOutcome) -> f64 {
         let cycles = outcome.stats.measure_cycles.max(1);
         let window_s = cycles as f64 * self.op.cycle_seconds();
         let p = self
@@ -432,7 +432,7 @@ impl Experiment {
 
     /// Prices a simulation outcome: dynamic power from activity counters,
     /// leakage for every *powered* router and link.
-    pub fn network_power_of(
+    fn network_power_of(
         &self,
         outcome: &SimOutcome,
         powered_routers: usize,

@@ -145,11 +145,6 @@ impl<T> FleetReorder<T> {
         released
     }
 
-    /// The next index the buffer is waiting to release.
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
     /// Whether every index in `0..total` has been released.
     pub fn is_complete(&self) -> bool {
         self.next == self.total && self.pending.is_empty()
@@ -246,7 +241,7 @@ mod tests {
         let mut buf: FleetReorder<&str> = FleetReorder::new(4);
         assert!(buf.push(2, "c").is_empty());
         assert!(buf.push(1, "b").is_empty());
-        assert_eq!(buf.next_index(), 0);
+        assert_eq!(buf.next, 0);
         assert_eq!(buf.push(0, "a"), vec![(0, "a"), (1, "b"), (2, "c")]);
         assert!(!buf.is_complete());
         assert_eq!(buf.push(3, "d"), vec![(3, "d")]);

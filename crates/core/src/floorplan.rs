@@ -126,7 +126,7 @@ impl Floorplan {
     /// Physical length (in tile pitches) of the link between two logically
     /// adjacent nodes — after floorplanning, logical neighbors may sit far
     /// apart and need long repeated wires (Fig. 5b / SMART-style links).
-    pub fn link_length(&self, a: NodeId, b: NodeId) -> f64 {
+    fn link_length(&self, a: NodeId, b: NodeId) -> f64 {
         let ca = self.slot_coord(self.pos[a.0]);
         let cb = self.slot_coord(self.pos[b.0]);
         let dx = ca.0 - cb.0;

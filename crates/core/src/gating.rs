@@ -6,7 +6,6 @@
 //! idle periods equal to the sprint duration, far beyond any break-even
 //! time, with no reactive wakeups.
 
-use noc_power::gating::GatingParams;
 use noc_sim::geometry::NodeId;
 
 use crate::sprint_topology::SprintSet;
@@ -72,7 +71,7 @@ impl GatingPlan {
     }
 
     /// Number of gated directed links.
-    pub fn links_gated(&self) -> usize {
+    fn links_gated(&self) -> usize {
         self.total_links - self.links_on.len()
     }
 
@@ -81,13 +80,6 @@ impl GatingPlan {
         let gated = self.routers_gated() + self.links_gated();
         let total = self.total_routers + self.total_links;
         gated as f64 / total as f64
-    }
-
-    /// Net energy saved over a sprint of `sprint_cycles`, pricing every
-    /// gated router with `params` (J). Structural gating pays the wakeup
-    /// cost exactly once per sprint.
-    pub fn energy_saved(&self, params: &GatingParams, sprint_cycles: u64) -> f64 {
-        self.routers_gated() as f64 * params.net_energy_saved(sprint_cycles)
     }
 }
 
@@ -131,15 +123,6 @@ mod tests {
             assert!(f < last, "level {level}: {f}");
             last = f;
         }
-    }
-
-    #[test]
-    fn sprint_scoped_gating_saves_energy() {
-        // A 1-second sprint at 2 GHz with 12 gated routers.
-        let p = GatingPlan::from_sprint_set(&SprintSet::paper(4));
-        let saved = p.energy_saved(&GatingParams::paper_router(), 2_000_000_000);
-        // ~12 routers x 4 mW x 1 s ~ 48 mJ.
-        assert!((0.02..0.1).contains(&saved), "saved {saved} J");
     }
 
     #[test]

@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bypass;
 pub mod cdor;
 pub mod config;
 pub mod controller;
@@ -87,13 +86,9 @@ pub mod sprint_topology;
 pub mod telemetry;
 pub mod wire;
 
-pub use bypass::BypassModel;
 pub use cdor::CdorRouting;
 pub use config::SystemConfig;
-pub use controller::{
-    BackoffPolicy, DegradedSprint, SprintController, SprintPolicy, WakeupError, WakeupFault,
-    WakeupFaults,
-};
+pub use controller::{SprintController, SprintPolicy};
 pub use convex::is_convex;
 pub use dim::{DimModel, DimOperation};
 pub use experiment::{Experiment, NetworkMetrics, ThermalVariant};

@@ -209,7 +209,7 @@ impl MetricsRegistry {
 
 impl HistogramSnapshot {
     /// Copies the live histogram's state.
-    pub fn from_histogram(h: &StreamingHistogram) -> HistogramSnapshot {
+    fn from_histogram(h: &StreamingHistogram) -> HistogramSnapshot {
         HistogramSnapshot {
             count: h.count(),
             sum: h.sum(),
@@ -289,7 +289,7 @@ impl MetricsSnapshot {
     }
 
     /// Sets (replacing or inserting, keeping name order) a counter.
-    pub fn set_counter(&mut self, name: &str, v: u64) {
+    fn set_counter(&mut self, name: &str, v: u64) {
         match self
             .counters
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
@@ -423,14 +423,6 @@ impl StageBusyTotals {
             ("eject", self.eject.load(Ordering::Relaxed)),
         ]
     }
-
-    /// The stage with the most busy cycles, or `None` before any work.
-    pub fn dominant(&self) -> Option<(&'static str, u64)> {
-        self.totals()
-            .into_iter()
-            .max_by_key(|&(_, n)| n)
-            .filter(|&(_, n)| n > 0)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -505,11 +497,6 @@ impl ServiceMetrics {
     pub fn set_slow_point_factor(&mut self, factor: f64) {
         assert!(factor > 0.0, "slow-point factor must be positive");
         self.slow_factor = factor;
-    }
-
-    /// The configured slow-point threshold factor.
-    pub fn slow_point_factor(&self) -> f64 {
-        self.slow_factor
     }
 
     /// The underlying registry, for engine-specific extra metrics
@@ -908,7 +895,7 @@ mod tests {
     #[test]
     fn stage_busy_totals_accumulate_and_rank() {
         let t = StageBusyTotals::new();
-        assert_eq!(t.dominant(), None);
+        assert!(t.totals().iter().all(|&(_, n)| n == 0));
         t.record(&StageCycles {
             credit: 5,
             link: 9,
@@ -921,8 +908,8 @@ mod tests {
             sa: 7,
             ..StageCycles::default()
         });
-        assert_eq!(t.dominant(), Some(("sa", 17)));
         let totals = t.totals();
+        assert_eq!(totals[4], ("sa", 17));
         assert_eq!(totals[0], ("credit", 5));
         assert_eq!(totals[1], ("link", 9));
         assert_eq!(totals[5], ("eject", 3));

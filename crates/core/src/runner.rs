@@ -100,17 +100,6 @@ impl RunnerProgress {
         }
     }
 
-    /// Mean busy time per completed point in nanoseconds, if any completed.
-    ///
-    /// Reported as a float: the integer-division form (`busy / completed`)
-    /// silently truncated sub-unit averages toward zero (and the `as u32`
-    /// cast it required would wrap beyond 2^32 points), so averages are now
-    /// computed in `f64` nanoseconds and never lose the fractional part.
-    pub fn mean_point_nanos(&self) -> Option<f64> {
-        let s = self.snapshot();
-        (s.completed > 0).then(|| s.busy.as_nanos() as f64 / s.completed as f64)
-    }
-
     /// Mean busy time per completed **uncached** point in nanoseconds, if
     /// any uncached point completed. This is the right per-point cost for
     /// ETA math: cache hits finish in microseconds, and folding them into
@@ -128,15 +117,6 @@ impl RunnerProgress {
         let busy = self.busy_nanos.load(Ordering::Relaxed);
         let hit_busy = self.hit_busy_nanos.load(Ordering::Relaxed);
         Some(busy.saturating_sub(hit_busy) as f64 / uncached as f64)
-    }
-
-    /// Mean busy time per completed point, if any completed.
-    ///
-    /// Convenience wrapper over [`RunnerProgress::mean_point_nanos`];
-    /// sub-nanosecond precision is rounded into the returned [`Duration`].
-    pub fn mean_point_time(&self) -> Option<Duration> {
-        self.mean_point_nanos()
-            .map(|ns| Duration::from_secs_f64(ns / 1e9))
     }
 }
 
@@ -395,32 +375,12 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// Hashes an arbitrary key type into this cache's key space.
-    pub fn key_of<K: Hash>(key: &K) -> u64 {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        h.finish()
-    }
-
     /// Returns the cached value for `key`, or computes, stores and returns
-    /// it. The computation runs outside the lock, so concurrent misses on
-    /// the same key may compute twice — both producing the identical value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the computation's error (nothing is cached on failure).
-    pub fn get_or_try_insert_with<E>(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<V, E> {
-        self.get_or_try_insert_with_stats(key, compute)
-            .map(|(v, _)| v)
-    }
-
-    /// [`ResultCache::get_or_try_insert_with`], additionally reporting
-    /// whether the value came from the cache (`true` = hit) so callers can
-    /// attribute hits/misses to individual points in telemetry.
+    /// it, reporting whether the value came from the cache (`true` = hit)
+    /// so callers can attribute hits/misses to individual points in
+    /// telemetry. The computation runs outside the lock, so concurrent
+    /// misses on the same key may compute twice — both producing the
+    /// identical value.
     ///
     /// # Errors
     ///
@@ -550,35 +510,6 @@ mod tests {
         let snap = runner.progress().snapshot();
         assert_eq!(snap.scheduled, 17);
         assert_eq!(snap.completed, 17);
-        assert!(runner.progress().mean_point_time().is_some());
-    }
-
-    #[test]
-    fn mean_point_nanos_keeps_fractional_part() {
-        // Regression: the old integer-division mean (busy / completed)
-        // truncated the sub-unit remainder. The float mean must not.
-        let progress = RunnerProgress::default();
-        progress.begin(2);
-        progress.record(Duration::from_nanos(1));
-        progress.record(Duration::from_nanos(2));
-        assert_eq!(progress.mean_point_nanos(), Some(1.5));
-        // At a coarser scale the Duration form keeps the remainder too:
-        // 1ms + 2ms over 2 points is 1.5ms, not a truncated 1ms.
-        let progress = RunnerProgress::default();
-        progress.begin(2);
-        progress.record(Duration::from_millis(1));
-        progress.record(Duration::from_millis(2));
-        assert_eq!(progress.mean_point_nanos(), Some(1_500_000.0));
-        let mean = progress.mean_point_time().unwrap();
-        assert!(mean > Duration::from_millis(1), "truncated mean resurfaced");
-        assert_eq!(mean, Duration::from_micros(1500));
-    }
-
-    #[test]
-    fn mean_point_nanos_empty_is_none() {
-        let progress = RunnerProgress::default();
-        assert_eq!(progress.mean_point_nanos(), None);
-        assert_eq!(progress.mean_point_time(), None);
     }
 
     #[test]
@@ -590,8 +521,7 @@ mod tests {
         progress.record(Duration::from_millis(1));
         progress.record(Duration::from_nanos(100));
         progress.note_cached(Duration::from_nanos(100));
-        // Overall mean is dragged down by the hit; the uncached mean isn't.
-        assert!(progress.mean_point_nanos().unwrap() < 1_000_000.0);
+        // The near-instant hit does not drag the uncached mean down.
         assert_eq!(progress.mean_uncached_point_nanos(), Some(1_000_000.0));
         // All-hits progress has no uncached mean to offer.
         let hits_only = RunnerProgress::default();
@@ -634,8 +564,14 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok(42)
         };
-        assert_eq!(cache.get_or_try_insert_with(7, compute), Ok(42));
-        assert_eq!(cache.get_or_try_insert_with(7, compute), Ok(42));
+        assert_eq!(
+            cache.get_or_try_insert_with_stats(7, compute),
+            Ok((42, false))
+        );
+        assert_eq!(
+            cache.get_or_try_insert_with_stats(7, compute),
+            Ok((42, true))
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -645,11 +581,11 @@ mod tests {
     #[test]
     fn cache_does_not_store_failures() {
         let cache: ResultCache<u64> = ResultCache::new();
-        let r: Result<u64, &str> = cache.get_or_try_insert_with(1, || Err("boom"));
+        let r: Result<(u64, bool), &str> = cache.get_or_try_insert_with_stats(1, || Err("boom"));
         assert!(r.is_err());
         assert!(cache.is_empty());
-        let r: Result<u64, &str> = cache.get_or_try_insert_with(1, || Ok(5));
-        assert_eq!(r, Ok(5));
+        let r: Result<(u64, bool), &str> = cache.get_or_try_insert_with_stats(1, || Ok(5));
+        assert_eq!(r, Ok((5, false)));
     }
 
     #[test]

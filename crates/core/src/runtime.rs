@@ -127,7 +127,7 @@ impl SprintRuntime {
 
     /// Idles (deep-idle mode) until `until` seconds; the PCM refreezes as
     /// the package sheds heat.
-    pub fn idle_until(&mut self, until: f64) {
+    fn idle_until(&mut self, until: f64) {
         while self.clock < until {
             let step = self.dt.min(until - self.clock);
             self.exp

@@ -42,7 +42,7 @@ pub fn sprint_order(topo: &dyn Topology, master: NodeId) -> Vec<NodeId> {
 /// let set = SprintSet::paper(4); // 4-core sprint on the 4x4 mesh
 /// assert!(set.is_active(NodeId(5)), "Euclidean order takes the diagonal");
 /// assert!(!set.is_active(NodeId(2)), "...over the straight-line node");
-/// assert_eq!(set.dark_nodes().count(), 12);
+/// assert_eq!(set.mask().iter().filter(|&&on| !on).count(), 12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SprintSet {
@@ -147,11 +147,6 @@ impl SprintSet {
     pub fn mask(&self) -> &[bool] {
         &self.active
     }
-
-    /// Dark (gated) nodes.
-    pub fn dark_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.order[self.level..].iter().copied()
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +243,7 @@ mod tests {
         assert_eq!(s.level(), 4);
         assert_eq!(s.active_nodes().len(), 4);
         assert_eq!(s.mask().iter().filter(|&&b| b).count(), 4);
-        assert_eq!(s.dark_nodes().count(), 12);
+        assert_eq!(s.mask().iter().filter(|&&b| !b).count(), 12);
         assert!(s.is_active(NodeId(0)));
         assert!(!s.is_active(NodeId(15)));
     }
@@ -257,7 +252,6 @@ mod tests {
     fn full_level_activates_everything() {
         let s = SprintSet::paper(16);
         assert!(s.mask().iter().all(|&b| b));
-        assert_eq!(s.dark_nodes().count(), 0);
     }
 
     #[test]

@@ -747,11 +747,6 @@ impl SpanRecorder {
         }
     }
 
-    /// The recorder's time origin (spans' `start_us` is relative to this).
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
     fn tid_index(&self) -> usize {
         let id = std::thread::current().id();
         let mut m = self.threads.lock().expect("thread map poisoned");
@@ -1074,7 +1069,7 @@ mod tests {
     #[test]
     fn span_recorder_collects_and_exports() {
         let rec = SpanRecorder::new();
-        let t0 = rec.origin();
+        let t0 = rec.origin;
         rec.record(
             "fig",
             0,

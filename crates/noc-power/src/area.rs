@@ -107,7 +107,7 @@ impl AreaModel {
     /// configuration bits** — 8 routing bits `R_xy` + 4 connectivity bits —
     /// plus the second-level AND/OR terms evaluating the quadrant rules per
     /// output port.
-    pub fn lbdr_routing_gates(&self) -> f64 {
+    fn lbdr_routing_gates(&self) -> f64 {
         let register_bits = 12.0 * 6.0; // 12 flops
         self.dor_routing_gates() + register_bits + 18.0 * self.config.ports as f64
     }

@@ -48,7 +48,7 @@ pub struct ChipPowerParams {
 impl ChipPowerParams {
     /// Calibration used for the paper reproduction (see DESIGN.md): lands
     /// the Fig. 3 NoC shares at 18/26/35/42% for 4/8/16/32 cores.
-    pub fn niagara2_like() -> Self {
+    fn niagara2_like() -> Self {
         ChipPowerParams {
             core_active_w: 3.0,
             idle_fraction: 0.65,
@@ -93,11 +93,6 @@ impl ChipPowerBreakdown {
     /// NoC share of total in `[0, 1]`.
     pub fn noc_fraction(&self) -> f64 {
         self.noc / self.total()
-    }
-
-    /// Core share of total in `[0, 1]`.
-    pub fn core_fraction(&self) -> f64 {
-        self.cores / self.total()
     }
 }
 
@@ -145,7 +140,7 @@ impl ChipPowerModel {
     /// # Panics
     ///
     /// Panics if `active > total`.
-    pub fn cores_power(&self, total: usize, active: usize, inactive: CoreState) -> f64 {
+    fn cores_power(&self, total: usize, active: usize, inactive: CoreState) -> f64 {
         assert!(active <= total, "more active cores than cores");
         active as f64 * self.core_power(CoreState::Active)
             + (total - active) as f64 * self.core_power(inactive)
@@ -241,7 +236,8 @@ mod tests {
         let m = ChipPowerModel::paper();
         let mut last = f64::INFINITY;
         for n in [4, 8, 16, 32] {
-            let frac = m.nominal_breakdown(n).core_fraction();
+            let b = m.nominal_breakdown(n);
+            let frac = b.cores / b.total();
             assert!(frac < last);
             last = frac;
         }

@@ -187,32 +187,32 @@ impl RouterPowerModel {
     }
 
     /// Dynamic energy of one buffer write (J) at the operating point.
-    pub fn energy_buffer_write(&self, op: &OperatingPoint) -> f64 {
+    fn energy_buffer_write(&self, op: &OperatingPoint) -> f64 {
         cal::E_BUF_WR * f64::from(self.config.flit_bits) * self.scale_e(op)
     }
 
     /// Dynamic energy of one buffer read (J).
-    pub fn energy_buffer_read(&self, op: &OperatingPoint) -> f64 {
+    fn energy_buffer_read(&self, op: &OperatingPoint) -> f64 {
         cal::E_BUF_RD * f64::from(self.config.flit_bits) * self.scale_e(op)
     }
 
     /// Dynamic energy of one crossbar traversal (J).
-    pub fn energy_crossbar(&self, op: &OperatingPoint) -> f64 {
+    fn energy_crossbar(&self, op: &OperatingPoint) -> f64 {
         cal::E_XBAR * f64::from(self.config.flit_bits) * self.scale_e(op)
     }
 
     /// Dynamic energy of one VC allocation (J).
-    pub fn energy_va(&self, op: &OperatingPoint) -> f64 {
+    fn energy_va(&self, op: &OperatingPoint) -> f64 {
         cal::E_VA * self.scale_e(op)
     }
 
     /// Dynamic energy of one switch-allocator grant (J).
-    pub fn energy_sa(&self, op: &OperatingPoint) -> f64 {
+    fn energy_sa(&self, op: &OperatingPoint) -> f64 {
         cal::E_SA * self.scale_e(op)
     }
 
     /// Clock-tree dynamic power (W): charged every cycle while powered.
-    pub fn clock_dynamic_power(&self, op: &OperatingPoint) -> f64 {
+    fn clock_dynamic_power(&self, op: &OperatingPoint) -> f64 {
         cal::E_CLK_PER_BIT * self.config.buffer_bits() as f64 * self.scale_e(op) * op.freq_ghz * 1e9
     }
 

@@ -46,16 +46,6 @@ impl TechNode {
             cap_scale: 0.72,
         }
     }
-
-    /// A 22 nm node.
-    pub fn nm22() -> Self {
-        TechNode {
-            feature_nm: 22.0,
-            vnom: 0.8,
-            leakage_scale: 2.5,
-            cap_scale: 0.52,
-        }
-    }
 }
 
 impl fmt::Display for TechNode {
@@ -179,7 +169,6 @@ mod tests {
     #[test]
     fn smaller_nodes_leak_more() {
         assert!(TechNode::nm32().leakage_scale > TechNode::nm45().leakage_scale);
-        assert!(TechNode::nm22().leakage_scale > TechNode::nm32().leakage_scale);
     }
 
     #[test]

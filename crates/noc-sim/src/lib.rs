@@ -65,7 +65,6 @@ pub mod soa;
 pub mod stats;
 pub mod sweep;
 pub mod topology;
-pub mod trace;
 pub mod traffic;
 pub mod vc;
 
@@ -76,12 +75,11 @@ pub use fault::{
 };
 pub use geometry::{Coord, Direction, NodeId, Port};
 pub use network::{GatingMode, Network, StageCycles};
-pub use probe::{EpochSample, EventCounts, LatencyObserver, Probe, SimPhase, TimeSeriesObserver};
+pub use probe::{EpochSample, EventCounts, Probe, SimPhase, TimeSeriesObserver};
 pub use route_check::{check_routes, RouteReport, RouteViolation};
 pub use router::{RouterActivity, RouterParams};
 pub use routing::{NegativeFirstRouting, RouteDecision, RoutingFunction, XyRouting, YxRouting};
 pub use sim::{PacketAccounting, SimConfig, SimOutcome, Simulation};
 pub use stats::{SimStats, StreamingHistogram};
 pub use topology::Mesh2D;
-pub use trace::{PacketTrace, TraceEntry, TraceReplayer};
 pub use traffic::{BurstSchedule, Placement, TrafficGen, TrafficPattern};

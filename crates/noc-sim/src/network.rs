@@ -656,7 +656,7 @@ impl Network {
     }
 
     /// The traversal latency of the directed link `from -> to`.
-    pub fn link_latency(&self, from: NodeId, to: NodeId) -> u64 {
+    fn link_latency(&self, from: NodeId, to: NodeId) -> u64 {
         *self
             .link_latency
             .get(&(from.0, to.0))
@@ -685,11 +685,6 @@ impl Network {
         }
         self.gating = mode;
         self.sync_sleep_events();
-    }
-
-    /// The active gating discipline.
-    pub fn gating_mode(&self) -> GatingMode {
-        self.gating
     }
 
     /// Per-router `(sleep_cycles, wakeups)` under reactive gating.
@@ -752,11 +747,6 @@ impl Network {
     /// Whether an output VC is currently allocated to a packet.
     pub fn output_allocated(&self, node: NodeId, port: Port, vc: usize) -> bool {
         self.store.out_alloc[self.store.vc_id(node.0, port.index(), vc)] != FREE_VC
-    }
-
-    /// Logical state of an input VC.
-    pub fn vc_state(&self, node: NodeId, port: Port, vc: usize) -> VcState {
-        self.store.state(self.store.vc_id(node.0, port.index(), vc))
     }
 
     /// Per-stage busy-cycle counters accumulated since construction.
@@ -885,11 +875,6 @@ impl Network {
         self.active.total_buffered + self.active.total_links
     }
 
-    /// Packets still waiting in source queues. O(1).
-    pub fn queued_packets(&self) -> usize {
-        self.active.queued_packets
-    }
-
     /// Whether the network and all source queues are completely empty. O(1).
     pub fn is_drained(&self) -> bool {
         self.in_flight() == 0 && self.active.busy_nis == 0
@@ -902,11 +887,6 @@ impl Network {
     /// reference is for tests and the engine bench, not hot paths.
     pub fn set_step_engine(&mut self, engine: StepEngine) {
         self.engine = engine;
-    }
-
-    /// The cycle engine in use.
-    pub fn step_engine(&self) -> StepEngine {
-        self.engine
     }
 
     /// How long the network is guaranteed to produce no events.
@@ -3118,7 +3098,7 @@ mod tests {
         let mut active = net();
         let mut oracle = net();
         oracle.set_step_engine(StepEngine::ExhaustiveSweep);
-        assert_eq!(active.step_engine(), StepEngine::ActiveSet);
+        assert_eq!(active.engine, StepEngine::ActiveSet);
         feed(&mut active);
         feed(&mut oracle);
         for cycle in 0..600 {

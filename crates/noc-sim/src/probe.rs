@@ -27,7 +27,6 @@ use crate::fault::FaultEvent;
 use crate::geometry::NodeId;
 use crate::network::Network;
 use crate::router::SleepState;
-use crate::stats::StreamingHistogram;
 
 /// The phase of the warmup/measure/drain methodology a callback belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,30 +202,6 @@ impl Probe for TimeSeriesObserver {
     }
 }
 
-/// Built-in latency observer: feeds every measured packet delivery into two
-/// [`StreamingHistogram`]s (O(1) per packet, fixed memory).
-#[derive(Debug, Default)]
-pub struct LatencyObserver {
-    /// End-to-end (creation to delivery) latency distribution.
-    pub packet: StreamingHistogram,
-    /// Network (head injection to delivery) latency distribution.
-    pub network: StreamingHistogram,
-}
-
-impl LatencyObserver {
-    /// An empty observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Probe for LatencyObserver {
-    fn on_packet_delivered(&mut self, _cycle: u64, packet_latency: u64, network_latency: u64) {
-        self.packet.record(packet_latency);
-        self.network.record(network_latency);
-    }
-}
-
 /// Event totals over a run, one counter per hook — the cheapest possible
 /// probe, useful for tests and overhead measurements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -385,17 +360,6 @@ mod tests {
         let csv = obs.to_csv();
         assert!(csv.starts_with("cycle,node,"));
         assert!(csv.lines().count() > 16);
-    }
-
-    #[test]
-    fn latency_observer_collects_distribution() {
-        let mut obs = LatencyObserver::new();
-        obs.on_packet_delivered(100, 42, 35);
-        obs.on_packet_delivered(120, 50, 44);
-        assert_eq!(obs.packet.count(), 2);
-        assert_eq!(obs.network.count(), 2);
-        assert_eq!(obs.packet.min(), Some(42));
-        assert_eq!(obs.network.max(), Some(44));
     }
 
     #[test]

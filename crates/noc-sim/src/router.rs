@@ -87,15 +87,6 @@ impl RouterParams {
         (vc / per) as u8
     }
 
-    /// The configuration of the Fig. 2 router power study: 2 VCs per port,
-    /// 4-flit deep.
-    pub fn fig2_power_study() -> Self {
-        RouterParams {
-            vcs_per_port: 2,
-            ..Self::paper()
-        }
-    }
-
     /// Minimum cycles per hop on an uncongested path (pipeline + link).
     pub fn hop_latency(&self) -> u64 {
         self.sa_delay + self.link_delay
@@ -272,13 +263,6 @@ mod tests {
         assert_eq!(p.buffer_depth, 4);
         assert_eq!(p.hop_latency(), 5, "classic five-stage pipeline");
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn fig2_params_have_two_vcs() {
-        let p = RouterParams::fig2_power_study();
-        assert_eq!(p.vcs_per_port, 2);
-        assert_eq!(p.buffer_depth, 4);
     }
 
     #[test]

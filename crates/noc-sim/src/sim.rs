@@ -158,11 +158,6 @@ impl Simulation {
         Simulation { net, traffic, cfg }
     }
 
-    /// Access the underlying network (e.g. to set a power mask first).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Runs to completion.
     ///
     /// # Errors

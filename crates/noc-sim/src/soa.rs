@@ -206,13 +206,6 @@ impl VcStore {
         (node * Port::COUNT + port) * self.vcs + vc
     }
 
-    /// The `(node, port, vc)` triple a dense vc id decodes to.
-    #[inline]
-    pub fn vc_id_parts(&self, id: usize) -> (usize, usize, usize) {
-        let port_id = id / self.vcs;
-        (port_id / Port::COUNT, port_id % Port::COUNT, id % self.vcs)
-    }
-
     /// Reconstructs the logical [`VcState`] of an input VC.
     pub fn state(&self, id: usize) -> VcState {
         match self.phase[id] {
@@ -457,19 +450,6 @@ mod tests {
         s.free_out(2, port_id * 4 + 2);
         assert_eq!(s.first_free_out_vc(port_id, 2..4), Some(2));
         assert_eq!(s.alloc_count[2], 0);
-    }
-
-    #[test]
-    fn ids_round_trip() {
-        let s = store();
-        for node in 0..4 {
-            for port in 0..Port::COUNT {
-                for vc in 0..4 {
-                    let id = s.vc_id(node, port, vc);
-                    assert_eq!(s.vc_id_parts(id), (node, port, vc));
-                }
-            }
-        }
     }
 
     #[test]

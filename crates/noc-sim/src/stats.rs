@@ -220,7 +220,7 @@ impl StreamingHistogram {
     }
 
     /// Records `n` identical observations. O(1).
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

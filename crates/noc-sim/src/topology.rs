@@ -404,7 +404,7 @@ impl Circulant {
 
     /// Ring-only distance (chords ignored): `min(d, n - d)`. This is the
     /// sprint-growth key — regions grown by it are contiguous arcs.
-    pub fn ring_distance(&self, a: NodeId, b: NodeId) -> usize {
+    fn ring_distance(&self, a: NodeId, b: NodeId) -> usize {
         let d = self.delta(a, b);
         d.min(self.n - d)
     }

@@ -195,11 +195,6 @@ impl Placement {
     pub fn physical(&self, i: usize) -> NodeId {
         self.nodes[i]
     }
-
-    /// The physical nodes, logical order.
-    pub fn physical_nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
 }
 
 /// On/off burst schedule: traffic is generated only during the on-phase of
@@ -216,7 +211,7 @@ pub struct BurstSchedule {
 
 impl BurstSchedule {
     /// Whether generation is active at `now`.
-    pub fn is_on(&self, now: u64) -> bool {
+    fn is_on(&self, now: u64) -> bool {
         let period = self.on_cycles + self.off_cycles;
         if period == 0 {
             return true;
@@ -226,7 +221,7 @@ impl BurstSchedule {
 
     /// Earliest cycle `>= now` at which the schedule is on, or `u64::MAX`
     /// for an all-off schedule (`on_cycles == 0`).
-    pub fn next_on_at(&self, now: u64) -> u64 {
+    fn next_on_at(&self, now: u64) -> u64 {
         if self.is_on(now) {
             return now;
         }
@@ -533,7 +528,7 @@ mod tests {
             let p = Placement::random(8, &mesh, &mut r);
             assert_eq!(p.len(), 8);
             let mut set = std::collections::HashSet::new();
-            for &n in p.physical_nodes() {
+            for &n in &p.nodes {
                 assert!(n.0 < 16);
                 assert!(set.insert(n));
             }

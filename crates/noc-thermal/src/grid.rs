@@ -53,7 +53,7 @@ impl GridParams {
     /// # Panics
     ///
     /// Panics on non-positive resistances or capacitance.
-    pub fn assert_valid(&self) {
+    fn assert_valid(&self) {
         assert!(self.r_vertical > 0.0, "r_vertical must be positive");
         assert!(self.r_lateral > 0.0, "r_lateral must be positive");
         assert!(self.r_edge > 0.0, "r_edge must be positive");
@@ -197,11 +197,6 @@ impl ThermalGrid {
             height: self.height,
             temps: self.temps.clone(),
         }
-    }
-
-    /// Resets all blocks to ambient.
-    pub fn reset(&mut self) {
-        self.temps.fill(self.params.ambient);
     }
 
     fn neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
@@ -413,15 +408,6 @@ mod tests {
             assert!(m >= last - 1e-9);
             last = m;
         }
-    }
-
-    #[test]
-    fn reset_returns_to_ambient() {
-        let mut g = ThermalGrid::paper();
-        g.step_transient(&[5.0; 16], 1.0);
-        assert!(g.field().mean() > g.params().ambient + 1.0);
-        g.reset();
-        assert!((g.field().mean() - g.params().ambient).abs() < 1e-12);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl GridSprintSim {
         self.pcm.melt_fraction()
     }
 
-    /// Current PCM temperature (K).
-    pub fn pcm_temp(&self) -> f64 {
-        self.t_pcm
-    }
-
     /// Runs the sprint under constant per-block power until a block reaches
     /// `T_max` or `horizon` seconds elapse.
     ///
@@ -248,11 +243,7 @@ mod tests {
         let _ = sim.run(&powers(&(0..16).collect::<Vec<_>>(), 3.7), 1.0, 1e-3);
         // Mid-melt: PCM pinned near the melt temperature.
         if !sim.pcm.is_fully_melted() && sim.melt_fraction() > 0.0 {
-            assert!(
-                (sim.pcm_temp() - 331.15).abs() < 1.0,
-                "pcm at {}",
-                sim.pcm_temp()
-            );
+            assert!((sim.t_pcm - 331.15).abs() < 1.0, "pcm at {}", sim.t_pcm);
         }
     }
 }

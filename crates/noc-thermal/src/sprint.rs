@@ -70,7 +70,7 @@ pub struct TimelinePoint {
 /// let full = m.phase_durations(62.0);
 /// assert!(full.melt < 1.5);
 /// // ...while a gated intermediate sprint holds the plateau far longer.
-/// assert!(m.melt_duration_ratio(62.0, 30.0) > 2.0);
+/// assert!(m.phase_durations(30.0).melt > 2.0 * full.melt);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SprintThermalModel {
@@ -101,13 +101,8 @@ impl SprintThermalModel {
         }
     }
 
-    /// Maximum power sustainable indefinitely at `T_max` (W).
-    pub fn sustainable_power(&self) -> f64 {
-        (self.t_max - self.ambient) / self.resistance
-    }
-
     /// Steady-state temperature under constant power (K).
-    pub fn t_inf(&self, power: f64) -> f64 {
+    fn t_inf(&self, power: f64) -> f64 {
         self.ambient + power * self.resistance
     }
 
@@ -141,15 +136,6 @@ impl SprintThermalModel {
     /// infinite for sustainable power levels.
     pub fn sprint_duration(&self, power: f64) -> f64 {
         self.phase_durations(power).total()
-    }
-
-    /// Ratio of melt-plateau (phase 2) durations: `improved` over
-    /// `baseline`; the paper's §4.4 metric. Returns `f64::INFINITY` when the
-    /// improved power is sustainable at the plateau.
-    pub fn melt_duration_ratio(&self, baseline_power: f64, improved_power: f64) -> f64 {
-        let base = self.phase_durations(baseline_power).melt;
-        let improved = self.phase_durations(improved_power).melt;
-        improved / base
     }
 
     /// Simulates the Fig. 1 timeline: sprint at `sprint_power` until either
@@ -294,7 +280,7 @@ mod tests {
     #[test]
     fn sustainable_power_never_shuts_down() {
         let m = model();
-        let p = m.sustainable_power() * 0.9;
+        let p = (m.t_max - m.ambient) / m.resistance * 0.9;
         assert!(m.sprint_duration(p).is_infinite());
     }
 
@@ -302,7 +288,7 @@ mod tests {
     fn melt_duration_ratio_matches_net_power_ratio() {
         let m = model();
         let plateau_loss = (m.pcm.melt_temp - m.ambient) / m.resistance;
-        let ratio = m.melt_duration_ratio(62.0, 35.0);
+        let ratio = m.phase_durations(35.0).melt / m.phase_durations(62.0).melt;
         let expect = (62.0 - plateau_loss) / (35.0 - plateau_loss);
         assert!((ratio - expect).abs() < 1e-9);
         assert!(ratio > 1.0);

@@ -9,6 +9,7 @@
 use noc_sim::topology::TopologySpec;
 use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::experiment::NetworkMetrics;
+use noc_sprinting::fleet::shard_of;
 use noc_sprinting::metrics::{
     HistogramSnapshot, MetricsSnapshot, ShardHealth, SlowPoint, StatsSnapshot,
 };
@@ -356,4 +357,90 @@ fn lines_without_optional_fields_decode_to_their_defaults() {
     );
     let manifest = RunManifest::from_jsonl(text).expect("manifest without peer");
     assert_eq!(manifest.faults[0].peer, None);
+}
+
+/// Six jobs covering both reference topologies, every baseline and a
+/// hotspot pattern with its `hot_fraction`.
+fn keyed_jobs() -> Vec<SyntheticJob> {
+    let mesh = TopologySpec::default();
+    let circ = TopologySpec::from_wire_name("circ64s9").expect("valid circulant");
+    let job = |topology, level, pattern, rate, seed, baseline| SyntheticJob {
+        topology,
+        level,
+        pattern,
+        rate,
+        seed,
+        baseline,
+    };
+    vec![
+        job(
+            mesh,
+            4,
+            TrafficPattern::UniformRandom,
+            0.1,
+            1,
+            SyntheticBaseline::NocSprinting,
+        ),
+        job(
+            mesh,
+            8,
+            TrafficPattern::Hotspot { hot_fraction: 0.3 },
+            0.05,
+            42,
+            SyntheticBaseline::RandomEndpoints,
+        ),
+        job(
+            mesh,
+            16,
+            TrafficPattern::Transpose,
+            0.25,
+            5,
+            SyntheticBaseline::SpreadAggregate,
+        ),
+        job(
+            circ,
+            16,
+            TrafficPattern::UniformRandom,
+            0.25,
+            1,
+            SyntheticBaseline::NocSprinting,
+        ),
+        job(
+            circ,
+            64,
+            TrafficPattern::Hotspot { hot_fraction: 0.5 },
+            0.16,
+            1009,
+            SyntheticBaseline::SpreadAggregate,
+        ),
+        job(
+            circ,
+            9,
+            TrafficPattern::BitComplement,
+            0.6,
+            u64::MAX,
+            SyntheticBaseline::RandomEndpoints,
+        ),
+    ]
+}
+
+/// Each keyed job's `cache_key`, then its shard among 2 and among 3. The
+/// key names a persisted cache record and routes a fleet point, so a
+/// moved key turns a warm cache cold and reshuffles shards.
+const GOLDEN_KEYS: [(u64, usize, usize); 6] = [
+    (0xd143_7099_6636_792e, 0, 0),
+    (0x935f_7cd1_440f_109a, 0, 0),
+    (0x1f83_2a8a_2100_90aa, 0, 2),
+    (0xeddb_f4a8_e045_5ac4, 0, 1),
+    (0x2e41_7515_3bbb_e26c, 0, 1),
+    (0x8f2f_ee60_3c07_0ab7, 1, 1),
+];
+
+#[test]
+fn cache_keys_and_shard_routing_match_their_golden_values() {
+    for (job, &(key, of_two, of_three)) in keyed_jobs().iter().zip(&GOLDEN_KEYS) {
+        assert_eq!(job.cache_key(), key, "cache key of {job:?}");
+        assert_eq!(shard_of(key, 2), of_two, "shard of {key:#x} among 2");
+        assert_eq!(shard_of(key, 3), of_three, "shard of {key:#x} among 3");
+    }
 }
