@@ -11,10 +11,14 @@
 //! Rates are derated to half the Fig. 9 loads so the single MC port stays
 //! below saturation for the 16-node case (a real chip would have several
 //! controllers).
+//!
+//! Each benchmark is Fig. 9's pair of jobs ([`policy_jobs`]) with the
+//! hotspot pattern, run in one batch through the `FigureHarness`
+//! (`--service <socket>` to use a daemon).
 
-use noc_bench::{banner, markdown_table, mean, pct, reduction};
-use noc_sprinting::controller::SprintPolicy;
-use noc_sprinting::experiment::Experiment;
+use noc_bench::{banner, markdown_table, mean, pct, reduction, served_experiment, FigureHarness};
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::policy_jobs;
 use noc_workload::profile::parsec_suite;
 
 fn main() {
@@ -27,27 +31,25 @@ fn main() {
              region; full-sprinting funnels the whole mesh into one corner"
         )
     );
-    let e = Experiment::paper();
+    let (experiment, tag) = served_experiment(false);
     let rate_scale = 0.5;
+    let suite = parsec_suite();
+    let jobs: Vec<_> = (suite.iter().enumerate())
+        .flat_map(|(i, b)| {
+            let pattern = TrafficPattern::Hotspot {
+                hot_fraction: b.memory_intensity,
+            };
+            let seed = 4000 + i as u64;
+            let (full, ns) = policy_jobs(&experiment.controller, b, pattern, rate_scale, seed);
+            [full, ns]
+        })
+        .collect();
+    let harness = FigureHarness::new(experiment, tag);
+    let metrics = harness.run(&jobs).expect("memory-traffic points").metrics;
     let mut rows = Vec::new();
     let mut cuts = Vec::new();
-    for (i, b) in parsec_suite().iter().enumerate() {
-        let full = e
-            .run_network_with_memory_traffic(
-                SprintPolicy::FullSprinting,
-                b,
-                rate_scale,
-                4000 + i as u64,
-            )
-            .expect("full run");
-        let ns = e
-            .run_network_with_memory_traffic(
-                SprintPolicy::NocSprinting,
-                b,
-                rate_scale,
-                4000 + i as u64,
-            )
-            .expect("NoC-sprinting run");
+    for (b, pair) in suite.iter().zip(metrics.chunks(2)) {
+        let (full, ns) = (pair[0], pair[1]);
         let cut = reduction(full.avg_network_latency, ns.avg_network_latency);
         if !full.saturated && !ns.saturated {
             cuts.push(cut);
@@ -86,4 +88,7 @@ fn main() {
          (vs 18-19% under pure uniform, Fig. 9)",
         pct(mean(&cuts))
     );
+    harness
+        .finish("ablation_memory_traffic")
+        .expect("telemetry write failed");
 }

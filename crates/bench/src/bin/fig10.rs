@@ -3,10 +3,15 @@
 //!
 //! Paper: NoC-sprinting saves 71.9% of network power on average by
 //! operating a gated subset of routers and links.
+//!
+//! Each benchmark is a pair of jobs ([`policy_jobs`]) run in one batch
+//! through the `FigureHarness` (`--service <socket>` to use a daemon).
 
-use noc_bench::{banner, markdown_table, mean, pct, reduction, watts};
-use noc_sprinting::controller::SprintPolicy;
-use noc_sprinting::experiment::Experiment;
+use noc_bench::{
+    banner, markdown_table, mean, pct, reduction, served_experiment, watts, FigureHarness,
+};
+use noc_sim::traffic::TrafficPattern;
+use noc_sprinting::experiment::policy_jobs;
 use noc_workload::profile::parsec_suite;
 
 fn main() {
@@ -18,17 +23,21 @@ fn main() {
             "NoC-sprinting saves 71.9% network power on average vs full-sprinting"
         )
     );
-    let e = Experiment::paper();
+    let (experiment, tag) = served_experiment(false);
     let suite = parsec_suite();
+    let jobs: Vec<_> = (suite.iter().enumerate())
+        .flat_map(|(i, b)| {
+            let pattern = TrafficPattern::UniformRandom;
+            let (full, ns) = policy_jobs(&experiment.controller, b, pattern, 1.0, 2000 + i as u64);
+            [full, ns]
+        })
+        .collect();
+    let harness = FigureHarness::new(experiment, tag);
+    let metrics = harness.run(&jobs).expect("Fig. 10 points").metrics;
     let mut rows = Vec::new();
     let mut savings = Vec::new();
-    for (i, b) in suite.iter().enumerate() {
-        let full = e
-            .run_network(SprintPolicy::FullSprinting, b, 2000 + i as u64)
-            .expect("full-sprinting run");
-        let ns = e
-            .run_network(SprintPolicy::NocSprinting, b, 2000 + i as u64)
-            .expect("NoC-sprinting run");
+    for (b, pair) in suite.iter().zip(metrics.chunks(2)) {
+        let (full, ns) = (pair[0], pair[1]);
         let saving = reduction(full.network_power, ns.network_power);
         savings.push(saving);
         rows.push(vec![
@@ -49,4 +58,5 @@ fn main() {
         "mean network-power saving: {} (paper 71.9%)",
         pct(mean(&savings))
     );
+    harness.finish("fig10").expect("telemetry write failed");
 }

@@ -459,7 +459,7 @@ impl Collect {
 
 /// A client over a Unix domain socket (the daemon's `--socket` mode).
 #[cfg(unix)]
-pub type UnixServiceClient = ServiceClient<
+type UnixServiceClient = ServiceClient<
     std::io::BufReader<std::os::unix::net::UnixStream>,
     std::os::unix::net::UnixStream,
 >;

@@ -120,111 +120,13 @@ impl Experiment {
 
     // ------------------------------------------------------------------
     // Network experiments (Figs. 9, 10, 11)
+    //
+    // Every network operating point is a `SyntheticJob` run by `run_job`:
+    // Fig. 11's load sweep directly, and each PARSEC point of Figs. 9 and
+    // 10 as the job pair that `policy_jobs` maps a benchmark to. Only
+    // `run_network_reactive` varies what a job does not carry (reactive
+    // gating, bursts).
     // ------------------------------------------------------------------
-
-    /// Runs the network for one benchmark under a policy: NoC-sprinting
-    /// confines traffic and power to the sprint region with CDOR; all other
-    /// policies run on the fully powered mesh with XY routing (full
-    /// sprinting spreads the application over all 16 nodes; naive
-    /// fine-grained uses `k` nodes but leaves the whole network on).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors (dark-router violations, deadlock).
-    pub fn run_network(
-        &self,
-        policy: SprintPolicy,
-        bench: &BenchmarkProfile,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let set = self.controller.sprint_set(policy, bench);
-        let rate = bench.injection_rate.max(0.02);
-        // Uniform-random peer traffic, as in the paper's Fig. 9/10
-        // methodology. For the memory-hotspot variant (a fraction of
-        // traffic headed to the MC node), see
-        // [`Experiment::run_network_with_memory_traffic`].
-        let pattern = TrafficPattern::UniformRandom;
-        // A single-core configuration has no inter-node traffic: report the
-        // local-turnaround latency and the idle network's standing power
-        // analytically instead of simulating a degenerate 1-node workload.
-        if set.level() < 2 {
-            let powered = match policy {
-                SprintPolicy::NocSprinting | SprintPolicy::NonSprinting => 1,
-                _ => mesh.len(),
-            };
-            let links = if powered == mesh.len() {
-                mesh.num_directed_links()
-            } else {
-                0
-            };
-            let p = self.router_power.power_from_activity(
-                &self.op,
-                &noc_sim::router::RouterActivity::default(),
-                1,
-            );
-            let static_per_router = p.leakage.total() + p.dynamic.clock;
-            return Ok(NetworkMetrics {
-                avg_packet_latency: 2.0 * self.system.router.hop_latency() as f64,
-                avg_network_latency: 2.0 * self.system.router.hop_latency() as f64,
-                network_power: static_per_router * powered as f64
-                    + self.link_power.leakage(&self.op) * links as f64,
-                accepted_throughput: rate,
-                saturated: false,
-            });
-        }
-        match policy {
-            SprintPolicy::NocSprinting => {
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, Some(&set), pattern, rate, seed)
-            }
-            SprintPolicy::FullSprinting => {
-                let placement = Placement::full(&mesh);
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-            SprintPolicy::NonSprinting | SprintPolicy::NaiveFineGrained => {
-                // Traffic among the active cores (compactly placed, as the
-                // OS would schedule), but the full network stays powered.
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-        }
-    }
-
-    /// Like [`Experiment::run_network`], but the benchmark's
-    /// `memory_intensity` fraction of traffic targets the memory
-    /// controller's node (the master / logical node 0) as a hotspot —
-    /// modelling cache-miss traffic. A single MC port saturates quickly
-    /// under 16-node full-sprinting, so callers should derate `rate_scale`
-    /// (e.g. 0.5) when comparing policies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_network_with_memory_traffic(
-        &self,
-        policy: SprintPolicy,
-        bench: &BenchmarkProfile,
-        rate_scale: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let mesh = self.system.mesh();
-        let set = self.controller.sprint_set(policy, bench);
-        let rate = (bench.injection_rate * rate_scale).max(0.02);
-        let pattern = TrafficPattern::Hotspot {
-            hot_fraction: bench.memory_intensity,
-        };
-        match policy {
-            SprintPolicy::NocSprinting => {
-                let placement = Placement::new(set.active_nodes().to_vec(), &mesh)?;
-                self.run_placed(placement, Some(&set), pattern, rate, seed)
-            }
-            _ => {
-                let placement = Placement::full(&mesh);
-                self.run_placed(placement, None, pattern, rate, seed)
-            }
-        }
-    }
 
     /// Runs one synthetic operating point and hands back its simulation
     /// outcome with the priced metrics. This is the one place a
@@ -306,21 +208,6 @@ impl Experiment {
             width: self.system.mesh_width,
             height: self.system.mesh_height,
         }
-    }
-
-    /// Runs `placement` on the configured mesh, confined to `region` when
-    /// one is given.
-    fn run_placed(
-        &self,
-        placement: Placement,
-        region: Option<&SprintSet>,
-        pattern: TrafficPattern,
-        rate: f64,
-        seed: u64,
-    ) -> Result<NetworkMetrics, SimError> {
-        let traffic = TrafficGen::new(pattern, placement, rate, self.system.packet_len, seed)?;
-        let topo = Topo::from(self.system.mesh());
-        Ok(self.simulate(topo, region, traffic, None)?.0)
     }
 
     /// Core of every structurally gated run: builds the network on `topo`,
@@ -616,6 +503,53 @@ impl Experiment {
     }
 }
 
+/// The (full-sprinting, NoC-sprinting) pair of jobs that compares the two
+/// policies on one PARSEC benchmark (Figs. 9 and 10). Both offer `bench`'s
+/// injection rate scaled by `rate_scale` and floored at 0.02 flits/cycle,
+/// with `pattern` and `seed`, on the controller's mesh:
+///
+/// - full-sprinting spreads that load over the whole mesh:
+///   [`SyntheticBaseline::SpreadAggregate`] at the full level, so every
+///   node injects exactly the rate;
+/// - NoC-sprinting runs inside the sprint region at the level the
+///   controller picks for `bench`.
+///
+/// Figs. 9 and 10 use uniform-random traffic. The memory ablation sends the
+/// benchmark's `memory_intensity` fraction to the memory controller's node
+/// with `TrafficPattern::Hotspot`; one MC port saturates quickly under
+/// 16-node full-sprinting, so it derates `rate_scale` to 0.5.
+///
+/// # Panics
+///
+/// Panics if the controller is not on a mesh.
+pub fn policy_jobs(
+    controller: &SprintController,
+    bench: &BenchmarkProfile,
+    pattern: TrafficPattern,
+    rate_scale: f64,
+    seed: u64,
+) -> (SyntheticJob, SyntheticJob) {
+    let mesh = controller.mesh();
+    let job = |policy, baseline| SyntheticJob {
+        topology: TopologySpec::Mesh {
+            width: mesh.width(),
+            height: mesh.height(),
+        },
+        level: controller.sprint_level(policy, bench) as usize,
+        pattern,
+        rate: (bench.injection_rate * rate_scale).max(0.02),
+        seed,
+        baseline,
+    };
+    (
+        job(
+            SprintPolicy::FullSprinting,
+            SyntheticBaseline::SpreadAggregate,
+        ),
+        job(SprintPolicy::NocSprinting, SyntheticBaseline::NocSprinting),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,12 +563,9 @@ mod tests {
     fn fig9_noc_sprinting_cuts_network_latency() {
         let e = exp();
         let dedup = by_name("dedup").unwrap();
-        let full = e
-            .run_network(SprintPolicy::FullSprinting, &dedup, 7)
-            .unwrap();
-        let ns = e
-            .run_network(SprintPolicy::NocSprinting, &dedup, 7)
-            .unwrap();
+        let (full, ns) = policy_jobs(&e.controller, &dedup, TrafficPattern::UniformRandom, 1.0, 7);
+        let full = full.run(&e).unwrap();
+        let ns = ns.run(&e).unwrap();
         assert!(
             ns.avg_network_latency < full.avg_network_latency,
             "NoC-sprinting {} vs full {}",
@@ -647,18 +578,39 @@ mod tests {
     fn fig10_noc_sprinting_cuts_network_power() {
         let e = exp();
         let dedup = by_name("dedup").unwrap();
-        let full = e
-            .run_network(SprintPolicy::FullSprinting, &dedup, 11)
-            .unwrap();
-        let ns = e
-            .run_network(SprintPolicy::NocSprinting, &dedup, 11)
-            .unwrap();
+        let (full, ns) = policy_jobs(
+            &e.controller,
+            &dedup,
+            TrafficPattern::UniformRandom,
+            1.0,
+            11,
+        );
+        let full = full.run(&e).unwrap();
+        let ns = ns.run(&e).unwrap();
         assert!(
             ns.network_power < 0.6 * full.network_power,
             "NoC-sprinting {} W vs full {} W",
             ns.network_power,
             full.network_power
         );
+    }
+
+    #[test]
+    fn policy_jobs_map_every_parsec_benchmark() {
+        let e = exp();
+        let pattern = TrafficPattern::UniformRandom;
+        for b in parsec_suite() {
+            let (full, ns) = policy_jobs(&e.controller, &b, pattern, 0.5, 9);
+            let level = e.controller.sprint_level(SprintPolicy::NocSprinting, &b) as usize;
+            assert_eq!(ns.level, level, "{}", b.name);
+            // No PARSEC point needs a network of fewer than two nodes.
+            assert!(ns.level >= 2, "{} sprints at level {}", b.name, ns.level);
+            assert_eq!(ns.baseline, SyntheticBaseline::NocSprinting);
+            assert_eq!(full.level, 16, "{}", b.name);
+            assert_eq!(full.baseline, SyntheticBaseline::SpreadAggregate);
+            let rate = (b.injection_rate * 0.5).max(0.02);
+            assert_eq!((full.rate, ns.rate), (rate, rate), "{}", b.name);
+        }
     }
 
     #[test]
@@ -814,6 +766,11 @@ mod tests {
                 assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
             }
         }
+        // A single node has no peer to send to.
+        let err = job(mesh, 1, SyntheticBaseline::NocSprinting)
+            .run(&e)
+            .unwrap_err();
+        assert!(matches!(err, SimError::TooFewNodes { .. }), "{err}");
         let other_mesh = TopologySpec::Mesh {
             width: 8,
             height: 8,

@@ -338,14 +338,14 @@ impl MetricsSnapshot {
 
 /// A bounded, most-recent-first log of slow points.
 #[derive(Debug)]
-pub struct SlowPointLog {
+struct SlowPointLog {
     entries: Mutex<VecDeque<SlowPoint>>,
     cap: usize,
 }
 
 impl SlowPointLog {
     /// A log keeping at most `cap` entries (oldest evicted first).
-    pub fn new(cap: usize) -> SlowPointLog {
+    fn new(cap: usize) -> SlowPointLog {
         SlowPointLog {
             entries: Mutex::new(VecDeque::new()),
             cap,
@@ -353,7 +353,7 @@ impl SlowPointLog {
     }
 
     /// Appends an entry, evicting the oldest past capacity.
-    pub fn push(&self, p: SlowPoint) {
+    fn push(&self, p: SlowPoint) {
         let mut entries = lock_recover(&self.entries);
         if entries.len() == self.cap {
             entries.pop_front();
@@ -362,7 +362,7 @@ impl SlowPointLog {
     }
 
     /// The retained entries, oldest first.
-    pub fn to_vec(&self) -> Vec<SlowPoint> {
+    fn to_vec(&self) -> Vec<SlowPoint> {
         lock_recover(&self.entries).iter().cloned().collect()
     }
 }
@@ -431,10 +431,10 @@ impl StageBusyTotals {
 
 /// Default slow-point threshold: a point is flagged when its uncached wall
 /// time exceeds this multiple of the running mean of uncached points.
-pub const DEFAULT_SLOW_POINT_FACTOR: f64 = 8.0;
+const DEFAULT_SLOW_POINT_FACTOR: f64 = 8.0;
 
 /// How many slow points a [`ServiceMetrics`] retains.
-pub const SLOW_POINT_LOG_CAP: usize = 32;
+const SLOW_POINT_LOG_CAP: usize = 32;
 
 /// The concrete instrument set for one serving engine: request counters by
 /// verb, batch/point outcome counters, a point-latency histogram, a batch

@@ -123,7 +123,7 @@ impl SprintRuntime {
     /// its retention states. Must sit below the plateau-sustainable power
     /// ((T_melt - T_amb) / R ≈ 4.9 W for the paper package) or the PCM can
     /// never refreeze between sprints.
-    pub const IDLE_POWER_W: f64 = 3.0;
+    const IDLE_POWER_W: f64 = 3.0;
 
     /// Idles (deep-idle mode) until `until` seconds; the PCM refreezes as
     /// the package sheds heat.

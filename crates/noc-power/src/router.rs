@@ -19,25 +19,25 @@ const FREF_GHZ: f64 = 2.0;
 /// Per-bit dynamic energies at `vnom`, in joules/bit (45 nm reference).
 mod cal {
     /// Buffer (register-file) write energy per bit.
-    pub const E_BUF_WR: f64 = 22e-15;
+    pub(super) const E_BUF_WR: f64 = 22e-15;
     /// Buffer read energy per bit.
-    pub const E_BUF_RD: f64 = 18e-15;
+    pub(super) const E_BUF_RD: f64 = 18e-15;
     /// Crossbar traversal energy per bit (5x5 matrix crossbar).
-    pub const E_XBAR: f64 = 31e-15;
+    pub(super) const E_XBAR: f64 = 31e-15;
     /// VC-allocator energy per successful allocation (per whole op, J).
-    pub const E_VA: f64 = 0.9e-12;
+    pub(super) const E_VA: f64 = 0.9e-12;
     /// Switch-allocator energy per grant (J).
-    pub const E_SA: f64 = 0.7e-12;
+    pub(super) const E_SA: f64 = 0.7e-12;
     /// Clock-tree dynamic energy per cycle per buffered bit of state (J).
-    pub const E_CLK_PER_BIT: f64 = 0.045e-15;
+    pub(super) const E_CLK_PER_BIT: f64 = 0.045e-15;
     /// Leakage power per buffer bit at vnom (W).
-    pub const P_LEAK_BUF_PER_BIT: f64 = 0.55e-6;
+    pub(super) const P_LEAK_BUF_PER_BIT: f64 = 0.55e-6;
     /// Leakage of the crossbar per bit of flit width (W).
-    pub const P_LEAK_XBAR_PER_BIT: f64 = 6.0e-6;
+    pub(super) const P_LEAK_XBAR_PER_BIT: f64 = 6.0e-6;
     /// Leakage of each allocator (W).
-    pub const P_LEAK_ALLOC: f64 = 0.35e-3;
+    pub(super) const P_LEAK_ALLOC: f64 = 0.35e-3;
     /// Clock-network leakage per buffered bit (W).
-    pub const P_LEAK_CLK_PER_BIT: f64 = 0.04e-6;
+    pub(super) const P_LEAK_CLK_PER_BIT: f64 = 0.04e-6;
 }
 
 /// Structural parameters of the router being modelled.

@@ -148,7 +148,7 @@ pub struct Ejection {
 
 /// Routers a network may hold: a source-queue entry keeps the
 /// destination in 24 bits.
-pub const MAX_NODES: usize = 1 << 24;
+const MAX_NODES: usize = 1 << 24;
 
 /// Marks a measured packet in [`Queued::dst_len`].
 const MEASURED: u32 = 1 << 7;

@@ -14,7 +14,7 @@ use crate::topology::Topology;
 
 /// A virtual channel as dependency analysis sees it: `(router, output
 /// direction, vc class)`.
-pub type Channel = (NodeId, Direction, usize);
+type Channel = (NodeId, Direction, usize);
 
 /// What [`check_routes`] measured over an active set that passed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

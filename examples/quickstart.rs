@@ -8,8 +8,9 @@
 //! cargo run --release -p noc-sprinting-examples --bin quickstart
 //! ```
 
+use noc_sim::traffic::TrafficPattern;
 use noc_sprinting::controller::{SprintController, SprintPolicy};
-use noc_sprinting::experiment::Experiment;
+use noc_sprinting::experiment::{policy_jobs, Experiment};
 use noc_sprinting::gating::GatingPlan;
 use noc_sprinting_examples::section;
 use noc_workload::profile::by_name;
@@ -37,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     section("3. Run the cycle-level network with CDOR inside the region");
     let e = Experiment::quick();
-    let ns = e.run_network(SprintPolicy::NocSprinting, &dedup, 1)?;
-    let full = e.run_network(SprintPolicy::FullSprinting, &dedup, 1)?;
+    let (full, ns) = policy_jobs(&controller, &dedup, TrafficPattern::UniformRandom, 1.0, 1);
+    let (full, ns) = (full.run(&e)?, ns.run(&e)?);
     println!(
         "network latency: NoC-sprinting {:.1} cycles vs full-sprinting {:.1} cycles",
         ns.avg_network_latency, full.avg_network_latency

@@ -1,14 +1,15 @@
 //! End-to-end integration tests: the full stack (topology → routing →
 //! cycle-level network → power → thermal) exercised through the public API.
 
-use integration::{run_full_mesh, run_masked};
+use integration::{in_process_service, run_full_mesh, run_masked, service_batch};
 use noc_sim::routing::XyRouting;
 use noc_sim::topology::Mesh2D;
 use noc_sim::traffic::{Placement, TrafficPattern};
 use noc_sprinting::cdor::CdorRouting;
 use noc_sprinting::controller::SprintPolicy;
-use noc_sprinting::experiment::{Experiment, ThermalVariant};
+use noc_sprinting::experiment::{policy_jobs, Experiment, ThermalVariant};
 use noc_sprinting::gating::GatingPlan;
+use noc_sprinting::runner::ExperimentRunner;
 use noc_sprinting::sprint_topology::SprintSet;
 use noc_workload::profile::{by_name, parsec_suite};
 
@@ -136,17 +137,20 @@ fn high_load_cdor_regions_make_progress() {
 fn full_policy_comparison_hits_paper_shape() {
     let e = Experiment::quick();
     let suite = parsec_suite();
+    let jobs: Vec<_> = (suite.iter().enumerate())
+        .flat_map(|(i, b)| {
+            let pattern = TrafficPattern::UniformRandom;
+            let (full, ns) = policy_jobs(&e.controller, b, pattern, 1.0, 300 + i as u64);
+            [full, ns]
+        })
+        .collect();
+    let metrics = service_batch(&in_process_service(e, ExperimentRunner::new()), &jobs);
     let mut full_power = 0.0;
     let mut ns_power = 0.0;
     let mut full_lat = 0.0;
     let mut ns_lat = 0.0;
-    for (i, b) in suite.iter().enumerate() {
-        let f = e
-            .run_network(SprintPolicy::FullSprinting, b, 300 + i as u64)
-            .unwrap();
-        let n = e
-            .run_network(SprintPolicy::NocSprinting, b, 300 + i as u64)
-            .unwrap();
+    for pair in metrics.chunks(2) {
+        let (f, n) = (pair[0], pair[1]);
         full_power += f.network_power;
         ns_power += n.network_power;
         full_lat += f.avg_network_latency;
